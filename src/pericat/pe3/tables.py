@@ -345,7 +345,7 @@ def lookup_tilting_pe3(lam: Weight, p: Optional[Parabolic] = None) -> FormalChar
         )
 
     if not matches:
-        log.warning(
+        log.debug(
             "no table pattern matches weight %s (parabolic %s)",
             format_weight(lam),
             p,

@@ -37,9 +37,17 @@ ONE = Fraction(1)
 def weight(*coords) -> Weight:
     """Coerce integers/strings/Fractions to an exact weight tuple.
 
+    Floats are refused (a binary float is rarely the rational meant), and so
+    are bools.
+
     >>> weight(0, "1/2", -2)
     (Fraction(0, 1), Fraction(1, 2), Fraction(-2, 1))
     """
+    for c in coords:
+        if isinstance(c, (float, bool)):
+            raise TypeError(
+                f"weight coordinate {c!r} is not exact; use an int, Fraction or string"
+            )
     return tuple(Fraction(c) for c in coords)
 
 

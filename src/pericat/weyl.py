@@ -246,18 +246,135 @@ def format_poly(a: Poly) -> str:
 
 # --- Kazhdan-Lusztig recursion ----------------------------------------------
 
-_KL_CACHE: dict[tuple[Perm, Perm], Poly] = {}
+
+class InvariantViolation(ValueError):
+    """A computed object breaks an invariant the theory guarantees; raised
+    in place of ``assert`` so the check also runs under ``python -O``."""
+
+
+class _RankIndex:
+    """S_n enumerated once, as int tables over the positions of ``all_perms(n)``.
+
+    ``length[k]`` is l(w_k); ``descents[k]`` has bit i set iff s_i w_k < w_k;
+    ``left[i][k]`` is the position of s_i w_k.  Bruhat order is the
+    prefix-sorting criterion on packed keys: field (k, j) of ``key[w]``
+    holds the j-th smallest entry of w[:k] in ``bits`` value bits under a
+    guard bit, so ``((key[w] | guard) - key[x]) & guard == guard`` iff every
+    field of x is at most the matching field of w (no borrow crosses a
+    field).  ``by_length[s][L]`` lists the w of length L with s a left
+    descent.  ``kl`` memoizes P_{x,w} on normalized pairs, keyed x*size+w.
+    """
+
+    def __init__(self, n: int):
+        perms = all_perms(n)
+        position = {w: k for k, w in enumerate(perms)}
+        bits = max(1, (n - 1).bit_length())
+        width = bits + 1
+        fields = n * (n - 1) // 2
+        self.perms = perms
+        self.size = len(perms)
+        self.position = position
+        self.length = [length(w) for w in perms]
+        self.descents = [sum(1 << i for i in left_descents(w)) for w in perms]
+        self.left = [[position[left_mult(i, w)] for w in perms] for i in range(n - 1)]
+        self.guard = sum(1 << (f * width + bits) for f in range(fields))
+        self.key = []
+        for w in perms:
+            packed, shift = 0, 0
+            for k in range(1, n):
+                for v in sorted(w[:k]):
+                    packed |= v << shift
+                    shift += width
+            self.key.append(packed)
+        self.by_length = [[[] for _ in range(fields + 1)] for _ in range(n - 1)]
+        for k, w in enumerate(perms):
+            for i in range(n - 1):
+                if self.descents[k] >> i & 1:
+                    self.by_length[i][self.length[k]].append(k)
+        self.kl: dict[int, Poly] = {}
+
+    def leq(self, x: int, w: int) -> bool:
+        guard = self.guard
+        return (self.key[w] | guard) - self.key[x] & guard == guard
+
+    def poly(self, x: int, w: int) -> Poly:
+        """P_{x,w} on positions (see ``kl_polynomial``)."""
+        if x == w:
+            return ONE_POLY
+        if not self.leq(x, w):
+            return ZERO_POLY
+        descents = self.descents
+        dw = descents[w]
+        up = dw & ~descents[x]
+        while up:
+            x = self.left[(up & -up).bit_length() - 1][x]
+            up = dw & ~descents[x]
+        if x == w:
+            return ONE_POLY
+        key = x * self.size + w
+        cached = self.kl.get(key)
+        if cached is None:
+            cached = self.kl[key] = self._recurse(x, w)
+        return cached
+
+    def mu(self, z: int, w: int) -> int:
+        gap = self.length[w] - self.length[z]
+        if gap <= 0 or gap % 2 == 0:
+            return 0
+        p = self.poly(z, w)
+        exponent = (gap - 1) // 2
+        return p[exponent] if exponent < len(p) else 0
+
+    def _recurse(self, x: int, w: int) -> Poly:
+        # s is a descent of x after normalization, so the main branch applies:
+        # P_{x,w} = P_{sx,v} + q P_{x,v} - sum_z mu(z,v) q^((l(w)-l(z))/2) P_{x,z}
+        # over x <= z < v with sz < z; mu(z,v) = 0 unless l(v) - l(z) is odd.
+        s = (self.descents[w] & -self.descents[w]).bit_length() - 1
+        v = self.left[s][w]
+        result = poly_add(self.poly(self.left[s][x], v), poly_shift(self.poly(x, v), 1))
+        lw, lx = self.length[w], self.length[x]
+        for lz in range(lw - 2, lx - 1, -2):
+            for z in self.by_length[s][lz]:
+                if not (self.leq(x, z) and self.leq(z, v)):
+                    continue
+                # z < v with l(z) = l(v) - 1 is a cover, so P_{z,v} = 1 and mu = 1.
+                m = 1 if lz == lw - 2 else self.mu(z, v)
+                if m:
+                    result = poly_sub(
+                        result, poly_shift(poly_scale(m, self.poly(x, z)), (lw - lz) // 2)
+                    )
+
+        if not (result and result[0] == 1 and all(c >= 0 for c in result)):
+            problem = "malformed"
+        elif 2 * (len(result) - 1) > lw - lx - 1:
+            problem = "breaks the degree bound"
+        else:
+            return result
+        raise InvariantViolation(
+            f"KL polynomial {problem} for {self.perms[x]}, {self.perms[w]}: {result}"
+        )
+
+
+@lru_cache(maxsize=None)
+def _rank_index(n: int) -> _RankIndex:
+    return _RankIndex(n)
+
+
+def _positions(x: Perm, w: Perm) -> tuple[_RankIndex, int, int]:
+    if len(x) != len(w):
+        raise ValueError("dimension mismatch")
+    index = _rank_index(len(w))
+    px, pw = index.position.get(x), index.position.get(w)
+    if px is None or pw is None:
+        raise ValueError(f"not permutations of range({len(w)}): {x}, {w}")
+    return index, px, pw
 
 
 def mu_coefficient(z: Perm, w: Perm) -> int:
     """Coefficient of q^((l(w)-l(z)-1)/2) in P_{z,w}, zero unless that is an
     integer exponent (z < w)."""
-    gap = length(w) - length(z)
-    if gap <= 0 or gap % 2 == 0:
-        return 0
-    p = kl_polynomial(z, w)
-    exponent = (gap - 1) // 2
-    return p[exponent] if exponent < len(p) else 0
+    index, pz, pw = _positions(z, w)
+    return index.mu(pz, pw)
 
 
 def kl_polynomial(x: Perm, w: Perm) -> Poly:
@@ -265,63 +382,12 @@ def kl_polynomial(x: Perm, w: Perm) -> Poly:
 
     Classical recursion on a left descent s of w, after normalizing x up
     through the descents of w (P_{x,w} = P_{sx,w} when sw < w < sx); results
-    are memoized.  For x <= w the constant term is 1 and the degree is at
-    most (l(w) - l(x) - 1)/2 (checked), with P_{w,w} = 1.
+    are memoized per normalized pair.  For x <= w the constant term is 1 and
+    the degree is at most (l(w) - l(x) - 1)/2 (checked: ``InvariantViolation``),
+    with P_{w,w} = 1.  Runs on the per-rank tables of ``_RankIndex``.
     """
-    if len(x) != len(w):
-        raise ValueError("dimension mismatch")
-    if x == w:
-        return ONE_POLY
-    if not bruhat_leq(x, w):
-        return ZERO_POLY
-
-    descents = left_descents(w)
-    changed = True
-    while changed:
-        changed = False
-        for i in descents:
-            sx = left_mult(i, x)
-            if length(sx) > length(x):
-                x = sx
-                changed = True
-    if x == w:
-        return ONE_POLY
-
-    key = (x, w)
-    cached = _KL_CACHE.get(key)
-    if cached is not None:
-        return cached
-
-    s = descents[0]
-    v = left_mult(s, w)
-    sx = left_mult(s, x)
-    # s is a descent of x after normalization, so the main branch applies:
-    # P_{x,w} = P_{sx,v} + q P_{x,v} - sum_z mu(z,v) q^((l(w)-l(z))/2) P_{x,z}
-    result = poly_add(kl_polynomial(sx, v), poly_shift(kl_polynomial(x, v), 1))
-    lw = length(w)
-    for z in all_perms(len(w)):
-        lz = length(z)
-        if lz >= length(v) or (lw - lz) % 2 != 0:
-            continue
-        if inverse(z)[s] <= inverse(z)[s + 1]:  # need sz < z
-            continue
-        if not (bruhat_leq(x, z) and bruhat_leq(z, v)):
-            continue
-        m = mu_coefficient(z, v)
-        if m == 0:
-            continue
-        result = poly_sub(
-            result, poly_shift(poly_scale(m, kl_polynomial(x, z)), (lw - lz) // 2)
-        )
-
-    assert result and result[0] == 1 and all(c >= 0 for c in result), (
-        f"KL polynomial malformed for {x}, {w}: {result}"
-    )
-    assert 2 * (len(result) - 1) <= length(w) - length(x) - 1, (
-        f"KL degree bound violated for {x}, {w}: {result}"
-    )
-    _KL_CACHE[key] = result
-    return result
+    index, px, pw = _positions(x, w)
+    return index.poly(px, pw)
 
 
 def kl_eval_one(x: Perm, w: Perm) -> int:

@@ -1,6 +1,7 @@
 """pe(3) tilting table data, the lookup router, and the verification suite."""
 
 import json
+import logging
 import shutil
 from fractions import Fraction
 
@@ -92,6 +93,15 @@ def test_lookup_p21():
     assert chi.support() == {W(1, 0, 3), W(0, -1, 3)}
     with pytest.raises(NoTableEntry):
         lookup_tilting_pe3(W(5, 0, 1), (2, 1))
+
+
+def test_lookup_miss_raises_without_warning(caplog):
+    # A miss is expected and handled by callers; it must not reach stderr.
+    with caplog.at_level(logging.DEBUG, logger="pericat.pe3.tables"):
+        with pytest.raises(NoTableEntry):
+            lookup_tilting_pe3(W(2, 0, 1), (2, 1))
+    assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
+    assert any("2,0,1" in r.getMessage() for r in caplog.records)
 
 
 def test_lookup_shift_consistency_across_patterns():

@@ -160,3 +160,11 @@ def test_weight_algebra():
     assert shift(lam, Fraction(1, 2)) == W("3/2", "5/2", "7/2")
     assert sub(shift(lam, 2), lam) == W(2, 2, 2)
     assert weight("1/2") == (Fraction(1, 2),)
+
+
+def test_weight_rejects_float_and_bool():
+    for bad in ((0.1, 1, 5), (1.0, 0, 0), (True, 0, 1), (0, False)):
+        with pytest.raises(TypeError):
+            weight(*bad)
+    assert weight(0, "1/2", Fraction(-2)) == (Fraction(0), Fraction(1, 2), Fraction(-2))
+    assert parse_weight("0.5,1") == (Fraction(1, 2), Fraction(1))

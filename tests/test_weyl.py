@@ -10,12 +10,24 @@ the KL family.  Only after that identity is established do we freeze
 small-rank facts (all S3 polynomials trivial; the S4 count of 1+q pairs).
 """
 
+import contextlib
+import functools
 import itertools
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from conftest import W
+from pericat import weyl
+from pericat.cli import main
 from pericat.weyl import (
+    ONE_POLY,
+    ZERO_POLY,
+    InvariantViolation,
     all_perms,
     apply_perm,
     bruhat_leq,
@@ -27,6 +39,8 @@ from pericat.weyl import (
     inverse,
     kl_eval_one,
     kl_polynomial,
+    left_descents,
+    left_mult,
     length,
     longest_element,
     mu_coefficient,
@@ -36,6 +50,9 @@ from pericat.weyl import (
     poly_eval,
     poly_mul,
     poly_reverse,
+    poly_scale,
+    poly_shift,
+    poly_sub,
     r_polynomial,
     reflect,
     transposition,
@@ -45,20 +62,23 @@ from pericat.weights import even_root
 
 def _check_inversion_identity(n: int) -> int:
     """Assert the P/R inversion identity for every pair in S_n; returns the
-    number of pairs checked."""
+    number of pairs checked.  The intervals [x, w] come from the up-set of x
+    and the down-set of w, each found once with plain ``bruhat_leq``."""
     perms = all_perms(n)
+    up = {x: [z for z in perms if bruhat_leq(x, z)] for x in perms}
+    down = {w: {z for z in perms if bruhat_leq(z, w)} for w in perms}
     checked = 0
     for x in perms:
         for w in perms:
-            if not bruhat_leq(x, w):
+            if x not in down[w]:
                 assert kl_polynomial(x, w) == ()
                 assert r_polynomial(x, w) == ()
                 continue
             top = length(w) - length(x)
             lhs = poly_reverse(kl_polynomial(x, w), top)
             rhs = ()
-            for z in perms:
-                if bruhat_leq(x, z) and bruhat_leq(z, w):
+            for z in up[x]:
+                if z in down[w]:
                     rhs = poly_add(
                         rhs, poly_mul(r_polynomial(x, z), kl_polynomial(z, w))
                     )
@@ -95,6 +115,172 @@ def test_oracle_inversion_identity_s4():
     # 213 Bruhat-comparable pairs in S4 (cross-checked by the rank-matrix
     # oracle above).
     assert _check_inversion_identity(4) == 213
+
+
+def test_oracle_inversion_identity_s5():
+    assert _check_inversion_identity(5) == 3781
+
+
+class _ReferenceRecursion:
+    """The KL recursion as it was before the per-rank index, kept as a
+    reference: the same body with its own memo, on plain ``length``,
+    ``inverse`` and ``bruhat_leq`` (memoized here only for speed)."""
+
+    def __init__(self):
+        self.memo = {}
+        self.length = functools.lru_cache(maxsize=None)(length)
+        self.inverse = functools.lru_cache(maxsize=None)(inverse)
+        self.bruhat_leq = functools.lru_cache(maxsize=None)(bruhat_leq)
+
+    def mu(self, z, w):
+        gap = self.length(w) - self.length(z)
+        if gap <= 0 or gap % 2 == 0:
+            return 0
+        p = self.kl(z, w)
+        exponent = (gap - 1) // 2
+        return p[exponent] if exponent < len(p) else 0
+
+    def kl(self, x, w):
+        length, inverse, bruhat_leq = self.length, self.inverse, self.bruhat_leq
+        if x == w:
+            return ONE_POLY
+        if not bruhat_leq(x, w):
+            return ZERO_POLY
+        descents = left_descents(w)
+        changed = True
+        while changed:
+            changed = False
+            for i in descents:
+                sx = left_mult(i, x)
+                if length(sx) > length(x):
+                    x = sx
+                    changed = True
+        if x == w:
+            return ONE_POLY
+        key = (x, w)
+        cached = self.memo.get(key)
+        if cached is not None:
+            return cached
+        s = descents[0]
+        v = left_mult(s, w)
+        sx = left_mult(s, x)
+        result = poly_add(self.kl(sx, v), poly_shift(self.kl(x, v), 1))
+        lw = length(w)
+        for z in all_perms(len(w)):
+            lz = length(z)
+            if lz >= length(v) or (lw - lz) % 2 != 0:
+                continue
+            if inverse(z)[s] <= inverse(z)[s + 1]:
+                continue
+            if not (bruhat_leq(x, z) and bruhat_leq(z, v)):
+                continue
+            m = self.mu(z, v)
+            if m == 0:
+                continue
+            result = poly_sub(
+                result, poly_shift(poly_scale(m, self.kl(x, z)), (lw - lz) // 2)
+            )
+        self.memo[key] = result
+        return result
+
+
+def _s6_sample(rng: random.Random, count: int) -> list:
+    """Thirds of: uniform pairs (mostly non-comparable), w within two simple
+    swaps of w0 with x uniform, and x a few inversion-removing swaps below w."""
+    perms = all_perms(6)
+    pairs = []
+    for k in range(count):
+        if k % 3 == 0:
+            pairs.append((rng.choice(perms), rng.choice(perms)))
+        elif k % 3 == 1:
+            w = list(longest_element(6))
+            for _ in range(rng.randint(0, 2)):
+                i = rng.randrange(5)
+                w[i], w[i + 1] = w[i + 1], w[i]
+            pairs.append((rng.choice(perms), tuple(w)))
+        else:
+            w = rng.choice(perms)
+            x = list(w)
+            for _ in range(rng.randint(1, 6)):
+                i, j = sorted(rng.sample(range(6), 2))
+                if x[i] > x[j]:
+                    x[i], x[j] = x[j], x[i]
+            pairs.append((tuple(x), w))
+    return pairs
+
+
+def test_oracle_kl_matches_reference_recursion():
+    reference = _ReferenceRecursion()
+    for x in all_perms(5):
+        for w in all_perms(5):
+            assert kl_polynomial(x, w) == reference.kl(x, w), (x, w)
+    pairs = _s6_sample(random.Random(2020), 2100)
+    results = [kl_polynomial(x, w) for x, w in pairs]
+    assert results == [reference.kl(x, w) for x, w in pairs]
+    # The sample reaches every branch: non-comparable, trivial, non-trivial.
+    assert sum(p == () for p in results) > 300
+    assert sum(p == (1,) for p in results) > 300
+    assert sum(len(p) > 1 for p in results) > 100
+    assert sum(length(w) >= 13 for _, w in pairs) >= 700
+
+
+@contextlib.contextmanager
+def _poisoned_memo(x, w, bad):
+    """Fill the memo with P_{x,w}'s sub-entries all replaced by ``bad`` and
+    P_{x,w} itself removed, so the next call recomputes it from them."""
+    memo = weyl._rank_index(len(w)).kl
+    saved = dict(memo)
+    memo.clear()
+    kl_polynomial(x, w)
+    target = list(memo)[-1]  # stored last, after its recursion returned
+    memo.update(dict.fromkeys(memo, bad))
+    del memo[target]
+    try:
+        yield
+    finally:
+        memo.clear()
+        memo.update(saved)
+
+
+E4, W3412 = identity(4), parse_perm("3,4,1,2")
+
+
+def test_kl_invariant_violation_is_typed():
+    with _poisoned_memo(E4, W3412, (2,)):
+        with pytest.raises(InvariantViolation, match="malformed"):
+            kl_polynomial(E4, W3412)
+    with _poisoned_memo(E4, W3412, (1, 0, 0, 1)):
+        with pytest.raises(InvariantViolation, match="degree bound"):
+            kl_polynomial(E4, W3412)
+    assert issubclass(InvariantViolation, ValueError)
+    assert kl_polynomial(E4, W3412) == (1, 1)
+
+
+def test_kl_invariant_violation_cli_exit_1(capsys):
+    with _poisoned_memo(E4, W3412, (2,)):
+        assert main(["kl", "--x", "1,2,3,4", "--w", "3,4,1,2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: KL polynomial malformed")
+
+
+def test_kl_invariant_violation_under_python_O():
+    tests = Path(__file__).resolve().parent
+    src = Path(weyl.__file__).resolve().parents[1]
+    code = (
+        "import sys\n"
+        "from test_weyl import E4, W3412, _poisoned_memo\n"
+        "from pericat.cli import main\n"
+        "with _poisoned_memo(E4, W3412, (2,)):\n"
+        "    sys.exit(main(['kl', '--x', '1,2,3,4', '--w', '3,4,1,2']))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), str(tests)]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("error: KL polynomial malformed")
+    assert "Traceback" not in proc.stderr
 
 
 def test_oracle_r_polynomial_basics():
