@@ -28,18 +28,21 @@ True
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, NamedTuple, Optional
 
 from .weights import (
+    Coord,
     Parabolic,
     Weight,
     borel,
     degree,
+    exact,
     format_weight,
     is_p_dominant,
     levi_blocks,
     parse_weight,
+    require_p_dominant,
     shift,
 )
 from .weyl import apply_perm, length
@@ -194,30 +197,30 @@ def nabla_to_delta(lam: Weight) -> FormalChar:
     n = len(lam)
     out: dict = {}
     sym = symbol(DELTA, borel(n))
-    for kappa in itertools.product((Fraction(0), Fraction(2)), repeat=n):
+    for kappa in itertools.product((0, 2), repeat=n):
         mu = tuple(a - b for a, b in zip(lam, kappa))
         out[(sym, mu)] = out.get((sym, mu), 0) + 1
     return FormalChar(out)
 
 
-def levi_weyl_group(p: Parabolic):
+@lru_cache(maxsize=None)
+def levi_weyl_group(p: Parabolic) -> tuple:
     """The Levi Weyl group as whole-space permutations, with lengths."""
     blocks = levi_blocks(p)
     n = sum(p)
+    out = []
     for parts in itertools.product(*(itertools.permutations(b) for b in blocks)):
         word = [0] * n
         for block, images in zip(blocks, parts):
             for src, dst in zip(block, images):
                 word[src] = dst
         w = tuple(word)
-        yield w, length(w)
+        out.append((w, length(w)))
+    return tuple(out)
 
 
 def _expand_parabolic(kind: str, lam: Weight, p: Parabolic) -> FormalChar:
-    if not is_p_dominant(lam, p):
-        raise ValueError(
-            f"{format_weight(lam)} is not in Sigma_p^+ for p={p}"
-        )
+    require_p_dominant(lam, p)
     n = len(lam)
     out: dict = {}
     sym = symbol(kind, borel(n))
@@ -267,34 +270,42 @@ def _leader_expansion(kind: str, lam: Weight, p: Parabolic) -> FormalChar:
 def _collect(chi_b: FormalChar, p: Parabolic, depth: int, kind: str) -> FormalChar:
     """Collect a Delta(borel) character into the Delta(p)/Nabla(p) basis by
     eliminating leading terms one degree level at a time."""
-    remaining = {lam: c for (_, lam), c in chi_b.terms.items()}
+    # the remainder grouped by degree: a term's degree is taken as it
+    # arrives, and each level is read off without rescanning the others
+    remaining: dict[Coord, dict[Weight, int]] = {}
+    for (_, lam), c in chi_b.terms.items():
+        remaining.setdefault(degree(lam), {})[lam] = c
     collected: dict = {}
     out_sym = symbol(kind, p)
     levels = 0
     while remaining and levels < depth:
-        top = max(degree(lam) for lam in remaining)
-        leaders = [lam for lam in remaining if degree(lam) == top and is_p_dominant(lam, p)]
-        for lam in leaders:
-            c = remaining.get(lam, 0)
+        top = max(remaining)
+        level = remaining.pop(top)
+        for lam in [lam for lam in level if is_p_dominant(lam, p)]:
+            c = level.get(lam, 0)
             if c == 0:
                 continue
             collected[(out_sym, lam)] = collected.get((out_sym, lam), 0) + c
             for (_, mu), d in _leader_expansion(kind, lam, p).terms.items():
-                remaining[mu] = remaining.get(mu, 0) - c * d
-                if remaining[mu] == 0:
-                    del remaining[mu]
-        stuck = [lam for lam in remaining if degree(lam) == top]
-        if stuck:
+                e = degree(mu)
+                row = level if e == top else remaining.setdefault(e, {})
+                row[mu] = row.get(mu, 0) - c * d
+                if row[mu] == 0:
+                    del row[mu]
+                    if not row and row is not level:
+                        del remaining[e]
+        if level:
             raise ValueError(
                 "not in the span of the target basis; leftover leading terms "
-                + ", ".join(format_weight(lam) for lam in sorted(stuck))
+                + ", ".join(format_weight(lam) for lam in sorted(level))
             )
         levels += 1
     if remaining:
-        leftover = FormalChar(
-            {(symbol(DELTA, borel(len(lam))), lam): c for lam, c in remaining.items()}
-        )
-        raise NonTerminating(depth, leftover)
+        leftover = {
+            (symbol(DELTA, borel(len(lam))), lam): c
+            for row in remaining.values() for lam, c in row.items()
+        }
+        raise NonTerminating(depth, FormalChar(leftover))
     return FormalChar(collected)
 
 
@@ -325,10 +336,9 @@ def nabla_sum_to_delta_sum(chi: FormalChar, depth: int = 64) -> FormalChar:
 def theta_delta(a, lam: Weight, p: Optional[Parabolic] = None) -> FormalChar:
     """theta_a on a standard character: sum over lam_i = a of
     Delta_{lam + e_i} + Delta_{lam - e_i}, keeping weights in Sigma_p^+."""
-    a = Fraction(a)
+    a = exact(a)
     p = p or borel(len(lam))
-    if not is_p_dominant(lam, p):
-        raise ValueError(f"{format_weight(lam)} is not in Sigma_p^+ for p={p}")
+    require_p_dominant(lam, p)
     out = ZERO_CHAR
     for i, c in enumerate(lam):
         if c == a:
@@ -344,10 +354,9 @@ def theta_delta(a, lam: Weight, p: Optional[Parabolic] = None) -> FormalChar:
 def theta_nabla(a, lam: Weight, p: Optional[Parabolic] = None) -> FormalChar:
     """theta_a on a costandard character: raise the coordinates equal to a,
     lower the coordinates equal to a + 2, keeping weights in Sigma_p^+."""
-    a = Fraction(a)
+    a = exact(a)
     p = p or borel(len(lam))
-    if not is_p_dominant(lam, p):
-        raise ValueError(f"{format_weight(lam)} is not in Sigma_p^+ for p={p}")
+    require_p_dominant(lam, p)
     out = ZERO_CHAR
     for i, c in enumerate(lam):
         mu = None
@@ -386,8 +395,7 @@ def tensor_natural_delta(lam: Weight, p: Optional[Parabolic] = None) -> FormalCh
     module: sum over i of Delta_{lam + e_i} + Delta_{lam - e_i}, keeping
     weights in Sigma_p^+."""
     p = p or borel(len(lam))
-    if not is_p_dominant(lam, p):
-        raise ValueError(f"{format_weight(lam)} is not in Sigma_p^+ for p={p}")
+    require_p_dominant(lam, p)
     out = ZERO_CHAR
     for i in range(len(lam)):
         for sign in (1, -1):
@@ -397,9 +405,9 @@ def tensor_natural_delta(lam: Weight, p: Optional[Parabolic] = None) -> FormalCh
     return out
 
 
-def grade_support(chi: FormalChar) -> dict[Fraction, FormalChar]:
+def grade_support(chi: FormalChar) -> dict[Coord, FormalChar]:
     """Split a character by the degree of its weights."""
-    out: dict[Fraction, dict] = {}
+    out: dict[Coord, dict] = {}
     for (sym, lam), c in chi.terms.items():
         out.setdefault(degree(lam), {})[(sym, lam)] = c
     return {d: FormalChar(terms) for d, terms in sorted(out.items())}

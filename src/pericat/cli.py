@@ -29,7 +29,7 @@ from .characters import (
 from .glmult import parabolic_verma_simple_mult, verma_simple_mult
 from .linkage import block_count, block_label, canonical_representative
 from .tilting import NotWeaklyTypical, weakly_typical_tilting
-from .weights import borel, format_weight, parse_weight
+from .weights import borel, exact, format_weight, parse_weight
 from .weyl import format_poly, kl_polynomial, parse_perm
 from .pe3.appendix import replay_appendix
 from .pe3.tables import NoTableEntry, lookup_tilting_pe3
@@ -81,7 +81,7 @@ def _composition_sample_labels(comp: tuple[int, ...]) -> set:
     structure (one rational class per part, distinct fractional offsets)."""
     from itertools import combinations_with_replacement, product as iproduct
 
-    offsets = [Fraction(0)] + [Fraction(1, k + 2) for k in range(len(comp) - 1)]
+    offsets = [0] + [Fraction(1, k + 2) for k in range(len(comp) - 1)]
     per_part = []
     for size, off in zip(comp, offsets):
         coords = [off + v for v in range(-size, size + 1)]
@@ -162,8 +162,7 @@ def _cmd_tilting(args, fmt: str) -> int:
 
 
 def _cmd_theta(args, fmt: str) -> int:
-    a = Fraction(args.a)
-    chi = theta_char(a, _load_char(args.char))
+    chi = theta_char(exact(args.a), _load_char(args.char))
     _print_char(chi, fmt)
     return 0
 

@@ -32,10 +32,10 @@ from .weights import (
     borel,
     format_weight,
     is_integer,
-    is_p_dominant,
     reflect_coords,
+    require_p_dominant,
 )
-from .weyl import apply_perm, compose, kl_eval_one, longest_element
+from .weyl import InvariantViolation, apply_perm, compose, kl_eval_one, longest_element
 
 __all__ = [
     "jantzen_sum",
@@ -155,25 +155,22 @@ def _pair_mult(lam_q: list, mu_q: list) -> int:
     return total
 
 
-@lru_cache(maxsize=None)
-def _levi_group(p: Parabolic) -> tuple:
-    return tuple(levi_weyl_group(p))
-
-
 def parabolic_verma_simple_mult(mu: Weight, lam: Weight, p: Parabolic) -> int:
     """[M^p_mu : L_lam]: alternating Levi-orbit sum of Borel Verma
     multiplicities.  Requires mu in Sigma_p^+."""
-    if not is_p_dominant(mu, p):
-        raise ValueError(f"{format_weight(mu)} is not in Sigma_p^+ for p={p}")
+    require_p_dominant(mu, p)
     if len(lam) != len(mu):
         raise ValueError("dimension mismatch")
     mu_q, lam_q = _exact_pairs(mu), _exact_pairs(lam)
     if sorted(mu_q) != sorted(lam_q):
         return 0  # every orbit term w(mu) has mu's multiset, so each is 0
     total = 0
-    for w, lw in _levi_group(p):
+    for w, lw in levi_weyl_group(p):
         total += (-1) ** lw * _pair_mult(apply_perm(w, mu_q), lam_q)
-    assert total >= 0, (mu, lam, p, total)
+    if total < 0:
+        raise InvariantViolation(
+            f"[M^p_{format_weight(mu)} : L_{format_weight(lam)}] = {total} < 0 for p={p}"
+        )
     return total
 
 

@@ -20,44 +20,31 @@ False
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterator
 
 from .weights import (
+    Coord,
     Parabolic,
     Weight,
     basis_vector,
     conjugate,
     even_root,
-    format_weight,
     is_integer,
     is_p_dominant,
     levi_positive_roots,
-    pairing,
-    simple_roots,
+    require_p_dominant,
     sub,
 )
 
-ONE = Fraction(1)
 
-
-def _lowering_neighbors(nu: Weight) -> Iterator[Weight]:
+def _neighbors(nu: Weight, sign: int) -> Iterator[Weight]:
+    """One strictly lowering (sign 1) or raising (sign -1) reflection step:
+    swap nu_i, nu_j (i < j) when sign * (nu_i - nu_j) is a positive integer."""
     n = len(nu)
     for i in range(n):
         for j in range(i + 1, n):
-            d = nu[i] - nu[j]
+            d = (nu[i] - nu[j]) * sign
             if is_integer(d) and d > 0:
-                out = list(nu)
-                out[i], out[j] = out[j], out[i]
-                yield tuple(out)
-
-
-def _raising_neighbors(nu: Weight) -> Iterator[Weight]:
-    n = len(nu)
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = nu[i] - nu[j]
-            if is_integer(d) and d < 0:
                 out = list(nu)
                 out[i], out[j] = out[j], out[i]
                 yield tuple(out)
@@ -85,7 +72,7 @@ def strongly_linked(mu: Weight, lam: Weight) -> bool:
     while frontier:
         nxt = []
         for nu in frontier:
-            for nb in _lowering_neighbors(nu):
+            for nb in _neighbors(nu, 1):
                 if nb == mu:
                     return True
                 if nb not in seen:
@@ -95,39 +82,33 @@ def strongly_linked(mu: Weight, lam: Weight) -> bool:
     return False
 
 
-def strong_down_set(lam: Weight) -> frozenset[Weight]:
-    """All mu strongly linked to lam (including lam)."""
-    seen = {lam}
-    frontier = [lam]
+def _closure(start: Weight, sign: int) -> frozenset[Weight]:
+    seen = {start}
+    frontier = [start]
     while frontier:
         nxt = []
         for nu in frontier:
-            for nb in _lowering_neighbors(nu):
+            for nb in _neighbors(nu, sign):
                 if nb not in seen:
                     seen.add(nb)
                     nxt.append(nb)
         frontier = nxt
     return frozenset(seen)
+
+
+def strong_down_set(lam: Weight) -> frozenset[Weight]:
+    """All mu strongly linked to lam (including lam)."""
+    return _closure(lam, 1)
 
 
 def strong_up_set(mu: Weight) -> frozenset[Weight]:
     """All lam with mu strongly linked to lam (including mu)."""
-    seen = {mu}
-    frontier = [mu]
-    while frontier:
-        nxt = []
-        for nu in frontier:
-            for nb in _raising_neighbors(nu):
-                if nb not in seen:
-                    seen.add(nb)
-                    nxt.append(nb)
-        frontier = nxt
-    return frozenset(seen)
+    return _closure(mu, -1)
 
 
 # --- blocks -------------------------------------------------------------------
 
-BlockRecord = tuple[Fraction, int, int]  # (class key, size, odd count)
+BlockRecord = tuple[Coord, int, int]  # (class key, size, odd count)
 
 
 def block_label(lam: Weight) -> tuple[BlockRecord, ...]:
@@ -138,9 +119,9 @@ def block_label(lam: Weight) -> tuple[BlockRecord, ...]:
 
     >>> from .weights import weight
     >>> block_label(weight(4, 7, 0))
-    ((Fraction(0, 1), 3, 1),)
+    ((0, 3, 1),)
     """
-    classes: list[tuple[Fraction, list[Fraction]]] = []
+    classes: list[tuple[Coord, list[Coord]]] = []
     for c in lam:
         key = c - c.__floor__()
         for k, members in classes:
@@ -174,7 +155,7 @@ def canonical_representative(lam: Weight) -> Weight:
     >>> format_weight(canonical_representative(weight(0, "1/2", 1)))
     '1,1/2,0'
     """
-    classes: list[tuple[Fraction, list[int]]] = []
+    classes: list[tuple[Coord, list[int]]] = []
     for i, c in enumerate(lam):
         key = c - c.__floor__()
         for k, members in classes:
@@ -183,7 +164,7 @@ def canonical_representative(lam: Weight) -> Weight:
                 break
         else:
             classes.append((key, [i]))
-    out: list[Fraction] = [Fraction(0)] * len(lam)
+    out: list = [0] * len(lam)
     for key, positions in classes:
         odd = sum(1 for i in positions if (lam[i] - key).numerator % 2 != 0)
         for rank, i in enumerate(positions):
@@ -210,27 +191,19 @@ def A_set(lam: Weight, q: int) -> frozenset[int]:
     return frozenset(j for j in range(q, n + 1) if lam[q - 1] == lam[j - 1])
 
 
-def _require_p_dominant(lam: Weight, p: Parabolic) -> None:
-    if not is_p_dominant(lam, p):
-        raise ValueError(
-            f"{format_weight(lam)} is not in Sigma_p^+ for p={p}"
-        )
-
-
 def thm34_nabla_edge(lam: Weight, q: int, p: Parabolic) -> bool:
     """Certifies [Delta^p_lam : L^p_{lam - 2 e_q}] > 0 (1-based q).
 
     Requires lam in Sigma_p^+.  Holds when lam - 2 e_q stays in Sigma_p^+
     and no j in A_set(lam, q) with j <= n-1 has <lam, alpha_j> = 1.
     """
-    _require_p_dominant(lam, p)
+    require_p_dominant(lam, p)
     n = len(lam)
     target = sub(lam, tuple(2 * c for c in basis_vector(q - 1, n)))
     if not is_p_dominant(target, p):
         return False
-    alphas = simple_roots(n)
     for j in A_set(lam, q):
-        if j <= n - 1 and pairing(lam, alphas[j - 1]) == 1:
+        if j <= n - 1 and lam[j - 1] - lam[j] == 1:
             return False
     return True
 
@@ -242,14 +215,14 @@ def thm34_delta_edge(lam: Weight, i: int, p: Parabolic) -> bool:
     lam - conj(alpha_i) stays in Sigma_p^+, <lam, alpha_i> = 1, and
     A_set(lam, i) = {i}.
     """
-    _require_p_dominant(lam, p)
+    require_p_dominant(lam, p)
     n = len(lam)
     if not 1 <= i <= n - 1:
         raise ValueError(f"simple root index {i} out of range for n={n}")
     alpha = even_root(i - 1, i, n)
     if alpha not in levi_positive_roots(p, n):
         return False
-    if pairing(lam, alpha) != 1:
+    if lam[i - 1] - lam[i] != 1:
         return False
     if not is_p_dominant(sub(lam, conjugate(alpha)), p):
         return False
@@ -265,7 +238,7 @@ def cor36_edge(lam: Weight, i: int) -> bool:
         raise ValueError("this certificate is specific to n=3")
     if i not in (1, 2):
         raise ValueError(f"simple root index {i} out of range for n=3")
-    return pairing(lam, even_root(i - 1, i, 3)) == 1
+    return lam[i - 1] - lam[i] == 1
 
 
 def prop37_propagate(mu: Weight, lam: Weight) -> bool:
@@ -284,14 +257,14 @@ def thmA_nabla_form(lam: Weight, q: int, p: Parabolic) -> bool:
     lam - 2 e_q stays in Sigma_p^+ and lam - 2 e_q is not strongly linked
     to lam - conj(alpha_i) for any i <= n-1 with <lam, alpha_i> = 1.
     """
-    _require_p_dominant(lam, p)
+    require_p_dominant(lam, p)
     n = len(lam)
     target = sub(lam, tuple(2 * c for c in basis_vector(q - 1, n)))
     if not is_p_dominant(target, p):
         return False
     for i in range(n - 1):
         alpha = even_root(i, i + 1, n)
-        if pairing(lam, alpha) == 1 and strongly_linked(
+        if lam[i] - lam[i + 1] == 1 and strongly_linked(
             target, sub(lam, conjugate(alpha))
         ):
             return False
@@ -304,14 +277,14 @@ def thmA_delta_form(lam: Weight, i: int, p: Parabolic) -> bool:
     Same Levi-root/pairing hypotheses, with A_set(lam, i) = {i} replaced
     by: lam - conj(alpha_i) is not strongly linked to any lam - 2 e_q.
     """
-    _require_p_dominant(lam, p)
+    require_p_dominant(lam, p)
     n = len(lam)
     if not 1 <= i <= n - 1:
         raise ValueError(f"simple root index {i} out of range for n={n}")
     alpha = even_root(i - 1, i, n)
     if alpha not in levi_positive_roots(p, n):
         return False
-    if pairing(lam, alpha) != 1:
+    if lam[i - 1] - lam[i] != 1:
         return False
     source = sub(lam, conjugate(alpha))
     if not is_p_dominant(source, p):

@@ -30,8 +30,10 @@ from ..weights import (
     Weight,
     borel,
     format_weight,
+    is_integer,
     is_p_dominant,
     is_p_weakly_typical,
+    require_p_dominant,
     weight,
 )
 
@@ -214,10 +216,6 @@ def load_families(refresh: bool = False) -> dict[str, TiltingFamily]:
     return _CACHE[key]
 
 
-def _is_int(x: Fraction) -> bool:
-    return Fraction(x).denominator == 1
-
-
 def _integral_borel_matches(lam: Weight) -> list[tuple[str, dict[str, Fraction], Fraction]]:
     """(family id, params, omega shift) for fully integral rank-3 weights."""
     out: list[tuple[str, dict[str, Fraction], Fraction]] = []
@@ -321,22 +319,19 @@ def lookup_tilting_pe3(lam: Weight, p: Optional[Parabolic] = None) -> FormalChar
     if p is None:
         p = borel(3)
     p = tuple(p)
-    if not is_p_dominant(lam, p):
-        raise ValueError(
-            f"{format_weight(lam)} is not in Sigma_p^+ for p={p}"
-        )
+    require_p_dominant(lam, p)
     if is_p_weakly_typical(lam, p):
         return weakly_typical_tilting(lam, p)
 
     d1, d2 = lam[1] - lam[0], lam[2] - lam[0]
     matches: list[tuple[str, dict[str, Fraction], Fraction]] = []
     if p == (1, 1, 1):
-        if _is_int(d1) and _is_int(d2):
+        if is_integer(d1) and is_integer(d2):
             matches = _integral_borel_matches(lam)
-        elif _is_int(d1) and not _is_int(d2):
+        elif is_integer(d1) and not is_integer(d2):
             matches = _mixed_borel_matches(lam)
     elif p == (2, 1):
-        if _is_int(d1) and _is_int(d2):
+        if is_integer(d1) and is_integer(d2):
             matches = _p21_matches(lam)
     else:
         raise NoTableEntry(

@@ -25,16 +25,14 @@ from ..characters import NABLA, DELTA, FormalChar, nabla_sum_to_delta_sum, theta
 from ..linkage import block_label, strong_down_set, strongly_linked
 from ..tilting import weakly_typical_tilting
 from ..weights import (
+    Coord,
     Weight,
     borel,
     degree,
-    even_root,
     format_weight,
     is_p_weakly_typical,
     negate,
     omega,
-    pairing,
-    positive_even_roots,
     sub,
     weight,
 )
@@ -52,13 +50,13 @@ class CheckReport(NamedTuple):
     failures: tuple[str, ...]
 
 
-def _int_values(spec, bound: int) -> list[Fraction]:
+def _int_values(spec, bound: int) -> list[int]:
     lo = -bound if spec.min is None else max(spec.min, -bound)
     hi = bound if spec.max is None else min(spec.max, bound)
-    return [Fraction(v) for v in range(lo, hi + 1)]
+    return list(range(lo, hi + 1))
 
 
-def _instances(fam: TiltingFamily, bound: int) -> Iterator[dict[str, Fraction]]:
+def _instances(fam: TiltingFamily, bound: int) -> Iterator[dict[str, Coord]]:
     pools = []
     for name, spec in fam.params:
         values = _int_values(spec, bound) if spec.kind == "int" else list(NONINT_SAMPLES)
@@ -85,11 +83,7 @@ def _statement_failures(lam: Weight, chi: FormalChar) -> Iterator[tuple[int, str
         if coeff(mu) <= 0:
             yield 1, f"lambda={format_weight(lam)} mu={format_weight(mu)}"
 
-    minus_one_pairs = [
-        (i, j)
-        for (i, j) in _ROOT_PAIRS
-        if pairing(lam, even_root(i - 1, j - 1, 3)) == -1
-    ]
+    minus_one_pairs = [(i, j) for (i, j) in _ROOT_PAIRS if lam[i - 1] - lam[j - 1] == -1]
     for i, j in minus_one_pairs:
         base = sub(lam, _conj(i, j))
         if coeff(base) <= 0:
@@ -100,10 +94,10 @@ def _statement_failures(lam: Weight, chi: FormalChar) -> Iterator[tuple[int, str
                 yield 3, f"lambda={format_weight(lam)} mu={format_weight(nu)}"
 
     # Simple-root pairings (alpha_1, alpha_2).
-    a1 = pairing(lam, even_root(0, 1, 3))
-    a2 = pairing(lam, even_root(1, 2, 3))
-    if a2 == -1 and pairing(sub(lam, _conj(2, 3)), even_root(0, 1, 3)) == -1:
-        mu = sub(sub(lam, _conj(2, 3)), _conj(1, 2))
+    a1, a2 = lam[0] - lam[1], lam[1] - lam[2]
+    below = sub(lam, _conj(2, 3))
+    if a2 == -1 and below[0] - below[1] == -1:
+        mu = sub(below, _conj(1, 2))
         if coeff(mu) <= 0:
             yield 4, f"lambda={format_weight(lam)} mu={format_weight(mu)}"
     if a1 == -1 and a2 == -1:
@@ -125,7 +119,7 @@ def _theorem_D_sources(param_bound: int, grid_bound: int) -> Iterator[tuple[Weig
             continue  # the minimality statements concern the final Borel
         for params in _instances(fam, param_bound):
             yield fam.highest_weight(params), fam.instantiate(params)
-    coords = [Fraction(v) for v in range(-grid_bound, grid_bound + 1)]
+    coords = range(-grid_bound, grid_bound + 1)
     for lam in product(coords, repeat=3):
         if is_p_weakly_typical(lam, _B3):
             yield lam, weakly_typical_tilting(lam, _B3)
@@ -166,7 +160,7 @@ def pe2_property_check(bound: int = 3) -> CheckReport:
     b2 = borel(2)
     failures: list[str] = []
     checked = 0
-    coords = [Fraction(v) for v in range(-bound, bound + 1)]
+    coords = range(-bound, bound + 1)
     for lam in product(coords, repeat=2):
         if not is_p_weakly_typical(lam, b2):
             continue
@@ -181,9 +175,9 @@ def pe2_property_check(bound: int = 3) -> CheckReport:
 def _head_candidates(chi: FormalChar) -> list[Weight]:
     """Support weights of maximal degree that are not strictly below
     another maximal-degree weight in the strong order on negatives."""
-    support = chi.support()
-    top = max(degree(mu) for mu in support)
-    tops = [mu for mu in support if degree(mu) == top]
+    degrees = {mu: degree(mu) for mu in chi.support()}
+    top = max(degrees.values())
+    tops = [mu for mu, d in degrees.items() if d == top]
     return [
         mu
         for mu in tops
@@ -221,8 +215,8 @@ def decompose_into_tiltings(chi: FormalChar, p, max_steps: int = 64) -> dict[Wei
     raise ValueError("decomposition did not terminate")
 
 
-def _closure_alphabet(chi: FormalChar) -> list[Fraction]:
-    values: set[Fraction] = set()
+def _closure_alphabet(chi: FormalChar) -> list[Coord]:
+    values: set[Coord] = set()
     for mu in chi.support():
         for c in mu:
             values.add(c)
@@ -289,9 +283,10 @@ def delta_flag_bound_report(param_bound: int = 4) -> CheckReport:
     so the failure count is not the number of offending weights.  At
     ``param_bound=4`` the 36 recorded examples come from 19 of the 65
     instantiations, which together have 111 (instantiation, weight) pairs
-    above 1; the highest multiplicity is 3, at (T_0,1,-2 : standard_-2,-1,-2)
-    and (T_2,0,1 : standard_-1,0,0).  Callers treat this report as the
-    machine record of the discrepancy.
+    above 1; the highest multiplicity is 3, at four pairs: standard_-2,-1,-2
+    and standard_-2,-2,-1 in T_0,1,-2, standard_-1,0,0 and standard_0,-1,0
+    in T_2,0,1.  Callers treat this report as the machine record of the
+    discrepancy.
     """
     failures: list[str] = []
     checked = 0

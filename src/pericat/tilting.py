@@ -41,9 +41,10 @@ from .weights import (
     is_p_weakly_typical,
     levi_blocks,
     negate,
+    require_p_dominant,
     shift,
 )
-from .weyl import apply_perm, parabolic_longest
+from .weyl import InvariantViolation, apply_perm, parabolic_longest
 
 __all__ = [
     "NotWeaklyTypical",
@@ -67,24 +68,23 @@ class NotWeaklyTypical(Exception):
     region, where this engine does not certify an answer."""
 
 
-def _require_p_dominant(lam: Weight, p: Parabolic) -> None:
-    if not is_p_dominant(lam, p):
-        raise ValueError(f"{format_weight(lam)} is not in Sigma_p^+ for p={p}")
-
-
 def neg_w0p(lam: Weight, p: Parabolic) -> Weight:
     """-w_0^p(lam): reverse within Levi blocks, then negate."""
     return negate(apply_perm(parabolic_longest(p), lam))
 
 
 def prop41_equivalent(lam: Weight, p: Optional[Parabolic] = None) -> bool:
-    """Whether lam is p-weakly-typical, asserting on the way that this
-    agrees with -w_0^p(lam) being g0-weakly-typical."""
+    """Whether lam is p-weakly-typical, checking on the way that this
+    agrees with -w_0^p(lam) being g0-weakly-typical (InvariantViolation
+    otherwise)."""
     p = p or borel(len(lam))
-    _require_p_dominant(lam, p)
+    require_p_dominant(lam, p)
     left = is_p_weakly_typical(lam, p)
     right = is_g0_weakly_typical(neg_w0p(lam, p))
-    assert left == right, (lam, p, left, right)
+    if left != right:
+        raise InvariantViolation(
+            f"Prop. 4.1 fails at {format_weight(lam)} for p={p}: {left} != {right}"
+        )
     return left
 
 
@@ -129,7 +129,7 @@ def parabolic_verma_is_simple(lam: Weight, p: Optional[Parabolic] = None) -> boo
     """Delta^p_lam is simple iff lam is g0-weakly-typical and the even
     parabolic Verma M^p_lam is simple."""
     p = p or borel(len(lam))
-    _require_p_dominant(lam, p)
+    require_p_dominant(lam, p)
     if not is_g0_weakly_typical(lam):
         return False
     return all(
@@ -148,7 +148,7 @@ def weakly_typical_tilting(lam: Weight, p: Optional[Parabolic] = None) -> Formal
     The support is enumerated as mu = -w_0^p(nu) over the strong up-set of
     -w_0^p(lam), keeping mu in Sigma_p^+."""
     p = p or borel(len(lam))
-    _require_p_dominant(lam, p)
+    require_p_dominant(lam, p)
     if not is_p_weakly_typical(lam, p):
         raise NotWeaklyTypical(
             f"{format_weight(lam)} is not p-weakly-typical for p={p}"
@@ -164,7 +164,11 @@ def weakly_typical_tilting(lam: Weight, p: Optional[Parabolic] = None) -> Formal
         c = parabolic_verma_simple_mult(nu, eta, p)
         if c:
             chi = chi + c * nabla(mu, p)
-    assert chi.coeff(NABLA, lam, p) == 1, (lam, p, chi)
+    if chi.coeff(NABLA, lam, p) != 1:
+        raise InvariantViolation(
+            f"T^p_{format_weight(lam)} (p={p}) has coefficient "
+            f"{chi.coeff(NABLA, lam, p)} at its highest weight: {chi!r}"
+        )
     return chi
 
 
@@ -186,7 +190,7 @@ def tilting_equals_nabla(lam: Weight, p: Optional[Parabolic] = None) -> bool:
     False
     """
     p = p or borel(len(lam))
-    _require_p_dominant(lam, p)
+    require_p_dominant(lam, p)
     if not is_p_weakly_typical(lam, p):
         return False
     return is_dominant(neg_w0p(lam, p))
@@ -242,7 +246,7 @@ def pieri_difference(lam: Weight, p: Optional[Parabolic] = None) -> FormalChar:
     -1
     """
     p = p or borel(len(lam))
-    _require_p_dominant(lam, p)
+    require_p_dominant(lam, p)
     n = len(lam)
     out = FormalChar()
     for i in range(n):

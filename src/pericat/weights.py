@@ -1,18 +1,24 @@
 r"""Weight-space data for the periplectic Lie superalgebra pe(n).
 
 Weights live in the dual Cartan h* with orthonormal-ish basis e_1, ..., e_n
-(<e_i, e_j> = delta_ij) and are stored as tuples of exact Fractions.  All
-indices in code are 0-based; a weight (a, b, c) stands for a*e_1 + b*e_2 +
-c*e_3.  Throughout the package weights are rho-shifted: the label lam refers
-to the module of highest weight lam - rho, with rho = (n-1, ..., 1, 0).
+(<e_i, e_j> = delta_ij) and are stored as tuples of exact coordinates: an
+integral coordinate is a Python int, any other one a reduced Fraction with
+denominator > 1.  `exact` normalises a coordinate once, where it enters the
+program (weight, parse_weight, shift); an int equals and hashes like the
+equal Fraction, so either form works as a key, but only the normalised one
+keeps the integer fast path.  All indices in code are 0-based; a weight
+(a, b, c) stands for a*e_1 + b*e_2 + c*e_3.  Throughout the package weights
+are rho-shifted: the label lam refers to the module of highest weight
+lam - rho, with rho = (n-1, ..., 1, 0).
 
 Even roots are the gl(n) roots e_i - e_j; odd roots are -e_i - e_j (i < j)
-and e_i + e_j (i <= j).  Roots are represented as plain weight vectors, so
-the bilinear form is the dot product.
+and e_i + e_j (i <= j).  The public root functions return plain weight
+vectors, so the bilinear form is the dot product; the predicates below work
+on the index pairs (i, j) instead, where <lam, e_i - e_j> = lam[i] - lam[j].
 
 >>> parse_weight("0,1/2,1")
-(Fraction(0, 1), Fraction(1, 2), Fraction(1, 1))
->>> format_weight(reflect_coords((Fraction(3), Fraction(1), Fraction(0)), 0, 2))
+(0, Fraction(1, 2), 1)
+>>> format_weight(reflect_coords((3, 1, 0), 0, 2))
 '0,1,3'
 >>> is_dominant(parse_weight("0,1/2,1"))
 False
@@ -22,33 +28,45 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Tuple
+from typing import Tuple, Union
 
-Weight = Tuple[Fraction, ...]
-Root = Tuple[Fraction, ...]
+Coord = Union[int, Fraction]
+Weight = Tuple[Coord, ...]
+Root = Tuple[Coord, ...]
 # A parabolic is the composition of n giving the block sizes of its Levi;
 # the Borel is (1, ..., 1).
 Parabolic = Tuple[int, ...]
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
+ZERO = 0
+ONE = 1
+
+
+def exact(c) -> Coord:
+    """One exact coordinate: an int when integral, else a reduced Fraction.
+
+    Accepts ints, Fractions and strings such as "1/2" or "0.5".  Floats are
+    refused (a binary float is rarely the rational meant), and so are bools.
+
+    >>> exact("4/2"), exact(Fraction(1, 2)), exact(-3)
+    (2, Fraction(1, 2), -3)
+    """
+    if type(c) is int:
+        return c
+    if isinstance(c, (float, bool)):
+        raise TypeError(
+            f"weight coordinate {c!r} is not exact; use an int, Fraction or string"
+        )
+    q = Fraction(c)
+    return q.numerator if q.denominator == 1 else q
 
 
 def weight(*coords) -> Weight:
     """Coerce integers/strings/Fractions to an exact weight tuple.
 
-    Floats are refused (a binary float is rarely the rational meant), and so
-    are bools.
-
     >>> weight(0, "1/2", -2)
-    (Fraction(0, 1), Fraction(1, 2), Fraction(-2, 1))
+    (0, Fraction(1, 2), -2)
     """
-    for c in coords:
-        if isinstance(c, (float, bool)):
-            raise TypeError(
-                f"weight coordinate {c!r} is not exact; use an int, Fraction or string"
-            )
-    return tuple(Fraction(c) for c in coords)
+    return tuple(exact(c) for c in coords)
 
 
 def parse_weight(text: str) -> Weight:
@@ -56,7 +74,7 @@ def parse_weight(text: str) -> Weight:
     parts = [p.strip() for p in text.split(",")]
     if not parts or any(not p for p in parts):
         raise ValueError(f"malformed weight text: {text!r}")
-    return tuple(Fraction(p) for p in parts)
+    return tuple(exact(p) for p in parts)
 
 
 def format_weight(lam: Weight) -> str:
@@ -68,7 +86,7 @@ def format_weight(lam: Weight) -> str:
     return ",".join(str(c) for c in lam)
 
 
-def pairing(lam: Weight, mu: Weight) -> Fraction:
+def pairing(lam: Weight, mu: Weight) -> Coord:
     """The standard form <.,.> with <e_i, e_j> = delta_ij."""
     if len(lam) != len(mu):
         raise ValueError("dimension mismatch")
@@ -77,7 +95,7 @@ def pairing(lam: Weight, mu: Weight) -> Fraction:
 
 def rho(n: int) -> Weight:
     """rho = (n-1, n-2, ..., 1, 0)."""
-    return tuple(Fraction(n - 1 - i) for i in range(n))
+    return tuple(n - 1 - i for i in range(n))
 
 
 def omega(n: int) -> Weight:
@@ -94,8 +112,8 @@ def partial_weight(i: int, n: int) -> Weight:
 
 def shift(lam: Weight, k) -> Weight:
     """lam + k*omega_n (tensor by the k-th power of the determinant)."""
-    k = Fraction(k)
-    return tuple(c + k for c in lam)
+    k = exact(k)
+    return tuple(exact(c + k) for c in lam)
 
 
 def add(lam: Weight, mu: Weight) -> Weight:
@@ -129,7 +147,7 @@ def even_root(i: int, j: int, n: int) -> Root:
 
 def positive_even_roots(n: int) -> list[Root]:
     """Phi_0^+ = {e_i - e_j : i < j}, in lexicographic (i, j) order."""
-    return [even_root(i, j, n) for i in range(n) for j in range(i + 1, n)]
+    return [even_root(i, j, n) for i, j in _positive_pairs(n)]
 
 
 def simple_roots(n: int) -> list[Root]:
@@ -146,7 +164,7 @@ def odd_roots(n: int) -> list[Root]:
     ]
     plus = [
         tuple(
-            Fraction(2) if (k == i and i == j) else ONE if k in (i, j) else ZERO
+            2 if (k == i and i == j) else ONE if k in (i, j) else ZERO
             for k in range(n)
         )
         for i in range(n)
@@ -159,7 +177,7 @@ def conjugate(beta: Root) -> Root:
     """The odd conjugate of an even root: e_i - e_j  |->  e_i + e_j.
 
     >>> conjugate(even_root(0, 1, 3))
-    (Fraction(1, 1), Fraction(1, 1), Fraction(0, 1))
+    (1, 1, 0)
     """
     if sorted(beta) != sorted((-ONE, ONE) + (ZERO,) * (len(beta) - 2)):
         raise ValueError("conjugate is defined for roots e_i - e_j only")
@@ -185,28 +203,39 @@ def levi_blocks(p: Parabolic) -> list[range]:
 
 
 @lru_cache(maxsize=None)
-def _levi_positive_roots_cached(p: Parabolic, n: int) -> tuple:
+def _positive_pairs(n: int) -> tuple:
+    """The index pairs (i, j), i < j, of the positive even roots e_i - e_j."""
+    return tuple((i, j) for i in range(n) for j in range(i + 1, n))
+
+
+@lru_cache(maxsize=None)
+def _levi_pairs(p: Parabolic, n: int) -> tuple:
+    """The index pairs of the positive even roots inside the Levi blocks of p."""
     if sum(p) != n:
         raise ValueError(f"composition {p} does not sum to n={n}")
-    roots = []
-    for block in levi_blocks(p):
-        for i in block:
-            for j in block:
-                if i < j:
-                    roots.append(even_root(i, j, n))
-    return tuple(roots)
+    return tuple(
+        (i, j) for block in levi_blocks(p) for i in block for j in block if i < j
+    )
+
+
+@lru_cache(maxsize=None)
+def _weak_typicality_pairs(p: Parabolic, n: int) -> tuple:
+    """(i, j, t) per positive even root e_i - e_j: lam is p-weakly-typical
+    when no lam[i] - lam[j] equals t (1 on Levi roots of p, else -1)."""
+    levi = set(_levi_pairs(p, n))
+    return tuple((i, j, 1 if (i, j) in levi else -1) for i, j in _positive_pairs(n))
 
 
 def levi_positive_roots(p: Parabolic, n: int) -> list[Root]:
     """Phi^+(l): the positive even roots inside the Levi blocks of p."""
-    return list(_levi_positive_roots_cached(tuple(p), n))
+    return [even_root(i, j, n) for i, j in _levi_pairs(tuple(p), n)]
 
 
 def borel(n: int) -> Parabolic:
     return (1,) * n
 
 
-def is_integer(x: Fraction) -> bool:
+def is_integer(x: Coord) -> bool:
     return x.denominator == 1
 
 
@@ -236,11 +265,17 @@ def is_p_dominant(lam: Weight, p: Parabolic) -> bool:
 
     These are the weights indexing parabolic Vermas/costandards in O^p.
     """
-    for beta in _levi_positive_roots_cached(tuple(p), len(lam)):
-        v = pairing(lam, beta)
+    for i, j in _levi_pairs(tuple(p), len(lam)):
+        v = lam[i] - lam[j]
         if not (is_integer(v) and v > 0):
             return False
     return True
+
+
+def require_p_dominant(lam: Weight, p: Parabolic) -> None:
+    """Raise ValueError unless lam lies in Sigma_p^+."""
+    if not is_p_dominant(lam, p):
+        raise ValueError(f"{format_weight(lam)} is not in Sigma_p^+ for p={p}")
 
 
 def is_typical(lam: Weight) -> bool:
@@ -251,19 +286,12 @@ def is_typical(lam: Weight) -> bool:
     >>> is_typical(weight(0, 2, 4))
     True
     """
-    prod = ONE
-    for beta in positive_even_roots(len(lam)):
-        v = pairing(lam, beta)
-        prod *= (v - 1) * (-v - 1)
-    return prod != 0
+    return all(lam[i] - lam[j] not in (1, -1) for i, j in _positive_pairs(len(lam)))
 
 
 def is_g0_weakly_typical(lam: Weight) -> bool:
     """Product over positive even roots of (<lam, beta> - 1) != 0."""
-    prod = ONE
-    for beta in positive_even_roots(len(lam)):
-        prod *= pairing(lam, beta) - 1
-    return prod != 0
+    return all(lam[i] - lam[j] != 1 for i, j in _positive_pairs(len(lam)))
 
 
 def is_p_weakly_typical(lam: Weight, p: Parabolic) -> bool:
@@ -274,19 +302,16 @@ def is_p_weakly_typical(lam: Weight, p: Parabolic) -> bool:
     product is nonzero.  For p = (1,...,1) this says no lam_j = lam_i + 1
     with i < j.
     """
-    n = len(lam)
-    levi = set(levi_positive_roots(p, n))
-    prod = ONE
-    for beta in positive_even_roots(n):
-        v = pairing(lam, beta)
-        prod *= (v - 1) if beta in levi else (v + 1)
-    return prod != 0
+    for i, j, t in _weak_typicality_pairs(tuple(p), len(lam)):
+        if lam[i] - lam[j] == t:
+            return False
+    return True
 
 
-def degree(lam: Weight) -> Fraction:
+def degree(lam: Weight) -> Coord:
     """Sum of coordinates, normalized so rho has degree 0."""
     n = len(lam)
-    return sum(lam, ZERO) - Fraction(n * (n - 1), 2)
+    return sum(lam, ZERO) - n * (n - 1) // 2
 
 
 def is_integral(lam: Weight) -> bool:

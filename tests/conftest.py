@@ -36,3 +36,10 @@ def del_sum(*rows) -> FormalChar:
 
 def frac_box(lo: int, hi: int):
     return [Fraction(v) for v in range(lo, hi + 1)]
+
+
+def normalised(lam) -> bool:
+    """Integral coordinates are ints, the others Fractions off Z."""
+    return all(
+        type(c) is int or (type(c) is Fraction and c.denominator > 1) for c in lam
+    )

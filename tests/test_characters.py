@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import B3, W, del_sum, nab_sum
+from conftest import B3, W, del_sum, nab_sum, normalised
 from pericat.characters import (
     DELTA,
     NABLA,
@@ -37,7 +37,8 @@ from pericat.characters import (
     theta_nabla,
     to_borel_delta,
 )
-from pericat.weights import degree, weight
+from pericat.linkage import block_label
+from pericat.weights import degree, exact, weight
 
 
 def test_linear_algebra_basics():
@@ -268,3 +269,85 @@ def test_theta_consistency_property(lam, a):
     )
     right = theta_char(a, nabla_to_delta(lam))
     assert left == right
+
+
+def test_theta_outputs_keep_integral_coordinates_int():
+    cases = (
+        (theta_delta, -1, W(-1, 1, 5), B3),
+        (theta_nabla, Fraction(-1), W(-1, 1, 1), B3),
+        (theta_delta, Fraction(1, 2), W("1/2", "3/2", 0), B3),
+        (theta_nabla, "-3/2", W("1/2", "-3/2", 2), B3),
+        (theta_delta, Fraction(4, 2), W(2, 0, 2), (2, 1)),
+    )
+    for rule, a, lam, p in cases:
+        image = rule(a, lam, p)
+        assert not image.is_zero(), (rule.__name__, a, lam)
+        assert all(normalised(mu) for mu in image.support()), image
+    image = theta_char(Fraction(-1), nabla(W(-1, 1, 1)) + nabla(W(-1, "1/2", 1)))
+    assert all(normalised(mu) for mu in image.support()), image
+
+
+@st.composite
+def _raw_weight(draw, p):
+    """Raw Fraction coordinates, each integral or half-integral; the Levi
+    pair of (2,1) differs by a positive integer, so the weight is p-dominant."""
+    lam = [
+        Fraction(draw(st.integers(-3, 3))) + draw(st.sampled_from((0, Fraction(1, 2))))
+        for _ in range(3)
+    ]
+    if p == (2, 1):
+        lam[0] = lam[1] + draw(st.integers(1, 3))
+    return tuple(lam)
+
+
+def _outcome(convert, chi):
+    try:
+        return convert(chi)
+    except (ValueError, NonTerminating) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _same_result(left, right):
+    assert left == right
+    if isinstance(right, FormalChar):
+        assert char_to_json(left) == char_to_json(right)
+        assert all(normalised(mu) for mu in right.support()), right
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_raw_fraction_input_matches_normalised(data):
+    # Bypassing weight() leaves integral Fractions in the tuples; every
+    # engine path must give the same characters and JSON as from the
+    # normalised weights.
+    p = data.draw(st.sampled_from((B3, (2, 1))))
+    terms = data.draw(
+        st.lists(st.tuples(_raw_weight(p), st.integers(1, 2)), min_size=1, max_size=3)
+    )
+    sym = symbol(NABLA, p)
+    raw = FormalChar({(sym, lam): c for lam, c in terms})
+    norm = FormalChar({(sym, weight(*lam)): c for lam, c in terms})
+    assert all(type(c) is Fraction for lam in raw.support() for c in lam)
+    assert char_to_json(raw) == char_to_json(norm)
+
+    d_norm = _outcome(nabla_sum_to_delta_sum, norm)
+    _same_result(_outcome(nabla_sum_to_delta_sum, raw), d_norm)
+    if isinstance(d_norm, FormalChar):
+        d_raw = FormalChar(
+            {
+                (s, tuple(Fraction(c) for c in lam)): k
+                for (s, lam), k in d_norm.terms.items()
+            }
+        )
+        _same_result(
+            _outcome(delta_sum_to_nabla_sum, d_raw),
+            _outcome(delta_sum_to_nabla_sum, d_norm),
+        )
+    for a in sorted({c for lam, _ in terms for c in lam}):
+        _same_result(theta_char(a, raw), theta_char(exact(a), norm))
+    for lam, _ in terms:
+        label, norm_label = block_label(lam), block_label(weight(*lam))
+        assert label == norm_label
+        assert [tuple(map(str, rec)) for rec in label] == [
+            tuple(map(str, rec)) for rec in norm_label
+        ]

@@ -21,7 +21,9 @@ from pericat.glmult import (
     simple_in_verma_basis,
     verma_simple_mult,
 )
+from pericat import glmult
 from pericat.linkage import strong_down_set, strongly_linked
+from pericat.weyl import InvariantViolation
 
 
 def test_oracle_equivalence_n2_box():
@@ -144,3 +146,12 @@ def test_unitriangularity():
         for lam in itertools.product(box, repeat=2):
             if verma_simple_mult(mu, lam):
                 assert strongly_linked(lam, mu)
+
+
+def test_parabolic_negative_total_is_typed(monkeypatch):
+    mu = W(1, 0, 5)
+    assert parabolic_verma_simple_mult(mu, mu, (2, 1)) == 1
+    # keep only the odd Levi element: the alternating sum turns negative
+    monkeypatch.setattr(glmult, "levi_weyl_group", lambda p: (((0, 1, 2), 1),))
+    with pytest.raises(InvariantViolation, match="< 0"):
+        parabolic_verma_simple_mult(mu, mu, (2, 1))

@@ -7,8 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import B3, W, nab_sum
-from pericat.characters import NABLA, char_sum, nabla, shift_by_omega
+from conftest import B3, W, nab_sum, normalised
+from pericat.characters import NABLA, char_sum, nabla, nabla_sum_to_delta_sum, shift_by_omega
 from pericat.linkage import same_block
 from pericat.pe3.tables import (
     NoTableEntry,
@@ -17,6 +17,7 @@ from pericat.pe3.tables import (
     lookup_tilting_pe3,
 )
 from pericat.pe3.verify import (
+    _instances,
     decompose_into_tiltings,
     delta_flag_bound_report,
     pe2_property_check,
@@ -175,3 +176,48 @@ def test_delta_flag_bound_report_counts():
     assert rep.name == "delta-flag-bound"
     assert not rep.ok
     assert len(rep.failures) == 36
+
+
+def test_instantiate_keeps_integral_coordinates_int():
+    # Parameters come in as Fractions; the rows still carry int coordinates
+    # wherever a coordinate is integral (the non-integral samples too).
+    seen_fraction = False
+    for fam in load_families().values():
+        for params in _instances(fam, 4):
+            weights = {fam.highest_weight(params)} | fam.instantiate(params).support()
+            for lam in weights:
+                assert normalised(lam), (fam.id, params, lam)
+                seen_fraction |= any(type(c) is Fraction for c in lam)
+    assert seen_fraction
+
+
+def test_delta_flag_bound_full_size():
+    # The report keeps at most two examples per instantiation; this pins
+    # the whole refutation it stands for (README, "Known discrepancy").
+    above: dict = {}
+    checked = 0
+    for fam in load_families().values():
+        for params in _instances(fam, 4):
+            checked += 1
+            hw = fam.highest_weight(params)
+            dmults = nabla_sum_to_delta_sum(fam.instantiate(params))
+            for (_, mu), c in dmults.terms.items():
+                assert c > 0
+                if c > 1:
+                    above.setdefault((fam.id, tuple(sorted(params.items()))), {})[
+                        (hw, mu)
+                    ] = c
+    pairs = {key: c for found in above.values() for key, c in found.items()}
+    assert checked == 65
+    assert len(above) == 19
+    assert sum(len(found) for found in above.values()) == 111
+    assert max(pairs.values()) == 3
+    # four pairs, from two instantiations (5.3 at b=-2, 5.11 at a=2)
+    assert {key for key, c in pairs.items() if c == 3} == {
+        (W(0, 1, -2), W(-2, -1, -2)),
+        (W(0, 1, -2), W(-2, -2, -1)),
+        (W(2, 0, 1), W(-1, 0, 0)),
+        (W(2, 0, 1), W(0, -1, 0)),
+    }
+    rep = delta_flag_bound_report(param_bound=4)
+    assert (rep.checked, len(rep.failures)) == (65, 36)

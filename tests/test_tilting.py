@@ -1,7 +1,11 @@
 """Weakly-typical tilting characters and their certificates."""
 
 import itertools
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -32,7 +36,8 @@ from pericat.weights import (
     negate,
 )
 from pericat.characters import LEVI_SIMPLE, delta
-from pericat.weyl import all_perms, apply_perm
+from pericat import tilting
+from pericat.weyl import InvariantViolation, all_perms, apply_perm
 
 
 def test_neg_w0p():
@@ -221,3 +226,42 @@ def test_pieri_difference():
     chi_b = pieri_difference(W(3, 1, 0), B3)
     assert all(c == 1 for c in chi_b.terms.values())
     assert len(chi_b.terms) == 3
+
+
+def test_engine_invariants_raise_typed_errors(monkeypatch):
+    lam = W(-1, 1, 5)
+    with monkeypatch.context() as m:
+        m.setattr(tilting, "is_g0_weakly_typical", lambda mu: False)
+        with pytest.raises(InvariantViolation, match="Prop. 4.1"):
+            prop41_equivalent(lam)
+    with monkeypatch.context() as m:
+        m.setattr(tilting, "parabolic_verma_simple_mult", lambda mu, eta, p: 2)
+        with pytest.raises(InvariantViolation, match="coefficient 2"):
+            weakly_typical_tilting(lam)
+    assert prop41_equivalent(lam) is True
+    assert weakly_typical_tilting(lam).coeff(NABLA, lam) == 1
+
+
+def test_engine_invariant_fires_under_python_O():
+    src = Path(tilting.__file__).resolve().parents[1]
+    code = (
+        "import sys\n"
+        "from pericat import tilting\n"
+        "from pericat.weights import weight\n"
+        "from pericat.weyl import InvariantViolation\n"
+        "assert False, 'asserts are stripped under -O'\n"
+        "tilting.is_g0_weakly_typical = lambda mu: False\n"
+        "try:\n"
+        "    tilting.prop41_equivalent(weight(-1, 1, 5))\n"
+        "except InvariantViolation as exc:\n"
+        "    print(exc)\n"
+        "    sys.exit(0)\n"
+        "sys.exit(3)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("Prop. 4.1 fails at -1,1,5")

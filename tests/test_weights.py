@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import W, frac_box
+from conftest import W, frac_box, normalised
 from pericat.weights import (
     add,
     basis_vector,
@@ -13,6 +13,7 @@ from pericat.weights import (
     conjugate,
     degree,
     even_root,
+    exact,
     format_weight,
     is_antidominant,
     is_dominant,
@@ -168,3 +169,32 @@ def test_weight_rejects_float_and_bool():
             weight(*bad)
     assert weight(0, "1/2", Fraction(-2)) == (Fraction(0), Fraction(1, 2), Fraction(-2))
     assert parse_weight("0.5,1") == (Fraction(1, 2), Fraction(1))
+
+
+def test_integral_coordinates_are_int():
+    assert [type(c) for c in weight(0, "1/2", Fraction(4, 2), "6/3")] == [
+        int, Fraction, int, int
+    ]
+    assert [type(c) for c in parse_weight("0,1/2,-4/2,0.5")] == [int, Fraction, int, Fraction]
+    assert type(exact("4/2")) is int and type(exact(Fraction(-1, 3))) is Fraction
+    half = W("1/2", "3/2", 1)
+    for lam in (
+        weight(0, "1/2", Fraction(-4, 2)),
+        parse_weight("0,1/2,-2,6/3"),
+        shift(half, "1/2"),
+        shift(half, Fraction(2)),
+        shift(W(1, 2, 3), "-1/2"),
+        shift(W(1, 2, 3), Fraction(4, 2)),
+        rho(4),
+        omega(3),
+        basis_vector(1, 3),
+        partial_weight(2, 4),
+        even_root(0, 2, 3),
+        conjugate(even_root(0, 2, 3)),
+    ):
+        assert normalised(lam), lam
+    assert shift(half, "1/2") == (1, 2, Fraction(3, 2))
+    assert type(degree(W(0, 1, 5))) is int
+    assert degree(W(0, 1, "5/2")) == Fraction(1, 2)
+    # An int equals and hashes like the equal Fraction, so either is a key.
+    assert hash(weight(0, 2)) == hash((Fraction(0), Fraction(2)))
