@@ -28,6 +28,7 @@ True
 from __future__ import annotations
 
 import itertools
+import operator
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Optional
 
@@ -97,14 +98,17 @@ def symbol(kind: str, parabolic: Optional[Parabolic] = None) -> BasisSymbol:
 
 
 class FormalChar:
-    """Immutable-by-convention finite integer combination of flags."""
+    """Immutable-by-convention finite integer combination of flags: every
+    operation returns a character with a terms dict of its own and never
+    writes into the terms of a character it was given."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: Optional[dict] = None):
-        self.terms: dict[tuple[BasisSymbol, Weight], int] = {
-            key: c for key, c in (terms or {}).items() if c != 0
-        }
+        # dict(terms) reuses the stored key hashes; only zeros are re-hashed
+        self.terms: dict[tuple[BasisSymbol, Weight], int] = dict(terms) if terms else {}
+        for key in [key for key, c in self.terms.items() if c == 0]:
+            del self.terms[key]
 
     @classmethod
     def single(
@@ -194,13 +198,7 @@ def nabla_to_delta(lam: Weight) -> FormalChar:
     >>> len(nabla_to_delta(weight(0, 1)).terms)
     4
     """
-    n = len(lam)
-    out: dict = {}
-    sym = symbol(DELTA, borel(n))
-    for kappa in itertools.product((0, 2), repeat=n):
-        mu = tuple(a - b for a, b in zip(lam, kappa))
-        out[(sym, mu)] = out.get((sym, mu), 0) + 1
-    return FormalChar(out)
+    return to_borel_delta(nabla(lam))
 
 
 @lru_cache(maxsize=None)
@@ -219,25 +217,15 @@ def levi_weyl_group(p: Parabolic) -> tuple:
     return tuple(out)
 
 
-def _expand_parabolic(kind: str, lam: Weight, p: Parabolic) -> FormalChar:
-    require_p_dominant(lam, p)
-    n = len(lam)
-    out: dict = {}
-    sym = symbol(kind, borel(n))
-    for w, lw in levi_weyl_group(p):
-        mu = apply_perm(w, lam)
-        out[(sym, mu)] = out.get((sym, mu), 0) + (-1) ** lw
-    return FormalChar(out)
-
-
 def expand_parabolic_delta(lam: Weight, p: Parabolic) -> FormalChar:
     """ch Delta^p_lam as the alternating Levi-orbit sum of Borel Deltas."""
-    return _expand_parabolic(DELTA, lam, p)
+    return to_borel_delta(delta(lam, p))
 
 
 def expand_parabolic_nabla(lam: Weight, p: Parabolic) -> FormalChar:
     """ch Nabla^p_lam as the alternating Levi-orbit sum of Borel Nablas."""
-    return _expand_parabolic(NABLA, lam, p)
+    sym = symbol(NABLA, borel(len(lam)))
+    return FormalChar({(sym, mu): c for mu, c, _ in _leader_terms(DELTA, lam, p)})
 
 
 def to_borel_delta(chi: FormalChar) -> FormalChar:
@@ -245,66 +233,92 @@ def to_borel_delta(chi: FormalChar) -> FormalChar:
     sym = chi.sole_basis()
     if sym.kind not in (DELTA, NABLA):
         raise SimpleBasis(f"no Delta-expansion for basis {sym.kind!r}")
-    out = ZERO_CHAR
+    b = symbol(DELTA, borel(sum(sym.parabolic)))
+    out: dict = {}
     for (_, lam), c in chi.terms.items():
-        if sym.kind == DELTA:
-            expanded = expand_parabolic_delta(lam, sym.parabolic)
-        else:
-            expanded = char_sum(
-                coeff * nabla_to_delta(mu)
-                for (_, mu), coeff in expand_parabolic_nabla(lam, sym.parabolic).terms.items()
-            )
-        out = out + c * expanded
-    return out
+        for mu, d, _ in _leader_terms(sym.kind, lam, sym.parabolic):
+            key = (b, mu)
+            out[key] = out.get(key, 0) + c * d
+    return FormalChar(out)
 
 
-def _leader_expansion(kind: str, lam: Weight, p: Parabolic) -> FormalChar:
+@lru_cache(maxsize=None)
+def _kappas(n: int) -> tuple:
+    """(kappa, sum of kappa) for kappa in {0,2}^n."""
+    return tuple((kappa, sum(kappa)) for kappa in itertools.product((0, 2), repeat=n))
+
+
+def _leader_terms(kind: str, lam: Weight, p: Parabolic) -> list:
+    """The Delta(borel) expansion of Delta^p_lam (kind DELTA: the alternating
+    Levi orbit) or Nabla^p_lam (kind NABLA: each orbit term shifted down by
+    every kappa in {0,2}^n) as (mu, coeff, drop) triples, where
+    drop = degree(lam) - degree(mu)."""
+    require_p_dominant(lam, p)
+    orbit = [(apply_perm(w, lam), (-1) ** lw) for w, lw in levi_weyl_group(p)]
     if kind == DELTA:
-        return expand_parabolic_delta(lam, p)
-    return char_sum(
-        c * nabla_to_delta(mu)
-        for (_, mu), c in expand_parabolic_nabla(lam, p).terms.items()
-    )
+        return [(mu, sign, 0) for mu, sign in orbit]
+    return [
+        (tuple(map(operator.sub, mu, kappa)), sign, drop)
+        for mu, sign in orbit
+        for kappa, drop in _kappas(len(lam))
+    ]
 
 
-def _collect(chi_b: FormalChar, p: Parabolic, depth: int, kind: str) -> FormalChar:
-    """Collect a Delta(borel) character into the Delta(p)/Nabla(p) basis by
-    eliminating leading terms one degree level at a time."""
-    # the remainder grouped by degree: a term's degree is taken as it
-    # arrives, and each level is read off without rescanning the others
+def _subtract_leader(
+    remaining: dict, kind: str, lam: Weight, p: Parabolic, top: Coord, c: int
+) -> None:
+    """remaining -= c * (Delta(borel) expansion of the kind(p) flag at lam),
+    lam of degree top; remaining maps degree -> weight -> coefficient."""
+    rows: dict = {}  # drop -> row, so each degree key is hashed once
+    for mu, d, drop in _leader_terms(kind, lam, p):
+        row = rows.get(drop)
+        if row is None:
+            row = rows[drop] = remaining.setdefault(top - drop, {})
+        v = row.get(mu, 0) - c * d
+        if v:
+            row[mu] = v
+        else:
+            del row[mu]
+
+
+def _collect(chi: FormalChar, depth: int, source: str, kind: str) -> FormalChar:
+    """Rewrite a source(p)-basis character in the kind(p) basis by expanding
+    it into Delta(borel) and eliminating leading terms one degree level at
+    a time."""
+    src = chi.sole_basis()
+    if src.kind != source:
+        raise SimpleBasis(f"expected a {source.title()}-basis character, got {src.kind!r}")
+    p = src.parabolic
+    # the remainder grouped by degree; a row emptied by cancellation stays
+    # until it is the top one, and is then dropped without using a level
     remaining: dict[Coord, dict[Weight, int]] = {}
-    for (_, lam), c in chi_b.terms.items():
-        remaining.setdefault(degree(lam), {})[lam] = c
+    for (_, lam), c in chi.terms.items():
+        _subtract_leader(remaining, src.kind, lam, p, degree(lam), -c)
     collected: dict = {}
     out_sym = symbol(kind, p)
     levels = 0
     while remaining and levels < depth:
         top = max(remaining)
-        level = remaining.pop(top)
+        level = remaining[top]
+        if not level:
+            del remaining[top]
+            continue
         for lam in [lam for lam in level if is_p_dominant(lam, p)]:
             c = level.get(lam, 0)
             if c == 0:
                 continue
             collected[(out_sym, lam)] = collected.get((out_sym, lam), 0) + c
-            for (_, mu), d in _leader_expansion(kind, lam, p).terms.items():
-                e = degree(mu)
-                row = level if e == top else remaining.setdefault(e, {})
-                row[mu] = row.get(mu, 0) - c * d
-                if row[mu] == 0:
-                    del row[mu]
-                    if not row and row is not level:
-                        del remaining[e]
+            _subtract_leader(remaining, kind, lam, p, top, c)
+        del remaining[top]
         if level:
             raise ValueError(
                 "not in the span of the target basis; leftover leading terms "
                 + ", ".join(format_weight(lam) for lam in sorted(level))
             )
         levels += 1
-    if remaining:
-        leftover = {
-            (symbol(DELTA, borel(len(lam))), lam): c
-            for row in remaining.values() for lam, c in row.items()
-        }
+    b = symbol(DELTA, borel(sum(p)))
+    leftover = {(b, lam): c for row in remaining.values() for lam, c in row.items()}
+    if leftover:
         raise NonTerminating(depth, FormalChar(leftover))
     return FormalChar(collected)
 
@@ -316,18 +330,12 @@ def delta_sum_to_nabla_sum(chi: FormalChar, depth: int = 64) -> FormalChar:
     off and their costandard expansions subtracted.  Raises NonTerminating
     if more than `depth` levels are needed (e.g. a lone Delta at n = 1 is
     not a finite sum of Nablas)."""
-    sym = chi.sole_basis()
-    if sym.kind != DELTA:
-        raise SimpleBasis(f"expected a Delta-basis character, got {sym.kind!r}")
-    return _collect(to_borel_delta(chi), sym.parabolic, depth, NABLA)
+    return _collect(chi, depth, DELTA, NABLA)
 
 
 def nabla_sum_to_delta_sum(chi: FormalChar, depth: int = 64) -> FormalChar:
     """Rewrite a Nabla(p)-basis character as a Delta(p)-basis character."""
-    sym = chi.sole_basis()
-    if sym.kind != NABLA:
-        raise SimpleBasis(f"expected a Nabla-basis character, got {sym.kind!r}")
-    return _collect(to_borel_delta(chi), sym.parabolic, depth, DELTA)
+    return _collect(chi, depth, NABLA, DELTA)
 
 
 # --- translation functors -----------------------------------------------------
@@ -336,51 +344,38 @@ def nabla_sum_to_delta_sum(chi: FormalChar, depth: int = 64) -> FormalChar:
 def theta_delta(a, lam: Weight, p: Optional[Parabolic] = None) -> FormalChar:
     """theta_a on a standard character: sum over lam_i = a of
     Delta_{lam + e_i} + Delta_{lam - e_i}, keeping weights in Sigma_p^+."""
-    a = exact(a)
-    p = p or borel(len(lam))
-    require_p_dominant(lam, p)
-    out = ZERO_CHAR
-    for i, c in enumerate(lam):
-        if c == a:
-            for sign in (1, -1):
-                mu = tuple(
-                    x + sign if j == i else x for j, x in enumerate(lam)
-                )
-                if is_p_dominant(mu, p):
-                    out = out + delta(mu, p)
-    return out
+    return theta_char(a, delta(lam, p))
 
 
 def theta_nabla(a, lam: Weight, p: Optional[Parabolic] = None) -> FormalChar:
     """theta_a on a costandard character: raise the coordinates equal to a,
     lower the coordinates equal to a + 2, keeping weights in Sigma_p^+."""
-    a = exact(a)
-    p = p or borel(len(lam))
-    require_p_dominant(lam, p)
-    out = ZERO_CHAR
-    for i, c in enumerate(lam):
-        mu = None
-        if c == a:
-            mu = tuple(x + 1 if j == i else x for j, x in enumerate(lam))
-        elif c == a + 2:
-            mu = tuple(x - 1 if j == i else x for j, x in enumerate(lam))
-        if mu is not None and is_p_dominant(mu, p):
-            out = out + nabla(mu, p)
-    return out
+    return theta_char(a, nabla(lam, p))
 
 
 def theta_char(a, chi: FormalChar) -> FormalChar:
     """theta_a term by term on a single-basis Delta(p) or Nabla(p) character."""
     if chi.is_zero():
-        return ZERO_CHAR
+        return FormalChar()
     sym = chi.sole_basis()
-    if sym.kind == DELTA:
-        rule = theta_delta
-    elif sym.kind == NABLA:
-        rule = theta_nabla
-    else:
+    if sym.kind not in (DELTA, NABLA):
         raise SimpleBasis(f"translation rule undefined on basis {sym.kind!r}")
-    return char_sum(c * rule(a, lam, sym.parabolic) for (_, lam), c in chi.terms.items())
+    a = exact(a)
+    a2 = a + 2
+    p = sym.parabolic
+    out: dict = {}
+    for (_, lam), c in chi.terms.items():
+        require_p_dominant(lam, p)
+        if sym.kind == DELTA:
+            steps = [(i, s) for i, x in enumerate(lam) if x == a for s in (1, -1)]
+        else:
+            steps = [(i, 1 if x == a else -1) for i, x in enumerate(lam) if x in (a, a2)]
+        for i, s in steps:
+            mu = lam[:i] + (lam[i] + s,) + lam[i + 1 :]
+            if is_p_dominant(mu, p):
+                key = (sym, mu)
+                out[key] = out.get(key, 0) + c
+    return FormalChar(out)
 
 
 def shift_by_omega(chi: FormalChar, k) -> FormalChar:
@@ -396,21 +391,14 @@ def tensor_natural_delta(lam: Weight, p: Optional[Parabolic] = None) -> FormalCh
     weights in Sigma_p^+."""
     p = p or borel(len(lam))
     require_p_dominant(lam, p)
-    out = ZERO_CHAR
+    sym = symbol(DELTA, p)
+    out: dict = {}
     for i in range(len(lam)):
         for sign in (1, -1):
             mu = tuple(x + sign if j == i else x for j, x in enumerate(lam))
             if is_p_dominant(mu, p):
-                out = out + delta(mu, p)
-    return out
-
-
-def grade_support(chi: FormalChar) -> dict[Coord, FormalChar]:
-    """Split a character by the degree of its weights."""
-    out: dict[Coord, dict] = {}
-    for (sym, lam), c in chi.terms.items():
-        out.setdefault(degree(lam), {})[(sym, lam)] = c
-    return {d: FormalChar(terms) for d, terms in sorted(out.items())}
+                out[(sym, mu)] = 1
+    return FormalChar(out)
 
 
 # --- serialization ------------------------------------------------------------

@@ -32,7 +32,7 @@ from .tilting import NotWeaklyTypical, weakly_typical_tilting
 from .weights import borel, exact, format_weight, parse_weight
 from .weyl import format_poly, kl_polynomial, parse_perm
 from .pe3.appendix import replay_appendix
-from .pe3.tables import NoTableEntry, lookup_tilting_pe3
+from .pe3.tables import NoTableEntry, TableIntegrityError, lookup_tilting_pe3
 from .pe3.verify import pe2_property_check, verify_tables, verify_theorem_D
 
 RHO_NOTE = (
@@ -374,6 +374,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: NotWeaklyTypical: {exc}", file=sys.stderr)
     except NoTableEntry as exc:
         print(f"error: NoTableEntry: {exc}", file=sys.stderr)
+    except TableIntegrityError as exc:
+        print(f"error: TableIntegrityError: {exc}", file=sys.stderr)
     except NonTerminating as exc:
         print(f"error: NonTerminating: {exc}", file=sys.stderr)
     except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:

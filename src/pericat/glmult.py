@@ -24,7 +24,7 @@ from collections import defaultdict
 from functools import lru_cache
 from typing import Optional
 
-from .characters import EVEN_VERMA, FormalChar, char_sum, levi_weyl_group
+from .characters import EVEN_VERMA, FormalChar, levi_weyl_group, symbol
 from .linkage import strong_down_set, strongly_linked
 from .weights import (
     Parabolic,
@@ -61,17 +61,15 @@ def jantzen_sum(lam: Weight) -> FormalChar:
     ['0,1,2', '1,2,0', '2,0,1']
     """
     n = len(lam)
+    sym = symbol(EVEN_VERMA, borel(n))
     out: dict = {}
     for i in range(n):
         for j in range(i + 1, n):
             c = lam[i] - lam[j]
             if is_integer(c) and c > 0:
-                mu = reflect_coords(lam, i, j)
-                key = mu
+                key = (sym, reflect_coords(lam, i, j))
                 out[key] = out.get(key, 0) + 1
-    return char_sum(
-        coeff * even_verma(mu, borel(n)) for mu, coeff in out.items()
-    )
+    return FormalChar(out)
 
 
 def max_coset_rep(mu: Weight, nu: Weight) -> tuple:
@@ -196,15 +194,16 @@ def simple_in_verma_basis(lam: Weight, _memo: Optional[dict] = None) -> FormalCh
     lam = tuple(lam)
     if lam in memo:
         return memo[lam]
-    out = even_verma(lam)
+    out = dict(even_verma(lam).terms)
     for mu in strong_down_set(lam):
         if mu == lam:
             continue
         m = verma_simple_mult(lam, mu)
         if m:
-            out = out - m * simple_in_verma_basis(mu, memo)
-    memo[lam] = out
-    return out
+            for key, c in simple_in_verma_basis(mu, memo).terms.items():
+                out[key] = out.get(key, 0) - m * c
+    memo[lam] = chi = FormalChar(out)
+    return chi
 
 
 if __name__ == "__main__":

@@ -241,13 +241,6 @@ def cor36_edge(lam: Weight, i: int) -> bool:
     return lam[i - 1] - lam[i] == 1
 
 
-def prop37_propagate(mu: Weight, lam: Weight) -> bool:
-    """Transport condition for positivity certificates: a certified
-    [Delta_mu : L_eta] > 0 yields [Delta_lam : L_eta] > 0 iff mu is
-    strongly linked to lam."""
-    return strongly_linked(mu, lam)
-
-
 # --- alternative highest-weight-edge criteria (linkage form) -------------------
 
 

@@ -4,6 +4,7 @@ step-by-step derivation replayer."""
 from .tables import (
     NoTableEntry,
     ParamSpec,
+    TableIntegrityError,
     TiltingFamily,
     instantiate,
     load_families,
@@ -13,6 +14,7 @@ from .tables import (
 __all__ = [
     "NoTableEntry",
     "ParamSpec",
+    "TableIntegrityError",
     "TiltingFamily",
     "instantiate",
     "load_families",

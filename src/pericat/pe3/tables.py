@@ -46,6 +46,12 @@ class NoTableEntry(Exception):
     """No stored family covers the requested weight/parabolic pair."""
 
 
+class TableIntegrityError(ValueError):
+    """A stored family breaks a rule every table row must keep; the message
+    names the family.  Raised instead of ``assert``, so the checks also run
+    under ``python -O``."""
+
+
 class ParamSpec(NamedTuple):
     """Domain of one family parameter.
 
@@ -125,23 +131,27 @@ class TiltingFamily(NamedTuple):
             coeff * nabla(weight(*(_eval_coord(tok, resolved) for tok in pattern)), self.parabolic)
             for pattern, coeff in self.terms
         )
-        assert chi.coeff("nabla", hw, self.parabolic) == 1, (
-            f"family {self.id}: highest weight {format_weight(hw)} must appear "
-            "with coefficient 1"
-        )
+        if chi.coeff("nabla", hw, self.parabolic) != 1:
+            raise TableIntegrityError(
+                f"family {self.id}: highest weight {format_weight(hw)} must appear "
+                "with coefficient 1"
+            )
         for (_, mu), coeff in chi.terms.items():
-            assert coeff == 1, (
-                f"family {self.id}: coefficient {coeff} at {format_weight(mu)}; "
-                "all stored coefficients are 1"
-            )
-            assert same_block(hw, mu), (
-                f"family {self.id}: term {format_weight(mu)} is not linked to "
-                f"the highest weight {format_weight(hw)}"
-            )
-            assert is_p_dominant(mu, self.parabolic), (
-                f"family {self.id}: term {format_weight(mu)} lies outside "
-                f"Sigma_p^+ for p={self.parabolic}"
-            )
+            if coeff != 1:
+                raise TableIntegrityError(
+                    f"family {self.id}: coefficient {coeff} at {format_weight(mu)}; "
+                    "all stored coefficients are 1"
+                )
+            if not same_block(hw, mu):
+                raise TableIntegrityError(
+                    f"family {self.id}: term {format_weight(mu)} is not linked to "
+                    f"the highest weight {format_weight(hw)}"
+                )
+            if not is_p_dominant(mu, self.parabolic):
+                raise TableIntegrityError(
+                    f"family {self.id}: term {format_weight(mu)} lies outside "
+                    f"Sigma_p^+ for p={self.parabolic}"
+                )
         return chi
 
 
@@ -311,7 +321,8 @@ def lookup_tilting_pe3(lam: Weight, p: Optional[Parabolic] = None) -> FormalChar
     rows:  the standard-parabolic rows cover every integral weight as well
     as the mixed-integrality shape where the first two coordinates differ by
     one, and the ``(2,1)``-parabolic rows cover the eight stored shapes.
-    Raises :class:`NoTableEntry` when nothing matches.
+    Raises :class:`NoTableEntry` when nothing matches and
+    :class:`TableIntegrityError` when a matching row is corrupt.
     """
     if len(lam) != 3:
         raise ValueError(f"table lookup requires rank 3, got {len(lam)}")
@@ -353,13 +364,21 @@ def lookup_tilting_pe3(lam: Weight, p: Optional[Parabolic] = None) -> FormalChar
     chars: list[FormalChar] = []
     for fam_id, params, k in matches:
         fam = families[fam_id]
-        assert fam.parabolic == p, (fam_id, fam.parabolic, p)
-        assert _shift_family_hw(fam, params, k) == lam, (fam_id, params, k, lam)
+        if fam.parabolic != p:
+            raise TableIntegrityError(
+                f"family {fam_id}: parabolic {fam.parabolic}, expected {p}"
+            )
+        if _shift_family_hw(fam, params, k) != lam:
+            raise TableIntegrityError(
+                f"family {fam_id}: highest weight at {params} shifted by {k} "
+                f"is not {format_weight(lam)}"
+            )
         chars.append(shift_by_omega(fam.instantiate(params), k))
     first = chars[0]
     for other, (fam_id, _, _) in zip(chars[1:], matches[1:]):
-        assert other == first, (
-            f"families {matches[0][0]} and {fam_id} disagree at "
-            f"{format_weight(lam)}"
-        )
+        if other != first:
+            raise TableIntegrityError(
+                f"families {matches[0][0]} and {fam_id} disagree at "
+                f"{format_weight(lam)}"
+            )
     return first

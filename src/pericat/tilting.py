@@ -7,6 +7,7 @@ Everything here is certified only on the weakly-typical side; operations
 that the theory does not determine outside that region raise
 NotWeaklyTypical instead of guessing.
 
+>>> from .characters import nabla
 >>> from .weights import weight
 >>> weakly_typical_tilting(weight(-1, 1, 5)) == nabla(weight(-1, 1, 5))
 True
@@ -17,12 +18,12 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple, Optional
 
 from .characters import (
+    DELTA,
     LEVI_SIMPLE,
     NABLA,
     FormalChar,
-    delta,
-    nabla,
     nabla_sum_to_delta_sum,
+    symbol,
 )
 from .glmult import (
     parabolic_verma_simple_mult,
@@ -97,10 +98,10 @@ def kac_char(lam: Weight) -> FormalChar:
     >>> kac_char(weight(1, 0)) == delta(weight(1, 0)) - delta(weight(0, 1))
     True
     """
-    out = FormalChar()
-    for (_, mu), c in simple_in_verma_basis(lam).terms.items():
-        out = out + c * delta(mu)
-    return out
+    sym = symbol(DELTA, borel(len(lam)))
+    return FormalChar(
+        {(sym, mu): c for (_, mu), c in simple_in_verma_basis(lam).terms.items()}
+    )
 
 
 def super_verma_mult_wt(mu: Weight, lam: Weight) -> int:
@@ -154,7 +155,8 @@ def weakly_typical_tilting(lam: Weight, p: Optional[Parabolic] = None) -> Formal
             f"{format_weight(lam)} is not p-weakly-typical for p={p}"
         )
     eta = neg_w0p(lam, p)
-    chi = FormalChar()
+    sym = symbol(NABLA, p)
+    terms = {}  # neg_w0p is a bijection, so each mu arrives once
     for nu in strong_up_set(eta):
         if not is_p_dominant(nu, p):
             continue
@@ -163,7 +165,8 @@ def weakly_typical_tilting(lam: Weight, p: Optional[Parabolic] = None) -> Formal
             continue
         c = parabolic_verma_simple_mult(nu, eta, p)
         if c:
-            chi = chi + c * nabla(mu, p)
+            terms[(sym, mu)] = c
+    chi = FormalChar(terms)
     if chi.coeff(NABLA, lam, p) != 1:
         raise InvariantViolation(
             f"T^p_{format_weight(lam)} (p={p}) has coefficient "
@@ -248,11 +251,12 @@ def pieri_difference(lam: Weight, p: Optional[Parabolic] = None) -> FormalChar:
     p = p or borel(len(lam))
     require_p_dominant(lam, p)
     n = len(lam)
-    out = FormalChar()
+    sym = symbol(LEVI_SIMPLE, p)
+    out: dict = {}
     for i in range(n):
         mu = tuple(c - 2 if k == i else c for k, c in enumerate(lam))
         if is_p_dominant(mu, p):
-            out = out + FormalChar.single(LEVI_SIMPLE, mu, p)
+            out[(sym, mu)] = out.get((sym, mu), 0) + 1
     for block in levi_blocks(p):
         for a_idx, i in enumerate(block):
             for j in block[a_idx + 1 :]:
@@ -261,8 +265,8 @@ def pieri_difference(lam: Weight, p: Optional[Parabolic] = None) -> FormalChar:
                         c - 1 if k in (i, j) else c for k, c in enumerate(lam)
                     )
                     if is_p_dominant(mu, p):
-                        out = out - FormalChar.single(LEVI_SIMPLE, mu, p)
-    return out
+                        out[(sym, mu)] = out.get((sym, mu), 0) - 1
+    return FormalChar(out)
 
 
 if __name__ == "__main__":

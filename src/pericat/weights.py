@@ -155,24 +155,6 @@ def simple_roots(n: int) -> list[Root]:
     return [even_root(i, i + 1, n) for i in range(n - 1)]
 
 
-def odd_roots(n: int) -> list[Root]:
-    """Phi_1 = {-e_i - e_j : i < j} union {e_i + e_j : i <= j}."""
-    minus = [
-        tuple(-ONE if k in (i, j) else ZERO for k in range(n))
-        for i in range(n)
-        for j in range(i + 1, n)
-    ]
-    plus = [
-        tuple(
-            2 if (k == i and i == j) else ONE if k in (i, j) else ZERO
-            for k in range(n)
-        )
-        for i in range(n)
-        for j in range(i, n)
-    ]
-    return minus + plus
-
-
 def conjugate(beta: Root) -> Root:
     """The odd conjugate of an even root: e_i - e_j  |->  e_i + e_j.
 

@@ -1,8 +1,10 @@
 """Shared helpers for the test suite."""
 
+import json
 from fractions import Fraction
 
 from pericat.characters import FormalChar, char_sum, delta, nabla
+from pericat.pe3 import tables
 from pericat.weights import weight
 
 # One verdict line per acceptance criterion, printed after capture ends so
@@ -43,3 +45,14 @@ def normalised(lam) -> bool:
     return all(
         type(c) is int or (type(c) is Fraction and c.denominator > 1) for c in lam
     )
+
+
+def corrupt_row(tmp_path, fam_id="5.4"):
+    """families.json with the second coefficient of one row set to 2."""
+    doc = json.loads(tables._read_fixture("<packaged>"))
+    for rec in doc["families"]:
+        if rec["id"] == fam_id:
+            rec["terms"][1][1] = 2
+    alt = tmp_path / f"families-{fam_id}.json"  # tables are cached per path
+    alt.write_text(json.dumps(doc))
+    return alt

@@ -1,9 +1,15 @@
 """Command-line interface: output shapes, exit codes, error taxonomy."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import pericat
+from conftest import corrupt_row
 from pericat.cli import _merge_negative_values, main
 
 
@@ -133,6 +139,31 @@ def test_verify_pe3_reports_flag_bound_red(capsys):
     assert "[FAIL] delta-flag-bound" in out
     assert "[PASS] table-5.4" in out
     assert "SOME CHECKS FAILED" in out
+
+
+def test_error_corrupt_table(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("PERICAT_FIXTURES", str(corrupt_row(tmp_path)))
+    code, out, err = run_cli(capsys, "tilting", "--weight", "0,1,-1")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: TableIntegrityError: family 5.4: coefficient 2")
+
+
+def test_verify_pe3_corrupt_table_under_python_O(tmp_path):
+    # the row checks raise typed errors, so they hold with asserts stripped
+    env = dict(
+        os.environ,
+        PYTHONPATH=str(Path(pericat.__file__).resolve().parents[1]),
+        PERICAT_FIXTURES=str(corrupt_row(tmp_path)),
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "pericat.cli", "verify", "pe3"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert "[FAIL] table-5.4: checked=1" in proc.stdout
+    assert "5.4: instantiate: family 5.4: coefficient 2 at 0,-1,1" in proc.stdout
 
 
 def test_error_not_weakly_typical(capsys):

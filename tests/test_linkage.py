@@ -13,7 +13,6 @@ from pericat.linkage import (
     block_label,
     canonical_representative,
     cor36_edge,
-    prop37_propagate,
     same_block,
     strong_down_set,
     strong_up_set,
@@ -159,18 +158,6 @@ def test_cor36_edge():
     assert not cor36_edge(W(2, 1, 1), 2)
     with pytest.raises(ValueError):
         cor36_edge(W(1, 0), 1)
-
-
-def test_prop37_propagate():
-    # A certificate at (1,0,2) transports to everything it is strongly
-    # linked into.
-    base = W(1, 0, 2)
-    targets = {W(1, 2, 0), W(2, 0, 1), W(2, 1, 0)}
-    for lam in targets:
-        assert prop37_propagate(base, lam)
-    assert prop37_propagate(base, base)
-    assert not prop37_propagate(base, W(0, 1, 2))
-    assert strong_up_set(base) == targets | {base}
 
 
 def test_hypothesis_forms_spot_agreement():

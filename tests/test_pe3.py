@@ -7,11 +7,12 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import B3, W, nab_sum, normalised
+from conftest import B3, W, corrupt_row, nab_sum, normalised
 from pericat.characters import NABLA, char_sum, nabla, nabla_sum_to_delta_sum, shift_by_omega
 from pericat.linkage import same_block
 from pericat.pe3.tables import (
     NoTableEntry,
+    TableIntegrityError,
     instantiate,
     load_families,
     lookup_tilting_pe3,
@@ -124,10 +125,28 @@ def test_fixture_override(tmp_path, monkeypatch):
     alt.write_text(json.dumps(doc))
     monkeypatch.setenv("PERICAT_FIXTURES", str(alt))
     fams = load_families()
-    with pytest.raises(AssertionError):
+    with pytest.raises(TableIntegrityError, match="family 5.4"):
         fams["5.4"].instantiate()
     monkeypatch.delenv("PERICAT_FIXTURES")
     assert load_families()["5.4"].instantiate().coeff(NABLA, W(0, 1, -1)) == 1
+
+
+def test_corrupt_row_gives_fail_rows(tmp_path, monkeypatch):
+    monkeypatch.setenv("PERICAT_FIXTURES", str(corrupt_row(tmp_path)))
+    with pytest.raises(TableIntegrityError, match="family 5.4: coefficient 2"):
+        lookup_tilting_pe3(W(0, 1, -1))
+    by_name = {r.name: r for r in verify_tables(param_bound=4)}
+    bad = "5.4: instantiate: family 5.4: coefficient 2 at 0,-1,1"
+    assert not by_name["table-5.4"].ok
+    assert by_name["table-5.4"].failures == (bad + "; all stored coefficients are 1",)
+    # other rows whose theta images reach 5.4 fail naming it too
+    assert any("family 5.4" in f for f in by_name["table-5.3"].failures)
+    assert any(f.startswith(bad) for f in by_name["delta-flag-bound"].failures)
+    assert by_name["rows-5.2==5.7"].ok
+    monkeypatch.setenv("PERICAT_FIXTURES", str(corrupt_row(tmp_path, "5.2")))
+    rows = {r.name: r for r in verify_tables(param_bound=4)}["rows-5.2==5.7"]
+    assert not rows.ok
+    assert rows.failures[0].startswith("family 5.2: coefficient 2 at -1,0,1")
 
 
 def test_decompose_into_tiltings():

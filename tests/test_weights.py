@@ -27,7 +27,6 @@ from pericat.weights import (
     levi_positive_roots,
     n_odd,
     negate,
-    odd_roots,
     omega,
     pairing,
     parse_weight,
@@ -93,7 +92,6 @@ def test_root_data():
     assert conjugate(even_root(0, 1, n)) == W(1, 1, 0)
     assert len(positive_even_roots(n)) == 3
     assert len(simple_roots(n)) == 2
-    assert len(odd_roots(n)) == 9  # epsilon_i + epsilon_j for all i, j
     assert pairing(W(1, -1, 0), even_root(0, 1, n)) == 2
 
 
