@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import re
-import logging
 import sys
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -203,17 +202,17 @@ def _report_rows(suite: str, bound: Optional[int]):
     if suite == "pe3":
         return [
             (r.name, r.ok, f"checked={r.checked}", r.failures)
-            for r in verify_tables(bound or 4)
+            for r in verify_tables(4 if bound is None else bound)
         ]
     if suite == "appendix":
         return [(r.step, r.ok, r.detail, ()) for r in replay_appendix()]
     if suite == "thmD":
         return [
             (r.name, r.ok, f"checked={r.checked}", r.failures)
-            for r in verify_theorem_D(bound or 6)
+            for r in verify_theorem_D(6 if bound is None else bound)
         ]
     if suite == "props":
-        r = pe2_property_check(bound or 3)
+        r = pe2_property_check(3 if bound is None else bound)
         return [(r.name, r.ok, f"checked={r.checked}", r.failures)]
     raise ValueError(f"unknown verification suite {suite!r}")
 
@@ -364,7 +363,6 @@ def _merge_negative_values(argv: list[str]) -> list[str]:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()
     argv = _merge_negative_values(list(sys.argv[1:] if argv is None else argv))
     args = parser.parse_args(argv)  # exits with code 2 on parse errors

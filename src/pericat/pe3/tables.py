@@ -16,19 +16,20 @@ weight in the character by the same multiple of ``omega``).
 from __future__ import annotations
 
 import json
-import logging
 import os
 from fractions import Fraction
 from pathlib import Path
 from typing import Mapping, NamedTuple, Optional, Union
 
-from ..characters import FormalChar, char_sum, nabla, shift_by_omega
-from ..linkage import same_block
+from ..characters import NABLA, FormalChar, shift_by_omega, symbol
+from ..linkage import block_label
 from ..tilting import weakly_typical_tilting
 from ..weights import (
+    Coord,
     Parabolic,
     Weight,
     borel,
+    exact,
     format_weight,
     is_integer,
     is_p_dominant,
@@ -36,8 +37,6 @@ from ..weights import (
     require_p_dominant,
     weight,
 )
-
-log = logging.getLogger(__name__)
 
 Numeric = Union[int, Fraction, str]
 
@@ -63,8 +62,8 @@ class ParamSpec(NamedTuple):
     min: Optional[int] = None
     max: Optional[int] = None
 
-    def admits(self, value: Fraction) -> bool:
-        value = Fraction(value)
+    def admits(self, value: Coord) -> bool:
+        """Whether an exact value (see ``weights.exact``) lies in the domain."""
         if self.kind == "int":
             if value.denominator != 1:
                 return False
@@ -78,11 +77,9 @@ class ParamSpec(NamedTuple):
         raise ValueError(f"unknown parameter kind {self.kind!r}")
 
 
-def _eval_coord(token: str, values: Mapping[str, Fraction]) -> Fraction:
-    token = token.strip()
-    if token in values:
-        return values[token]
-    return Fraction(token)
+# A compiled pattern coordinate: an exact constant, or the name of a
+# parameter (or an unparsable token, refused when the row is instantiated).
+Token = Union[Coord, str]
 
 
 class TiltingFamily(NamedTuple):
@@ -91,15 +88,15 @@ class TiltingFamily(NamedTuple):
     id: str
     parabolic: Parabolic
     params: tuple[tuple[str, ParamSpec], ...]
-    hw: tuple[str, ...]
-    terms: tuple[tuple[tuple[str, ...], int], ...]
+    hw: tuple[Token, ...]
+    terms: tuple[tuple[tuple[Token, ...], int], ...]
 
     @property
     def param_names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.params)
 
-    def _resolve(self, values: Optional[Mapping[str, Numeric]]) -> dict[str, Fraction]:
-        given = {k: Fraction(v) for k, v in (values or {}).items()}
+    def _resolve(self, values: Optional[Mapping[str, Numeric]]) -> dict[str, Coord]:
+        given = {k: exact(v) for k, v in (values or {}).items()}
         if set(given) != set(self.param_names):
             raise ValueError(
                 f"family {self.id} expects parameters {self.param_names}, "
@@ -120,29 +117,40 @@ class TiltingFamily(NamedTuple):
             return False
         return True
 
+    def _substitute(self, pattern: tuple[Token, ...], values: Mapping[str, Coord]) -> Weight:
+        try:
+            return tuple(values[t] if type(t) is str else t for t in pattern)
+        except KeyError as exc:
+            raise TableIntegrityError(
+                f"family {self.id}: token {exc.args[0]!r} is neither a number "
+                "nor a declared parameter"
+            ) from None
+
     def highest_weight(self, values: Optional[Mapping[str, Numeric]] = None) -> Weight:
-        resolved = self._resolve(values)
-        return weight(*(_eval_coord(tok, resolved) for tok in self.hw))
+        return self._substitute(self.hw, self._resolve(values))
 
     def instantiate(self, values: Optional[Mapping[str, Numeric]] = None) -> FormalChar:
         resolved = self._resolve(values)
-        hw = weight(*(_eval_coord(tok, resolved) for tok in self.hw))
-        chi = char_sum(
-            coeff * nabla(weight(*(_eval_coord(tok, resolved) for tok in pattern)), self.parabolic)
-            for pattern, coeff in self.terms
-        )
-        if chi.coeff("nabla", hw, self.parabolic) != 1:
+        hw = self._substitute(self.hw, resolved)
+        sym = symbol(NABLA, self.parabolic)
+        terms: dict = {}
+        for pattern, coeff in self.terms:
+            key = (sym, self._substitute(pattern, resolved))
+            terms[key] = terms.get(key, 0) + coeff
+        chi = FormalChar(terms)
+        if chi.terms.get((sym, hw), 0) != 1:
             raise TableIntegrityError(
                 f"family {self.id}: highest weight {format_weight(hw)} must appear "
                 "with coefficient 1"
             )
+        hw_block = sorted(block_label(hw))
         for (_, mu), coeff in chi.terms.items():
             if coeff != 1:
                 raise TableIntegrityError(
                     f"family {self.id}: coefficient {coeff} at {format_weight(mu)}; "
                     "all stored coefficients are 1"
                 )
-            if not same_block(hw, mu):
+            if sorted(block_label(mu)) != hw_block:
                 raise TableIntegrityError(
                     f"family {self.id}: term {format_weight(mu)} is not linked to "
                     f"the highest weight {format_weight(hw)}"
@@ -162,6 +170,19 @@ def instantiate(
     return family.instantiate(params)
 
 
+def _compile_pattern(text: str, names: set[str]) -> tuple[Token, ...]:
+    out: list[Token] = []
+    for token in text.split(","):
+        token = token.strip()
+        if token not in names:
+            try:
+                token = exact(token)
+            except (ValueError, ZeroDivisionError):
+                pass  # kept as a name; instantiate reports it
+        out.append(token)
+    return tuple(out)
+
+
 def _parse_family(record: dict) -> TiltingFamily:
     params = tuple(
         (
@@ -174,13 +195,14 @@ def _parse_family(record: dict) -> TiltingFamily:
         )
         for name, spec in record.get("params", {}).items()
     )
+    names = {name for name, _ in params}
     return TiltingFamily(
         id=record["id"],
         parabolic=tuple(record["parabolic"]),
         params=params,
-        hw=tuple(record["hw"].split(",")),
+        hw=_compile_pattern(record["hw"], names),
         terms=tuple(
-            (tuple(pattern.split(",")), int(coeff))
+            (_compile_pattern(pattern, names), int(coeff))
             for pattern, coeff in record["terms"]
         ),
     )
@@ -351,11 +373,6 @@ def lookup_tilting_pe3(lam: Weight, p: Optional[Parabolic] = None) -> FormalChar
         )
 
     if not matches:
-        log.debug(
-            "no table pattern matches weight %s (parabolic %s)",
-            format_weight(lam),
-            p,
-        )
         raise NoTableEntry(
             f"no table entry for weight {format_weight(lam)} with parabolic {p}"
         )

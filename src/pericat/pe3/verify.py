@@ -163,6 +163,8 @@ def pe2_property_check(bound: int = 3) -> CheckReport:
     weight strongly linked below the highest weight carries a positive
     dual-Verma multiplicity.  Non-weakly-typical weights are skipped (the
     engine has no claim there)."""
+    if bound < 0:
+        raise ValueError("bound must be non-negative")
     b2 = borel(2)
     failures: list[str] = []
     checked = 0
@@ -193,14 +195,20 @@ def _head_candidates(chi: FormalChar) -> list[Weight]:
     ]
 
 
-def decompose_into_tiltings(chi: FormalChar, p, max_steps: int = 64) -> dict[Weight, int]:
+def decompose_into_tiltings(
+    chi: FormalChar, p, max_steps: int = 64, _memo: Optional[dict] = None
+) -> dict[Weight, int]:
     """Write a dual-Verma-basis character as a non-negative integer
     combination of tilting characters, greedily from the top.
 
     Raises ValueError if a step produces a negative coefficient or the
     remainder fails to vanish; propagates NoTableEntry when a head falls
-    outside the stored patterns.
+    outside the stored patterns.  ``_memo`` maps (head, parabolic) to the
+    tilting characters already looked up, so a caller that decomposes many
+    images can share them; a failed lookup is never stored.
     """
+    memo = _memo if _memo is not None else {}
+    p = tuple(p)
     parts: dict[Weight, int] = {}
     remainder = chi
     for _ in range(max_steps):
@@ -212,7 +220,10 @@ def decompose_into_tiltings(chi: FormalChar, p, max_steps: int = 64) -> dict[Wei
             raise ValueError(
                 f"head {format_weight(head)} has non-positive coefficient {c}"
             )
-        remainder = remainder - c * lookup_tilting_pe3(head, p)
+        tilting = memo.get((head, p))
+        if tilting is None:
+            tilting = memo[head, p] = lookup_tilting_pe3(head, p)
+        remainder = remainder - c * tilting
         if any(k < 0 for k in remainder.terms.values()):
             raise ValueError(
                 f"subtracting {c} x T_{format_weight(head)} went negative"
@@ -236,7 +247,7 @@ def _tag(fam: TiltingFamily, params: dict) -> str:
     return fam.id + "@" + ",".join(f"{k}={v}" for k, v in sorted(params.items()))
 
 
-def _check_family(fam: TiltingFamily, param_bound: int) -> CheckReport:
+def _check_family(fam: TiltingFamily, param_bound: int, memo: dict) -> CheckReport:
     failures: list[str] = []
     skipped: list[str] = []
     checked = 0
@@ -262,7 +273,7 @@ def _check_family(fam: TiltingFamily, param_bound: int) -> CheckReport:
             if image.is_zero():
                 continue
             try:
-                decompose_into_tiltings(image, p)
+                decompose_into_tiltings(image, p, _memo=memo)
             except NoTableEntry as exc:
                 if p == _B3:
                     failures.append(f"{tag}: theta_{a}: {exc}")
@@ -325,7 +336,8 @@ def verify_tables(param_bound: int = 4) -> list[CheckReport]:
     if param_bound < 4:
         raise ValueError("param_bound must be at least 4 to cover every pattern")
     families = load_families()
-    reports = [_check_family(fam, param_bound) for fam in families.values()]
+    memo: dict = {}  # tilting characters by (weight, parabolic), for this call only
+    reports = [_check_family(fam, param_bound, memo) for fam in families.values()]
     try:
         same = families["5.2"].instantiate() == families["5.7"].instantiate()
         detail = "rows 5.2 and 5.7 disagree"

@@ -47,12 +47,33 @@ def normalised(lam) -> bool:
     )
 
 
-def corrupt_row(tmp_path, fam_id="5.4"):
-    """families.json with the second coefficient of one row set to 2."""
+def _mutate(rec: dict, mutation: str) -> None:
+    terms = rec["terms"]
+    if mutation == "coefficient":  # second coefficient set to 2
+        terms[1][1] = 2
+        return
+    if mutation == "no-highest-weight":  # the highest-weight term dropped
+        del terms[0]
+        return
+    coords = terms[1][0].split(",")
+    if mutation == "unlinked":  # second term's first coordinate moved by 1/2
+        coords[0] = str(Fraction(coords[0]) + Fraction(1, 2))
+    elif mutation == "not-p-dominant":  # second term's first two coordinates swapped
+        coords[0], coords[1] = coords[1], coords[0]
+    elif mutation == "undeclared-token":  # second term's last coordinate named "d"
+        coords[-1] = "d"
+    else:
+        raise ValueError(f"unknown mutation {mutation!r}")
+    terms[1][0] = ",".join(coords)
+
+
+def corrupt_row(tmp_path, fam_id="5.4", mutation="coefficient"):
+    """families.json with one row broken by one mutation; the default sets
+    the row's second coefficient to 2."""
     doc = json.loads(tables._read_fixture("<packaged>"))
     for rec in doc["families"]:
         if rec["id"] == fam_id:
-            rec["terms"][1][1] = 2
-    alt = tmp_path / f"families-{fam_id}.json"  # tables are cached per path
+            _mutate(rec, mutation)
+    alt = tmp_path / f"families-{fam_id}-{mutation}.json"  # tables are cached per path
     alt.write_text(json.dumps(doc))
     return alt

@@ -141,6 +141,27 @@ def test_verify_pe3_reports_flag_bound_red(capsys):
     assert "SOME CHECKS FAILED" in out
 
 
+@pytest.mark.parametrize(
+    "suite, bound, message",
+    [
+        ("pe3", "0", "error: param_bound must be at least 4 to cover every pattern"),
+        ("thmD", "0", "error: param_bound must be at least 4 to cover every pattern"),
+        ("props", "-1", "error: bound must be non-negative"),
+    ],
+)
+def test_verify_bound_is_never_replaced(capsys, suite, bound, message):
+    code, out, err = run_cli(capsys, "verify", suite, "--bound", bound)
+    assert code == 1
+    assert out == ""
+    assert err.strip() == message
+
+
+def test_verify_bound_zero_is_kept(capsys):
+    code, out, _ = run_cli(capsys, "verify", "props", "--bound", "0")
+    assert code == 0
+    assert out.splitlines()[0] == "[PASS] rank2-linkage-bound: checked=1"
+
+
 def test_error_corrupt_table(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("PERICAT_FIXTURES", str(corrupt_row(tmp_path)))
     code, out, err = run_cli(capsys, "tilting", "--weight", "0,1,-1")
@@ -204,3 +225,17 @@ def test_merge_negative_values():
     # Flags with non-negative values and other arguments pass through.
     argv = ["tilting", "--weight", "0,1,2", "--format", "json"]
     assert _merge_negative_values(argv) == argv
+
+
+def test_cli_does_not_load_logging():
+    script = (
+        "import sys\n"
+        "from pericat.cli import main\n"
+        "print(main(['kl', '--x', '2,1,3', '--w', '3,2,1']), 'logging' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(pericat.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.stderr == ""
+    assert proc.stdout.splitlines() == ["1", "0 False"]

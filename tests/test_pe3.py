@@ -1,15 +1,22 @@
 """pe(3) tilting table data, the lookup router, and the verification suite."""
 
 import json
-import logging
 import shutil
 from fractions import Fraction
 
 import pytest
 
 from conftest import B3, W, corrupt_row, nab_sum, normalised
-from pericat.characters import NABLA, char_sum, nabla, nabla_sum_to_delta_sum, shift_by_omega
+from pericat.characters import (
+    NABLA,
+    char_sum,
+    nabla,
+    nabla_sum_to_delta_sum,
+    shift_by_omega,
+    theta_char,
+)
 from pericat.linkage import same_block
+from pericat.pe3 import tables
 from pericat.pe3.tables import (
     NoTableEntry,
     TableIntegrityError,
@@ -18,6 +25,7 @@ from pericat.pe3.tables import (
     lookup_tilting_pe3,
 )
 from pericat.pe3.verify import (
+    _closure_alphabet,
     _instances,
     decompose_into_tiltings,
     delta_flag_bound_report,
@@ -26,6 +34,7 @@ from pericat.pe3.verify import (
     verify_theorem_D,
 )
 from pericat.tilting import weakly_typical_tilting
+from pericat.weights import weight
 
 
 def test_family_count_and_ids():
@@ -97,13 +106,11 @@ def test_lookup_p21():
         lookup_tilting_pe3(W(5, 0, 1), (2, 1))
 
 
-def test_lookup_miss_raises_without_warning(caplog):
+def test_lookup_miss_raises_without_warning(capfd):
     # A miss is expected and handled by callers; it must not reach stderr.
-    with caplog.at_level(logging.DEBUG, logger="pericat.pe3.tables"):
-        with pytest.raises(NoTableEntry):
-            lookup_tilting_pe3(W(2, 0, 1), (2, 1))
-    assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
-    assert any("2,0,1" in r.getMessage() for r in caplog.records)
+    with pytest.raises(NoTableEntry, match="2,0,1"):
+        lookup_tilting_pe3(W(2, 0, 1), (2, 1))
+    assert capfd.readouterr().err == ""
 
 
 def test_lookup_shift_consistency_across_patterns():
@@ -147,6 +154,30 @@ def test_corrupt_row_gives_fail_rows(tmp_path, monkeypatch):
     rows = {r.name: r for r in verify_tables(param_bound=4)}["rows-5.2==5.7"]
     assert not rows.ok
     assert rows.failures[0].startswith("family 5.2: coefficient 2 at -1,0,1")
+
+
+@pytest.mark.parametrize(
+    "fam_id, mutation, message",
+    [
+        ("5.4", "no-highest-weight",
+         "family 5.4: highest weight 0,1,-1 must appear with coefficient 1"),
+        ("5.4", "unlinked",
+         "family 5.4: term 1/2,-1,1 is not linked to the highest weight 0,1,-1"),
+        ("5.8-2", "not-p-dominant",
+         "family 5.8-2: term -1,0,2 lies outside Sigma_p^+ for p=(2, 1)"),
+        ("5.4", "undeclared-token",
+         "family 5.4: token 'd' is neither a number nor a declared parameter"),
+    ],
+)
+def test_integrity_messages(tmp_path, monkeypatch, fam_id, mutation, message):
+    monkeypatch.setenv("PERICAT_FIXTURES", str(corrupt_row(tmp_path, fam_id, mutation)))
+    fam = load_families()[fam_id]  # a corrupt row still loads
+    with pytest.raises(TableIntegrityError) as exc:
+        fam.instantiate()
+    assert str(exc.value) == message
+    report = {r.name: r for r in verify_tables(param_bound=4)}[f"table-{fam_id}"]
+    assert not report.ok
+    assert report.failures == (f"{fam_id}: instantiate: {message}",)
 
 
 def test_decompose_into_tiltings():
@@ -240,3 +271,56 @@ def test_delta_flag_bound_full_size():
     }
     rep = delta_flag_bound_report(param_bound=4)
     assert (rep.checked, len(rep.failures)) == (65, 36)
+
+
+def _old_eval(token, values):
+    token = token.strip()
+    return values[token] if token in values else Fraction(token)
+
+
+def _old_route(record, params):
+    """The string-token interpreter the compiled rows replace."""
+    values = {k: Fraction(v) for k, v in params.items()}
+    p = tuple(record["parabolic"])
+    hw = weight(*(_old_eval(t, values) for t in record["hw"].split(",")))
+    chi = char_sum(
+        coeff * nabla(weight(*(_old_eval(t, values) for t in pattern.split(","))), p)
+        for pattern, coeff in record["terms"]
+    )
+    return hw, chi
+
+
+def test_compiled_rows_match_string_route():
+    records = {
+        rec["id"]: rec for rec in json.loads(tables._read_fixture("<packaged>"))["families"]
+    }
+    count = 0
+    for fam in load_families().values():
+        for params in _instances(fam, 6):
+            hw, chi = fam.highest_weight(params), fam.instantiate(params)
+            assert (hw, chi) == _old_route(records[fam.id], params), (fam.id, params)
+            assert all(normalised(lam) for lam in {hw} | chi.support()), (fam.id, params)
+            count += 1
+    assert count == 95  # every family at bound 6, non-integral samples included
+
+
+def test_decompose_memo_matches_fresh_lookups():
+    def outcome(image, p, **kw):
+        try:
+            return decompose_into_tiltings(image, p, **kw)
+        except (NoTableEntry, ValueError) as exc:
+            return type(exc), str(exc)
+
+    memo: dict = {}
+    images = 0
+    for fam in load_families().values():
+        for params in _instances(fam, 4):
+            chi = fam.instantiate(params)
+            for a in _closure_alphabet(chi):
+                image = theta_char(a, chi)
+                if image.is_zero():
+                    continue
+                images += 1
+                fresh = outcome(image, fam.parabolic)
+                assert outcome(image, fam.parabolic, _memo=memo) == fresh, (fam.id, a)
+    assert images > 0 and memo
