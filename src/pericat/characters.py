@@ -10,13 +10,13 @@ flag level.
 Conversions implemented here:
   * nabla_to_delta: the costandard-to-standard expansion
       ch Nabla_lam = sum over kappa in {0,2}^n of ch Delta_{lam-kappa}
-  * expand_parabolic_delta / _nabla: alternating Levi-orbit expansions of
-    parabolic (co)standards into Borel ones
+  * to_borel_delta: the alternating Levi-orbit expansion of a parabolic
+    (co)standard character into Borel standard ones
   * delta_sum_to_nabla_sum / nabla_sum_to_delta_sum: greedy leading-term
     collection, processing one degree level at a time (at most `depth`
     levels; NonTerminating carries the leftover if the budget runs out)
   * translation-functor rules theta_delta / theta_nabla / theta_char
-  * shift_by_omega and the natural-module tensor rule.
+  * shift_by_omega, the twist by a power of the determinant.
 
 >>> from .weights import weight, borel
 >>> theta_nabla(-1, weight(-1, 1, 1), borel(3)) == (
@@ -42,7 +42,6 @@ from .weights import (
     format_weight,
     is_p_dominant,
     levi_blocks,
-    parse_weight,
     require_p_dominant,
     shift,
 )
@@ -217,17 +216,6 @@ def levi_weyl_group(p: Parabolic) -> tuple:
     return tuple(out)
 
 
-def expand_parabolic_delta(lam: Weight, p: Parabolic) -> FormalChar:
-    """ch Delta^p_lam as the alternating Levi-orbit sum of Borel Deltas."""
-    return to_borel_delta(delta(lam, p))
-
-
-def expand_parabolic_nabla(lam: Weight, p: Parabolic) -> FormalChar:
-    """ch Nabla^p_lam as the alternating Levi-orbit sum of Borel Nablas."""
-    sym = symbol(NABLA, borel(len(lam)))
-    return FormalChar({(sym, mu): c for mu, c, _ in _leader_terms(DELTA, lam, p)})
-
-
 def to_borel_delta(chi: FormalChar) -> FormalChar:
     """Expand a Delta(p)- or Nabla(p)-basis character into Delta(borel)."""
     sym = chi.sole_basis()
@@ -385,22 +373,6 @@ def shift_by_omega(chi: FormalChar, k) -> FormalChar:
     )
 
 
-def tensor_natural_delta(lam: Weight, p: Optional[Parabolic] = None) -> FormalChar:
-    """Standard-flag character of Delta^p_lam tensored with the natural
-    module: sum over i of Delta_{lam + e_i} + Delta_{lam - e_i}, keeping
-    weights in Sigma_p^+."""
-    p = p or borel(len(lam))
-    require_p_dominant(lam, p)
-    sym = symbol(DELTA, p)
-    out: dict = {}
-    for i in range(len(lam)):
-        for sign in (1, -1):
-            mu = tuple(x + sign if j == i else x for j, x in enumerate(lam))
-            if is_p_dominant(mu, p):
-                out[(sym, mu)] = 1
-    return FormalChar(out)
-
-
 # --- serialization ------------------------------------------------------------
 
 _KIND_TO_JSON = {
@@ -432,14 +404,25 @@ def char_to_json(chi: FormalChar, empty_basis: str = DELTA) -> dict:
     return doc
 
 
-def char_from_json(doc: dict) -> FormalChar:
+def char_from_json(doc) -> FormalChar:
+    """Inverse of char_to_json; bad weight entries and coefficients raise ValueError."""
+    if not isinstance(doc, dict):
+        raise ValueError("a character document must be a JSON object")
     kind = _JSON_TO_KIND[doc["basis"]]
     parabolic = tuple(doc["parabolic"]) if "parabolic" in doc else None
     out: dict = {}
-    for term in doc["terms"]:
-        lam = parse_weight(",".join(term["weight"]))
+    for k, term in enumerate(doc["terms"]):
+        coeff = term["coeff"]
+        if type(coeff) is not int:
+            raise ValueError(f"term {k}: coeff {coeff!r} is not an integer")
+        try:
+            lam = tuple(exact(c) for c in term["weight"])
+        except TypeError as exc:
+            raise ValueError(f"term {k}: {exc}") from None
+        if not lam:
+            raise ValueError(f"term {k}: empty weight")
         key = (symbol(kind, parabolic), lam)
-        out[key] = out.get(key, 0) + int(term["coeff"])
+        out[key] = out.get(key, 0) + coeff
     return FormalChar(out)
 
 

@@ -17,8 +17,10 @@ from typing import Optional, Sequence
 
 from .characters import (
     FormalChar,
+    MixedBasis,
     NABLA,
     NonTerminating,
+    SimpleBasis,
     char_from_json,
     char_to_json,
     delta_sum_to_nabla_sum,
@@ -368,14 +370,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)  # exits with code 2 on parse errors
     try:
         return _DISPATCH[args.command](args, args.format)
-    except NotWeaklyTypical as exc:
-        print(f"error: NotWeaklyTypical: {exc}", file=sys.stderr)
-    except NoTableEntry as exc:
-        print(f"error: NoTableEntry: {exc}", file=sys.stderr)
-    except TableIntegrityError as exc:
-        print(f"error: TableIntegrityError: {exc}", file=sys.stderr)
-    except NonTerminating as exc:
-        print(f"error: NonTerminating: {exc}", file=sys.stderr)
+    except (
+        NotWeaklyTypical, NoTableEntry, TableIntegrityError, NonTerminating,
+        SimpleBasis, MixedBasis,
+    ) as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
     except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
     return 1

@@ -31,6 +31,7 @@ from .weights import (
     Weight,
     borel,
     format_weight,
+    integrality_classes,
     is_integer,
     reflect_coords,
     require_p_dominant,
@@ -121,24 +122,21 @@ def verma_simple_mult(lam: Weight, mu: Weight) -> int:
     otherwise a product of integral-block Kazhdan-Lusztig values."""
     if len(lam) != len(mu):
         raise ValueError("dimension mismatch")
-    return _pair_mult(_exact_pairs(lam), _exact_pairs(mu))
-
-
-def _pair_mult(lam_q: list, mu_q: list) -> int:
-    """verma_simple_mult on `_exact_pairs` coordinates.  Two coordinates
-    differ by an integer exactly when they share the class key
-    (numerator % denominator, denominator), and inside a class the
-    numerators order as the values do."""
+    lam_q, mu_q = _exact_pairs(lam), _exact_pairs(mu)
     # nonzero multiplicity forces equal sub-multisets in every integrality
-    # class, hence equal multisets overall
+    # class, hence equal multisets overall; this cheap test goes first
     if sorted(lam_q) != sorted(mu_q):
         return 0
-    classes: dict = defaultdict(list)
-    for i, (a, d) in enumerate(lam_q):
-        classes[a % d, d].append(i)
+    return _pair_mult(lam_q, mu_q, integrality_classes(mu))
+
+
+def _pair_mult(lam_q: list, mu_q: list, classes: list) -> int:
+    """verma_simple_mult on `_exact_pairs` coordinates of the same multiset,
+    with `classes` the `integrality_classes` of mu.  Inside a class the
+    numerators order as the values do."""
     total = 1
-    for (r, d), idx in classes.items():
-        if any(mu_q[i][1] != d or mu_q[i][0] % d != r for i in idx):
+    for (r, d), idx in classes:
+        if any(lam_q[i][1] != d or lam_q[i][0] % d != r for i in idx):
             return 0  # some lam_i - mu_i is not an integer
         sub_lam = [lam_q[i][0] for i in idx]
         sub_mu = [mu_q[i][0] for i in idx]
@@ -162,9 +160,10 @@ def parabolic_verma_simple_mult(mu: Weight, lam: Weight, p: Parabolic) -> int:
     mu_q, lam_q = _exact_pairs(mu), _exact_pairs(lam)
     if sorted(mu_q) != sorted(lam_q):
         return 0  # every orbit term w(mu) has mu's multiset, so each is 0
+    classes = integrality_classes(lam)
     total = 0
     for w, lw in levi_weyl_group(p):
-        total += (-1) ** lw * _pair_mult(apply_perm(w, mu_q), lam_q)
+        total += (-1) ** lw * _pair_mult(apply_perm(w, mu_q), lam_q, classes)
     if total < 0:
         raise InvariantViolation(
             f"[M^p_{format_weight(mu)} : L_{format_weight(lam)}] = {total} < 0 for p={p}"

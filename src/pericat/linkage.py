@@ -20,6 +20,7 @@ False
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Iterator
 
 from .weights import (
@@ -29,6 +30,7 @@ from .weights import (
     basis_vector,
     conjugate,
     even_root,
+    integrality_classes,
     is_integer,
     is_p_dominant,
     levi_positive_roots,
@@ -111,6 +113,16 @@ def strong_up_set(mu: Weight) -> frozenset[Weight]:
 BlockRecord = tuple[Coord, int, int]  # (class key, size, odd count)
 
 
+def _class_records(lam: Weight) -> list:
+    """(key, positions, odd count) per integrality class of lam, in
+    first-occurrence order; the key is the class's fractional part."""
+    out = []
+    for (r, d), positions in integrality_classes(lam):
+        odd = sum((lam[i].numerator - r) // d % 2 for i in positions)
+        out.append((r if d == 1 else Fraction(r, d), positions, odd))
+    return out
+
+
 def block_label(lam: Weight) -> tuple[BlockRecord, ...]:
     """One record per integrality class, in first-occurrence order.
 
@@ -121,19 +133,7 @@ def block_label(lam: Weight) -> tuple[BlockRecord, ...]:
     >>> block_label(weight(4, 7, 0))
     ((0, 3, 1),)
     """
-    classes: list[tuple[Coord, list[Coord]]] = []
-    for c in lam:
-        key = c - c.__floor__()
-        for k, members in classes:
-            if k == key:
-                members.append(c)
-                break
-        else:
-            classes.append((key, [c]))
-    return tuple(
-        (key, len(members), sum(1 for c in members if (c - key).numerator % 2 != 0))
-        for key, members in classes
-    )
+    return tuple((key, len(positions), odd) for key, positions, odd in _class_records(lam))
 
 
 def same_block(lam: Weight, mu: Weight) -> bool:
@@ -155,18 +155,8 @@ def canonical_representative(lam: Weight) -> Weight:
     >>> format_weight(canonical_representative(weight(0, "1/2", 1)))
     '1,1/2,0'
     """
-    classes: list[tuple[Coord, list[int]]] = []
-    for i, c in enumerate(lam):
-        key = c - c.__floor__()
-        for k, members in classes:
-            if k == key:
-                members.append(i)
-                break
-        else:
-            classes.append((key, [i]))
     out: list = [0] * len(lam)
-    for key, positions in classes:
-        odd = sum(1 for i in positions if (lam[i] - key).numerator % 2 != 0)
+    for key, positions, odd in _class_records(lam):
         for rank, i in enumerate(positions):
             out[i] = key + 1 if rank < odd else key
     return tuple(out)

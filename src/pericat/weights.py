@@ -86,13 +86,6 @@ def format_weight(lam: Weight) -> str:
     return ",".join(str(c) for c in lam)
 
 
-def pairing(lam: Weight, mu: Weight) -> Coord:
-    """The standard form <.,.> with <e_i, e_j> = delta_ij."""
-    if len(lam) != len(mu):
-        raise ValueError("dimension mismatch")
-    return sum((a * b for a, b in zip(lam, mu)), ZERO)
-
-
 def rho(n: int) -> Weight:
     """rho = (n-1, n-2, ..., 1, 0)."""
     return tuple(n - 1 - i for i in range(n))
@@ -101,13 +94,6 @@ def rho(n: int) -> Weight:
 def omega(n: int) -> Weight:
     """omega_n = e_1 + ... + e_n, the weight of the determinant character."""
     return (ONE,) * n
-
-
-def partial_weight(i: int, n: int) -> Weight:
-    """The block representative with i leading ones: (1,..,1,0,..,0)."""
-    if not 0 <= i <= n:
-        raise ValueError(f"partial weight index {i} out of range for n={n}")
-    return (ONE,) * i + (ZERO,) * (n - i)
 
 
 def shift(lam: Weight, k) -> Weight:
@@ -143,16 +129,6 @@ def even_root(i: int, j: int, n: int) -> Root:
     return tuple(
         ONE if k == i else -ONE if k == j else ZERO for k in range(n)
     )
-
-
-def positive_even_roots(n: int) -> list[Root]:
-    """Phi_0^+ = {e_i - e_j : i < j}, in lexicographic (i, j) order."""
-    return [even_root(i, j, n) for i, j in _positive_pairs(n)]
-
-
-def simple_roots(n: int) -> list[Root]:
-    """alpha_i = e_i - e_{i+1} for i = 0..n-2."""
-    return [even_root(i, i + 1, n) for i in range(n - 1)]
 
 
 def conjugate(beta: Root) -> Root:
@@ -231,16 +207,6 @@ def is_dominant(lam: Weight) -> bool:
     )
 
 
-def is_antidominant(lam: Weight) -> bool:
-    """No pairing with a positive even root lies in Z_{>0}."""
-    n = len(lam)
-    return all(
-        not (is_integer(lam[i] - lam[j]) and lam[i] - lam[j] > 0)
-        for i in range(n)
-        for j in range(i + 1, n)
-    )
-
-
 @lru_cache(maxsize=65536)
 def is_p_dominant(lam: Weight, p: Parabolic) -> bool:
     """lam lies in Sigma_p^+: <lam, alpha> in Z_{>0} for alpha in Phi^+(l).
@@ -298,6 +264,22 @@ def degree(lam: Weight) -> Coord:
 
 def is_integral(lam: Weight) -> bool:
     return all(is_integer(c) for c in lam)
+
+
+def integrality_classes(lam: Weight) -> list:
+    """The positions of lam grouped by integrality class, in first-occurrence
+    order, as ((r, d), positions): every coordinate there has denominator d
+    and fractional part r/d.  Two coordinates differ by an integer exactly
+    when they share the key, which is built from ints alone.
+
+    >>> integrality_classes(weight("1/2", 0, "3/2", 1))
+    [((1, 2), [0, 2]), ((0, 1), [1, 3])]
+    """
+    classes: dict = {}
+    for i, c in enumerate(lam):
+        d = c.denominator
+        classes.setdefault((c.numerator % d, d), []).append(i)
+    return list(classes.items())
 
 
 def n_odd(lam: Weight) -> int:

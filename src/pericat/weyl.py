@@ -19,11 +19,10 @@ True
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from functools import lru_cache
 from typing import Tuple
 
-from .weights import Parabolic, Weight, levi_blocks, pairing
+from .weights import Parabolic, Weight, levi_blocks
 
 Perm = Tuple[int, ...]
 Poly = Tuple[int, ...]
@@ -48,12 +47,6 @@ def inverse(w: Perm) -> Perm:
     out = [0] * len(w)
     for i, wi in enumerate(w):
         out[wi] = i
-    return tuple(out)
-
-
-def transposition(i: int, j: int, n: int) -> Perm:
-    out = list(range(n))
-    out[i], out[j] = out[j], out[i]
     return tuple(out)
 
 
@@ -94,23 +87,12 @@ def apply_perm(w: Perm, lam: Weight) -> Weight:
     return tuple(out)
 
 
-def reflect(lam: Weight, beta) -> Weight:
-    """s_beta lam = lam - <lam, beta> beta for an even root beta."""
-    v = pairing(lam, beta)
-    return tuple(c - v * b for c, b in zip(lam, beta))
-
-
 def parse_perm(text: str) -> Perm:
     """Parse 1-indexed one-line notation, e.g. "2,1,3" -> (1, 0, 2)."""
     values = [int(p.strip()) for p in text.split(",")]
     if sorted(values) != list(range(1, len(values) + 1)):
         raise ValueError(f"not a permutation in one-line notation: {text!r}")
     return tuple(v - 1 for v in values)
-
-
-def format_perm(w: Perm) -> str:
-    """1-indexed one-line notation: (1, 0, 2) -> "2,1,3"."""
-    return ",".join(str(v + 1) for v in w)
 
 
 def bruhat_leq(x: Perm, w: Perm) -> bool:
@@ -122,36 +104,6 @@ def bruhat_leq(x: Perm, w: Perm) -> bool:
             if a > b:
                 return False
     return True
-
-
-def integral_weyl_group(lam: Weight) -> tuple[Parabolic, Perm]:
-    """Integral Weyl group data of lam.
-
-    Coordinates are grouped by mutual integrality (equal fractional part),
-    classes ordered by first occurrence.  Returns the composition of class
-    sizes together with the sorting permutation w for which apply_perm(w, lam)
-    lists each class contiguously in that order; the integral Weyl group is
-    the parabolic S_{n_1} x ... x S_{n_k} conjugated by w.
-
-    >>> from .weights import weight
-    >>> integral_weyl_group(weight("1/2", 0, "3/2", 1))
-    ((2, 2), (0, 2, 1, 3))
-    """
-    classes: list[tuple[Fraction, list[int]]] = []
-    for i, c in enumerate(lam):
-        key = c - c.__floor__()
-        for k, members in classes:
-            if k == key:
-                members.append(i)
-                break
-        else:
-            classes.append((key, [i]))
-    composition = tuple(len(members) for _, members in classes)
-    order = [i for _, members in classes for i in members]
-    w = [0] * len(lam)
-    for new, old in enumerate(order):
-        w[old] = new
-    return composition, tuple(w)
 
 
 # --- simple (value) multiplications and descents ----------------------------
@@ -215,16 +167,6 @@ def poly_mul(a: Poly, b: Poly) -> Poly:
 
 def poly_eval(a: Poly, x) -> int:
     return sum(c * x**i for i, c in enumerate(a))
-
-
-def poly_reverse(a: Poly, top: int) -> Poly:
-    """q^top * a(1/q); requires deg a <= top."""
-    if len(a) - 1 > top:
-        raise ValueError("degree exceeds reversal bound")
-    out = [0] * (top + 1)
-    for i, c in enumerate(a):
-        out[top - i] = c
-    return poly_trim(out)
 
 
 def format_poly(a: Poly) -> str:
@@ -368,13 +310,6 @@ def _positions(x: Perm, w: Perm) -> tuple[_RankIndex, int, int]:
     if px is None or pw is None:
         raise ValueError(f"not permutations of range({len(w)}): {x}, {w}")
     return index, px, pw
-
-
-def mu_coefficient(z: Perm, w: Perm) -> int:
-    """Coefficient of q^((l(w)-l(z)-1)/2) in P_{z,w}, zero unless that is an
-    integer exponent (z < w)."""
-    index, pz, pw = _positions(z, w)
-    return index.mu(pz, pw)
 
 
 def kl_polynomial(x: Perm, w: Perm) -> Poly:

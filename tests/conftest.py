@@ -3,9 +3,11 @@
 import json
 from fractions import Fraction
 
+from hypothesis import strategies as st
+
 from pericat.characters import FormalChar, char_sum, delta, nabla
 from pericat.pe3 import tables
-from pericat.weights import weight
+from pericat.weights import is_integer, weight
 
 # One verdict line per acceptance criterion, printed after capture ends so
 # they are visible in the terminal summary of every run.
@@ -36,8 +38,36 @@ def del_sum(*rows) -> FormalChar:
     return char_sum(delta(weight(*row)) for row in rows)
 
 
+# Weights of rank <= 6 mixing ints, reduced Fractions and raw integral
+# Fractions such as Fraction(2, 1), which bypass `weight()`.
+mixed_weights = st.lists(
+    st.one_of(
+        st.integers(-6, 6),
+        st.builds(Fraction, st.integers(-12, 12), st.integers(1, 4)),
+        st.integers(-6, 6).map(Fraction),
+    ),
+    min_size=1,
+    max_size=6,
+).map(tuple)
+
+
 def frac_box(lo: int, hi: int):
     return [Fraction(v) for v in range(lo, hi + 1)]
+
+
+def partial_weight(i: int, n: int):
+    """The block representative with i leading ones: (1,..,1,0,..,0)."""
+    return (1,) * i + (0,) * (n - i)
+
+
+def is_antidominant(lam) -> bool:
+    """No pairing with a positive even root lies in Z_{>0}."""
+    n = len(lam)
+    return all(
+        not (is_integer(lam[i] - lam[j]) and lam[i] - lam[j] > 0)
+        for i in range(n)
+        for j in range(i + 1, n)
+    )
 
 
 def normalised(lam) -> bool:

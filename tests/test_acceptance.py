@@ -26,7 +26,7 @@ import time
 from fractions import Fraction
 
 import conftest
-from conftest import B3, B4, W, frac_box, nab_sum
+from conftest import B3, B4, W, frac_box, is_antidominant, nab_sum
 from pericat.characters import (
     DELTA,
     NABLA,
@@ -59,7 +59,6 @@ from pericat.tilting import tilting_equals_nabla, weakly_typical_tilting
 from pericat.weights import (
     borel,
     format_weight,
-    is_antidominant,
     is_dominant,
     is_p_dominant,
     is_p_weakly_typical,

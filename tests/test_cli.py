@@ -205,6 +205,58 @@ def test_error_bad_weight(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("char", "--to", "nabla"),  # the file is already in the nabla basis
+        ("theta", "--a", "0"),
+    ],
+)
+def test_error_simple_basis(capsys, tmp_path, argv):
+    src = tmp_path / "simple.json"
+    basis = "nabla" if argv[0] == "char" else "simple"
+    doc = {"basis": basis, "terms": [{"weight": ["0", "1"], "coeff": 1}]}
+    if basis == "nabla":
+        doc["parabolic"] = [1, 1]
+    src.write_text(json.dumps(doc))
+    code, _, err = run_cli(capsys, *argv, "--char", str(src))
+    assert code == 1
+    assert err.startswith("error: SimpleBasis:")
+    assert "Traceback" not in err
+
+
+def _nabla_doc(weight, coeff):
+    return {"basis": "nabla", "parabolic": [1, 1], "terms": [{"weight": weight, "coeff": coeff}]}
+
+
+@pytest.mark.parametrize(
+    "doc, needle",
+    [
+        ([{"weight": ["0", "1"], "coeff": 1}], "JSON object"),
+        (_nabla_doc([0, 1.5], 1), "term 0"),
+        (_nabla_doc([True, 1], 1), "term 0"),
+        (_nabla_doc(["0", "1"], 1.5), "term 0"),
+        (_nabla_doc(["0", "1"], True), "term 0"),
+    ],
+    ids=["list-document", "float-weight", "bool-weight", "float-coeff", "bool-coeff"],
+)
+def test_error_bad_character_file(capsys, tmp_path, doc, needle):
+    src = tmp_path / "bad.json"
+    src.write_text(json.dumps(doc))
+    code, _, err = run_cli(capsys, "char", "--char", str(src))
+    assert code == 1
+    assert err.startswith("error:") and needle in err
+    assert "Traceback" not in err
+
+
+def test_char_accepts_int_weight_entries(capsys, tmp_path):
+    src = tmp_path / "ints.json"
+    src.write_text(json.dumps(_nabla_doc([0, 1], 2)))
+    code, out, _ = run_cli(capsys, "char", "--char", str(src), "--format", "json")
+    assert code == 0
+    assert json.loads(out)["terms"] == [{"weight": ["0", "1"], "coeff": 2}]
+
+
 def test_parse_error_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["tilting"])  # missing --weight

@@ -5,8 +5,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
 
-from conftest import W, frac_box
+from conftest import W, frac_box, mixed_weights, normalised, partial_weight
 from pericat.linkage import (
     A_set,
     block_count,
@@ -22,7 +23,6 @@ from pericat.linkage import (
     thmA_delta_form,
     thmA_nabla_form,
 )
-from pericat.weights import is_antidominant, is_dominant, partial_weight, weight
 from pericat.weyl import all_perms, apply_perm
 
 
@@ -117,6 +117,57 @@ def test_canonical_representative():
     rep = canonical_representative(lam)
     assert canonical_representative(rep) == rep
     assert same_block(lam, rep)
+
+
+def _old_classes(lam):
+    """The grouping block labels used before `integrality_classes`: the
+    first-occurrence scan over c - floor(c), as (key, positions)."""
+    classes = []
+    for i, c in enumerate(lam):
+        key = c - c.__floor__()
+        for k, members in classes:
+            if k == key:
+                members.append(i)
+                break
+        else:
+            classes.append((key, [i]))
+    return classes
+
+
+def _old_block_label(lam):
+    return tuple(
+        (key, len(pos), sum(1 for i in pos if (lam[i] - key).numerator % 2 != 0))
+        for key, pos in _old_classes(lam)
+    )
+
+
+def _old_canonical_representative(lam):
+    out = [0] * len(lam)
+    for key, positions in _old_classes(lam):
+        odd = sum(1 for i in positions if (lam[i] - key).numerator % 2 != 0)
+        for rank, i in enumerate(positions):
+            out[i] = key + 1 if rank < odd else key
+    return tuple(out)
+
+
+@given(mixed_weights)
+def test_block_functions_match_floor_scan(lam):
+    assert block_label(lam) == _old_block_label(lam)
+    assert canonical_representative(lam) == _old_canonical_representative(lam)
+    assert normalised(canonical_representative(lam))
+    assert normalised([key for key, _, _ in block_label(lam)])
+
+
+def test_block_functions_normalise_raw_fraction_input():
+    # frac_box builds integral coordinates as Fraction(v); the outputs come
+    # back as ints all the same
+    box = frac_box(-2, 3)
+    for lam in itertools.product(box, repeat=3):
+        assert normalised(canonical_representative(lam)), lam
+        assert all(type(key) is int for key, _, _ in block_label(lam)), lam
+    half = (Fraction(1, 2), Fraction(3), Fraction(-3, 2))
+    assert canonical_representative(half) == W("1/2", 1, "1/2")
+    assert normalised(canonical_representative(half))
 
 
 def test_block_count():

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import B3, W, frac_box, nab_sum
+from conftest import B3, W, frac_box, is_antidominant, nab_sum
 from pericat.characters import DELTA, NABLA, nabla, nabla_to_delta
 from pericat.glmult import verma_simple_mult
 from pericat.linkage import strong_up_set, strongly_linked
@@ -29,7 +29,6 @@ from pericat.tilting import (
     weakly_typical_tilting,
 )
 from pericat.weights import (
-    is_antidominant,
     is_dominant,
     is_integral,
     is_p_weakly_typical,

@@ -4,8 +4,9 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
 
-from conftest import W, frac_box, normalised
+from conftest import W, frac_box, is_antidominant, mixed_weights, normalised, partial_weight
 from pericat.weights import (
     add,
     basis_vector,
@@ -15,7 +16,7 @@ from pericat.weights import (
     even_root,
     exact,
     format_weight,
-    is_antidominant,
+    integrality_classes,
     is_dominant,
     is_g0_weakly_typical,
     is_integer,
@@ -28,17 +29,20 @@ from pericat.weights import (
     n_odd,
     negate,
     omega,
-    pairing,
     parse_weight,
-    partial_weight,
-    positive_even_roots,
     rho,
     shift,
-    simple_roots,
     sub,
     weight,
 )
 from pericat.weyl import all_perms, apply_perm
+
+POSITIVE_ROOTS_3 = [even_root(i, j, 3) for i, j in itertools.combinations(range(3), 2)]
+
+
+def pairing(lam, mu):
+    """The standard form <.,.> with <e_i, e_j> = delta_ij."""
+    return sum(a * b for a, b in zip(lam, mu))
 
 
 def test_text_round_trip():
@@ -90,8 +94,6 @@ def test_root_data():
     n = 3
     assert even_root(0, 1, n) == W(1, -1, 0)
     assert conjugate(even_root(0, 1, n)) == W(1, 1, 0)
-    assert len(positive_even_roots(n)) == 3
-    assert len(simple_roots(n)) == 2
     assert pairing(W(1, -1, 0), even_root(0, 1, n)) == 2
 
 
@@ -100,7 +102,7 @@ def test_levi_structure():
     assert [list(r) for r in levi_blocks((2, 1))] == [[0, 1], [2]]
     assert levi_positive_roots((2, 1), 3) == [even_root(0, 1, 3)]
     assert levi_positive_roots((1, 1, 1), 3) == []
-    assert levi_positive_roots((3,), 3) == positive_even_roots(3)
+    assert levi_positive_roots((3,), 3) == POSITIVE_ROOTS_3
 
 
 def test_dominance():
@@ -121,7 +123,7 @@ def test_dominant_and_antidominant_iff_no_integer_pairing():
         both = is_dominant(lam) and is_antidominant(lam)
         none_integral = all(
             not (is_integer(pairing(lam, beta)) and pairing(lam, beta) != 0)
-            for beta in positive_even_roots(3)
+            for beta in POSITIVE_ROOTS_3
         )
         assert both == none_integral
 
@@ -186,7 +188,6 @@ def test_integral_coordinates_are_int():
         rho(4),
         omega(3),
         basis_vector(1, 3),
-        partial_weight(2, 4),
         even_root(0, 2, 3),
         conjugate(even_root(0, 2, 3)),
     ):
@@ -196,3 +197,32 @@ def test_integral_coordinates_are_int():
     assert degree(W(0, 1, "5/2")) == Fraction(1, 2)
     # An int equals and hashes like the equal Fraction, so either is a key.
     assert hash(weight(0, 2)) == hash((Fraction(0), Fraction(2)))
+
+
+def test_integrality_classes_fixtures():
+    assert [len(pos) for _, pos in integrality_classes(W(0, "1/2", 1))] == [2, 1]
+    assert integrality_classes(W(4, -1, 0)) == [((0, 1), [0, 1, 2])]
+    # 1/3 and 4/3 differ by an integer, 2/3 sits alone; first-occurrence
+    # ordering puts the size-2 class first.
+    assert integrality_classes(W("1/3", "2/3", "4/3")) == [((1, 3), [0, 2]), ((2, 3), [1])]
+    # a raw integral Fraction lands in the integral class
+    assert integrality_classes((Fraction(3), 0, Fraction(-1, 2))) == [
+        ((0, 1), [0, 1]),
+        ((1, 2), [2]),
+    ]
+
+
+@given(mixed_weights)
+def test_integrality_classes_partition(lam):
+    classes = integrality_classes(lam)
+    positions = [i for _, pos in classes for i in pos]
+    assert sorted(positions) == list(range(len(lam)))
+    # first-occurrence order: classes by their first position, each sorted
+    assert [pos[0] for _, pos in classes] == sorted(pos[0] for _, pos in classes)
+    assert all(pos == sorted(pos) for _, pos in classes)
+    cls = {i: key for key, pos in classes for i in pos}
+    for i, j in itertools.combinations(range(len(lam)), 2):
+        assert (cls[i] == cls[j]) == is_integer(lam[i] - lam[j])
+    for (r, d), pos in classes:
+        for i in pos:
+            assert Fraction(lam[i]) - (lam[i] // 1) == Fraction(r, d)
