@@ -7,14 +7,15 @@ gl(n) families even_verma(p) / even_simple / levi_simple(p).  Characters are
 never expanded into weight spaces; all identities are manipulated at the
 flag level.
 
-Conversions implemented here:
-  * nabla_to_delta: the costandard-to-standard expansion
-      ch Nabla_lam = sum over kappa in {0,2}^n of ch Delta_{lam-kappa}
-  * to_borel_delta: the alternating Levi-orbit expansion of a parabolic
-    (co)standard character into Borel standard ones
-  * delta_sum_to_nabla_sum / nabla_sum_to_delta_sum: greedy leading-term
-    collection, processing one degree level at a time (at most `depth`
-    levels; NonTerminating carries the leftover if the budget runs out)
+Conversions work in Delta(p) coordinates, which are the p-dominant
+coefficients of the Borel expansion (w.lam is not p-dominant for w != 1 in W_p):
+  * the kappa-rule ch Nabla^p_lam = sum over kappa in {0,2}^n of
+    ch Delta^p_{lam-kappa}, with lam-kappa sorted into Sigma_p^+ block by block
+    at the sign of the sort (0 if a Levi block repeats a coordinate)
+  * nabla_sum_to_delta_sum (the kappa-rule in one pass) and
+    delta_sum_to_nabla_sum (greedy, one degree level at a time); both raise
+    NonTerminating with the leftover past `depth` levels
+  * to_borel_delta / nabla_to_delta: the Levi orbits of the Delta(p) form
   * translation-functor rules theta_delta / theta_nabla / theta_char
   * shift_by_omega, the twist by a power of the determinant.
 
@@ -203,62 +204,71 @@ def nabla_to_delta(lam: Weight) -> FormalChar:
 @lru_cache(maxsize=None)
 def levi_weyl_group(p: Parabolic) -> tuple:
     """The Levi Weyl group as whole-space permutations, with lengths."""
-    blocks = levi_blocks(p)
-    n = sum(p)
     out = []
-    for parts in itertools.product(*(itertools.permutations(b) for b in blocks)):
-        word = [0] * n
-        for block, images in zip(blocks, parts):
-            for src, dst in zip(block, images):
-                word[src] = dst
-        w = tuple(word)
+    for parts in itertools.product(*(itertools.permutations(b) for b in levi_blocks(p))):
+        w = tuple(itertools.chain.from_iterable(parts))  # the blocks are contiguous
         out.append((w, length(w)))
     return tuple(out)
 
 
 def to_borel_delta(chi: FormalChar) -> FormalChar:
-    """Expand a Delta(p)- or Nabla(p)-basis character into Delta(borel)."""
-    sym = chi.sole_basis()
-    if sym.kind not in (DELTA, NABLA):
-        raise SimpleBasis(f"no Delta-expansion for basis {sym.kind!r}")
-    b = symbol(DELTA, borel(sum(sym.parabolic)))
-    out: dict = {}
-    for (_, lam), c in chi.terms.items():
-        for mu, d, _ in _leader_terms(sym.kind, lam, sym.parabolic):
-            key = (b, mu)
-            out[key] = out.get(key, 0) + c * d
-    return FormalChar(out)
+    """Expand a Delta(p)- or Nabla(p)-basis character into Delta(borel): the
+    alternating Levi orbit of each term of its Delta(p) form."""
+    kind = chi.sole_basis().kind
+    if kind not in (DELTA, NABLA):
+        raise SimpleBasis(f"no Delta-expansion for basis {kind!r}")
+    return _borel(*_delta_rows(chi, kind))
 
 
-@lru_cache(maxsize=None)
-def _kappas(n: int) -> tuple:
-    """(kappa, sum of kappa) for kappa in {0,2}^n."""
-    return tuple((kappa, sum(kappa)) for kappa in itertools.product((0, 2), repeat=n))
+def _borel(p: Parabolic, rows: dict) -> FormalChar:
+    """Delta(p) rows (degree -> weight -> coefficient) in Delta(borel); the
+    Levi orbits of distinct weights in Sigma_p^+ are disjoint and repeat no
+    weight, so no two terms meet."""
+    b = symbol(DELTA, borel(sum(p)))
+    return FormalChar({
+        (b, apply_perm(w, lam)): -c if lw % 2 else c
+        for row in rows.values() for lam, c in row.items() for w, lw in levi_weyl_group(p)
+    })
 
 
-def _leader_terms(kind: str, lam: Weight, p: Parabolic) -> list:
-    """The Delta(borel) expansion of Delta^p_lam (kind DELTA: the alternating
-    Levi orbit) or Nabla^p_lam (kind NABLA: each orbit term shifted down by
-    every kappa in {0,2}^n) as (mu, coeff, drop) triples, where
-    drop = degree(lam) - degree(mu)."""
+@lru_cache(maxsize=4096, typed=True)  # typed: a raw Fraction(2, 1) never stands in for 2
+def _block_kappas(*block: Coord) -> tuple:
+    """The kappa-rule on one Levi block: (mu, sign, drop) for each kappa in
+    {0,2}^k leaving block - kappa without a repeat, where mu is block - kappa
+    in decreasing order and sign is the sign of that sort."""
+    out = []
+    for kappa in itertools.product((0, 2), repeat=len(block)):
+        nu = list(map(operator.sub, block, kappa))
+        order = sorted(range(len(nu)), key=nu.__getitem__, reverse=True)
+        mu = tuple(nu[i] for i in order)
+        if all(map(operator.gt, mu, mu[1:])):
+            out.append((mu, (-1) ** length(order), sum(kappa)))
+    return tuple(out)
+
+
+def _flag_terms(kind: str, lam: Weight, p: Parabolic) -> list:
+    """The Delta(p) form of the kind(p) flag at lam as (mu, coeff, drop)
+    triples, drop = degree(lam) - degree(mu).  Delta^p_lam is itself;
+    Nabla^p_lam is the sum over kappa in {0,2}^n of Delta^p_{lam - kappa},
+    each sorted into Sigma_p^+ block by block at the sign of the sort, or 0
+    if a Levi block repeats a coordinate."""
     require_p_dominant(lam, p)
-    orbit = [(apply_perm(w, lam), (-1) ** lw) for w, lw in levi_weyl_group(p)]
     if kind == DELTA:
-        return [(mu, sign, 0) for mu, sign in orbit]
-    return [
-        (tuple(map(operator.sub, mu, kappa)), sign, drop)
-        for mu, sign in orbit
-        for kappa, drop in _kappas(len(lam))
-    ]
+        return [(lam, 1, 0)]
+    terms = [((), 1, 0)]
+    for size, stop in zip(p, itertools.accumulate(p)):
+        options = _block_kappas(*lam[stop - size : stop])
+        terms = [(mu + part, s * t, d + e) for mu, s, d in terms for part, t, e in options]
+    return terms
 
 
 def _subtract_leader(
     remaining: dict, kind: str, lam: Weight, p: Parabolic, top: Coord, c: int
 ) -> None:
-    """remaining -= c * (Delta(borel) expansion of the kind(p) flag at lam),
-    lam of degree top; remaining maps degree -> weight -> coefficient."""
+    """remaining -= c * (Delta(p) form of the kind(p) flag at lam), lam of
+    degree top; remaining maps degree -> weight -> coefficient."""
     rows: dict = {}  # drop -> row, so each degree key is hashed once
-    for mu, d, drop in _leader_terms(kind, lam, p):
+    for mu, d, drop in _flag_terms(kind, lam, p):
         row = rows.get(drop)
         if row is None:
             row = rows[drop] = remaining.setdefault(top - drop, {})
@@ -269,61 +279,56 @@ def _subtract_leader(
             del row[mu]
 
 
-def _collect(chi: FormalChar, depth: int, source: str, kind: str) -> FormalChar:
-    """Rewrite a source(p)-basis character in the kind(p) basis by expanding
-    it into Delta(borel) and eliminating leading terms one degree level at
-    a time."""
-    src = chi.sole_basis()
-    if src.kind != source:
-        raise SimpleBasis(f"expected a {source.title()}-basis character, got {src.kind!r}")
-    p = src.parabolic
-    # the remainder grouped by degree; a row emptied by cancellation stays
-    # until it is the top one, and is then dropped without using a level
-    remaining: dict[Coord, dict[Weight, int]] = {}
+def _delta_rows(chi: FormalChar, kind: str) -> tuple:
+    """(p, the Delta(p) form of the kind(p)-basis chi by degree); a row
+    emptied by cancellation stays as an empty dict."""
+    sym = chi.sole_basis()
+    if sym.kind != kind:
+        raise SimpleBasis(f"expected a {kind.title()}-basis character, got {sym.kind!r}")
+    rows: dict[Coord, dict[Weight, int]] = {}
     for (_, lam), c in chi.terms.items():
-        _subtract_leader(remaining, src.kind, lam, p, degree(lam), -c)
-    collected: dict = {}
-    out_sym = symbol(kind, p)
-    levels = 0
-    while remaining and levels < depth:
-        top = max(remaining)
-        level = remaining[top]
-        if not level:
-            del remaining[top]
-            continue
-        for lam in [lam for lam in level if is_p_dominant(lam, p)]:
-            c = level.get(lam, 0)
-            if c == 0:
-                continue
-            collected[(out_sym, lam)] = collected.get((out_sym, lam), 0) + c
-            _subtract_leader(remaining, kind, lam, p, top, c)
-        del remaining[top]
-        if level:
-            raise ValueError(
-                "not in the span of the target basis; leftover leading terms "
-                + ", ".join(format_weight(lam) for lam in sorted(level))
-            )
-        levels += 1
-    b = symbol(DELTA, borel(sum(p)))
-    leftover = {(b, lam): c for row in remaining.values() for lam, c in row.items()}
-    if leftover:
-        raise NonTerminating(depth, FormalChar(leftover))
-    return FormalChar(collected)
+        _subtract_leader(rows, kind, lam, sym.parabolic, degree(lam), -c)
+    return sym.parabolic, rows
 
 
 def delta_sum_to_nabla_sum(chi: FormalChar, depth: int = 64) -> FormalChar:
     """Rewrite a Delta(p)-basis character as a Nabla(p)-basis character.
 
-    Greedy: at each degree level the p-dominant leading weights are read
-    off and their costandard expansions subtracted.  Raises NonTerminating
-    if more than `depth` levels are needed (e.g. a lone Delta at n = 1 is
-    not a finite sum of Nablas)."""
-    return _collect(chi, depth, DELTA, NABLA)
+    Greedy, one degree level at a time: each weight of the top degree is
+    cleared by subtracting its costandard (only kappa = 0 keeps the degree).
+    Raises NonTerminating, with the rest in Delta(borel), if more than
+    `depth` levels are needed (a lone Delta at n = 1 is no finite sum)."""
+    if chi.is_zero():
+        return FormalChar()
+    p, remaining = _delta_rows(chi, DELTA)
+    out_sym = symbol(NABLA, p)
+    collected: dict = {}
+    levels = 0
+    while remaining and levels < depth:
+        top = max(remaining)
+        level = remaining[top]
+        levels += bool(level)  # a row emptied by cancellation uses no level
+        for lam, c in list(level.items()):  # each subtraction deletes its lam
+            collected[(out_sym, lam)] = c
+            _subtract_leader(remaining, NABLA, lam, p, top, c)
+        del remaining[top]
+    if any(remaining.values()):
+        raise NonTerminating(depth, _borel(p, remaining))
+    return FormalChar(collected)
 
 
 def nabla_sum_to_delta_sum(chi: FormalChar, depth: int = 64) -> FormalChar:
-    """Rewrite a Nabla(p)-basis character as a Delta(p)-basis character."""
-    return _collect(chi, depth, NABLA, DELTA)
+    """Rewrite a Nabla(p)-basis character as a Delta(p)-basis character by
+    the kappa-rule.  Raises NonTerminating if the answer spans more than
+    `depth` degrees, with the part below the top `depth` in Delta(borel)."""
+    if chi.is_zero():
+        return FormalChar()
+    p, rows = _delta_rows(chi, NABLA)
+    degrees = sorted((d for d, row in rows.items() if row), reverse=True)
+    if len(degrees) > depth:
+        raise NonTerminating(depth, _borel(p, {d: rows[d] for d in degrees[max(depth, 0) :]}))
+    out_sym = symbol(DELTA, p)
+    return FormalChar({(out_sym, lam): c for row in rows.values() for lam, c in row.items()})
 
 
 # --- translation functors -----------------------------------------------------
@@ -375,24 +380,13 @@ def shift_by_omega(chi: FormalChar, k) -> FormalChar:
 
 # --- serialization ------------------------------------------------------------
 
-_KIND_TO_JSON = {
-    DELTA: "delta",
-    NABLA: "nabla",
-    SIMPLE: "simple",
-    KAC: "kac",
-    EVEN_VERMA: "even_verma",
-    EVEN_SIMPLE: "even_simple",
-    LEVI_SIMPLE: "levi_simple",
-}
-_JSON_TO_KIND = {v: k for k, v in _KIND_TO_JSON.items()}
-
 
 def char_to_json(chi: FormalChar, empty_basis: str = DELTA) -> dict:
     """Serialize a single-basis character; weights as exact strings."""
     if chi.is_zero():
-        return {"basis": _KIND_TO_JSON[empty_basis], "terms": []}
+        return {"basis": empty_basis, "terms": []}
     sym = chi.sole_basis()
-    doc: dict = {"basis": _KIND_TO_JSON[sym.kind]}
+    doc: dict = {"basis": sym.kind}
     if sym.parabolic is not None:
         doc["parabolic"] = list(sym.parabolic)
     doc["terms"] = [
@@ -405,13 +399,23 @@ def char_to_json(chi: FormalChar, empty_basis: str = DELTA) -> dict:
 
 
 def char_from_json(doc) -> FormalChar:
-    """Inverse of char_to_json; bad weight entries and coefficients raise ValueError."""
+    """Inverse of char_to_json; a bad basis, parabolic, terms list, weight
+    entry or coefficient raises ValueError."""
     if not isinstance(doc, dict):
         raise ValueError("a character document must be a JSON object")
-    kind = _JSON_TO_KIND[doc["basis"]]
-    parabolic = tuple(doc["parabolic"]) if "parabolic" in doc else None
+    kind = doc.get("basis")
+    if not isinstance(kind, str) or kind not in PARABOLIC_KINDS | PLAIN_KINDS:
+        raise ValueError(f"unknown basis {kind!r}")
+    parabolic = doc.get("parabolic")
+    if parabolic is not None:
+        if type(parabolic) is not list or any(type(x) is not int or x < 1 for x in parabolic):
+            raise ValueError(f"parabolic {parabolic!r} is not a list of positive integers")
+        parabolic = tuple(parabolic)
+    terms = doc.get("terms")
+    if type(terms) is not list or any(type(term) is not dict for term in terms):
+        raise ValueError("terms must be a list of objects")
     out: dict = {}
-    for k, term in enumerate(doc["terms"]):
+    for k, term in enumerate(terms):
         coeff = term["coeff"]
         if type(coeff) is not int:
             raise ValueError(f"term {k}: coeff {coeff!r} is not an integer")

@@ -16,6 +16,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .characters import (
+    DELTA,
     FormalChar,
     MixedBasis,
     NABLA,
@@ -60,9 +61,9 @@ def _label_to_json(label) -> list[dict]:
     ]
 
 
-def _print_char(chi: FormalChar, fmt: str) -> None:
+def _print_char(chi: FormalChar, fmt: str, empty_basis: str = NABLA) -> None:
     if fmt == "json":
-        print(json.dumps(char_to_json(chi, empty_basis=NABLA)))
+        print(json.dumps(char_to_json(chi, empty_basis=empty_basis)))
         return
     if chi.is_zero():
         print("0")
@@ -145,7 +146,7 @@ def _cmd_char(args, fmt: str) -> int:
         chi = nabla_sum_to_delta_sum(chi)
     elif args.to == "nabla":
         chi = delta_sum_to_nabla_sum(chi)
-    _print_char(chi, fmt)
+    _print_char(chi, fmt, DELTA if args.to == "delta" else NABLA)
     return 0
 
 

@@ -136,11 +136,6 @@ def block_label(lam: Weight) -> tuple[BlockRecord, ...]:
     return tuple((key, len(positions), odd) for key, positions, odd in _class_records(lam))
 
 
-def same_block(lam: Weight, mu: Weight) -> bool:
-    """Equality of block labels as multisets of class records."""
-    return sorted(block_label(lam)) == sorted(block_label(mu))
-
-
 def canonical_representative(lam: Weight) -> Weight:
     """The standard weight in the block of lam.
 

@@ -6,6 +6,7 @@ from fractions import Fraction
 from hypothesis import strategies as st
 
 from pericat.characters import FormalChar, char_sum, delta, nabla
+from pericat.linkage import block_label
 from pericat.pe3 import tables
 from pericat.weights import is_integer, weight
 
@@ -58,6 +59,11 @@ def frac_box(lo: int, hi: int):
 def partial_weight(i: int, n: int):
     """The block representative with i leading ones: (1,..,1,0,..,0)."""
     return (1,) * i + (0,) * (n - i)
+
+
+def same_block(lam, mu) -> bool:
+    """Equality of block labels as multisets of class records."""
+    return sorted(block_label(lam)) == sorted(block_label(mu))
 
 
 def is_antidominant(lam) -> bool:

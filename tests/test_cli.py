@@ -237,8 +237,14 @@ def _nabla_doc(weight, coeff):
         (_nabla_doc([True, 1], 1), "term 0"),
         (_nabla_doc(["0", "1"], 1.5), "term 0"),
         (_nabla_doc(["0", "1"], True), "term 0"),
+        ({**_nabla_doc(["0", "1"], 1), "parabolic": "21"}, "parabolic"),
+        ({**_nabla_doc(["0", "1"], 1), "basis": "foo"}, "basis"),
+        ({**_nabla_doc(["0", "1"], 1), "terms": [5]}, "terms"),
     ],
-    ids=["list-document", "float-weight", "bool-weight", "float-coeff", "bool-coeff"],
+    ids=[
+        "list-document", "float-weight", "bool-weight", "float-coeff", "bool-coeff",
+        "string-parabolic", "unknown-basis", "int-term",
+    ],
 )
 def test_error_bad_character_file(capsys, tmp_path, doc, needle):
     src = tmp_path / "bad.json"
@@ -255,6 +261,19 @@ def test_char_accepts_int_weight_entries(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "char", "--char", str(src), "--format", "json")
     assert code == 0
     assert json.loads(out)["terms"] == [{"weight": ["0", "1"], "coeff": 2}]
+
+
+@pytest.mark.parametrize("to", ["delta", "nabla"])
+def test_char_converts_zero_character(capsys, tmp_path, to):
+    src = tmp_path / "nabla.json"
+    src.write_text(json.dumps(_nabla_doc(["0", "1"], 1)))
+    code, out, _ = run_cli(capsys, "theta", "--a", "9", "--char", str(src), "--format", "json")
+    assert code == 0 and json.loads(out)["terms"] == []
+    zero = tmp_path / "zero.json"
+    zero.write_text(out)
+    code, out, err = run_cli(capsys, "char", "--char", str(zero), "--to", to, "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"basis": to, "terms": []}
 
 
 def test_parse_error_exit_2(capsys):

@@ -7,14 +7,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given
 
-from conftest import W, frac_box, mixed_weights, normalised, partial_weight
+from conftest import W, frac_box, mixed_weights, normalised, partial_weight, same_block
 from pericat.linkage import (
     A_set,
     block_count,
     block_label,
     canonical_representative,
     cor36_edge,
-    same_block,
     strong_down_set,
     strong_up_set,
     strongly_linked,

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import B3, W, corrupt_row, nab_sum, normalised
+from conftest import B3, W, corrupt_row, nab_sum, normalised, same_block
 from pericat.characters import (
     NABLA,
     char_sum,
@@ -15,7 +15,6 @@ from pericat.characters import (
     shift_by_omega,
     theta_char,
 )
-from pericat.linkage import same_block
 from pericat.pe3 import tables
 from pericat.pe3.tables import (
     NoTableEntry,
