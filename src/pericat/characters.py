@@ -214,6 +214,8 @@ def levi_weyl_group(p: Parabolic) -> tuple:
 def to_borel_delta(chi: FormalChar) -> FormalChar:
     """Expand a Delta(p)- or Nabla(p)-basis character into Delta(borel): the
     alternating Levi orbit of each term of its Delta(p) form."""
+    if chi.is_zero():
+        return FormalChar()
     kind = chi.sole_basis().kind
     if kind not in (DELTA, NABLA):
         raise SimpleBasis(f"no Delta-expansion for basis {kind!r}")
@@ -400,7 +402,8 @@ def char_to_json(chi: FormalChar, empty_basis: str = DELTA) -> dict:
 
 def char_from_json(doc) -> FormalChar:
     """Inverse of char_to_json; a bad basis, parabolic, terms list, weight
-    entry or coefficient raises ValueError."""
+    entry or coefficient, a missing field, or a weight whose length is not
+    that of the parabolic (or of the first term) raises ValueError."""
     if not isinstance(doc, dict):
         raise ValueError("a character document must be a JSON object")
     kind = doc.get("basis")
@@ -414,8 +417,12 @@ def char_from_json(doc) -> FormalChar:
     terms = doc.get("terms")
     if type(terms) is not list or any(type(term) is not dict for term in terms):
         raise ValueError("terms must be a list of objects")
+    n = sum(parabolic) if parabolic is not None else None
     out: dict = {}
     for k, term in enumerate(terms):
+        for field in ("coeff", "weight"):
+            if field not in term:
+                raise ValueError(f"term {k}: no {field!r}")
         coeff = term["coeff"]
         if type(coeff) is not int:
             raise ValueError(f"term {k}: coeff {coeff!r} is not an integer")
@@ -425,6 +432,10 @@ def char_from_json(doc) -> FormalChar:
             raise ValueError(f"term {k}: {exc}") from None
         if not lam:
             raise ValueError(f"term {k}: empty weight")
+        if n is None:
+            n = len(lam)
+        elif len(lam) != n:
+            raise ValueError(f"term {k}: weight has {len(lam)} entries, expected {n}")
         key = (symbol(kind, parabolic), lam)
         out[key] = out.get(key, 0) + coeff
     return FormalChar(out)

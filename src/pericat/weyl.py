@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
+from math import factorial
+from operator import gt
 from typing import Tuple
 
 from .weights import Parabolic, Weight, levi_blocks
@@ -89,9 +91,13 @@ def apply_perm(w: Perm, lam: Weight) -> Weight:
 
 def parse_perm(text: str) -> Perm:
     """Parse 1-indexed one-line notation, e.g. "2,1,3" -> (1, 0, 2)."""
-    values = [int(p.strip()) for p in text.split(",")]
+    bad = ValueError(f"not a permutation in one-line notation: {text!r}")
+    try:
+        values = [int(p) for p in text.split(",")]
+    except ValueError:
+        raise bad from None
     if sorted(values) != list(range(1, len(values) + 1)):
-        raise ValueError(f"not a permutation in one-line notation: {text!r}")
+        raise bad
     return tuple(v - 1 for v in values)
 
 
@@ -197,42 +203,88 @@ class InvariantViolation(ValueError):
 class _RankIndex:
     """S_n enumerated once, as int tables over the positions of ``all_perms(n)``.
 
-    ``length[k]`` is l(w_k); ``descents[k]`` has bit i set iff s_i w_k < w_k;
-    ``left[i][k]`` is the position of s_i w_k.  Bruhat order is the
-    prefix-sorting criterion on packed keys: field (k, j) of ``key[w]``
-    holds the j-th smallest entry of w[:k] in ``bits`` value bits under a
-    guard bit, so ``((key[w] | guard) - key[x]) & guard == guard`` iff every
-    field of x is at most the matching field of w (no borrow crosses a
-    field).  ``by_length[s][L]`` lists the w of length L with s a left
-    descent.  ``kl`` memoizes P_{x,w} on normalized pairs, keyed x*size+w.
+    ``all_perms`` lists S_n in lexicographic order, so the position k of w
+    is the factorial-base number of its Lehmer code c (c_j counts the
+    j' > j with w(j') < w(j)): k = sum_j c_j (n-1-j)!.  The tables follow
+    from that arithmetic; none of them looks a permutation up in ``position``:
+
+    * ``length[k]`` is l(w_k), the digit sum of k;
+    * ``descents[k]`` has bit i set iff s_i w_k < w_k, i.e. iff a > b for
+      a = w_k^{-1}(i) and b = w_k^{-1}(i+1);
+    * ``left[i][k]`` is the position of s_i w_k.  Swapping the values i and
+      i+1 changes only the digit c_min(a, b), by +1 if a < b and -1 if not.
+
+    Bruhat order is the prefix-sorting criterion on packed keys: field
+    (k, j) of ``key[w]`` holds the j-th smallest entry of w[:k] in ``bits``
+    value bits under a guard bit, so ``((key[w] | guard) - key[x]) & guard
+    == guard`` iff every field of x is at most the matching field of w (no
+    borrow crosses a field).  Keys are packed prefix by prefix, each shared
+    by every permutation that extends it.  ``by_length[s][L]`` lists the w
+    of length L with s a left descent.  ``position`` maps a permutation to
+    its k.  ``kl`` memoizes P_{x,w} on normalized pairs, keyed x*size+w.
     """
 
     def __init__(self, n: int):
         perms = all_perms(n)
-        position = {w: k for k, w in enumerate(perms)}
+        size = len(perms)
         bits = max(1, (n - 1).bit_length())
         width = bits + 1
         fields = n * (n - 1) // 2
         self.perms = perms
-        self.size = len(perms)
-        self.position = position
-        self.length = [length(w) for w in perms]
-        self.descents = [sum(1 << i for i in left_descents(w)) for w in perms]
-        self.left = [[position[left_mult(i, w)] for w in perms] for i in range(n - 1)]
+        self.size = size
+        self.position = dict(zip(perms, range(size)))
         self.guard = sum(1 << (f * width + bits) for f in range(fields))
-        self.key = []
-        for w in perms:
-            packed, shift = 0, 0
-            for k in range(1, n):
-                for v in sorted(w[:k]):
-                    packed |= v << shift
-                    shift += width
-            self.key.append(packed)
+
+        # S_m is m blocks of (m-1)! positions, block d holding the w with
+        # w(0) = d, so the digit sums extend block by block.
+        lengths = [0]
+        for m in range(2, n + 1):
+            lengths = [d + l for d in range(m) for l in lengths]
+        self.length = lengths
+
+        where = [[w.index(v) for w in perms] for v in range(n)]  # w_k^{-1}(v)
+        place = [factorial(n - 1 - a) for a in range(n)]
+        self.descents = descents = [0] * size
+        self.left = []
         self.by_length = [[[] for _ in range(fields + 1)] for _ in range(n - 1)]
-        for k, w in enumerate(perms):
-            for i in range(n - 1):
-                if self.descents[k] >> i & 1:
-                    self.by_length[i][self.length[k]].append(k)
+        for i in range(n - 1):
+            col_a, col_b = where[i], where[i + 1]
+            self.left.append([
+                k - place[b] if a > b else k + place[a]
+                for k, a, b in zip(range(size), col_a, col_b)
+            ])
+            bit, rows = 1 << i, self.by_length[i]
+            for k in itertools.compress(range(size), map(gt, col_a, col_b)):
+                descents[k] |= bit
+                rows[lengths[k]].append(k)
+
+        # Prefixes one length at a time, in lexicographic order: a prefix
+        # carries its packed key so far, its sorted entries packed as one row,
+        # and the values left.  Adding v, which has r = v - j smaller entries in
+        # the prefix when it is the j-th value left, inserts one field at r.
+        level = [(0, 0, tuple(range(n)))]
+        shift = 0
+        for depth in range(1, n - 1):
+            extended = []
+            for packed, row, rest in level:
+                for j, v in enumerate(rest):
+                    cut = (v - j) * width
+                    low = row & ((1 << cut) - 1)
+                    row_v = low | v << cut | (row ^ low) << width
+                    extended.append((packed | row_v << shift, row_v, rest[:j] + rest[j + 1:]))
+            shift += depth * width
+            level = extended
+        if n < 2:
+            self.key = [0] * size
+        else:
+            # The last row, sorted(w[:n-1]), is every value but w(n-1).
+            last = [
+                sum(u << (u - (u > v)) * width for u in range(n) if u != v) << shift
+                for v in range(n)
+            ]
+            self.key = []
+            for packed, _, (a, b) in level:
+                self.key += (packed | last[b], packed | last[a])
         self.kl: dict[int, Poly] = {}
 
     def leq(self, x: int, w: int) -> bool:

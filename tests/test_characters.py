@@ -208,6 +208,13 @@ def test_expand_parabolic():
         to_borel_delta(delta(W(0, 1, 2), (2, 1)))
 
 
+def test_zero_character_converts_to_zero():
+    # Like both conversions and theta_char, the expansion maps 0 to 0
+    # rather than asking the empty character for its basis.
+    for convert in (to_borel_delta, nabla_sum_to_delta_sum, delta_sum_to_nabla_sum):
+        assert convert(ZERO_CHAR).is_zero()
+
+
 def test_parabolic_pieri_multiplicity_preservation():
     # For mu in Sigma_p^+ the parabolic Pieri coefficient matches the full
     # one computed through the Borel expansion.

@@ -122,6 +122,13 @@ def test_kl_and_mult(capsys):
     assert out.strip() == "0"
 
 
+@pytest.mark.parametrize("text", ["", "1,,2", "a,b", "1.0,2"])
+def test_error_bad_permutation(capsys, text):
+    code, out, err = run_cli(capsys, "kl", "--x", text, "--w", text)
+    assert (code, out) == (1, "")
+    assert err == f"error: not a permutation in one-line notation: {text!r}\n"
+
+
 def test_verify_subcommands(capsys):
     code, out, _ = run_cli(capsys, "verify", "thmD", "--bound", "4")
     assert code == 0
@@ -240,10 +247,20 @@ def _nabla_doc(weight, coeff):
         ({**_nabla_doc(["0", "1"], 1), "parabolic": "21"}, "parabolic"),
         ({**_nabla_doc(["0", "1"], 1), "basis": "foo"}, "basis"),
         ({**_nabla_doc(["0", "1"], 1), "terms": [5]}, "terms"),
+        ({**_nabla_doc(["0", "1"], 1), "parabolic": [2, 1]}, "term 0: weight has 2 entries"),
+        (
+            {"basis": "simple", "terms": [
+                {"weight": ["0", "1"], "coeff": 1}, {"weight": ["0", "1", "2"], "coeff": 1},
+            ]},
+            "term 1: weight has 3 entries",
+        ),
+        ({**_nabla_doc(["0", "1"], 1), "terms": [{"weight": ["0", "1"]}]}, "term 0: no 'coeff'"),
+        ({**_nabla_doc(["0", "1"], 1), "terms": [{"coeff": 1}]}, "term 0: no 'weight'"),
     ],
     ids=[
         "list-document", "float-weight", "bool-weight", "float-coeff", "bool-coeff",
-        "string-parabolic", "unknown-basis", "int-term",
+        "string-parabolic", "unknown-basis", "int-term", "weight-off-parabolic",
+        "weight-lengths-differ", "no-coeff", "no-weight",
     ],
 )
 def test_error_bad_character_file(capsys, tmp_path, doc, needle):

@@ -259,6 +259,57 @@ def _poisoned_memo(x, w, bad):
 E4, W3412 = identity(4), parse_perm("3,4,1,2")
 
 
+def _index_from_definitions(n: int) -> dict:
+    """The ``_RankIndex`` tables built per permutation from the definitions:
+    ``length``, the bits of ``left_descents``, the position of ``left_mult``
+    and the packed fields of ``sorted(w[:k])``."""
+    perms = all_perms(n)
+    position = {w: k for k, w in enumerate(perms)}
+    width = max(1, (n - 1).bit_length()) + 1
+    lengths = [length(w) for w in perms]
+    keys = []
+    for w in perms:
+        packed, shift = 0, 0
+        for k in range(1, n):
+            for v in sorted(w[:k]):
+                packed |= v << shift
+                shift += width
+        keys.append(packed)
+    by_length = [[[] for _ in range(n * (n - 1) // 2 + 1)] for _ in range(n - 1)]
+    for k, w in enumerate(perms):
+        for i in left_descents(w):
+            by_length[i][lengths[k]].append(k)
+    return {
+        "perms": perms,
+        "position": position,
+        "length": lengths,
+        "descents": [sum(1 << i for i in left_descents(w)) for w in perms],
+        "left": [[position[left_mult(i, w)] for w in perms] for i in range(n - 1)],
+        "key": keys,
+        "by_length": by_length,
+    }
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_rank_index_matches_definitions(n):
+    index = weyl._RankIndex(n)
+    for name, table in _index_from_definitions(n).items():
+        assert getattr(index, name) == table, name
+
+
+def test_kl_memo_holds_normalised_pairs_s5():
+    index = weyl._RankIndex(5)
+    for x in range(index.size):
+        for w in range(index.size):
+            index.poly(x, w)
+    assert len(index.kl) == 562
+
+
+def test_kl_smallest_ranks():
+    assert kl_polynomial((), ()) == (1,)
+    assert kl_polynomial((0,), (0,)) == (1,)
+
+
 def test_kl_invariant_violation_is_typed():
     with _poisoned_memo(E4, W3412, (2,)):
         with pytest.raises(InvariantViolation, match="malformed"):
