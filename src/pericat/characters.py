@@ -426,9 +426,11 @@ def char_from_json(doc) -> FormalChar:
         coeff = term["coeff"]
         if type(coeff) is not int:
             raise ValueError(f"term {k}: coeff {coeff!r} is not an integer")
+        if type(term["weight"]) is not list:
+            raise ValueError(f"term {k}: weight {term['weight']!r} is not a list")
         try:
             lam = tuple(exact(c) for c in term["weight"])
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:
             raise ValueError(f"term {k}: {exc}") from None
         if not lam:
             raise ValueError(f"term {k}: empty weight")

@@ -7,6 +7,11 @@ classes of coordinate positions; each integral factor is a Kazhdan-Lusztig
 value P_{w0 x, w0 y}(1) where x, y are the longest coset representatives
 carrying the nondecreasing (antidominant) orbit base to lam and mu.
 
+One ranking pass serves a whole multiplicity: the pair's shared multiset
+is sorted once, and every integrality class, and in [M^p_mu : L_lam] every
+Levi element, reads its rank pattern off those ranks.  A pattern's coset
+representative w0 x is one sort of its positions.
+
 `oracle_verma_mult_small` recomputes the n <= 3 answer from scratch by a
 different route (breadth-first strong linkage; every multiplicity there is
 0 or 1), and is used to cross-check the Kazhdan-Lusztig path in tests.
@@ -20,7 +25,6 @@ different route (breadth-first strong linkage; every multiplicity there is
 
 from __future__ import annotations
 
-from collections import defaultdict
 from functools import lru_cache
 from typing import Optional
 
@@ -36,7 +40,7 @@ from .weights import (
     reflect_coords,
     require_p_dominant,
 )
-from .weyl import InvariantViolation, apply_perm, compose, kl_eval_one, longest_element
+from .weyl import InvariantViolation, apply_perm, kl_eval_one
 
 __all__ = [
     "jantzen_sum",
@@ -44,7 +48,6 @@ __all__ = [
     "parabolic_verma_simple_mult",
     "oracle_verma_mult_small",
     "simple_in_verma_basis",
-    "max_coset_rep",
 ]
 
 
@@ -73,46 +76,59 @@ def jantzen_sum(lam: Weight) -> FormalChar:
     return FormalChar(out)
 
 
-def max_coset_rep(mu: Weight, nu: Weight) -> tuple:
-    """The longest permutation w with w(nu) = mu under the place action,
-    for nu nondecreasing.  (Shorter representatives differ by stabilizer
-    elements permuting equal coordinates.)"""
-    n = len(nu)
-    positions: dict = defaultdict(list)
-    for i, v in enumerate(nu):
-        positions[v].append(i)
-    taken = defaultdict(int)
-    w = [0] * n
-    for j, v in enumerate(mu):
-        i = positions[v][taken[v]]
-        taken[v] += 1
-        w[i] = j
-    x_min = tuple(w)
-    reverser = [0] * n
-    for block in positions.values():
-        for a, b in zip(block, reversed(block)):
-            reverser[a] = b
-    return compose(x_min, tuple(reverser))
+def _w0_rep(x: tuple) -> tuple:
+    """w0 x' for x' the longest permutation carrying sorted(x) to x under
+    the place action: the stable sort of the positions of reversed x."""
+    return tuple(sorted(range(len(x)), key=x[::-1].__getitem__))
 
 
 @lru_cache(maxsize=None)
-def _integral_mult(lam: tuple, mu: tuple) -> int:
-    """[M_lam : L_mu] for mutually integral coordinates, same multiset.
-
-    The value depends only on the relative order of the coordinates, so
-    callers pass rank patterns and the cache stays small."""
-    n = len(lam)
-    nu = tuple(sorted(lam))
-    x = max_coset_rep(lam, nu)
-    y = max_coset_rep(mu, nu)
-    w0 = longest_element(n)
-    return kl_eval_one(compose(w0, x), compose(w0, y))
+def _integral_mult(x: tuple, y: tuple) -> int:
+    """[M_lam : L_mu] = P_{w0 x', w0 y'}(1) inside one integrality class,
+    from the dense rank patterns x of lam and y of mu; the cache stays small."""
+    return kl_eval_one(_w0_rep(x), _w0_rep(y))
 
 
-def _exact_pairs(lam: Weight) -> list:
-    """The coordinates as exact (numerator, denominator) pairs: int tuples
-    compare and hash far faster than Fractions."""
-    return [(c.numerator, c.denominator) for c in lam]
+def _rank_pair(lam: Weight, mu: Weight):
+    """(x, y, dense, blocks), or None when no Borel term can be nonzero.
+
+    Rank r is the r-th distinct exact (numerator, denominator) pair of the
+    shared multiset, in value order inside each integrality class.  x and
+    y rank lam and mu, dense[r] is r's place in its class, and blocks holds
+    mu's positions and pattern per class, or None when one class holds all."""
+    if len(lam) != len(mu):
+        raise ValueError("dimension mismatch")
+    lam_q = [(c.numerator, c.denominator) for c in lam]
+    mu_q = [(c.numerator, c.denominator) for c in mu]
+    ordered = sorted(lam_q)
+    if ordered != sorted(mu_q):
+        return None  # a nonzero multiplicity needs equal multisets
+    rank = dict(zip(dict.fromkeys(ordered), range(len(ordered))))
+    x = tuple(map(rank.__getitem__, lam_q))
+    y = tuple(map(rank.__getitem__, mu_q))
+    keys = [(a % d, d) for a, d in rank]  # the integrality class of each rank
+    if len(set(keys)) < 2:
+        return x, y, None, None
+    if [keys[r] for r in x] != [keys[r] for r in y]:
+        return None  # some lam_i - mu_i is not an integer
+    # equal multisets and classes matching by position give equal
+    # multisets inside every class
+    dense = [keys[:r].count(k) for r, k in enumerate(keys)]
+    blocks = [(idx, tuple(dense[y[i]] for i in idx)) for _, idx in integrality_classes(mu)]
+    return x, y, dense, blocks
+
+
+def _term(x: tuple, y: tuple, dense: list, blocks) -> int:
+    """One Borel multiplicity from `_rank_pair` data, x possibly permuted
+    within the classes of positions: the product of its class factors."""
+    if blocks is None:
+        return _integral_mult(x, y)
+    total = 1
+    for idx, pattern in blocks:
+        total *= _integral_mult(tuple(dense[x[i]] for i in idx), pattern)
+        if not total:
+            return 0
+    return total
 
 
 def verma_simple_mult(lam: Weight, mu: Weight) -> int:
@@ -120,50 +136,24 @@ def verma_simple_mult(lam: Weight, mu: Weight) -> int:
 
     Zero unless mu rearranges lam within integrality classes of positions;
     otherwise a product of integral-block Kazhdan-Lusztig values."""
-    if len(lam) != len(mu):
-        raise ValueError("dimension mismatch")
-    lam_q, mu_q = _exact_pairs(lam), _exact_pairs(mu)
-    # nonzero multiplicity forces equal sub-multisets in every integrality
-    # class, hence equal multisets overall; this cheap test goes first
-    if sorted(lam_q) != sorted(mu_q):
-        return 0
-    return _pair_mult(lam_q, mu_q, integrality_classes(mu))
-
-
-def _pair_mult(lam_q: list, mu_q: list, classes: list) -> int:
-    """verma_simple_mult on `_exact_pairs` coordinates of the same multiset,
-    with `classes` the `integrality_classes` of mu.  Inside a class the
-    numerators order as the values do."""
-    total = 1
-    for (r, d), idx in classes:
-        if any(lam_q[i][1] != d or lam_q[i][0] % d != r for i in idx):
-            return 0  # some lam_i - mu_i is not an integer
-        sub_lam = [lam_q[i][0] for i in idx]
-        sub_mu = [mu_q[i][0] for i in idx]
-        if sorted(sub_lam) != sorted(sub_mu):
-            return 0
-        rank = {v: k for k, v in enumerate(sorted(set(sub_lam)))}
-        total *= _integral_mult(
-            tuple(rank[v] for v in sub_lam), tuple(rank[v] for v in sub_mu)
-        )
-        if total == 0:
-            return 0
-    return total
+    ranked = _rank_pair(lam, mu)
+    return 0 if ranked is None else _term(*ranked)
 
 
 def parabolic_verma_simple_mult(mu: Weight, lam: Weight, p: Parabolic) -> int:
     """[M^p_mu : L_lam]: alternating Levi-orbit sum of Borel Verma
     multiplicities.  Requires mu in Sigma_p^+."""
     require_p_dominant(mu, p)
-    if len(lam) != len(mu):
-        raise ValueError("dimension mismatch")
-    mu_q, lam_q = _exact_pairs(mu), _exact_pairs(lam)
-    if sorted(mu_q) != sorted(lam_q):
-        return 0  # every orbit term w(mu) has mu's multiset, so each is 0
-    classes = integrality_classes(lam)
+    # each Levi block of a p-dominant mu lies in one integrality class, so
+    # every w(mu) has mu's classes by position: one ranking serves all terms
+    ranked = _rank_pair(mu, lam)
+    if ranked is None:
+        return 0
+    x, y, dense, blocks = ranked
     total = 0
     for w, lw in levi_weyl_group(p):
-        total += (-1) ** lw * _pair_mult(apply_perm(w, mu_q), lam_q, classes)
+        m = _term(apply_perm(w, x), y, dense, blocks)
+        total += -m if lw % 2 else m
     if total < 0:
         raise InvariantViolation(
             f"[M^p_{format_weight(mu)} : L_{format_weight(lam)}] = {total} < 0 for p={p}"

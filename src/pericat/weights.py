@@ -45,7 +45,8 @@ def exact(c) -> Coord:
     """One exact coordinate: an int when integral, else a reduced Fraction.
 
     Accepts ints, Fractions and strings such as "1/2" or "0.5".  Floats are
-    refused (a binary float is rarely the rational meant), and so are bools.
+    refused (a binary float is rarely the rational meant), and so are bools;
+    a zero denominator raises ValueError.
 
     >>> exact("4/2"), exact(Fraction(1, 2)), exact(-3)
     (2, Fraction(1, 2), -3)
@@ -56,7 +57,10 @@ def exact(c) -> Coord:
         raise TypeError(
             f"weight coordinate {c!r} is not exact; use an int, Fraction or string"
         )
-    q = Fraction(c)
+    try:
+        q = Fraction(c)
+    except ZeroDivisionError:
+        raise ValueError(f"weight coordinate {c!r} has a zero denominator") from None
     return q.numerator if q.denominator == 1 else q
 
 

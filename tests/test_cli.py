@@ -215,6 +215,22 @@ def test_error_bad_weight(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
+        ("block", "--weight", "1/0,1"),
+        ("mult", "--verma", "0,1", "--simple", "1,0/0"),
+        ("tilting", "--weight", "1,-2/0,0"),
+        ("theta", "--a", "1/0", "--char", "unread.json"),
+    ],
+    ids=["block", "mult", "tilting", "theta"],
+)
+def test_error_zero_denominator(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: weight coordinate") and "zero denominator" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ("char", "--to", "nabla"),  # the file is already in the nabla basis
         ("theta", "--a", "0"),
     ],
@@ -256,11 +272,15 @@ def _nabla_doc(weight, coeff):
         ),
         ({**_nabla_doc(["0", "1"], 1), "terms": [{"weight": ["0", "1"]}]}, "term 0: no 'coeff'"),
         ({**_nabla_doc(["0", "1"], 1), "terms": [{"coeff": 1}]}, "term 0: no 'weight'"),
+        (_nabla_doc("01", 1), "term 0: weight '01' is not a list"),
+        (_nabla_doc(["x", "1"], 1), "term 0: Invalid literal"),
+        (_nabla_doc(["1/0", "1"], 1), "term 0: weight coordinate '1/0' has a zero denominator"),
     ],
     ids=[
         "list-document", "float-weight", "bool-weight", "float-coeff", "bool-coeff",
         "string-parabolic", "unknown-basis", "int-term", "weight-off-parabolic",
-        "weight-lengths-differ", "no-coeff", "no-weight",
+        "weight-lengths-differ", "no-coeff", "no-weight", "string-weight",
+        "non-numeric-entry", "zero-denominator",
     ],
 )
 def test_error_bad_character_file(capsys, tmp_path, doc, needle):

@@ -7,12 +7,15 @@ grids before any downstream fact is frozen.
 """
 
 import itertools
+import random
+from collections import defaultdict
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
 from conftest import W, frac_box
-from pericat.characters import EVEN_VERMA, char_sum
+from pericat.characters import EVEN_VERMA, char_sum, levi_weyl_group
 from pericat.glmult import (
     even_verma,
     jantzen_sum,
@@ -23,7 +26,14 @@ from pericat.glmult import (
 )
 from pericat import glmult
 from pericat.linkage import strong_down_set, strongly_linked
-from pericat.weyl import InvariantViolation
+from pericat.weights import integrality_classes, is_p_dominant
+from pericat.weyl import (
+    InvariantViolation,
+    apply_perm,
+    compose,
+    kl_eval_one,
+    longest_element,
+)
 
 
 def test_oracle_equivalence_n2_box():
@@ -155,3 +165,163 @@ def test_parabolic_negative_total_is_typed(monkeypatch):
     monkeypatch.setattr(glmult, "levi_weyl_group", lambda p: (((0, 1, 2), 1),))
     with pytest.raises(InvariantViolation, match="< 0"):
         parabolic_verma_simple_mult(mu, mu, (2, 1))
+
+
+# --- reference kernel ---------------------------------------------------------
+# The multiplicity kernel as it stood before one ranking pass served a whole
+# pair: the integrality split and a rank dict per class for every Borel term,
+# the parabolic sum re-splitting every Levi term, and coset representatives
+# built from dicts of positions.
+
+
+def _max_coset_rep(mu, nu):
+    """The longest permutation w with w(nu) = mu under the place action,
+    for nu nondecreasing."""
+    n = len(nu)
+    positions = defaultdict(list)
+    for i, v in enumerate(nu):
+        positions[v].append(i)
+    taken = defaultdict(int)
+    w = [0] * n
+    for j, v in enumerate(mu):
+        i = positions[v][taken[v]]
+        taken[v] += 1
+        w[i] = j
+    reverser = [0] * n
+    for block in positions.values():
+        for a, b in zip(block, reversed(block)):
+            reverser[a] = b
+    return compose(tuple(w), tuple(reverser))
+
+
+def _ref_w0_rep(pattern):
+    return compose(longest_element(len(pattern)), _max_coset_rep(pattern, tuple(sorted(pattern))))
+
+
+@lru_cache(maxsize=None)
+def _ref_integral(lam, mu):
+    return kl_eval_one(_ref_w0_rep(lam), _ref_w0_rep(mu))
+
+
+def _ref_pair_mult(lam_q, mu_q, classes):
+    total = 1
+    for (r, d), idx in classes:
+        if any(lam_q[i][1] != d or lam_q[i][0] % d != r for i in idx):
+            return 0
+        sub_lam = [lam_q[i][0] for i in idx]
+        sub_mu = [mu_q[i][0] for i in idx]
+        if sorted(sub_lam) != sorted(sub_mu):
+            return 0
+        rank = {v: k for k, v in enumerate(sorted(set(sub_lam)))}
+        total *= _ref_integral(tuple(rank[v] for v in sub_lam), tuple(rank[v] for v in sub_mu))
+        if total == 0:
+            return 0
+    return total
+
+
+def _pairs(lam):
+    return [(c.numerator, c.denominator) for c in lam]
+
+
+def ref_verma_mult(lam, mu):
+    lam_q, mu_q = _pairs(lam), _pairs(mu)
+    if sorted(lam_q) != sorted(mu_q):
+        return 0
+    return _ref_pair_mult(lam_q, mu_q, integrality_classes(mu))
+
+
+def ref_parabolic_mult(mu, lam, p):
+    mu_q, lam_q = _pairs(mu), _pairs(lam)
+    if sorted(mu_q) != sorted(lam_q):
+        return 0
+    classes = integrality_classes(lam)
+    return sum(
+        (-1) ** lw * _ref_pair_mult(apply_perm(w, mu_q), lam_q, classes)
+        for w, lw in levi_weyl_group(p)
+    )
+
+
+def _compositions(n):
+    if n == 0:
+        yield ()
+        return
+    for first in range(1, n + 1):
+        for rest in _compositions(n - first):
+            yield (first,) + rest
+
+
+def _p_dominant_for(lam):
+    return [p for p in _compositions(len(lam)) if is_p_dominant(lam, p)]
+
+
+def _check_against_reference(lam, mu, ps):
+    """verma_simple_mult(lam, mu), and parabolic_verma_simple_mult(lam, mu, p)
+    for every p in ps, against the reference kernel."""
+    assert verma_simple_mult(lam, mu) == ref_verma_mult(lam, mu), (lam, mu)
+    for p in ps:
+        got = parabolic_verma_simple_mult(lam, mu, p)
+        assert got == ref_parabolic_mult(lam, mu, p), (lam, mu, p)
+
+
+H, T = Fraction(1, 2), Fraction(1, 3)
+# ints, halves and thirds, with raw integral Fractions that bypass `weight()`
+REFERENCE_BOXES = {
+    1: (-1, 0, 1, Fraction(2), H, 3 * H, T, 4 * T),
+    2: (-1, 0, 1, Fraction(2), H, -H, 3 * H, T, 4 * T),
+    3: (0, 1, Fraction(2), H, 3 * H, T),
+    4: (0, 1, Fraction(2), H),
+}
+
+
+@pytest.mark.parametrize("n", sorted(REFERENCE_BOXES))
+def test_kernel_matches_reference_on_boxes(n):
+    box = list(itertools.product(REFERENCE_BOXES[n], repeat=n))
+    multisets = [sorted(_pairs(lam)) for lam in box]
+    for lam, lam_set in zip(box, multisets):
+        ps = _p_dominant_for(lam)
+        for mu, mu_set in zip(box, multisets):
+            if mu_set == lam_set:
+                _check_against_reference(lam, mu, ps)
+            else:  # the reference's first exit: every value is 0
+                assert verma_simple_mult(lam, mu) == 0, (lam, mu)
+                assert not any(parabolic_verma_simple_mult(lam, mu, p) for p in ps)
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_kernel_matches_reference_on_samples(n):
+    rng = random.Random(f"glmult-reference-{n}")
+    starts = (0, 1, -2, H, -3 * H, T, 2 * T, Fraction(3))
+    for _ in range(100):
+        # a p-dominant weight block by block, then rearrangements of it
+        p = rng.choice(list(_compositions(n)))
+        lam = []
+        for size in p:
+            c = rng.choice(starts)
+            for _ in range(size):
+                lam.append(c)
+                c -= rng.randint(1, 2)
+        lam = tuple(lam)
+        assert is_p_dominant(lam, p)
+        for _ in range(4):
+            mu = list(lam)
+            rng.shuffle(mu)
+            if rng.random() < 0.3:
+                mu[rng.randrange(n)] += rng.choice((1, H, T))
+            _check_against_reference(lam, tuple(mu), _p_dominant_for(lam))
+            assert verma_simple_mult(tuple(mu), lam) == ref_verma_mult(tuple(mu), lam)
+
+
+def _dense_patterns(n):
+    """Every tuple of length n whose values are exactly 0..k-1 for some k."""
+    for pattern in itertools.product(range(n), repeat=n):
+        if set(pattern) == set(range(max(pattern) + 1)):
+            yield pattern
+
+
+def test_single_sort_coset_representative():
+    count = 0
+    for n in range(1, 7):
+        for pattern in _dense_patterns(n):
+            assert glmult._w0_rep(pattern) == _ref_w0_rep(pattern), pattern
+            count += 1
+    assert count == 5316

@@ -171,6 +171,14 @@ def test_weight_rejects_float_and_bool():
     assert parse_weight("0.5,1") == (Fraction(1, 2), Fraction(1))
 
 
+def test_zero_denominator_is_a_value_error():
+    for bad in ("1/0", "0/0", "-3/0"):
+        with pytest.raises(ValueError, match=f"weight coordinate {bad!r} has a zero denominator"):
+            exact(bad)
+    with pytest.raises(ValueError, match="zero denominator"):
+        parse_weight("0,1/0")
+
+
 def test_integral_coordinates_are_int():
     assert [type(c) for c in weight(0, "1/2", Fraction(4, 2), "6/3")] == [
         int, Fraction, int, int
