@@ -38,6 +38,7 @@ from .weights import (
     integrality_classes,
     is_integer,
     reflect_coords,
+    refuse_inexact,
     require_p_dominant,
 )
 from .weyl import InvariantViolation, apply_perm, kl_eval_one
@@ -98,8 +99,12 @@ def _rank_pair(lam: Weight, mu: Weight):
     mu's positions and pattern per class, or None when one class holds all."""
     if len(lam) != len(mu):
         raise ValueError("dimension mismatch")
-    lam_q = [(c.numerator, c.denominator) for c in lam]
-    mu_q = [(c.numerator, c.denominator) for c in mu]
+    try:
+        lam_q = [(c.numerator, c.denominator) for c in lam]
+        mu_q = [(c.numerator, c.denominator) for c in mu]
+    except AttributeError:
+        refuse_inexact(lam, mu)
+        raise
     ordered = sorted(lam_q)
     if ordered != sorted(mu_q):
         return None  # a nonzero multiplicity needs equal multisets

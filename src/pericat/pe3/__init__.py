@@ -6,7 +6,6 @@ from .tables import (
     ParamSpec,
     TableIntegrityError,
     TiltingFamily,
-    instantiate,
     load_families,
     lookup_tilting_pe3,
 )
@@ -16,7 +15,6 @@ __all__ = [
     "ParamSpec",
     "TableIntegrityError",
     "TiltingFamily",
-    "instantiate",
     "load_families",
     "lookup_tilting_pe3",
 ]

@@ -10,7 +10,10 @@ fixture interface and are echoed verbatim in verification reports.
 typical weights are answered by the character engine, everything else is
 matched against the stored families after factoring out a multiple of
 ``omega = (1,1,1)`` (tensoring with the one-dimensional module shifts every
-weight in the character by the same multiple of ``omega``).
+weight in the character by the same multiple of ``omega``).  The shape of a
+row lives only in its ``hw`` pattern and parameter domains: lookup tries
+every stored row of the requested parabolic, so a row added to a
+replacement file is reachable.
 """
 
 from __future__ import annotations
@@ -31,10 +34,10 @@ from ..weights import (
     borel,
     exact,
     format_weight,
-    is_integer,
     is_p_dominant,
     is_p_weakly_typical,
     require_p_dominant,
+    shift,
     weight,
 )
 
@@ -110,13 +113,6 @@ class TiltingFamily(NamedTuple):
                 )
         return given
 
-    def admissible(self, values: Optional[Mapping[str, Numeric]] = None) -> bool:
-        try:
-            self._resolve(values)
-        except ValueError:
-            return False
-        return True
-
     def _substitute(self, pattern: tuple[Token, ...], values: Mapping[str, Coord]) -> Weight:
         try:
             return tuple(values[t] if type(t) is str else t for t in pattern)
@@ -163,13 +159,6 @@ class TiltingFamily(NamedTuple):
         return chi
 
 
-def instantiate(
-    family: TiltingFamily, params: Optional[Mapping[str, Numeric]] = None
-) -> FormalChar:
-    """Concrete character of a table row at the given parameter values."""
-    return family.instantiate(params)
-
-
 def _compile_pattern(text: str, names: set[str]) -> tuple[Token, ...]:
     out: list[Token] = []
     for token in text.split(","):
@@ -177,7 +166,7 @@ def _compile_pattern(text: str, names: set[str]) -> tuple[Token, ...]:
         if token not in names:
             try:
                 token = exact(token)
-            except (ValueError, ZeroDivisionError):
+            except ValueError:
                 pass  # kept as a name; instantiate reports it
         out.append(token)
     return tuple(out)
@@ -248,103 +237,35 @@ def load_families(refresh: bool = False) -> dict[str, TiltingFamily]:
     return _CACHE[key]
 
 
-def _integral_borel_matches(lam: Weight) -> list[tuple[str, dict[str, Fraction], Fraction]]:
-    """(family id, params, omega shift) for fully integral rank-3 weights."""
-    out: list[tuple[str, dict[str, Fraction], Fraction]] = []
-    l0, l1, l2 = lam
-    if l1 - l0 == 1:  # shape (k, k+1, k+b)
-        k, b = l0, l2 - l0
-        if b > 2:
-            out.append(("5.1", {"b": b}, k))
-        elif b == 1:
-            out.append(("5.2", {}, k))
-        elif b < -1:
-            out.append(("5.3", {"b": b}, k))
-        elif b == -1:
-            out.append(("5.4", {}, k))
-        elif b == 0:
-            out.append(("5.5", {}, k))
-        # b == 2 is resolved by the (2,3) pattern below.
-    if l2 - l0 == 1:  # shape (k, k+c, k+1)
-        k, c = l0, l1 - l0
-        if c > 1:
-            out.append(("5.6", {"c": c}, k))
-        elif c == 1:
-            out.append(("5.7", {}, k))
-        elif c == -1:
-            out.append(("5.8", {}, k))
-        elif c < -1:
-            out.append(("5.9", {"c": c}, k))
-        # c == 0 is resolved by the (2,3) pattern below.
-    if l2 - l1 == 1:  # shape (k+a, k, k+1)
-        k, a = l1, l0 - l1
-        if a < -2:
-            out.append(("5.10", {"a": a}, k))
-        elif a == -2:
-            out.append(("5.14", {}, k))
-        elif a == -1:
-            out.append(("5.15", {}, k))
-        elif a == 0:
-            out.append(("5.13", {}, k))
-        elif a == 1:
-            out.append(("5.12", {}, k))
-        else:  # a > 1
-            out.append(("5.11", {"a": a}, k))
-    return out
-
-
-def _mixed_borel_matches(lam: Weight) -> list[tuple[str, dict[str, Fraction], Fraction]]:
-    """Matches for weights whose first two coordinates are congruent mod Z
-    while the third lies in a different class."""
-    l0, l1, l2 = lam
-    if l1 - l0 == 1:
-        k = l0
-        return [("5.5-2", {"c": l2 - k}, k)]
-    return []
-
-
-def _p21_matches(lam: Weight) -> list[tuple[str, dict[str, Fraction], Fraction]]:
-    out: list[tuple[str, dict[str, Fraction], Fraction]] = []
-    l0, l1, l2 = lam
-    if l0 - l1 == 1:  # shape (k+1, k, k+a)
-        k, a = l1, l2 - l1
-        if a >= 3:
-            out.append(("5.8-1", {"a": a}, k))
-        elif a == 2:
-            out.append(("5.8-2", {}, k))
-        elif a == 1:
-            out.append(("5.8-3", {}, k))
-        elif a == 0:
-            out.append(("5.8-4", {}, k))
-        elif a == -1:
-            out.append(("5.8-5", {}, k))
-        else:  # a <= -2
-            out.append(("5.8-6", {"a": a}, k))
-    if l2 - l0 == 1:  # shape (k+1, k+a, k+2)
-        k = l0 - 1
-        a = l1 - k
-        if a <= -2:
-            out.append(("5.8-7", {"a": a}, k))
-        elif a == -1:
-            out.append(("5.8-8", {}, k))
-    return out
-
-
-def _shift_family_hw(fam: TiltingFamily, params: Mapping[str, Fraction], k: Fraction) -> Weight:
-    base = fam.highest_weight(params)
-    return tuple(c + k for c in base)
+def _solve(fam: TiltingFamily, lam: Weight) -> Optional[tuple[dict[str, Coord], Coord]]:
+    """(params, k) with lam = hw(params) + k*omega and every parameter inside
+    its domain, or None: one k serves every constant of the row's highest
+    weight, and each parameter is lam_i - k wherever it appears."""
+    shifts = [c - t for t, c in zip(fam.hw, lam) if type(t) is not str]
+    if len(fam.hw) != len(lam) or not shifts or shifts.count(shifts[0]) != len(shifts):
+        return None
+    k = shifts[0]
+    values: dict[str, Coord] = {}
+    for t, c in zip(fam.hw, lam):
+        if type(t) is str and values.setdefault(t, c - k) != c - k:
+            return None
+    for name, spec in fam.params:
+        if name not in values or not spec.admits(values[name]):
+            return None
+    # an undeclared token stays out, so instantiate names it as corrupt
+    return {name: values[name] for name, _ in fam.params}, k
 
 
 def lookup_tilting_pe3(lam: Weight, p: Optional[Parabolic] = None) -> FormalChar:
     """Tilting character for a rank-3 highest weight.
 
     Weakly typical weights are answered by the character engine for any
-    parabolic.  Otherwise the weight is matched against the stored table
-    rows:  the standard-parabolic rows cover every integral weight as well
-    as the mixed-integrality shape where the first two coordinates differ by
-    one, and the ``(2,1)``-parabolic rows cover the eight stored shapes.
-    Raises :class:`NoTableEntry` when nothing matches and
-    :class:`TableIntegrityError` when a matching row is corrupt.
+    parabolic.  Otherwise every stored row of parabolic p is tried in file
+    order, solving lam = hw(params) + k*omega with each parameter inside its
+    domain, and the first match is returned shifted by k.  Raises
+    :class:`NoTableEntry` when no row matches (the stored rows are
+    Borel and ``(2,1)`` only) and :class:`TableIntegrityError` when a
+    matching row is corrupt or two matching rows disagree.
     """
     if len(lam) != 3:
         raise ValueError(f"table lookup requires rank 3, got {len(lam)}")
@@ -356,46 +277,21 @@ def lookup_tilting_pe3(lam: Weight, p: Optional[Parabolic] = None) -> FormalChar
     if is_p_weakly_typical(lam, p):
         return weakly_typical_tilting(lam, p)
 
-    d1, d2 = lam[1] - lam[0], lam[2] - lam[0]
-    matches: list[tuple[str, dict[str, Fraction], Fraction]] = []
-    if p == (1, 1, 1):
-        if is_integer(d1) and is_integer(d2):
-            matches = _integral_borel_matches(lam)
-        elif is_integer(d1) and not is_integer(d2):
-            matches = _mixed_borel_matches(lam)
-    elif p == (2, 1):
-        if is_integer(d1) and is_integer(d2):
-            matches = _p21_matches(lam)
-    else:
-        raise NoTableEntry(
-            f"no tables for parabolic {p}; only the weakly typical route "
-            f"covers it, and {format_weight(lam)} is not weakly typical"
-        )
-
+    base = shift(lam, -lam[0])  # int wherever lam_1's class allows: no Fraction arithmetic
+    matches = []
+    for fam in load_families().values():
+        solved = _solve(fam, base) if fam.parabolic == p else None
+        if solved is not None:
+            params, k = solved
+            matches.append((fam.id, shift_by_omega(fam.instantiate(params), k + lam[0])))
     if not matches:
         raise NoTableEntry(
             f"no table entry for weight {format_weight(lam)} with parabolic {p}"
         )
-
-    families = load_families()
-    chars: list[FormalChar] = []
-    for fam_id, params, k in matches:
-        fam = families[fam_id]
-        if fam.parabolic != p:
-            raise TableIntegrityError(
-                f"family {fam_id}: parabolic {fam.parabolic}, expected {p}"
-            )
-        if _shift_family_hw(fam, params, k) != lam:
-            raise TableIntegrityError(
-                f"family {fam_id}: highest weight at {params} shifted by {k} "
-                f"is not {format_weight(lam)}"
-            )
-        chars.append(shift_by_omega(fam.instantiate(params), k))
-    first = chars[0]
-    for other, (fam_id, _, _) in zip(chars[1:], matches[1:]):
+    first_id, first = matches[0]
+    for fam_id, other in matches[1:]:
         if other != first:
             raise TableIntegrityError(
-                f"families {matches[0][0]} and {fam_id} disagree at "
-                f"{format_weight(lam)}"
+                f"families {first_id} and {fam_id} disagree at {format_weight(lam)}"
             )
     return first

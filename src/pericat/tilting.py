@@ -42,6 +42,7 @@ from .weights import (
     is_p_weakly_typical,
     levi_blocks,
     negate,
+    refuse_inexact,
     require_p_dominant,
     shift,
 )
@@ -156,8 +157,13 @@ def weakly_typical_tilting(lam: Weight, p: Optional[Parabolic] = None) -> Formal
         )
     eta = neg_w0p(lam, p)
     sym = symbol(NABLA, p)
+    try:
+        up_set = strong_up_set(eta)
+    except AttributeError:
+        refuse_inexact(lam)
+        raise
     terms = {}  # neg_w0p is a bijection, so each mu arrives once
-    for nu in strong_up_set(eta):
+    for nu in up_set:
         if not is_p_dominant(nu, p):
             continue
         mu = neg_w0p(nu, p)

@@ -64,6 +64,15 @@ def exact(c) -> Coord:
     return q.numerator if q.denominator == 1 else q
 
 
+def refuse_inexact(*weights) -> None:
+    """Raise TypeError naming the first coordinate that is not an int or
+    Fraction.  The engine reads coordinates unchecked and calls this only
+    after an AttributeError, so exact input pays nothing for the check."""
+    for c in (c for lam in weights for c in lam):
+        if not isinstance(c, (int, Fraction)):
+            raise TypeError(f"weight coordinate {c!r} is not exact; build it with weight()")
+
+
 def weight(*coords) -> Weight:
     """Coerce integers/strings/Fractions to an exact weight tuple.
 
@@ -217,10 +226,14 @@ def is_p_dominant(lam: Weight, p: Parabolic) -> bool:
 
     These are the weights indexing parabolic Vermas/costandards in O^p.
     """
-    for i, j in _levi_pairs(tuple(p), len(lam)):
-        v = lam[i] - lam[j]
-        if not (is_integer(v) and v > 0):
-            return False
+    try:
+        for i, j in _levi_pairs(tuple(p), len(lam)):
+            v = lam[i] - lam[j]
+            if not (is_integer(v) and v > 0):
+                return False
+    except AttributeError:
+        refuse_inexact(lam)
+        raise
     return True
 
 

@@ -121,6 +121,17 @@ def test_parabolic_requires_p_dominant():
         parabolic_verma_simple_mult(W(0, 1, 2), W(0, 1, 2), (2, 1))
 
 
+def test_verma_mult_refuses_float_coordinates():
+    with pytest.raises(TypeError, match="weight coordinate 1.5 is not exact"):
+        verma_simple_mult((1.5, 0), (0, 1.5))
+
+
+@pytest.mark.parametrize("p", [(1, 1), (2,)])
+def test_parabolic_mult_refuses_float_coordinates(p):
+    with pytest.raises(TypeError, match="weight coordinate 1.5 is not exact"):
+        parabolic_verma_simple_mult((1.5, 0), (0, 1.5), p)
+
+
 def test_oracle_rank_guard():
     with pytest.raises(ValueError):
         oracle_verma_mult_small(W(1, 0, 2, 3), W(0, 1, 2, 3))

@@ -1,5 +1,6 @@
 """pe(3) tilting table data, the lookup router, and the verification suite."""
 
+import itertools
 import json
 import shutil
 from fractions import Fraction
@@ -19,7 +20,6 @@ from pericat.pe3 import tables
 from pericat.pe3.tables import (
     NoTableEntry,
     TableIntegrityError,
-    instantiate,
     load_families,
     lookup_tilting_pe3,
 )
@@ -33,7 +33,13 @@ from pericat.pe3.verify import (
     verify_theorem_D,
 )
 from pericat.tilting import weakly_typical_tilting
-from pericat.weights import weight
+from pericat.weights import (
+    format_weight,
+    is_p_dominant,
+    is_p_weakly_typical,
+    shift,
+    weight,
+)
 
 
 def test_family_count_and_ids():
@@ -110,6 +116,56 @@ def test_lookup_miss_raises_without_warning(capfd):
     with pytest.raises(NoTableEntry, match="2,0,1"):
         lookup_tilting_pe3(W(2, 0, 1), (2, 1))
     assert capfd.readouterr().err == ""
+
+
+def test_lookup_round_trips_every_row():
+    # Each stored row at each sample instance, shifted by k*omega, is found
+    # again by the lookup wherever the weight is not weakly typical.
+    checked = skipped = 0
+    for fam in load_families().values():
+        for params in _instances(fam, 6):
+            for k in (0, 1, -2, Fraction(1, 2)):
+                lam = shift(fam.highest_weight(params), k)
+                if is_p_weakly_typical(lam, fam.parabolic):
+                    skipped += 1
+                    continue
+                expected = shift_by_omega(fam.instantiate(params), k)
+                assert lookup_tilting_pe3(lam, fam.parabolic) == expected, (fam.id, params, k)
+                checked += 1
+    assert (checked, skipped) == (236, 144)
+
+
+@pytest.mark.parametrize("p, hits, misses", [((1, 1, 1), 256, 142), ((2, 1), 88, 96)])
+def test_lookup_hit_and_miss_counts(p, hits, misses):
+    # Every p-dominant, non-weakly-typical weight over a small box of
+    # integers and halves: the stored rows reach exactly these.
+    values = list(range(-3, 4)) + [Fraction(k, 2) for k in range(-5, 6, 2)]
+    outcomes = []
+    for coords in itertools.product(values, repeat=3):
+        lam = weight(*coords)
+        if is_p_dominant(lam, p) and not is_p_weakly_typical(lam, p):
+            try:
+                lookup_tilting_pe3(lam, p)
+                outcomes.append(True)
+            except NoTableEntry:
+                outcomes.append(False)
+    assert (outcomes.count(True), outcomes.count(False)) == (hits, misses)
+
+
+@pytest.mark.parametrize("lam, p", [((0, 1, 0), (1, 2)), ((2, 1, 0), (3,))])
+def test_lookup_miss_without_rows_names_weight_and_parabolic(lam, p):
+    # No stored row has these parabolics; the miss reads like any other.
+    with pytest.raises(NoTableEntry) as exc:
+        lookup_tilting_pe3(W(*lam), p)
+    assert str(exc.value) == f"no table entry for weight {format_weight(lam)} with parabolic {p}"
+
+
+def test_widened_row_domain_is_caught(tmp_path, monkeypatch):
+    # Row 5.1 (0,1,b) with b >= 2 instead of b >= 3 reaches (0,1,2), which
+    # row 5.15 covers at shift 1 with a different character.
+    monkeypatch.setenv("PERICAT_FIXTURES", str(corrupt_row(tmp_path, "5.1", "widen-domain")))
+    with pytest.raises(TableIntegrityError, match="families 5.1 and 5.15 disagree at 0,1,2"):
+        lookup_tilting_pe3(W(0, 1, 2))
 
 
 def test_lookup_shift_consistency_across_patterns():

@@ -123,6 +123,11 @@ def test_tilting_requires_weak_typicality():
         weakly_typical_tilting(W(0, 1, 5))
 
 
+def test_tilting_refuses_float_coordinates():
+    with pytest.raises(TypeError, match="weight coordinate 1.5 is not exact"):
+        weakly_typical_tilting((1.5, 0, 3))
+
+
 def test_tilting_leading_coefficient_and_positivity():
     for lam in (W(-1, 1, -3), W(2, -1, 1), W(0, 2, -3)):
         chi = weakly_typical_tilting(lam)
