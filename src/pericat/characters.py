@@ -19,6 +19,10 @@ coefficients of the Borel expansion (w.lam is not p-dominant for w != 1 in W_p):
   * translation-functor rules theta_delta / theta_nabla / theta_char
   * shift_by_omega, the twist by a power of the determinant.
 
+The conversions and theta keep their rows on scaled ints: weights times the
+least common denominator d of a character's coordinates (and theta's a), so
+kappa steps by 2d and theta by d; an integral character has d = 1.
+
 >>> from .weights import weight, borel
 >>> theta_nabla(-1, weight(-1, 1, 1), borel(3)) == (
 ...     nabla(weight(0, 1, 1)) + nabla(weight(-1, 0, 1)) + nabla(weight(-1, 1, 0))
@@ -34,17 +38,17 @@ from functools import lru_cache
 from typing import Iterable, NamedTuple, Optional
 
 from .weights import (
-    Coord,
     Parabolic,
     Weight,
     borel,
     degree,
     exact,
     format_weight,
-    is_p_dominant,
     levi_blocks,
     require_p_dominant,
+    scale,
     shift,
+    unscale,
 )
 from .weyl import apply_perm, length
 
@@ -222,24 +226,24 @@ def to_borel_delta(chi: FormalChar) -> FormalChar:
     return _borel(*_delta_rows(chi, kind))
 
 
-def _borel(p: Parabolic, rows: dict) -> FormalChar:
-    """Delta(p) rows (degree -> weight -> coefficient) in Delta(borel); the
-    Levi orbits of distinct weights in Sigma_p^+ are disjoint and repeat no
-    weight, so no two terms meet."""
+def _borel(p: Parabolic, d: int, rows: dict) -> FormalChar:
+    """Delta(p) rows (degree -> weight scaled by d -> coefficient) in
+    Delta(borel); the Levi orbits of distinct weights in Sigma_p^+ are
+    disjoint and repeat no weight, so no two terms meet."""
     b = symbol(DELTA, borel(sum(p)))
     return FormalChar({
         (b, apply_perm(w, lam)): -c if lw % 2 else c
-        for row in rows.values() for lam, c in row.items() for w, lw in levi_weyl_group(p)
+        for row in rows.values() for lam, c in unscale(row, d) for w, lw in levi_weyl_group(p)
     })
 
 
-@lru_cache(maxsize=4096, typed=True)  # typed: a raw Fraction(2, 1) never stands in for 2
-def _block_kappas(*block: Coord) -> tuple:
-    """The kappa-rule on one Levi block: (mu, sign, drop) for each kappa in
-    {0,2}^k leaving block - kappa without a repeat, where mu is block - kappa
-    in decreasing order and sign is the sign of that sort."""
+@lru_cache(maxsize=4096)
+def _block_kappas(two: int, *block: int) -> tuple:
+    """The kappa-rule on one Levi block, kappa in {0, two}^k: (mu, sign,
+    drop) for each kappa leaving block - kappa without a repeat, where mu is
+    block - kappa in decreasing order and sign is the sign of that sort."""
     out = []
-    for kappa in itertools.product((0, 2), repeat=len(block)):
+    for kappa in itertools.product((0, two), repeat=len(block)):
         nu = list(map(operator.sub, block, kappa))
         order = sorted(range(len(nu)), key=nu.__getitem__, reverse=True)
         mu = tuple(nu[i] for i in order)
@@ -248,33 +252,32 @@ def _block_kappas(*block: Coord) -> tuple:
     return tuple(out)
 
 
-def _flag_terms(kind: str, lam: Weight, p: Parabolic) -> list:
-    """The Delta(p) form of the kind(p) flag at lam as (mu, coeff, drop)
-    triples, drop = degree(lam) - degree(mu).  Delta^p_lam is itself;
-    Nabla^p_lam is the sum over kappa in {0,2}^n of Delta^p_{lam - kappa},
-    each sorted into Sigma_p^+ block by block at the sign of the sort, or 0
-    if a Levi block repeats a coordinate."""
-    require_p_dominant(lam, p)
+def _flag_terms(kind: str, x: tuple, p: Parabolic, d: int) -> list:
+    """The Delta(p) form of the kind(p) flag at x, a weight of Sigma_p^+
+    scaled by d, as (mu, coeff, drop) triples, drop = sum(x) - sum(mu).
+    Delta^p_x is itself; Nabla^p_x is the sum over kappa in {0,2d}^n of
+    Delta^p_{x - kappa}, each sorted into Sigma_p^+ block by block at the
+    sign of the sort, or 0 if a Levi block repeats a coordinate."""
     if kind == DELTA:
-        return [(lam, 1, 0)]
+        return [(x, 1, 0)]
     terms = [((), 1, 0)]
     for size, stop in zip(p, itertools.accumulate(p)):
-        options = _block_kappas(*lam[stop - size : stop])
-        terms = [(mu + part, s * t, d + e) for mu, s, d in terms for part, t, e in options]
+        options = _block_kappas(2 * d, *x[stop - size : stop])
+        terms = [(mu + part, s * t, e + f) for mu, s, e in terms for part, t, f in options]
     return terms
 
 
 def _subtract_leader(
-    remaining: dict, kind: str, lam: Weight, p: Parabolic, top: Coord, c: int
+    remaining: dict, kind: str, x: tuple, p: Parabolic, d: int, top: int, c: int
 ) -> None:
-    """remaining -= c * (Delta(p) form of the kind(p) flag at lam), lam of
-    degree top; remaining maps degree -> weight -> coefficient."""
+    """remaining -= c * (Delta(p) form of the kind(p) flag at x), x scaled
+    by d with sum top; remaining maps sum -> scaled weight -> coefficient."""
     rows: dict = {}  # drop -> row, so each degree key is hashed once
-    for mu, d, drop in _flag_terms(kind, lam, p):
+    for mu, k, drop in _flag_terms(kind, x, p, d):
         row = rows.get(drop)
         if row is None:
             row = rows[drop] = remaining.setdefault(top - drop, {})
-        v = row.get(mu, 0) - c * d
+        v = row.get(mu, 0) - c * k
         if v:
             row[mu] = v
         else:
@@ -282,15 +285,18 @@ def _subtract_leader(
 
 
 def _delta_rows(chi: FormalChar, kind: str) -> tuple:
-    """(p, the Delta(p) form of the kind(p)-basis chi by degree); a row
-    emptied by cancellation stays as an empty dict."""
+    """(p, d, the Delta(p) form of the kind(p)-basis chi scaled by d, by
+    degree); a row emptied by cancellation stays as an empty dict."""
     sym = chi.sole_basis()
     if sym.kind != kind:
         raise SimpleBasis(f"expected a {kind.title()}-basis character, got {sym.kind!r}")
-    rows: dict[Coord, dict[Weight, int]] = {}
-    for (_, lam), c in chi.terms.items():
-        _subtract_leader(rows, kind, lam, sym.parabolic, degree(lam), -c)
-    return sym.parabolic, rows
+    p = sym.parabolic
+    d, xs = scale([lam for _, lam in chi.terms])
+    rows: dict[int, dict[tuple, int]] = {}
+    for x, c in zip(xs, chi.terms.values()):
+        require_p_dominant(x, p, d)  # the leaders derived from x are in Sigma_p^+
+        _subtract_leader(rows, kind, x, p, d, sum(x), -c)
+    return p, d, rows
 
 
 def delta_sum_to_nabla_sum(chi: FormalChar, depth: int = 64) -> FormalChar:
@@ -302,21 +308,21 @@ def delta_sum_to_nabla_sum(chi: FormalChar, depth: int = 64) -> FormalChar:
     `depth` levels are needed (a lone Delta at n = 1 is no finite sum)."""
     if chi.is_zero():
         return FormalChar()
-    p, remaining = _delta_rows(chi, DELTA)
-    out_sym = symbol(NABLA, p)
+    p, d, remaining = _delta_rows(chi, DELTA)
     collected: dict = {}
     levels = 0
     while remaining and levels < depth:
         top = max(remaining)
         level = remaining[top]
         levels += bool(level)  # a row emptied by cancellation uses no level
-        for lam, c in list(level.items()):  # each subtraction deletes its lam
-            collected[(out_sym, lam)] = c
-            _subtract_leader(remaining, NABLA, lam, p, top, c)
+        for x, c in list(level.items()):  # each subtraction deletes its x
+            collected[x] = c
+            _subtract_leader(remaining, NABLA, x, p, d, top, c)
         del remaining[top]
     if any(remaining.values()):
-        raise NonTerminating(depth, _borel(p, remaining))
-    return FormalChar(collected)
+        raise NonTerminating(depth, _borel(p, d, remaining))
+    out_sym = symbol(NABLA, p)
+    return FormalChar({(out_sym, lam): c for lam, c in unscale(collected, d)})
 
 
 def nabla_sum_to_delta_sum(chi: FormalChar, depth: int = 64) -> FormalChar:
@@ -325,12 +331,12 @@ def nabla_sum_to_delta_sum(chi: FormalChar, depth: int = 64) -> FormalChar:
     `depth` degrees, with the part below the top `depth` in Delta(borel)."""
     if chi.is_zero():
         return FormalChar()
-    p, rows = _delta_rows(chi, NABLA)
-    degrees = sorted((d for d, row in rows.items() if row), reverse=True)
+    p, d, rows = _delta_rows(chi, NABLA)
+    degrees = sorted((e for e, row in rows.items() if row), reverse=True)
     if len(degrees) > depth:
-        raise NonTerminating(depth, _borel(p, {d: rows[d] for d in degrees[max(depth, 0) :]}))
+        raise NonTerminating(depth, _borel(p, d, {e: rows[e] for e in degrees[max(depth, 0) :]}))
     out_sym = symbol(DELTA, p)
-    return FormalChar({(out_sym, lam): c for row in rows.values() for lam, c in row.items()})
+    return FormalChar({(out_sym, lam): c for row in rows.values() for lam, c in unscale(row, d)})
 
 
 # --- translation functors -----------------------------------------------------
@@ -355,22 +361,22 @@ def theta_char(a, chi: FormalChar) -> FormalChar:
     sym = chi.sole_basis()
     if sym.kind not in (DELTA, NABLA):
         raise SimpleBasis(f"translation rule undefined on basis {sym.kind!r}")
-    a = exact(a)
-    a2 = a + 2
     p = sym.parabolic
+    d, ((a,), *xs) = scale([(exact(a),)] + [lam for _, lam in chi.terms])
+    moves = {a: (d, -d)} if sym.kind == DELTA else {a: (d,), a + 2 * d: (-d,)}
+    edges = set(itertools.accumulate(p, initial=0))  # where the Levi blocks start and end
     out: dict = {}
-    for (_, lam), c in chi.terms.items():
-        require_p_dominant(lam, p)
-        if sym.kind == DELTA:
-            steps = [(i, s) for i, x in enumerate(lam) if x == a for s in (1, -1)]
-        else:
-            steps = [(i, 1 if x == a else -1) for i, x in enumerate(lam) if x in (a, a2)]
-        for i, s in steps:
-            mu = lam[:i] + (lam[i] + s,) + lam[i + 1 :]
-            if is_p_dominant(mu, p):
-                key = (sym, mu)
-                out[key] = out.get(key, 0) + c
-    return FormalChar(out)
+    for x, c in zip(xs, chi.terms.values()):
+        require_p_dominant(x, p, d)
+        for i, v in enumerate(x):
+            for s in moves.get(v, ()):
+                # the moved weight stays in Sigma_p^+ unless the move closes
+                # the gap, a positive multiple of d, to its Levi-block neighbour
+                k = i if s > 0 else i + 1
+                if k in edges or x[k - 1] - x[k] != d:
+                    mu = x[:i] + (v + s,) + x[i + 1 :]
+                    out[mu] = out.get(mu, 0) + c
+    return FormalChar({(sym, mu): c for mu, c in unscale(out, d)})
 
 
 def shift_by_omega(chi: FormalChar, k) -> FormalChar:

@@ -34,6 +34,7 @@ from .weights import (
     is_integer,
     is_p_dominant,
     levi_positive_roots,
+    refuse_inexact,
     require_p_dominant,
     sub,
 )
@@ -87,14 +88,18 @@ def strongly_linked(mu: Weight, lam: Weight) -> bool:
 def _closure(start: Weight, sign: int) -> frozenset[Weight]:
     seen = {start}
     frontier = [start]
-    while frontier:
-        nxt = []
-        for nu in frontier:
-            for nb in _neighbors(nu, sign):
-                if nb not in seen:
-                    seen.add(nb)
-                    nxt.append(nb)
-        frontier = nxt
+    try:
+        while frontier:
+            nxt = []
+            for nu in frontier:
+                for nb in _neighbors(nu, sign):
+                    if nb not in seen:
+                        seen.add(nb)
+                        nxt.append(nb)
+            frontier = nxt
+    except AttributeError:
+        refuse_inexact(start)
+        raise
     return frozenset(seen)
 
 
@@ -116,8 +121,13 @@ BlockRecord = tuple[Coord, int, int]  # (class key, size, odd count)
 def _class_records(lam: Weight) -> list:
     """(key, positions, odd count) per integrality class of lam, in
     first-occurrence order; the key is the class's fractional part."""
+    try:
+        classes = integrality_classes(lam)
+    except AttributeError:
+        refuse_inexact(lam)
+        raise
     out = []
-    for (r, d), positions in integrality_classes(lam):
+    for (r, d), positions in classes:
         odd = sum((lam[i].numerator - r) // d % 2 for i in positions)
         out.append((r if d == 1 else Fraction(r, d), positions, odd))
     return out

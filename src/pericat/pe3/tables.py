@@ -184,6 +184,11 @@ def _parse_family(record: dict) -> TiltingFamily:
         )
         for name, spec in record.get("params", {}).items()
     )
+    for _, spec in params:
+        if spec.kind not in ("int", "nonint"):
+            raise TableIntegrityError(
+                f"family {record['id']}: unknown parameter kind {spec.kind!r}"
+            )
     names = {name for name, _ in params}
     return TiltingFamily(
         id=record["id"],

@@ -159,7 +159,7 @@ def weakly_typical_tilting(lam: Weight, p: Optional[Parabolic] = None) -> Formal
     sym = symbol(NABLA, p)
     try:
         up_set = strong_up_set(eta)
-    except AttributeError:
+    except TypeError:  # it names a coordinate of eta; name the caller's instead
         refuse_inexact(lam)
         raise
     terms = {}  # neg_w0p is a bijection, so each mu arrives once

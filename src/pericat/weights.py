@@ -28,7 +28,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Tuple, Union
+from itertools import chain
+from math import lcm
+from typing import Iterable, Sequence, Tuple, Union
 
 Coord = Union[int, Fraction]
 Weight = Tuple[Coord, ...]
@@ -71,6 +73,32 @@ def refuse_inexact(*weights) -> None:
     for c in (c for lam in weights for c in lam):
         if not isinstance(c, (int, Fraction)):
             raise TypeError(f"weight coordinate {c!r} is not exact; build it with weight()")
+
+
+def scale(weights: Sequence[Weight]) -> tuple[int, Sequence[tuple[int, ...]]]:
+    """(d, the weights times d as int tuples), d the least common
+    denominator of their coordinates; weights of ints alone are returned as
+    they are, with d = 1.  A float coordinate raises refuse_inexact's error.
+
+    >>> scale([(1, Fraction(1, 2)), (Fraction(-2, 3), 0)])
+    (6, [(6, 3), (-4, 0)])
+    """
+    if set(map(type, chain.from_iterable(weights))) <= {int}:
+        return 1, weights
+    try:
+        d = lcm(*{c.denominator for c in chain.from_iterable(weights)})
+    except AttributeError:
+        refuse_inexact(*weights)
+        raise
+    return d, [tuple([c.numerator * (d // c.denominator) for c in lam]) for lam in weights]
+
+
+def unscale(terms: dict, d: int) -> Iterable[tuple[Weight, object]]:
+    """The items of terms with each key x, a weight scaled by d, as x/d."""
+    if d == 1:
+        return terms.items()
+    coord = {v: v // d if v % d == 0 else Fraction(v, d) for v in {v for x in terms for v in x}}
+    return zip([tuple(map(coord.__getitem__, x)) for x in terms], terms.values())
 
 
 def weight(*coords) -> Weight:
@@ -221,15 +249,16 @@ def is_dominant(lam: Weight) -> bool:
 
 
 @lru_cache(maxsize=65536)
-def is_p_dominant(lam: Weight, p: Parabolic) -> bool:
-    """lam lies in Sigma_p^+: <lam, alpha> in Z_{>0} for alpha in Phi^+(l).
+def is_p_dominant(lam: Weight, p: Parabolic, d: int = 1) -> bool:
+    """lam/d lies in Sigma_p^+: <lam/d, alpha> in Z_{>0} for alpha in
+    Phi^+(l), where d > 1 takes lam as scaled by `scale`.
 
     These are the weights indexing parabolic Vermas/costandards in O^p.
     """
     try:
         for i, j in _levi_pairs(tuple(p), len(lam)):
             v = lam[i] - lam[j]
-            if not (is_integer(v) and v > 0):
+            if not (is_integer(v) and v > 0 and v % d == 0):
                 return False
     except AttributeError:
         refuse_inexact(lam)
@@ -237,9 +266,10 @@ def is_p_dominant(lam: Weight, p: Parabolic) -> bool:
     return True
 
 
-def require_p_dominant(lam: Weight, p: Parabolic) -> None:
-    """Raise ValueError unless lam lies in Sigma_p^+."""
-    if not is_p_dominant(lam, p):
+def require_p_dominant(lam: Weight, p: Parabolic, d: int = 1) -> None:
+    """Raise ValueError unless lam/d lies in Sigma_p^+ (see is_p_dominant)."""
+    if not is_p_dominant(lam, p, d):
+        lam = tuple(Fraction(c, d) for c in lam)
         raise ValueError(f"{format_weight(lam)} is not in Sigma_p^+ for p={p}")
 
 

@@ -94,6 +94,9 @@ def _mutate(rec: dict, mutation: str) -> None:
     if mutation == "widen-domain":  # the first parameter's lower bound cut by one
         next(iter(rec["params"].values()))["min"] -= 1
         return
+    if mutation == "unknown-kind":  # the first parameter's kind misspelt
+        next(iter(rec["params"].values()))["kind"] = "integer"
+        return
     coords = terms[1][0].split(",")
     if mutation == "unlinked":  # second term's first coordinate moved by 1/2
         coords[0] = str(Fraction(coords[0]) + Fraction(1, 2))

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import B3, B4, W, del_sum, nab_sum, normalised
+from conftest import B2, B3, B4, W, del_sum, nab_sum, normalised
 from pericat import characters
 from pericat.characters import (
     DELTA,
@@ -45,6 +45,7 @@ from pericat.weights import (
     format_weight,
     is_p_dominant,
     require_p_dominant,
+    scale,
     weight,
 )
 from pericat.weyl import apply_perm
@@ -517,8 +518,12 @@ def test_conversions_match_previous_route(data):
         return
     depth = data.draw(st.sampled_from((1, 2, 64)))
     assert to_borel_delta(nab) == _ref_to_borel_delta(nab)
+    assert all(normalised(mu) for mu in to_borel_delta(nab).support())
     d_form = _outcome(nabla_sum_to_delta_sum, nab, depth)
     assert d_form == _outcome(_ref_convert, nab, depth)
+    # equality cannot tell 2 from Fraction(2, 1): every coordinate is
+    # checked to come back normalised, also inside a NonTerminating remainder
+    assert all(normalised(mu) for mu in _result_char(d_form).support())
     if isinstance(d_form, FormalChar):
         # the Delta form converts back; an extra Delta makes it infinite, so
         # the remainder at a small depth is compared
@@ -529,6 +534,7 @@ def test_conversions_match_previous_route(data):
             assert to_borel_delta(dlt) == _ref_to_borel_delta(dlt)
             got = _outcome(delta_sum_to_nabla_sum, dlt, back)
             assert got == _outcome(_ref_convert, dlt, back)
+            assert all(normalised(mu) for mu in _result_char(got).support())
             if dlt == d_form:
                 assert got == nab
     alphabet = sorted({c for mu in nab.support() for c in mu} | {Fraction(1, 2)})
@@ -536,6 +542,54 @@ def test_conversions_match_previous_route(data):
         assert theta_char(a, nab) == _ref_theta_char(a, nab)
         dlt = _ref_to_borel_delta(nab)
         assert theta_char(a, dlt) == _ref_theta_char(a, dlt)
+        for image in (theta_char(a, nab), theta_char(a, dlt)):
+            assert all(normalised(mu) for mu in image.support())
+
+
+def _result_char(outcome):
+    """The character an _outcome carries: the result, or the remainder."""
+    return outcome if isinstance(outcome, FormalChar) else outcome[2] or FormalChar()
+
+
+@pytest.mark.parametrize(
+    "a, rows, p",
+    [
+        # a's denominator 3 is in no coordinate: the scale is 6, and a wrong
+        # rounding of a would meet the integral coordinates
+        (Fraction(1, 3), [("1/2", 0, "-1/2"), (0, 1, "1/2"), ("3/2", "1/2", 0)], B3),
+        (Fraction(1, 3), [(2, 1, "1/2"), ("5/2", "3/2", 0)], (2, 1)),
+        # a's denominator 2 is in no coordinate of a third-integral character
+        (Fraction(1, 2), [("1/3", 0, 1), ("4/3", "1/3", "2/3"), (1, 0, "-2/3")], B3),
+        (Fraction(1, 2), [("4/3", "1/3", "-2/3", "-5/3"), (1, 0, 1, 0)], (2, 2)),
+        # a shares its denominator with some of the coordinates only
+        (Fraction(1, 3), [("1/3", "-2/3", "1/2"), ("4/3", "1/3", "-3/2")], (2, 1)),
+        (Fraction(-5, 3), [("1/3", "-2/3", "1/2"), ("4/3", "1/3", "-3/2")], (2, 1)),
+    ],
+)
+def test_theta_with_a_denominator_of_its_own(a, rows, p):
+    for kind in (DELTA, NABLA):
+        chi = char_sum(FormalChar.single(kind, weight(*row), p) for row in rows)
+        image = theta_char(a, chi)
+        assert image == _ref_theta_char(a, chi)
+        assert all(normalised(mu) for mu in image.support())
+
+
+@pytest.mark.parametrize(
+    "convert, kind",
+    [
+        (nabla_sum_to_delta_sum, NABLA),
+        (delta_sum_to_nabla_sum, DELTA),
+        (to_borel_delta, NABLA),
+        (to_borel_delta, DELTA),
+        (lambda chi: theta_char(0, chi), NABLA),
+        (lambda chi: theta_char(Fraction(1, 2), chi), DELTA),
+    ],
+)
+@pytest.mark.parametrize("p", [B2, (2,)])
+def test_kernel_refuses_float_coordinates(convert, kind, p):
+    chi = FormalChar({(symbol(kind, p), (1.5, 0)): 1})
+    with pytest.raises(TypeError, match="weight coordinate 1.5 is not exact"):
+        convert(chi)
 
 
 def test_raw_fraction_blocks_do_not_reach_normalised_results():
@@ -560,17 +614,19 @@ def test_flag_terms_are_the_p_dominant_borel_part(data):
     # degree level alone: every Delta -> Nabla level clears.
     p = data.draw(st.sampled_from(_PARABOLICS))
     lam = data.draw(_p_dominant_weight(p))
+    d, (x,) = scale([lam])  # the flag terms are on coordinates scaled by d
     for kind in (DELTA, NABLA):
         got = {}
-        for mu, c, drop in characters._flag_terms(kind, lam, p):
-            assert is_p_dominant(mu, p) and drop == degree(lam) - degree(mu)
+        for mu, c, drop in characters._flag_terms(kind, x, p, d):
+            mu = tuple(Fraction(v, d) for v in mu)
+            assert is_p_dominant(mu, p) and drop == d * (degree(lam) - degree(mu))
             got[mu] = got.get(mu, 0) + c
         ref = _ref_leader_expansion(kind, lam, p)
         assert {mu: c for mu, c in got.items() if c} == {
             mu: c for (_, mu), c in ref.terms.items() if is_p_dominant(mu, p)
         }
-    top = [t for t in characters._flag_terms(NABLA, lam, p) if t[2] == 0]
-    assert top == [(lam, 1, 0)]
+    top = [t for t in characters._flag_terms(NABLA, x, p, d) if t[2] == 0]
+    assert top == [(x, 1, 0)]
     dlt = data.draw(_signed_char(DELTA, p))
     if not dlt.is_zero():
         assert _outcome(_ref_convert, dlt, 3)[0] != "ValueError"

@@ -177,6 +177,16 @@ def test_error_corrupt_table(capsys, tmp_path, monkeypatch):
     assert err.startswith("error: TableIntegrityError: family 5.4: coefficient 2")
 
 
+@pytest.mark.parametrize("argv", [("verify", "pe3"), ("tilting", "--weight", "0,1,-1")])
+def test_error_unknown_parameter_kind(capsys, tmp_path, monkeypatch, argv):
+    # a row whose parameter kind is unknown is refused when the table loads,
+    # naming the row, rather than failing every lookup of its parabolic
+    monkeypatch.setenv("PERICAT_FIXTURES", str(corrupt_row(tmp_path, "5.1", "unknown-kind")))
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == "error: TableIntegrityError: family 5.1: unknown parameter kind 'integer'\n"
+
+
 def test_verify_pe3_corrupt_table_under_python_O(tmp_path):
     # the row checks raise typed errors, so they hold with asserts stripped
     env = dict(

@@ -169,6 +169,14 @@ def test_block_functions_normalise_raw_fraction_input():
     assert normalised(canonical_representative(half))
 
 
+@pytest.mark.parametrize(
+    "entry", [strong_down_set, strong_up_set, block_label, canonical_representative]
+)
+def test_linkage_refuses_float_coordinates(entry):
+    with pytest.raises(TypeError, match="weight coordinate 1.5 is not exact"):
+        entry((1.5, 0))
+
+
 def test_block_count():
     assert block_count((3,)) == 4
     assert block_count((2, 1)) == 6
