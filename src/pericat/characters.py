@@ -252,14 +252,12 @@ def _block_kappas(two: int, *block: int) -> tuple:
     return tuple(out)
 
 
-def _flag_terms(kind: str, x: tuple, p: Parabolic, d: int) -> list:
-    """The Delta(p) form of the kind(p) flag at x, a weight of Sigma_p^+
-    scaled by d, as (mu, coeff, drop) triples, drop = sum(x) - sum(mu).
-    Delta^p_x is itself; Nabla^p_x is the sum over kappa in {0,2d}^n of
-    Delta^p_{x - kappa}, each sorted into Sigma_p^+ block by block at the
-    sign of the sort, or 0 if a Levi block repeats a coordinate."""
-    if kind == DELTA:
-        return [(x, 1, 0)]
+def _flag_terms(x: tuple, p: Parabolic, d: int) -> list:
+    """The Delta(p) form of Nabla^p_x, x a weight of Sigma_p^+ scaled by d,
+    as (mu, coeff, drop) triples, drop = sum(x) - sum(mu): the sum over
+    kappa in {0,2d}^n of Delta^p_{x - kappa}, each sorted into Sigma_p^+
+    block by block at the sign of the sort, or 0 if a Levi block repeats a
+    coordinate."""
     terms = [((), 1, 0)]
     for size, stop in zip(p, itertools.accumulate(p)):
         options = _block_kappas(2 * d, *x[stop - size : stop])
@@ -267,13 +265,11 @@ def _flag_terms(kind: str, x: tuple, p: Parabolic, d: int) -> list:
     return terms
 
 
-def _subtract_leader(
-    remaining: dict, kind: str, x: tuple, p: Parabolic, d: int, top: int, c: int
-) -> None:
-    """remaining -= c * (Delta(p) form of the kind(p) flag at x), x scaled
-    by d with sum top; remaining maps sum -> scaled weight -> coefficient."""
+def _subtract_leader(remaining: dict, x: tuple, p: Parabolic, d: int, top: int, c: int) -> None:
+    """remaining -= c * (Delta(p) form of Nabla^p_x), x scaled by d with
+    sum top; remaining maps sum -> scaled weight -> coefficient."""
     rows: dict = {}  # drop -> row, so each degree key is hashed once
-    for mu, k, drop in _flag_terms(kind, x, p, d):
+    for mu, k, drop in _flag_terms(x, p, d):
         row = rows.get(drop)
         if row is None:
             row = rows[drop] = remaining.setdefault(top - drop, {})
@@ -295,7 +291,10 @@ def _delta_rows(chi: FormalChar, kind: str) -> tuple:
     rows: dict[int, dict[tuple, int]] = {}
     for x, c in zip(xs, chi.terms.values()):
         require_p_dominant(x, p, d)  # the leaders derived from x are in Sigma_p^+
-        _subtract_leader(rows, kind, x, p, d, sum(x), -c)
+        if kind == DELTA:  # the keys of chi are distinct, and so are the x
+            rows.setdefault(sum(x), {})[x] = c
+        else:
+            _subtract_leader(rows, x, p, d, sum(x), -c)
     return p, d, rows
 
 
@@ -317,7 +316,7 @@ def delta_sum_to_nabla_sum(chi: FormalChar, depth: int = 64) -> FormalChar:
         levels += bool(level)  # a row emptied by cancellation uses no level
         for x, c in list(level.items()):  # each subtraction deletes its x
             collected[x] = c
-            _subtract_leader(remaining, NABLA, x, p, d, top, c)
+            _subtract_leader(remaining, x, p, d, top, c)
         del remaining[top]
     if any(remaining.values()):
         raise NonTerminating(depth, _borel(p, d, remaining))

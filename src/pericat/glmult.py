@@ -12,10 +12,6 @@ is sorted once, and every integrality class, and in [M^p_mu : L_lam] every
 Levi element, reads its rank pattern off those ranks.  A pattern's coset
 representative w0 x is one sort of its positions.
 
-`oracle_verma_mult_small` recomputes the n <= 3 answer from scratch by a
-different route (breadth-first strong linkage; every multiplicity there is
-0 or 1), and is used to cross-check the Kazhdan-Lusztig path in tests.
-
 >>> from .weights import weight
 >>> verma_simple_mult(weight(2, 1, 0), weight(0, 1, 2))
 1
@@ -29,13 +25,12 @@ from functools import lru_cache
 from typing import Optional
 
 from .characters import EVEN_VERMA, FormalChar, levi_weyl_group, symbol
-from .linkage import strong_down_set, strongly_linked
+from .linkage import strong_down_set
 from .weights import (
     Parabolic,
     Weight,
     borel,
     format_weight,
-    integrality_classes,
     is_integer,
     reflect_coords,
     refuse_inexact,
@@ -47,7 +42,6 @@ __all__ = [
     "jantzen_sum",
     "verma_simple_mult",
     "parabolic_verma_simple_mult",
-    "oracle_verma_mult_small",
     "simple_in_verma_basis",
 ]
 
@@ -118,9 +112,20 @@ def _rank_pair(lam: Weight, mu: Weight):
         return None  # some lam_i - mu_i is not an integer
     # equal multisets and classes matching by position give equal
     # multisets inside every class
+    return (x, y, *_class_blocks(y, keys))
+
+
+def _class_blocks(y: tuple, keys: list) -> tuple:
+    """(dense, blocks) for the rank tuple y, keys[r] the integrality class
+    of rank r: dense[r] is r's place in its class, and blocks holds y's
+    positions and dense pattern per class; (None, None) for one class."""
+    if len(set(keys)) < 2:
+        return None, None
     dense = [keys[:r].count(k) for r, k in enumerate(keys)]
-    blocks = [(idx, tuple(dense[y[i]] for i in idx)) for _, idx in integrality_classes(mu)]
-    return x, y, dense, blocks
+    classes: dict = {}
+    for i, r in enumerate(y):
+        classes.setdefault(keys[r], []).append(i)
+    return dense, [(idx, tuple(dense[y[i]] for i in idx)) for idx in classes.values()]
 
 
 def _term(x: tuple, y: tuple, dense: list, blocks) -> int:
@@ -152,13 +157,7 @@ def parabolic_verma_simple_mult(mu: Weight, lam: Weight, p: Parabolic) -> int:
     # each Levi block of a p-dominant mu lies in one integrality class, so
     # every w(mu) has mu's classes by position: one ranking serves all terms
     ranked = _rank_pair(mu, lam)
-    if ranked is None:
-        return 0
-    x, y, dense, blocks = ranked
-    total = 0
-    for w, lw in levi_weyl_group(p):
-        m = _term(apply_perm(w, x), y, dense, blocks)
-        total += -m if lw % 2 else m
+    total = 0 if ranked is None else _levi_sum(*ranked, p)
     if total < 0:
         raise InvariantViolation(
             f"[M^p_{format_weight(mu)} : L_{format_weight(lam)}] = {total} < 0 for p={p}"
@@ -166,12 +165,14 @@ def parabolic_verma_simple_mult(mu: Weight, lam: Weight, p: Parabolic) -> int:
     return total
 
 
-def oracle_verma_mult_small(lam: Weight, mu: Weight) -> int:
-    """Independent recomputation of [M_lam : L_mu] for n <= 3, where every
-    nonzero multiplicity is 1: a breadth-first strong-linkage test."""
-    if len(lam) > 3:
-        raise ValueError("oracle only covers n <= 3")
-    return 1 if strongly_linked(mu, lam) else 0
+def _levi_sum(x: tuple, y: tuple, dense: list, blocks, p: Parabolic) -> int:
+    """[M^p_mu : L_lam] from `_rank_pair` data, x the ranks of mu: the
+    alternating sum of `_term` over the Levi orbit of x."""
+    total = 0
+    for w, lw in levi_weyl_group(p):
+        m = _term(apply_perm(w, x), y, dense, blocks)
+        total += -m if lw % 2 else m
+    return total
 
 
 def simple_in_verma_basis(lam: Weight, _memo: Optional[dict] = None) -> FormalChar:

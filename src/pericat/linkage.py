@@ -3,9 +3,14 @@ r"""Strong linkage, blocks, and simple-in-Verma edge predicates for pe(n).
 Strong linkage follows the descending convention: mu is strongly linked to
 lam (mu "up-arrow" lam) when mu = lam or mu is reached from lam by a chain
 of reflections nu -> s_beta nu with <nu, beta> a positive integer, each step
-strictly lowering.  Blocks of the full category O are described by one
-record per integrality class of coordinates: the class key (fractional
-part), its size, and how many of its coordinates sit at odd offset.
+strictly lowering.  The down- and up-set walks run on rank tuples: a step
+swaps two coordinates of one integrality class, so the ranking of the start
+weight serves every weight reached, and each is mapped back once at the end.
+`strongly_linked` walks the weights themselves and stops at the target.
+
+Blocks of the full category O are described by one record per integrality
+class of coordinates: the class key (fractional part), its size, and how
+many of its coordinates sit at odd offset.
 
 The predicates thm34_*/cor36_edge/thmA_* certify nonzero simple
 multiplicities in (parabolic) Verma modules; their coordinate indices q, i
@@ -27,6 +32,7 @@ from .weights import (
     Coord,
     Parabolic,
     Weight,
+    _positive_pairs,
     basis_vector,
     conjugate,
     even_root,
@@ -68,8 +74,12 @@ def strongly_linked(mu: Weight, lam: Weight) -> bool:
     """mu = lam, or mu is reachable from lam by a strictly lowering chain."""
     if mu == lam:
         return True
-    if not _comparable(mu, lam):
-        return False
+    try:
+        if not _comparable(mu, lam):
+            return False
+    except AttributeError:
+        refuse_inexact(mu, lam)
+        raise
     seen = {lam}
     frontier = [lam]
     while frontier:
@@ -85,22 +95,51 @@ def strongly_linked(mu: Weight, lam: Weight) -> bool:
     return False
 
 
-def _closure(start: Weight, sign: int) -> frozenset[Weight]:
-    seen = {start}
-    frontier = [start]
+def _ranks(lam: Weight) -> tuple:
+    """(r, values, keys): lam's rank tuple, the coordinate of each rank and
+    the integrality class of each rank.
+
+    Rank k is the k-th distinct exact (numerator, denominator) pair of lam,
+    in value order inside each integrality class, as in `glmult._rank_pair`.
+    A strong-linkage step swaps two coordinates of one class, so every
+    weight it reaches has lam's ranking."""
     try:
-        while frontier:
-            nxt = []
-            for nu in frontier:
-                for nb in _neighbors(nu, sign):
-                    if nb not in seen:
-                        seen.add(nb)
-                        nxt.append(nb)
-            frontier = nxt
+        q = [(c.numerator, c.denominator) for c in lam]
     except AttributeError:
-        refuse_inexact(start)
+        refuse_inexact(lam)
         raise
-    return frozenset(seen)
+    ordered = sorted(set(q))
+    rank = dict(zip(ordered, range(len(ordered))))
+    r = tuple(map(rank.__getitem__, q))
+    values = [None] * len(ordered)
+    for k, c in zip(r, lam):
+        values[k] = c
+    return r, values, [(a % d, d) for a, d in ordered]
+
+
+def _walk(r: tuple, keys: list, sign: int) -> set:
+    """The rank tuples reached from r (ranks of `_ranks`) by strictly
+    lowering (sign 1) or raising (sign -1) steps: swap r_i, r_j, i < j of
+    one class, when sign * (r_i - r_j) > 0."""
+    pairs = [(i, j) for i, j in _positive_pairs(len(r)) if keys[r[i]] == keys[r[j]]]
+    seen = {r}
+    stack = [r]
+    while stack:
+        x = stack.pop()
+        for i, j in pairs:
+            if (x[i] - x[j]) * sign > 0:
+                y = list(x)
+                y[i], y[j] = y[j], y[i]
+                y = tuple(y)
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+    return seen
+
+
+def _closure(start: Weight, sign: int) -> frozenset[Weight]:
+    r, values, keys = _ranks(start)
+    return frozenset(tuple(map(values.__getitem__, x)) for x in _walk(r, keys, sign))
 
 
 def strong_down_set(lam: Weight) -> frozenset[Weight]:
@@ -192,6 +231,7 @@ def thm34_nabla_edge(lam: Weight, q: int, p: Parabolic) -> bool:
     Requires lam in Sigma_p^+.  Holds when lam - 2 e_q stays in Sigma_p^+
     and no j in A_set(lam, q) with j <= n-1 has <lam, alpha_j> = 1.
     """
+    refuse_inexact(lam)  # a float lam can pass every test below
     require_p_dominant(lam, p)
     n = len(lam)
     target = sub(lam, tuple(2 * c for c in basis_vector(q - 1, n)))
@@ -233,6 +273,7 @@ def cor36_edge(lam: Weight, i: int) -> bool:
         raise ValueError("this certificate is specific to n=3")
     if i not in (1, 2):
         raise ValueError(f"simple root index {i} out of range for n=3")
+    refuse_inexact(lam)  # 1.5 - 0.5 == 1 would certify a float lam
     return lam[i - 1] - lam[i] == 1
 
 

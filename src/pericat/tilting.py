@@ -7,6 +7,10 @@ Everything here is certified only on the weakly-typical side; operations
 that the theory does not determine outside that region raise
 NotWeaklyTypical instead of guessing.
 
+The tilting engine ranks -w_0^p(lam) once and then works on rank tuples:
+the strong up-set walk of `linkage`, the p-dominance test and the Levi sums
+of `glmult`; only the members it keeps are mapped back to weights.
+
 >>> from .characters import nabla
 >>> from .weights import weight
 >>> weakly_typical_tilting(weight(-1, 1, 5)) == nabla(weight(-1, 1, 5))
@@ -22,18 +26,20 @@ from .characters import (
     LEVI_SIMPLE,
     NABLA,
     FormalChar,
-    nabla_sum_to_delta_sum,
     symbol,
 )
 from .glmult import (
+    _class_blocks,
+    _levi_sum,
     parabolic_verma_simple_mult,
     simple_in_verma_basis,
     verma_simple_mult,
 )
-from .linkage import strong_down_set, strong_up_set
+from .linkage import _ranks, _walk, strong_down_set, strong_up_set
 from .weights import (
     Parabolic,
     Weight,
+    _levi_pairs,
     borel,
     format_weight,
     is_dominant,
@@ -57,7 +63,6 @@ __all__ = [
     "kac_is_simple",
     "parabolic_verma_is_simple",
     "weakly_typical_tilting",
-    "tilting_delta_mults_wt",
     "tilting_equals_nabla",
     "standard_fact_edges",
     "pieri_difference",
@@ -147,8 +152,10 @@ def weakly_typical_tilting(lam: Weight, p: Optional[Parabolic] = None) -> Formal
 
         ch T^p_lam = sum_mu [M^p_{-w_0^p mu} : L^0_{-w_0^p lam}] ch Nabla^p_mu.
 
-    The support is enumerated as mu = -w_0^p(nu) over the strong up-set of
-    -w_0^p(lam), keeping mu in Sigma_p^+."""
+    The support is mu = -w_0^p(nu) over the p-dominant nu of the strong
+    up-set of eta = -w_0^p(lam).  eta is ranked once; the walk, the
+    p-dominance test and each multiplicity then run on rank tuples, and
+    each kept nu is mapped back to a weight once."""
     p = p or borel(len(lam))
     require_p_dominant(lam, p)
     if not is_p_weakly_typical(lam, p):
@@ -156,22 +163,30 @@ def weakly_typical_tilting(lam: Weight, p: Optional[Parabolic] = None) -> Formal
             f"{format_weight(lam)} is not p-weakly-typical for p={p}"
         )
     eta = neg_w0p(lam, p)
-    sym = symbol(NABLA, p)
     try:
-        up_set = strong_up_set(eta)
+        r, values, keys = _ranks(eta)
     except TypeError:  # it names a coordinate of eta; name the caller's instead
         refuse_inexact(lam)
         raise
-    terms = {}  # neg_w0p is a bijection, so each mu arrives once
-    for nu in up_set:
-        if not is_p_dominant(nu, p):
-            continue
-        mu = neg_w0p(nu, p)
-        if not is_p_dominant(mu, p):
-            continue
-        c = parabolic_verma_simple_mult(nu, eta, p)
-        if c:
-            terms[(sym, mu)] = c
+    dense, blocks = _class_blocks(r, keys)
+    # eta is p-dominant, so each Levi block lies in one class, in eta and in
+    # every nu: nu is p-dominant when its ranks fall along each Levi pair,
+    # and then so is -w_0^p(nu)
+    levi = _levi_pairs(p, len(lam))
+    back = parabolic_longest(p)  # an involution: mu_k = -nu_{w_0^p(k)}
+    neg = [-v for v in values]
+    sym = symbol(NABLA, p)
+    terms = {}  # -w_0^p is a bijection, so each mu arrives once
+    for x in _walk(r, keys, -1):
+        if all(x[i] > x[j] for i, j in levi):
+            c = _levi_sum(x, r, dense, blocks, p)
+            if c < 0:
+                nu = [values[k] for k in x]
+                raise InvariantViolation(
+                    f"[M^p_{format_weight(nu)} : L_{format_weight(eta)}] = {c} < 0 for p={p}"
+                )
+            if c:
+                terms[(sym, tuple([neg[x[k]] for k in back]))] = c
     chi = FormalChar(terms)
     if chi.coeff(NABLA, lam, p) != 1:
         raise InvariantViolation(
@@ -179,13 +194,6 @@ def weakly_typical_tilting(lam: Weight, p: Optional[Parabolic] = None) -> Formal
             f"{chi.coeff(NABLA, lam, p)} at its highest weight: {chi!r}"
         )
     return chi
-
-
-def tilting_delta_mults_wt(lam: Weight, p: Optional[Parabolic] = None) -> FormalChar:
-    """Standard-flag multiplicities of T^p_lam (weakly-typical route):
-    expand the costandard-flag character and recollect in the Delta^p basis."""
-    p = p or borel(len(lam))
-    return nabla_sum_to_delta_sum(weakly_typical_tilting(lam, p))
 
 
 def tilting_equals_nabla(lam: Weight, p: Optional[Parabolic] = None) -> bool:

@@ -40,11 +40,6 @@ def identity(n: int) -> Perm:
     return tuple(range(n))
 
 
-def compose(w: Perm, v: Perm) -> Perm:
-    """(w. v)(i) = w(v(i))."""
-    return tuple(w[v[i]] for i in range(len(w)))
-
-
 def inverse(w: Perm) -> Perm:
     out = [0] * len(w)
     for i, wi in enumerate(w):

@@ -1,14 +1,16 @@
 """Shared helpers for the test suite."""
 
+import itertools
 import json
 from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from pericat.characters import FormalChar, char_sum, delta, nabla
-from pericat.linkage import block_label
+from pericat.characters import FormalChar, char_sum, delta, nabla, nabla_sum_to_delta_sum
+from pericat.linkage import block_label, strongly_linked
 from pericat.pe3 import tables
-from pericat.weights import is_integer, weight
+from pericat.tilting import weakly_typical_tilting
+from pericat.weights import borel, is_integer, weight
 
 # One verdict line per acceptance criterion, printed after capture ends so
 # they are visible in the terminal summary of every run.
@@ -50,6 +52,45 @@ mixed_weights = st.lists(
     min_size=1,
     max_size=6,
 ).map(tuple)
+
+
+def compose(w, v):
+    """(w. v)(i) = w(v(i)) for permutations in one-line notation."""
+    return tuple(w[v[i]] for i in range(len(w)))
+
+
+def oracle_verma_mult_small(lam, mu) -> int:
+    """Independent recomputation of [M_lam : L_mu] for n <= 3, where every
+    nonzero multiplicity is 1: a breadth-first strong-linkage test."""
+    if len(lam) > 3:
+        raise ValueError("oracle only covers n <= 3")
+    return 1 if strongly_linked(mu, lam) else 0
+
+
+def tilting_delta_mults_wt(lam, p=None) -> FormalChar:
+    """Standard-flag multiplicities of T^p_lam (weakly-typical route):
+    expand the costandard-flag character and recollect in the Delta^p basis."""
+    p = p or borel(len(lam))
+    return nabla_sum_to_delta_sum(weakly_typical_tilting(lam, p))
+
+
+def bfs_closure(start, sign):
+    """The strong-linkage closure by a BFS on the weights themselves: swap
+    nu_i, nu_j (i < j) when sign * (nu_i - nu_j) is a positive integer."""
+    seen, frontier = {start}, [start]
+    while frontier:
+        nxt = []
+        for nu in frontier:
+            for i, j in itertools.combinations(range(len(nu)), 2):
+                d = (nu[i] - nu[j]) * sign
+                if d > 0 and Fraction(d).denominator == 1:
+                    out = list(nu)
+                    out[i], out[j] = out[j], out[i]
+                    if tuple(out) not in seen:
+                        seen.add(tuple(out))
+                        nxt.append(tuple(out))
+        frontier = nxt
+    return seen
 
 
 def frac_box(lo: int, hi: int):

@@ -26,7 +26,15 @@ import time
 from fractions import Fraction
 
 import conftest
-from conftest import B3, B4, W, frac_box, is_antidominant, nab_sum
+from conftest import (
+    B3,
+    B4,
+    W,
+    frac_box,
+    is_antidominant,
+    nab_sum,
+    oracle_verma_mult_small,
+)
 from pericat.characters import (
     DELTA,
     NABLA,
@@ -40,7 +48,6 @@ from pericat.characters import (
     to_borel_delta,
 )
 from pericat.glmult import (
-    oracle_verma_mult_small,
     parabolic_verma_simple_mult,
     verma_simple_mult,
 )

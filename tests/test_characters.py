@@ -46,6 +46,7 @@ from pericat.weights import (
     is_p_dominant,
     require_p_dominant,
     scale,
+    unscale,
     weight,
 )
 from pericat.weyl import apply_perm
@@ -615,21 +616,27 @@ def test_flag_terms_are_the_p_dominant_borel_part(data):
     p = data.draw(st.sampled_from(_PARABOLICS))
     lam = data.draw(_p_dominant_weight(p))
     d, (x,) = scale([lam])  # the flag terms are on coordinates scaled by d
-    for kind in (DELTA, NABLA):
-        got = {}
-        for mu, c, drop in characters._flag_terms(kind, x, p, d):
-            mu = tuple(Fraction(v, d) for v in mu)
-            assert is_p_dominant(mu, p) and drop == d * (degree(lam) - degree(mu))
-            got[mu] = got.get(mu, 0) + c
-        ref = _ref_leader_expansion(kind, lam, p)
-        assert {mu: c for mu, c in got.items() if c} == {
-            mu: c for (_, mu), c in ref.terms.items() if is_p_dominant(mu, p)
-        }
-    top = [t for t in characters._flag_terms(NABLA, x, p, d) if t[2] == 0]
+    got = {}
+    for mu, c, drop in characters._flag_terms(x, p, d):
+        mu = tuple(Fraction(v, d) for v in mu)
+        assert is_p_dominant(mu, p) and drop == d * (degree(lam) - degree(mu))
+        got[mu] = got.get(mu, 0) + c
+    ref = _ref_leader_expansion(NABLA, lam, p)
+    assert {mu: c for mu, c in got.items() if c} == {
+        mu: c for (_, mu), c in ref.terms.items() if is_p_dominant(mu, p)
+    }
+    top = [t for t in characters._flag_terms(x, p, d) if t[2] == 0]
     assert top == [(x, 1, 0)]
     dlt = data.draw(_signed_char(DELTA, p))
     if not dlt.is_zero():
         assert _outcome(_ref_convert, dlt, 3)[0] != "ValueError"
+        # a Delta(p) character is its own Delta(p) form, row by degree
+        q, e, rows = characters._delta_rows(dlt, DELTA)
+        assert q == p
+        assert all(sum(x) == deg for deg, row in rows.items() for x in row)
+        assert dict(kv for row in rows.values() for kv in unscale(row, e)) == {
+            mu: c for (_, mu), c in dlt.terms.items()
+        }
 
 
 @settings(max_examples=30, deadline=None)

@@ -14,12 +14,11 @@ from functools import lru_cache
 
 import pytest
 
-from conftest import W, frac_box
+from conftest import W, compose, frac_box, oracle_verma_mult_small
 from pericat.characters import EVEN_VERMA, char_sum, levi_weyl_group
 from pericat.glmult import (
     even_verma,
     jantzen_sum,
-    oracle_verma_mult_small,
     parabolic_verma_simple_mult,
     simple_in_verma_basis,
     verma_simple_mult,
@@ -30,7 +29,6 @@ from pericat.weights import integrality_classes, is_p_dominant
 from pericat.weyl import (
     InvariantViolation,
     apply_perm,
-    compose,
     kl_eval_one,
     longest_element,
 )

@@ -7,7 +7,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given
 
-from conftest import W, frac_box, mixed_weights, normalised, partial_weight, same_block
+from conftest import (
+    W,
+    bfs_closure,
+    frac_box,
+    mixed_weights,
+    normalised,
+    partial_weight,
+    same_block,
+)
 from pericat.linkage import (
     A_set,
     block_count,
@@ -169,12 +177,32 @@ def test_block_functions_normalise_raw_fraction_input():
     assert normalised(canonical_representative(half))
 
 
+# the arguments of each entry point other than a lone weight (1.5, 0)
+_FLOAT_ARGS = {
+    strongly_linked: ((1.5, 0), (0, 1.5)),
+    thm34_nabla_edge: ((1.5, 0), 1, (1, 1)),
+    cor36_edge: ((1.5, 0.5, 0), 1),
+}
+
+
 @pytest.mark.parametrize(
-    "entry", [strong_down_set, strong_up_set, block_label, canonical_representative]
+    "entry",
+    [strong_down_set, strong_up_set, block_label, canonical_representative, *_FLOAT_ARGS],
 )
 def test_linkage_refuses_float_coordinates(entry):
     with pytest.raises(TypeError, match="weight coordinate 1.5 is not exact"):
-        entry((1.5, 0))
+        entry(*_FLOAT_ARGS.get(entry, ((1.5, 0),)))
+
+
+def test_ranked_closure_matches_weight_bfs():
+    # seeded weights of rank <= 6 mixing integral, half- and third-integral
+    # classes, with repeats; the ranked walk maps back to the same sets
+    rng = random.Random(2024)
+    values = frac_box(-3, 3) + [Fraction(k, 2) for k in (-3, -1, 1, 3)] + [Fraction(1, 3)]
+    for _ in range(300):
+        lam = tuple(rng.choice(values) for _ in range(rng.randint(1, 6)))
+        assert strong_down_set(lam) == bfs_closure(lam, 1), lam
+        assert strong_up_set(lam) == bfs_closure(lam, -1), lam
 
 
 def test_block_count():

@@ -2,6 +2,7 @@
 
 import itertools
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -9,9 +10,17 @@ from pathlib import Path
 
 import pytest
 
-from conftest import B3, W, frac_box, is_antidominant, nab_sum
-from pericat.characters import DELTA, NABLA, nabla, nabla_to_delta
-from pericat.glmult import verma_simple_mult
+from conftest import (
+    B3,
+    W,
+    bfs_closure,
+    frac_box,
+    is_antidominant,
+    nab_sum,
+    tilting_delta_mults_wt,
+)
+from pericat.characters import DELTA, NABLA, FormalChar, nabla, nabla_to_delta, symbol
+from pericat.glmult import parabolic_verma_simple_mult, verma_simple_mult
 from pericat.linkage import strong_up_set, strongly_linked
 from pericat.tilting import (
     NotWeaklyTypical,
@@ -24,18 +33,19 @@ from pericat.tilting import (
     prop41_equivalent,
     standard_fact_edges,
     super_verma_mult_wt,
-    tilting_delta_mults_wt,
     tilting_equals_nabla,
     weakly_typical_tilting,
 )
 from pericat.weights import (
+    exact,
     is_dominant,
     is_integral,
+    is_p_dominant,
     is_p_weakly_typical,
     negate,
 )
 from pericat.characters import LEVI_SIMPLE, delta
-from pericat import tilting
+from pericat import glmult, tilting
 from pericat.weyl import InvariantViolation, all_perms, apply_perm
 
 
@@ -153,6 +163,59 @@ def test_parabolic_tilting():
         assert c > 0
 
 
+def _ref_weakly_typical_tilting(lam, p):
+    """The engine's earlier route: a BFS over the weights of the strong
+    up-set of eta = -w_0^p(lam), both p-dominance tests, and one
+    parabolic_verma_simple_mult call per member."""
+    eta = neg_w0p(lam, p)
+    terms = {}
+    for nu in bfs_closure(eta, -1):
+        if not is_p_dominant(nu, p):
+            continue
+        mu = neg_w0p(nu, p)
+        if not is_p_dominant(mu, p):
+            continue
+        c = parabolic_verma_simple_mult(nu, eta, p)
+        if c:
+            terms[(symbol(NABLA, p), mu)] = c
+    return FormalChar(terms)
+
+
+def _compositions(n):
+    if n == 0:
+        yield ()
+    for k in range(1, n + 1):
+        for rest in _compositions(n - k):
+            yield (k,) + rest
+
+
+def test_ranked_engine_matches_weight_route():
+    # every p-dominant, p-weakly-typical weight of an integral and a
+    # half-integral box at n <= 4, for every composition
+    boxes = (frac_box(-3, 3), [Fraction(k, 2) for k in range(-3, 4)])
+    checked = 0
+    for n in range(1, 5):
+        for values in boxes:
+            for lam in itertools.product(map(exact, values), repeat=n):
+                for p in _compositions(n):
+                    if is_p_dominant(lam, p) and is_p_weakly_typical(lam, p):
+                        got = weakly_typical_tilting(lam, p)
+                        assert got == _ref_weakly_typical_tilting(lam, p), (lam, p)
+                        checked += 1
+    assert checked == 5045
+    # and a seeded sample at n = 5 and 6, half-integral classes mixed in
+    rng = random.Random(56)
+    values = [exact(Fraction(k, 2)) for k in range(-6, 7)]
+    sampled = 0
+    while sampled < 60:
+        n = 5 + sampled % 2
+        p = rng.choice(list(_compositions(n)))
+        lam = tuple(rng.choice(values) for _ in range(n))
+        if is_p_dominant(lam, p) and is_p_weakly_typical(lam, p):
+            assert weakly_typical_tilting(lam, p) == _ref_weakly_typical_tilting(lam, p), (lam, p)
+            sampled += 1
+
+
 def test_tilting_equals_nabla():
     assert tilting_equals_nabla(W(-1, 1, 5))
     assert not tilting_equals_nabla(W(-1, 1, 0))
@@ -238,9 +301,14 @@ def test_engine_invariants_raise_typed_errors(monkeypatch):
         m.setattr(tilting, "is_g0_weakly_typical", lambda mu: False)
         with pytest.raises(InvariantViolation, match="Prop. 4.1"):
             prop41_equivalent(lam)
+    # the engine reads each multiplicity as a Levi sum of glmult._term
     with monkeypatch.context() as m:
-        m.setattr(tilting, "parabolic_verma_simple_mult", lambda mu, eta, p: 2)
+        m.setattr(glmult, "_term", lambda x, y, dense, blocks: 2)
         with pytest.raises(InvariantViolation, match="coefficient 2"):
+            weakly_typical_tilting(lam)
+    with monkeypatch.context() as m:
+        m.setattr(glmult, "_term", lambda x, y, dense, blocks: -1)
+        with pytest.raises(InvariantViolation, match=r"\[M\^p_1,-1,-5 : L_1,-1,-5\] = -1 < 0"):
             weakly_typical_tilting(lam)
     assert prop41_equivalent(lam) is True
     assert weakly_typical_tilting(lam).coeff(NABLA, lam) == 1

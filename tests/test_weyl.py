@@ -21,7 +21,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import W
+from conftest import W, compose
 from pericat import weyl
 from pericat.cli import main
 from pericat.weyl import (
@@ -31,7 +31,6 @@ from pericat.weyl import (
     all_perms,
     apply_perm,
     bruhat_leq,
-    compose,
     format_poly,
     identity,
     inverse,
