@@ -25,7 +25,7 @@ from functools import lru_cache
 from typing import Optional
 
 from .characters import EVEN_VERMA, FormalChar, levi_weyl_group, symbol
-from .linkage import strong_down_set
+from .linkage import _ranks, strong_down_set
 from .weights import (
     Parabolic,
     Weight,
@@ -33,7 +33,6 @@ from .weights import (
     format_weight,
     is_integer,
     reflect_coords,
-    refuse_inexact,
     require_p_dominant,
 )
 from .weyl import InvariantViolation, apply_perm, kl_eval_one
@@ -85,33 +84,15 @@ def _integral_mult(x: tuple, y: tuple) -> int:
 
 
 def _rank_pair(lam: Weight, mu: Weight):
-    """(x, y, dense, blocks), or None when no Borel term can be nonzero.
-
-    Rank r is the r-th distinct exact (numerator, denominator) pair of the
-    shared multiset, in value order inside each integrality class.  x and
-    y rank lam and mu, dense[r] is r's place in its class, and blocks holds
-    mu's positions and pattern per class, or None when one class holds all."""
+    """(x, y, dense, blocks), or None when no Borel term can be nonzero:
+    x, y rank lam and mu as in `linkage._ranks`, and dense and blocks are
+    `_class_blocks` of y."""
     if len(lam) != len(mu):
         raise ValueError("dimension mismatch")
-    try:
-        lam_q = [(c.numerator, c.denominator) for c in lam]
-        mu_q = [(c.numerator, c.denominator) for c in mu]
-    except AttributeError:
-        refuse_inexact(lam, mu)
-        raise
-    ordered = sorted(lam_q)
-    if ordered != sorted(mu_q):
-        return None  # a nonzero multiplicity needs equal multisets
-    rank = dict(zip(dict.fromkeys(ordered), range(len(ordered))))
-    x = tuple(map(rank.__getitem__, lam_q))
-    y = tuple(map(rank.__getitem__, mu_q))
-    keys = [(a % d, d) for a, d in rank]  # the integrality class of each rank
-    if len(set(keys)) < 2:
-        return x, y, None, None
-    if [keys[r] for r in x] != [keys[r] for r in y]:
-        return None  # some lam_i - mu_i is not an integer
-    # equal multisets and classes matching by position give equal
-    # multisets inside every class
+    ranked = _ranks(lam, mu)
+    if ranked is None:
+        return None
+    x, y, keys = ranked
     return (x, y, *_class_blocks(y, keys))
 
 

@@ -6,7 +6,6 @@ of reflections nu -> s_beta nu with <nu, beta> a positive integer, each step
 strictly lowering.  The down- and up-set walks run on rank tuples: a step
 swaps two coordinates of one integrality class, so the ranking of the start
 weight serves every weight reached, and each is mapped back once at the end.
-`strongly_linked` walks the weights themselves and stops at the target.
 
 Blocks of the full category O are described by one record per integrality
 class of coordinates: the class key (fractional part), its size, and how
@@ -26,7 +25,6 @@ False
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterator
 
 from .weights import (
     Coord,
@@ -37,7 +35,6 @@ from .weights import (
     conjugate,
     even_root,
     integrality_classes,
-    is_integer,
     is_p_dominant,
     levi_positive_roots,
     refuse_inexact,
@@ -46,75 +43,32 @@ from .weights import (
 )
 
 
-def _neighbors(nu: Weight, sign: int) -> Iterator[Weight]:
-    """One strictly lowering (sign 1) or raising (sign -1) reflection step:
-    swap nu_i, nu_j (i < j) when sign * (nu_i - nu_j) is a positive integer."""
-    n = len(nu)
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = (nu[i] - nu[j]) * sign
-            if is_integer(d) and d > 0:
-                out = list(nu)
-                out[i], out[j] = out[j], out[i]
-                yield tuple(out)
+def _ranks(lam: Weight, mu: Weight):
+    """(x, y, keys): the rank tuples of lam and mu over their shared
+    multiset and the integrality class of each rank; None unless mu
+    rearranges lam within the integrality classes of positions, which both
+    mu up-arrow lam and a nonzero [M_lam : L_mu] need.
 
-
-def _comparable(mu: Weight, lam: Weight) -> bool:
-    """Cheap necessary condition: same coordinate multiset and mutually
-    integral coordinatewise (linkage chains permute within integrality
-    classes)."""
-    if len(mu) != len(lam):
-        return False
-    if sorted(mu) != sorted(lam):
-        return False
-    return all(is_integer(a - b) for a, b in zip(mu, lam))
-
-
-def strongly_linked(mu: Weight, lam: Weight) -> bool:
-    """mu = lam, or mu is reachable from lam by a strictly lowering chain."""
-    if mu == lam:
-        return True
+    Rank k is the k-th distinct exact (numerator, denominator) pair, in
+    value order inside each integrality class.  A strong-linkage step swaps
+    two coordinates of one class, so every weight it reaches from lam has
+    lam's ranking."""
     try:
-        if not _comparable(mu, lam):
-            return False
+        lam_q = [(c.numerator, c.denominator) for c in lam]
+        mu_q = [(c.numerator, c.denominator) for c in mu]
     except AttributeError:
-        refuse_inexact(mu, lam)
+        refuse_inexact(lam, mu)
         raise
-    seen = {lam}
-    frontier = [lam]
-    while frontier:
-        nxt = []
-        for nu in frontier:
-            for nb in _neighbors(nu, 1):
-                if nb == mu:
-                    return True
-                if nb not in seen:
-                    seen.add(nb)
-                    nxt.append(nb)
-        frontier = nxt
-    return False
-
-
-def _ranks(lam: Weight) -> tuple:
-    """(r, values, keys): lam's rank tuple, the coordinate of each rank and
-    the integrality class of each rank.
-
-    Rank k is the k-th distinct exact (numerator, denominator) pair of lam,
-    in value order inside each integrality class, as in `glmult._rank_pair`.
-    A strong-linkage step swaps two coordinates of one class, so every
-    weight it reaches has lam's ranking."""
-    try:
-        q = [(c.numerator, c.denominator) for c in lam]
-    except AttributeError:
-        refuse_inexact(lam)
-        raise
-    ordered = sorted(set(q))
-    rank = dict(zip(ordered, range(len(ordered))))
-    r = tuple(map(rank.__getitem__, q))
-    values = [None] * len(ordered)
-    for k, c in zip(r, lam):
-        values[k] = c
-    return r, values, [(a % d, d) for a, d in ordered]
+    ordered = sorted(lam_q)
+    if ordered != sorted(mu_q):
+        return None
+    rank = dict(zip(dict.fromkeys(ordered), range(len(ordered))))
+    x = tuple(map(rank.__getitem__, lam_q))
+    y = tuple(map(rank.__getitem__, mu_q))
+    keys = [(a % d, d) for a, d in rank]
+    if len(set(keys)) > 1 and [keys[r] for r in x] != [keys[r] for r in y]:
+        return None  # some lam_i - mu_i is not an integer
+    return x, y, keys
 
 
 def _walk(r: tuple, keys: list, sign: int) -> set:
@@ -137,9 +91,16 @@ def _walk(r: tuple, keys: list, sign: int) -> set:
     return seen
 
 
+def strongly_linked(mu: Weight, lam: Weight) -> bool:
+    """mu = lam, or mu is reachable from lam by a strictly lowering chain."""
+    ranked = _ranks(lam, mu)
+    return ranked is not None and ranked[1] in _walk(ranked[0], ranked[2], 1)
+
+
 def _closure(start: Weight, sign: int) -> frozenset[Weight]:
-    r, values, keys = _ranks(start)
-    return frozenset(tuple(map(values.__getitem__, x)) for x in _walk(r, keys, sign))
+    r, _, keys = _ranks(start, start)
+    value = dict(zip(r, start))
+    return frozenset(tuple(map(value.__getitem__, x)) for x in _walk(r, keys, sign))
 
 
 def strong_down_set(lam: Weight) -> frozenset[Weight]:

@@ -164,7 +164,7 @@ def weakly_typical_tilting(lam: Weight, p: Optional[Parabolic] = None) -> Formal
         )
     eta = neg_w0p(lam, p)
     try:
-        r, values, keys = _ranks(eta)
+        r, _, keys = _ranks(eta, eta)
     except TypeError:  # it names a coordinate of eta; name the caller's instead
         refuse_inexact(lam)
         raise
@@ -174,14 +174,14 @@ def weakly_typical_tilting(lam: Weight, p: Optional[Parabolic] = None) -> Formal
     # and then so is -w_0^p(nu)
     levi = _levi_pairs(p, len(lam))
     back = parabolic_longest(p)  # an involution: mu_k = -nu_{w_0^p(k)}
-    neg = [-v for v in values]
+    neg = {k: -c for k, c in zip(r, eta)}  # rank -> -(its coordinate)
     sym = symbol(NABLA, p)
     terms = {}  # -w_0^p is a bijection, so each mu arrives once
     for x in _walk(r, keys, -1):
         if all(x[i] > x[j] for i, j in levi):
             c = _levi_sum(x, r, dense, blocks, p)
             if c < 0:
-                nu = [values[k] for k in x]
+                nu = [-neg[k] for k in x]
                 raise InvariantViolation(
                     f"[M^p_{format_weight(nu)} : L_{format_weight(eta)}] = {c} < 0 for p={p}"
                 )

@@ -267,8 +267,19 @@ def is_p_dominant(lam: Weight, p: Parabolic, d: int = 1) -> bool:
 
 
 def require_p_dominant(lam: Weight, p: Parabolic, d: int = 1) -> None:
-    """Raise ValueError unless lam/d lies in Sigma_p^+ (see is_p_dominant)."""
-    if not is_p_dominant(lam, p, d):
+    """Raise ValueError unless lam/d lies in Sigma_p^+ (see is_p_dominant),
+    and TypeError when lam or p is not a tuple (is_p_dominant's cache
+    hashes both)."""
+    try:
+        dominant = is_p_dominant(lam, p, d)
+    except TypeError:
+        for name, arg in (("weight", lam), ("parabolic", p)):
+            if type(arg) is not tuple:
+                raise TypeError(
+                    f"{name} {arg!r} is a {type(arg).__name__}, not a tuple"
+                ) from None
+        raise
+    if not dominant:
         lam = tuple(Fraction(c, d) for c in lam)
         raise ValueError(f"{format_weight(lam)} is not in Sigma_p^+ for p={p}")
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 from hypothesis import strategies as st
 
 from pericat.characters import FormalChar, char_sum, delta, nabla, nabla_sum_to_delta_sum
-from pericat.linkage import block_label, strongly_linked
+from pericat.linkage import block_label
 from pericat.pe3 import tables
 from pericat.tilting import weakly_typical_tilting
 from pericat.weights import borel, is_integer, weight
@@ -61,10 +61,11 @@ def compose(w, v):
 
 def oracle_verma_mult_small(lam, mu) -> int:
     """Independent recomputation of [M_lam : L_mu] for n <= 3, where every
-    nonzero multiplicity is 1: a breadth-first strong-linkage test."""
+    nonzero multiplicity is 1: mu in lam's down-set by `bfs_closure`, a
+    weight BFS that shares no ranking with the engine."""
     if len(lam) > 3:
         raise ValueError("oracle only covers n <= 3")
-    return 1 if strongly_linked(mu, lam) else 0
+    return 1 if mu in bfs_closure(lam, 1) else 0
 
 
 def tilting_delta_mults_wt(lam, p=None) -> FormalChar:

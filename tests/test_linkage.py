@@ -177,32 +177,57 @@ def test_block_functions_normalise_raw_fraction_input():
     assert normalised(canonical_representative(half))
 
 
-# the arguments of each entry point other than a lone weight (1.5, 0)
-_FLOAT_ARGS = {
-    strongly_linked: ((1.5, 0), (0, 1.5)),
-    thm34_nabla_edge: ((1.5, 0), 1, (1, 1)),
-    cor36_edge: ((1.5, 0.5, 0), 1),
-}
+# each entry point with arguments holding the float coordinate 1.5
+_FLOAT_CASES = [
+    *(
+        (entry, ((1.5, 0),))
+        for entry in (strong_down_set, strong_up_set, block_label, canonical_representative)
+    ),
+    (strongly_linked, ((1.5, 0), (0, 1.5))),
+    (thm34_nabla_edge, ((1.5, 0), 1, (1, 1))),
+    (cor36_edge, ((1.5, 0.5, 0), 1)),
+]
 
 
 @pytest.mark.parametrize(
-    "entry",
-    [strong_down_set, strong_up_set, block_label, canonical_representative, *_FLOAT_ARGS],
+    "entry, args",
+    [pytest.param(entry, args, id=entry.__name__) for entry, args in _FLOAT_CASES]
+    # equal weights get no answer before the refusal either
+    + [pytest.param(strongly_linked, ((1.5, 0), (1.5, 0)), id="strongly_linked_equal")],
 )
-def test_linkage_refuses_float_coordinates(entry):
+def test_linkage_refuses_float_coordinates(entry, args):
     with pytest.raises(TypeError, match="weight coordinate 1.5 is not exact"):
-        entry(*_FLOAT_ARGS.get(entry, ((1.5, 0),)))
+        entry(*args)
 
 
 def test_ranked_closure_matches_weight_bfs():
     # seeded weights of rank <= 6 mixing integral, half- and third-integral
-    # classes, with repeats; the ranked walk maps back to the same sets
+    # classes, with repeats; the ranked walk maps back to the same sets, and
+    # strongly_linked agrees with membership of the weight BFS's down-set
     rng = random.Random(2024)
     values = frac_box(-3, 3) + [Fraction(k, 2) for k in (-3, -1, 1, 3)] + [Fraction(1, 3)]
+    seen = dict.fromkeys(["member", "outside", "mismatch", "multiset", "length"], 0)
     for _ in range(300):
         lam = tuple(rng.choice(values) for _ in range(rng.randint(1, 6)))
-        assert strong_down_set(lam) == bfs_closure(lam, 1), lam
+        down = bfs_closure(lam, 1)
+        assert strong_down_set(lam) == down, lam
         assert strong_up_set(lam) == bfs_closure(lam, -1), lam
+        mus = [("member", m) for m in rng.sample(sorted(down), min(3, len(down)))]
+        for _ in range(4):
+            mu = list(lam)
+            rng.shuffle(mu)
+            mu = tuple(mu)
+            if mu in down:
+                continue
+            same = all(Fraction(a - b).denominator == 1 for a, b in zip(lam, mu))
+            mus.append(("outside" if same else "mismatch", mu))
+        i = rng.randrange(len(lam))
+        mus.append(("multiset", lam[:i] + (lam[i] + 1,) + lam[i + 1 :]))
+        mus.append(("length", lam + (lam[0],)))
+        for kind, mu in mus:
+            assert strongly_linked(mu, lam) == (mu in down), (kind, lam, mu)
+            seen[kind] += 1
+    assert min(seen.values()) >= 50, seen
 
 
 def test_block_count():

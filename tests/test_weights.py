@@ -7,6 +7,9 @@ import pytest
 from hypothesis import given
 
 from conftest import W, frac_box, is_antidominant, mixed_weights, normalised, partial_weight
+from pericat.glmult import parabolic_verma_simple_mult
+from pericat.linkage import thm34_nabla_edge
+from pericat.tilting import weakly_typical_tilting
 from pericat.weights import (
     add,
     basis_vector,
@@ -115,6 +118,23 @@ def test_dominance():
     assert is_p_dominant(W(1, 0, 5), (2, 1))
     assert not is_p_dominant(W(0, 1, 5), (2, 1))
     assert is_p_dominant(W(0, 1, 5), (1, 1, 1))
+
+
+@pytest.mark.parametrize(
+    "entry, args",
+    [
+        pytest.param(entry, args, id=entry.__name__)
+        for entry, args in (
+            (weakly_typical_tilting, ((-1, 1, 5), [1, 1, 1])),
+            (thm34_nabla_edge, ((2, 0, 1), 1, [1, 1, 1])),
+            (parabolic_verma_simple_mult, ((1, 0, 2), (1, 0, 2), [1, 1, 1])),
+        )
+    ],
+)
+def test_list_parabolic_is_a_typed_error(entry, args):
+    # is_p_dominant's cache cannot hash a list; the guard names the argument
+    with pytest.raises(TypeError, match=r"parabolic \[1, 1, 1\] is a list, not a tuple"):
+        entry(*args)
 
 
 def test_dominant_and_antidominant_iff_no_integer_pairing():
