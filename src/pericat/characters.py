@@ -1,11 +1,10 @@
 r"""Formal characters: finite integer combinations of flagged basis symbols.
 
 A FormalChar is a finite map (symbol, weight) -> nonzero integer, where the
-symbol names a standard-object family: parabolic standard/costandard
-characters Delta(p) / Nabla(p), simple and Kac characters of pe(n), and the
-gl(n) families even_verma(p) / even_simple / levi_simple(p).  Characters are
-never expanded into weight spaces; all identities are manipulated at the
-flag level.
+symbol names one of the two flag families of O^p: the parabolic standard
+characters Delta(p) and costandard characters Nabla(p).  Characters are never
+expanded into weight spaces; all identities are manipulated at the flag
+level.
 
 Conversions work in Delta(p) coordinates, which are the p-dominant
 coefficients of the Borel expansion (w.lam is not p-dominant for w != 1 in W_p):
@@ -54,14 +53,6 @@ from .weyl import apply_perm, length
 
 DELTA = "delta"
 NABLA = "nabla"
-SIMPLE = "simple"
-KAC = "kac"
-EVEN_VERMA = "even_verma"
-EVEN_SIMPLE = "even_simple"
-LEVI_SIMPLE = "levi_simple"
-
-PARABOLIC_KINDS = {DELTA, NABLA, EVEN_VERMA, LEVI_SIMPLE}
-PLAIN_KINDS = {SIMPLE, KAC, EVEN_SIMPLE}
 
 
 class MixedBasis(Exception):
@@ -69,7 +60,8 @@ class MixedBasis(Exception):
 
 
 class SimpleBasis(Exception):
-    """Operation is undefined on simple/Kac-type bases."""
+    """A basis conversion was given a character outside the basis it
+    converts from."""
 
 
 class NonTerminating(Exception):
@@ -86,19 +78,15 @@ class NonTerminating(Exception):
 
 class BasisSymbol(NamedTuple):
     kind: str
-    parabolic: Optional[Parabolic]
+    parabolic: Parabolic
 
 
-def symbol(kind: str, parabolic: Optional[Parabolic] = None) -> BasisSymbol:
-    if kind in PARABOLIC_KINDS:
-        if parabolic is None:
-            raise ValueError(f"basis kind {kind!r} needs a parabolic")
-        return BasisSymbol(kind, tuple(parabolic))
-    if kind in PLAIN_KINDS:
-        if parabolic is not None:
-            raise ValueError(f"basis kind {kind!r} takes no parabolic")
-        return BasisSymbol(kind, None)
-    raise ValueError(f"unknown basis kind {kind!r}")
+def symbol(kind: str, parabolic: Optional[Parabolic]) -> BasisSymbol:
+    if kind not in (DELTA, NABLA):
+        raise ValueError(f"unknown basis kind {kind!r}")
+    if parabolic is None:
+        raise ValueError(f"basis kind {kind!r} needs a parabolic")
+    return BasisSymbol(kind, tuple(parabolic))
 
 
 class FormalChar:
@@ -115,15 +103,11 @@ class FormalChar:
             del self.terms[key]
 
     @classmethod
-    def single(
-        cls, kind: str, lam: Weight, parabolic: Optional[Parabolic] = None, coeff: int = 1
-    ) -> "FormalChar":
+    def single(cls, kind: str, lam: Weight, parabolic: Parabolic, coeff: int = 1) -> "FormalChar":
         return cls({(symbol(kind, parabolic), tuple(lam)): coeff})
 
     def coeff(self, kind: str, lam: Weight, parabolic: Optional[Parabolic] = None) -> int:
-        if parabolic is None and kind in PARABOLIC_KINDS:
-            parabolic = (1,) * len(lam)
-        return self.terms.get((symbol(kind, parabolic), tuple(lam)), 0)
+        return self.terms.get((symbol(kind, parabolic or borel(len(lam))), tuple(lam)), 0)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -220,10 +204,7 @@ def to_borel_delta(chi: FormalChar) -> FormalChar:
     alternating Levi orbit of each term of its Delta(p) form."""
     if chi.is_zero():
         return FormalChar()
-    kind = chi.sole_basis().kind
-    if kind not in (DELTA, NABLA):
-        raise SimpleBasis(f"no Delta-expansion for basis {kind!r}")
-    return _borel(*_delta_rows(chi, kind))
+    return _borel(*_delta_rows(chi, chi.sole_basis().kind))
 
 
 def _borel(p: Parabolic, d: int, rows: dict) -> FormalChar:
@@ -358,8 +339,6 @@ def theta_char(a, chi: FormalChar) -> FormalChar:
     if chi.is_zero():
         return FormalChar()
     sym = chi.sole_basis()
-    if sym.kind not in (DELTA, NABLA):
-        raise SimpleBasis(f"translation rule undefined on basis {sym.kind!r}")
     p = sym.parabolic
     d, ((a,), *xs) = scale([(exact(a),)] + [lam for _, lam in chi.terms])
     moves = {a: (d, -d)} if sym.kind == DELTA else {a: (d,), a + 2 * d: (-d,)}
@@ -393,9 +372,7 @@ def char_to_json(chi: FormalChar, empty_basis: str = DELTA) -> dict:
     if chi.is_zero():
         return {"basis": empty_basis, "terms": []}
     sym = chi.sole_basis()
-    doc: dict = {"basis": sym.kind}
-    if sym.parabolic is not None:
-        doc["parabolic"] = list(sym.parabolic)
+    doc: dict = {"basis": sym.kind, "parabolic": list(sym.parabolic)}
     doc["terms"] = [
         {"weight": [str(c) for c in lam], "coeff": coeff}
         for (_, lam), coeff in sorted(
@@ -408,11 +385,12 @@ def char_to_json(chi: FormalChar, empty_basis: str = DELTA) -> dict:
 def char_from_json(doc) -> FormalChar:
     """Inverse of char_to_json; a bad basis, parabolic, terms list, weight
     entry or coefficient, a missing field, or a weight whose length is not
-    that of the parabolic (or of the first term) raises ValueError."""
+    that of the parabolic raises ValueError.  Only the zero character may
+    leave the parabolic out."""
     if not isinstance(doc, dict):
         raise ValueError("a character document must be a JSON object")
     kind = doc.get("basis")
-    if not isinstance(kind, str) or kind not in PARABOLIC_KINDS | PLAIN_KINDS:
+    if kind not in (DELTA, NABLA):
         raise ValueError(f"unknown basis {kind!r}")
     parabolic = doc.get("parabolic")
     if parabolic is not None:
@@ -422,7 +400,10 @@ def char_from_json(doc) -> FormalChar:
     terms = doc.get("terms")
     if type(terms) is not list or any(type(term) is not dict for term in terms):
         raise ValueError("terms must be a list of objects")
-    n = sum(parabolic) if parabolic is not None else None
+    if not terms:
+        return FormalChar()
+    sym = symbol(kind, parabolic)
+    n = sum(sym.parabolic)
     out: dict = {}
     for k, term in enumerate(terms):
         for field in ("coeff", "weight"):
@@ -439,11 +420,9 @@ def char_from_json(doc) -> FormalChar:
             raise ValueError(f"term {k}: {exc}") from None
         if not lam:
             raise ValueError(f"term {k}: empty weight")
-        if n is None:
-            n = len(lam)
-        elif len(lam) != n:
+        if len(lam) != n:
             raise ValueError(f"term {k}: weight has {len(lam)} entries, expected {n}")
-        key = (symbol(kind, parabolic), lam)
+        key = (sym, lam)
         out[key] = out.get(key, 0) + coeff
     return FormalChar(out)
 

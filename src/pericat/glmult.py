@@ -1,6 +1,7 @@
-r"""Composition multiplicities for gl(n) Verma modules, in the rho-shifted
-labelling where the Weyl group permutes coordinates (place action) and the
-weight M_lam denotes the Verma module of highest weight lam - rho.
+r"""Composition multiplicities of gl(n) Verma modules, [M_lam : L_mu] and
+[M^p_mu : L_lam], as the tilting engine and `pericat mult` read them.  The
+labelling is rho-shifted: the Weyl group permutes coordinates (place
+action), and M_lam denotes the Verma module of highest weight lam - rho.
 
 The core computation is [M_lam : L_mu].  It factors over integrality
 classes of coordinate positions; each integral factor is a Kazhdan-Lusztig
@@ -22,52 +23,13 @@ representative w0 x is one sort of its positions.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Optional
 
-from .characters import EVEN_VERMA, FormalChar, levi_weyl_group, symbol
-from .linkage import _ranks, strong_down_set
-from .weights import (
-    Parabolic,
-    Weight,
-    borel,
-    format_weight,
-    is_integer,
-    reflect_coords,
-    require_p_dominant,
-)
+from .characters import levi_weyl_group
+from .linkage import _ranks
+from .weights import Parabolic, Weight, format_weight, require_p_dominant
 from .weyl import InvariantViolation, apply_perm, kl_eval_one
 
-__all__ = [
-    "jantzen_sum",
-    "verma_simple_mult",
-    "parabolic_verma_simple_mult",
-    "simple_in_verma_basis",
-]
-
-
-def even_verma(lam: Weight, p: Optional[Parabolic] = None) -> FormalChar:
-    return FormalChar.single(EVEN_VERMA, lam, p or borel(len(lam)))
-
-
-def jantzen_sum(lam: Weight) -> FormalChar:
-    """Sum of ch M_{s_beta lam} over positive even roots with
-    positive-integer pairing against lam (the classical sum formula's
-    right-hand side at level one).
-
-    >>> from .weights import format_weight, weight
-    >>> sorted(format_weight(mu) for (_, mu) in jantzen_sum(weight(2, 1, 0)).terms)
-    ['0,1,2', '1,2,0', '2,0,1']
-    """
-    n = len(lam)
-    sym = symbol(EVEN_VERMA, borel(n))
-    out: dict = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            c = lam[i] - lam[j]
-            if is_integer(c) and c > 0:
-                key = (sym, reflect_coords(lam, i, j))
-                out[key] = out.get(key, 0) + 1
-    return FormalChar(out)
+__all__ = ["verma_simple_mult", "parabolic_verma_simple_mult"]
 
 
 def _w0_rep(x: tuple) -> tuple:
@@ -154,32 +116,6 @@ def _levi_sum(x: tuple, y: tuple, dense: list, blocks, p: Parabolic) -> int:
         m = _term(apply_perm(w, x), y, dense, blocks)
         total += -m if lw % 2 else m
     return total
-
-
-def simple_in_verma_basis(lam: Weight, _memo: Optional[dict] = None) -> FormalChar:
-    """ch L_lam as an integer combination of ch M_mu (gl(n)), by inverting
-    the multiplicity triangle over the strong-linkage down-set.
-
-    >>> from .weights import weight
-    >>> simple_in_verma_basis(weight(1, 0)) == (
-    ...     even_verma(weight(1, 0)) - even_verma(weight(0, 1))
-    ... )
-    True
-    """
-    memo = _memo if _memo is not None else {}
-    lam = tuple(lam)
-    if lam in memo:
-        return memo[lam]
-    out = dict(even_verma(lam).terms)
-    for mu in strong_down_set(lam):
-        if mu == lam:
-            continue
-        m = verma_simple_mult(lam, mu)
-        if m:
-            for key, c in simple_in_verma_basis(mu, memo).terms.items():
-                out[key] = out.get(key, 0) - m * c
-    memo[lam] = chi = FormalChar(out)
-    return chi
 
 
 if __name__ == "__main__":

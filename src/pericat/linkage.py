@@ -30,16 +30,12 @@ from .weights import (
     Coord,
     Parabolic,
     Weight,
+    _levi_pairs,
     _positive_pairs,
-    basis_vector,
-    conjugate,
-    even_root,
     integrality_classes,
     is_p_dominant,
-    levi_positive_roots,
     refuse_inexact,
     require_p_dominant,
-    sub,
 )
 
 
@@ -55,17 +51,19 @@ def _ranks(lam: Weight, mu: Weight):
     lam's ranking."""
     try:
         lam_q = [(c.numerator, c.denominator) for c in lam]
-        mu_q = [(c.numerator, c.denominator) for c in mu]
+        mu_q = lam_q if mu is lam else [(c.numerator, c.denominator) for c in mu]
     except AttributeError:
         refuse_inexact(lam, mu)
         raise
     ordered = sorted(lam_q)
-    if ordered != sorted(mu_q):
+    if mu_q is not lam_q and ordered != sorted(mu_q):
         return None
     rank = dict(zip(dict.fromkeys(ordered), range(len(ordered))))
     x = tuple(map(rank.__getitem__, lam_q))
-    y = tuple(map(rank.__getitem__, mu_q))
     keys = [(a % d, d) for a, d in rank]
+    if mu_q is lam_q:  # one weight ranked for a walk: nothing to compare
+        return x, x, keys
+    y = tuple(map(rank.__getitem__, mu_q))
     if len(set(keys)) > 1 and [keys[r] for r in x] != [keys[r] for r in y]:
         return None  # some lam_i - mu_i is not an integer
     return x, y, keys
@@ -178,6 +176,11 @@ def block_count(composition: Parabolic) -> int:
 # --- edge predicates ----------------------------------------------------------
 
 
+def _lowered(lam: Weight, *idx: int) -> Weight:
+    """lam - sum of e_k over the 0-based k in idx (a repeated k counts twice)."""
+    return tuple(c - idx.count(k) for k, c in enumerate(lam))
+
+
 def A_set(lam: Weight, q: int) -> frozenset[int]:
     """{ j : q <= j <= n, lam_q = lam_j } with 1-based q and result."""
     n = len(lam)
@@ -195,8 +198,7 @@ def thm34_nabla_edge(lam: Weight, q: int, p: Parabolic) -> bool:
     refuse_inexact(lam)  # a float lam can pass every test below
     require_p_dominant(lam, p)
     n = len(lam)
-    target = sub(lam, tuple(2 * c for c in basis_vector(q - 1, n)))
-    if not is_p_dominant(target, p):
+    if not is_p_dominant(_lowered(lam, q - 1, q - 1), p):
         return False
     for j in A_set(lam, q):
         if j <= n - 1 and lam[j - 1] - lam[j] == 1:
@@ -215,12 +217,11 @@ def thm34_delta_edge(lam: Weight, i: int, p: Parabolic) -> bool:
     n = len(lam)
     if not 1 <= i <= n - 1:
         raise ValueError(f"simple root index {i} out of range for n={n}")
-    alpha = even_root(i - 1, i, n)
-    if alpha not in levi_positive_roots(p, n):
+    if (i - 1, i) not in _levi_pairs(p, n):
         return False
     if lam[i - 1] - lam[i] != 1:
         return False
-    if not is_p_dominant(sub(lam, conjugate(alpha)), p):
+    if not is_p_dominant(_lowered(lam, i - 1, i), p):
         return False
     return A_set(lam, i) == frozenset({i})
 
@@ -248,15 +249,11 @@ def thmA_nabla_form(lam: Weight, q: int, p: Parabolic) -> bool:
     to lam - conj(alpha_i) for any i <= n-1 with <lam, alpha_i> = 1.
     """
     require_p_dominant(lam, p)
-    n = len(lam)
-    target = sub(lam, tuple(2 * c for c in basis_vector(q - 1, n)))
+    target = _lowered(lam, q - 1, q - 1)
     if not is_p_dominant(target, p):
         return False
-    for i in range(n - 1):
-        alpha = even_root(i, i + 1, n)
-        if lam[i] - lam[i + 1] == 1 and strongly_linked(
-            target, sub(lam, conjugate(alpha))
-        ):
+    for i in range(len(lam) - 1):
+        if lam[i] - lam[i + 1] == 1 and strongly_linked(target, _lowered(lam, i, i + 1)):
             return False
     return True
 
@@ -271,19 +268,14 @@ def thmA_delta_form(lam: Weight, i: int, p: Parabolic) -> bool:
     n = len(lam)
     if not 1 <= i <= n - 1:
         raise ValueError(f"simple root index {i} out of range for n={n}")
-    alpha = even_root(i - 1, i, n)
-    if alpha not in levi_positive_roots(p, n):
+    if (i - 1, i) not in _levi_pairs(p, n):
         return False
     if lam[i - 1] - lam[i] != 1:
         return False
-    source = sub(lam, conjugate(alpha))
+    source = _lowered(lam, i - 1, i)
     if not is_p_dominant(source, p):
         return False
-    for q in range(n):
-        target = sub(lam, tuple(2 * c for c in basis_vector(q, n)))
-        if strongly_linked(source, target):
-            return False
-    return True
+    return not any(strongly_linked(source, _lowered(lam, q, q)) for q in range(n))
 
 
 if __name__ == "__main__":

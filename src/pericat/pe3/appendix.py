@@ -208,23 +208,23 @@ def _case_61_I(r: _Recorder, samples) -> None:
         )
 
 
-def _case_61_II(r: _Recorder) -> None:
-    anchor = r.engine_anchor("6.1-II:anchor", _w(-1, 1, 1), _nb((-1, 1, 1)))
-    th = r.theta_eq(
-        "6.1-II:theta", -1, anchor, _nb((0, 1, 1), (-1, 0, 1), (-1, 1, 0))
-    )
+def _case_T011(r: _Recorder, case: str, theta_step: str, row: str) -> None:
+    """T_{0,1,1} from theta_{-1} of the anchor T_{-1,1,1}: one derivation
+    that the appendix gives twice, for rows 5.2 (6.1-II) and 5.7 (6.2-II)."""
+    anchor = r.engine_anchor(f"{case}:anchor", _w(-1, 1, 1), _nb((-1, 1, 1)))
+    th = r.theta_eq(theta_step, -1, anchor, _nb((0, 1, 1), (-1, 0, 1), (-1, 1, 0)))
     r.check(
-        "6.1-II:edge",
+        f"{case}:edge",
         _certified(_w(0, 1, 1), _w(-1, 0, 1), bases=[(_w(1, 0, -1), 1)]),
         "(T_{0,1,1} : nabla_{-1,0,1}) > 0",
     )
     r.conclude(
-        "5.2",
+        row,
         _w(0, 1, 1),
         th,
         bases=[(_w(1, 0, -1), 1)],
         refute=[_w(-1, 1, 0)],
-        table_char=_table("5.2"),
+        table_char=_table(row),
     )
 
 
@@ -391,24 +391,6 @@ def _case_62_I(r: _Recorder, samples) -> None:
             refute=[_w(-1, 0, c)],
             table_char=_table("5.6", c=c),
         )
-
-
-def _case_62_II(r: _Recorder) -> None:
-    anchor = r.engine_anchor("6.2-II:anchor", _w(-1, 1, 1), _nb((-1, 1, 1)))
-    th = r.theta_eq("6.8", -1, anchor, _nb((0, 1, 1), (-1, 0, 1), (-1, 1, 0)))
-    r.check(
-        "6.2-II:edge",
-        _certified(_w(0, 1, 1), _w(-1, 0, 1), bases=[(_w(1, 0, -1), 1)]),
-        "(T_{0,1,1} : nabla_{-1,0,1}) > 0",
-    )
-    r.conclude(
-        "5.7",
-        _w(0, 1, 1),
-        th,
-        bases=[(_w(1, 0, -1), 1)],
-        refute=[_w(-1, 1, 0)],
-        table_char=_table("5.7"),
-    )
 
 
 def _case_62_III(r: _Recorder) -> None:
@@ -721,12 +703,12 @@ def replay_appendix(
         merged.update(samples)
     r = _Recorder(strict)
     _case_61_I(r, merged)
-    _case_61_II(r)
+    _case_T011(r, "6.1-II", "6.1-II:theta", "5.2")
     _case_61_III(r, merged)
     _case_61_IV(r)
     _case_61_V(r)
     _case_62_I(r, merged)
-    _case_62_II(r)
+    _case_T011(r, "6.2-II", "6.8", "5.7")
     _case_62_III(r)
     _case_62_IV(r, merged)
     _case_63_I(r, merged)

@@ -1,7 +1,6 @@
-r"""pe(n) consequences of the gl(n) multiplicity engine: typicality
-equivalences, simplicity criteria, Kac characters, weakly-typical tilting
-characters, the tilting = costandard detector, certified positivity edges
-from socle/odd-reflection facts, and the Pieri difference character.
+r"""pe(n) tilting characters from the gl(n) multiplicity engine: the
+weakly-typical tilting characters, the tilting = costandard detector, and
+certified positivity edges from socle/odd-reflection facts.
 
 Everything here is certified only on the weakly-typical side; operations
 that the theory does not determine outside that region raise
@@ -21,21 +20,9 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple, Optional
 
-from .characters import (
-    DELTA,
-    LEVI_SIMPLE,
-    NABLA,
-    FormalChar,
-    symbol,
-)
-from .glmult import (
-    _class_blocks,
-    _levi_sum,
-    parabolic_verma_simple_mult,
-    simple_in_verma_basis,
-    verma_simple_mult,
-)
-from .linkage import _ranks, _walk, strong_down_set, strong_up_set
+from .characters import NABLA, FormalChar, symbol
+from .glmult import _class_blocks, _levi_sum
+from .linkage import _ranks, _walk, strong_up_set
 from .weights import (
     Parabolic,
     Weight,
@@ -43,10 +30,7 @@ from .weights import (
     borel,
     format_weight,
     is_dominant,
-    is_g0_weakly_typical,
-    is_p_dominant,
     is_p_weakly_typical,
-    levi_blocks,
     negate,
     refuse_inexact,
     require_p_dominant,
@@ -57,15 +41,9 @@ from .weyl import InvariantViolation, apply_perm, parabolic_longest
 __all__ = [
     "NotWeaklyTypical",
     "OddReflectionFact",
-    "prop41_equivalent",
-    "kac_char",
-    "super_verma_mult_wt",
-    "kac_is_simple",
-    "parabolic_verma_is_simple",
     "weakly_typical_tilting",
     "tilting_equals_nabla",
     "standard_fact_edges",
-    "pieri_difference",
     "neg_w0p",
 ]
 
@@ -78,72 +56,6 @@ class NotWeaklyTypical(Exception):
 def neg_w0p(lam: Weight, p: Parabolic) -> Weight:
     """-w_0^p(lam): reverse within Levi blocks, then negate."""
     return negate(apply_perm(parabolic_longest(p), lam))
-
-
-def prop41_equivalent(lam: Weight, p: Optional[Parabolic] = None) -> bool:
-    """Whether lam is p-weakly-typical, checking on the way that this
-    agrees with -w_0^p(lam) being g0-weakly-typical (InvariantViolation
-    otherwise)."""
-    p = p or borel(len(lam))
-    require_p_dominant(lam, p)
-    left = is_p_weakly_typical(lam, p)
-    right = is_g0_weakly_typical(neg_w0p(lam, p))
-    if left != right:
-        raise InvariantViolation(
-            f"Prop. 4.1 fails at {format_weight(lam)} for p={p}: {left} != {right}"
-        )
-    return left
-
-
-def kac_char(lam: Weight) -> FormalChar:
-    """ch K_lam in the Delta(borel) basis: the Kac functor is exact on
-    characters, so the expansion mirrors ch L^0_lam over Vermas.
-
-    >>> from .weights import weight
-    >>> from .characters import delta
-    >>> kac_char(weight(1, 0)) == delta(weight(1, 0)) - delta(weight(0, 1))
-    True
-    """
-    sym = symbol(DELTA, borel(len(lam)))
-    return FormalChar(
-        {(sym, mu): c for (_, mu), c in simple_in_verma_basis(lam).terms.items()}
-    )
-
-
-def super_verma_mult_wt(mu: Weight, lam: Weight) -> int:
-    """[Delta_mu : L_lam] for g0-weakly-typical lam, where it coincides
-    with the even Verma multiplicity [M_mu : L^0_lam]."""
-    if not is_g0_weakly_typical(lam):
-        raise NotWeaklyTypical(
-            f"[Delta:L] is not determined here for {format_weight(lam)}"
-        )
-    return verma_simple_mult(mu, lam)
-
-
-def kac_is_simple(lam: Weight) -> bool:
-    """K_lam is simple iff lam is g0-weakly-typical.
-
-    >>> from .weights import weight
-    >>> kac_is_simple(weight(1, -1, -5))
-    True
-    >>> kac_is_simple(weight(0, -1, -5))
-    False
-    """
-    return is_g0_weakly_typical(lam)
-
-
-def parabolic_verma_is_simple(lam: Weight, p: Optional[Parabolic] = None) -> bool:
-    """Delta^p_lam is simple iff lam is g0-weakly-typical and the even
-    parabolic Verma M^p_lam is simple."""
-    p = p or borel(len(lam))
-    require_p_dominant(lam, p)
-    if not is_g0_weakly_typical(lam):
-        return False
-    return all(
-        parabolic_verma_simple_mult(lam, mu, p) == 0
-        for mu in strong_down_set(lam)
-        if mu != lam
-    )
 
 
 def weakly_typical_tilting(lam: Weight, p: Optional[Parabolic] = None) -> FormalChar:
@@ -249,38 +161,6 @@ def standard_fact_edges(
         for nu in strong_up_set(mu):
             claims.add((negate(fact.eta), negate(nu)))
     return claims
-
-
-def pieri_difference(lam: Weight, p: Optional[Parabolic] = None) -> FormalChar:
-    """The signed Levi-simple character
-        sum_{lam - 2e_i in Sigma_p^+} L^l_{lam - 2e_i}
-      - sum_{alpha = e_i - e_j in Phi^+(l), <lam, alpha> = 1,
-             lam - e_i - e_j in Sigma_p^+} L^l_{lam - e_i - e_j}.
-
-    >>> from .weights import weight
-    >>> chi = pieri_difference(weight(1, 0, 5), (2, 1))
-    >>> chi.coeff("levi_simple", weight(0, -1, 5), (2, 1))
-    -1
-    """
-    p = p or borel(len(lam))
-    require_p_dominant(lam, p)
-    n = len(lam)
-    sym = symbol(LEVI_SIMPLE, p)
-    out: dict = {}
-    for i in range(n):
-        mu = tuple(c - 2 if k == i else c for k, c in enumerate(lam))
-        if is_p_dominant(mu, p):
-            out[(sym, mu)] = out.get((sym, mu), 0) + 1
-    for block in levi_blocks(p):
-        for a_idx, i in enumerate(block):
-            for j in block[a_idx + 1 :]:
-                if lam[i] - lam[j] == 1:
-                    mu = tuple(
-                        c - 1 if k in (i, j) else c for k, c in enumerate(lam)
-                    )
-                    if is_p_dominant(mu, p):
-                        out[(sym, mu)] = out.get((sym, mu), 0) - 1
-    return FormalChar(out)
 
 
 if __name__ == "__main__":

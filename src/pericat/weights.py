@@ -12,9 +12,8 @@ are rho-shifted: the label lam refers to the module of highest weight
 lam - rho, with rho = (n-1, ..., 1, 0).
 
 Even roots are the gl(n) roots e_i - e_j; odd roots are -e_i - e_j (i < j)
-and e_i + e_j (i <= j).  The public root functions return plain weight
-vectors, so the bilinear form is the dot product; the predicates below work
-on the index pairs (i, j) instead, where <lam, e_i - e_j> = lam[i] - lam[j].
+and e_i + e_j (i <= j).  A root is stored as its index pair (i, j), where
+<lam, e_i - e_j> = lam[i] - lam[j].
 
 >>> parse_weight("0,1/2,1")
 (0, Fraction(1, 2), 1)
@@ -34,7 +33,6 @@ from typing import Iterable, Sequence, Tuple, Union
 
 Coord = Union[int, Fraction]
 Weight = Tuple[Coord, ...]
-Root = Tuple[Coord, ...]
 # A parabolic is the composition of n giving the block sizes of its Levi;
 # the Borel is (1, ..., 1).
 Parabolic = Tuple[int, ...]
@@ -159,30 +157,6 @@ def negate(lam: Weight) -> Weight:
     return tuple(-c for c in lam)
 
 
-def basis_vector(i: int, n: int) -> Weight:
-    return tuple(ONE if j == i else ZERO for j in range(n))
-
-
-def even_root(i: int, j: int, n: int) -> Root:
-    """e_i - e_j as a vector (0-based i != j)."""
-    if i == j:
-        raise ValueError("even root needs distinct indices")
-    return tuple(
-        ONE if k == i else -ONE if k == j else ZERO for k in range(n)
-    )
-
-
-def conjugate(beta: Root) -> Root:
-    """The odd conjugate of an even root: e_i - e_j  |->  e_i + e_j.
-
-    >>> conjugate(even_root(0, 1, 3))
-    (1, 1, 0)
-    """
-    if sorted(beta) != sorted((-ONE, ONE) + (ZERO,) * (len(beta) - 2)):
-        raise ValueError("conjugate is defined for roots e_i - e_j only")
-    return tuple(abs(c) for c in beta)
-
-
 def reflect_coords(lam: Weight, i: int, j: int) -> Weight:
     """Reflection in e_i - e_j: swap coordinates i and j."""
     out = list(lam)
@@ -225,11 +199,6 @@ def _weak_typicality_pairs(p: Parabolic, n: int) -> tuple:
     return tuple((i, j, 1 if (i, j) in levi else -1) for i, j in _positive_pairs(n))
 
 
-def levi_positive_roots(p: Parabolic, n: int) -> list[Root]:
-    """Phi^+(l): the positive even roots inside the Levi blocks of p."""
-    return [even_root(i, j, n) for i, j in _levi_pairs(tuple(p), n)]
-
-
 def borel(n: int) -> Parabolic:
     return (1,) * n
 
@@ -248,15 +217,29 @@ def is_dominant(lam: Weight) -> bool:
     )
 
 
-@lru_cache(maxsize=65536)
 def is_p_dominant(lam: Weight, p: Parabolic, d: int = 1) -> bool:
     """lam/d lies in Sigma_p^+: <lam/d, alpha> in Z_{>0} for alpha in
     Phi^+(l), where d > 1 takes lam as scaled by `scale`.
 
     These are the weights indexing parabolic Vermas/costandards in O^p.
+    A lam or p that is not a tuple raises TypeError naming it (the cache
+    hashes both).
     """
     try:
-        for i, j in _levi_pairs(tuple(p), len(lam)):
+        return _is_p_dominant(lam, p, d)
+    except TypeError:
+        for name, arg in (("weight", lam), ("parabolic", p)):
+            if type(arg) is not tuple:
+                raise TypeError(
+                    f"{name} {arg!r} is a {type(arg).__name__}, not a tuple"
+                ) from None
+        raise
+
+
+@lru_cache(maxsize=65536)
+def _is_p_dominant(lam: Weight, p: Parabolic, d: int) -> bool:
+    try:
+        for i, j in _levi_pairs(p, len(lam)):
             v = lam[i] - lam[j]
             if not (is_integer(v) and v > 0 and v % d == 0):
                 return False
@@ -267,19 +250,9 @@ def is_p_dominant(lam: Weight, p: Parabolic, d: int = 1) -> bool:
 
 
 def require_p_dominant(lam: Weight, p: Parabolic, d: int = 1) -> None:
-    """Raise ValueError unless lam/d lies in Sigma_p^+ (see is_p_dominant),
-    and TypeError when lam or p is not a tuple (is_p_dominant's cache
-    hashes both)."""
-    try:
-        dominant = is_p_dominant(lam, p, d)
-    except TypeError:
-        for name, arg in (("weight", lam), ("parabolic", p)):
-            if type(arg) is not tuple:
-                raise TypeError(
-                    f"{name} {arg!r} is a {type(arg).__name__}, not a tuple"
-                ) from None
-        raise
-    if not dominant:
+    """Raise ValueError unless lam/d lies in Sigma_p^+, and TypeError as
+    is_p_dominant does."""
+    if not is_p_dominant(lam, p, d):
         lam = tuple(Fraction(c, d) for c in lam)
         raise ValueError(f"{format_weight(lam)} is not in Sigma_p^+ for p={p}")
 

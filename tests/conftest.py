@@ -10,7 +10,7 @@ from pericat.characters import FormalChar, char_sum, delta, nabla, nabla_sum_to_
 from pericat.linkage import block_label
 from pericat.pe3 import tables
 from pericat.tilting import weakly_typical_tilting
-from pericat.weights import borel, is_integer, weight
+from pericat.weights import _levi_pairs, borel, is_integer, weight
 
 # One verdict line per acceptance criterion, printed after capture ends so
 # they are visible in the terminal summary of every run.
@@ -92,6 +92,33 @@ def bfs_closure(start, sign):
                         nxt.append(tuple(out))
         frontier = nxt
     return seen
+
+
+# Roots as dense vectors, for the tests that check the index-pair form
+# against the bilinear form.
+
+
+def basis_vector(i: int, n: int):
+    return tuple(1 if j == i else 0 for j in range(n))
+
+
+def even_root(i: int, j: int, n: int):
+    """e_i - e_j as a vector (0-based i != j)."""
+    if i == j:
+        raise ValueError("even root needs distinct indices")
+    return tuple(1 if k == i else -1 if k == j else 0 for k in range(n))
+
+
+def conjugate(beta):
+    """The odd conjugate of an even root: e_i - e_j  |->  e_i + e_j."""
+    if sorted(beta) != sorted((-1, 1) + (0,) * (len(beta) - 2)):
+        raise ValueError("conjugate is defined for roots e_i - e_j only")
+    return tuple(abs(c) for c in beta)
+
+
+def levi_positive_roots(p, n: int):
+    """Phi^+(l): the positive even roots inside the Levi blocks of p."""
+    return [even_root(i, j, n) for i, j in _levi_pairs(tuple(p), n)]
 
 
 def frac_box(lo: int, hi: int):

@@ -13,11 +13,9 @@ from pericat import characters
 from pericat.characters import (
     DELTA,
     NABLA,
-    SIMPLE,
     FormalChar,
     MixedBasis,
     NonTerminating,
-    SimpleBasis,
     ZERO_CHAR,
     char_from_json,
     char_to_json,
@@ -35,9 +33,8 @@ from pericat.characters import (
     theta_nabla,
     to_borel_delta,
 )
-from pericat.glmult import simple_in_verma_basis
 from pericat.linkage import block_label
-from pericat.tilting import kac_char, pieri_difference, weakly_typical_tilting
+from pericat.tilting import weakly_typical_tilting
 from pericat.weights import (
     borel,
     degree,
@@ -144,9 +141,10 @@ def test_theta_char_fixtures():
 def test_theta_char_rejects_bad_bases():
     with pytest.raises(MixedBasis):
         theta_char(0, delta(W(0, 1)) + nabla(W(0, 1)))
-    simple_char = FormalChar.single(SIMPLE, W(0, 1))
-    with pytest.raises(SimpleBasis):
-        theta_char(0, simple_char)
+    # a character in any other basis cannot be built
+    for kind in ("simple", "kac", "even_verma", "even_simple", "levi_simple"):
+        with pytest.raises(ValueError, match=f"unknown basis kind '{kind}'"):
+            FormalChar.single(kind, W(0, 1), B2)
 
 
 def test_shift_by_omega():
@@ -690,16 +688,13 @@ def _fresh_results(chi):
         ("theta_nabla", lambda: theta_nabla(-1, W(-1, 1, 1))),
         ("nabla_to_delta", lambda: nabla_to_delta(W(0, 1))),
         ("weakly_typical_tilting", lambda: weakly_typical_tilting(W(-1, 1, -2))),
-        ("kac_char", lambda: kac_char(W(2, 1, 0))),
-        ("pieri_difference", lambda: pieri_difference(W(1, 0, 5), (2, 1))),
-        ("simple_in_verma_basis", lambda: simple_in_verma_basis(W(2, 1, 0))),
     ]
 
 
 def test_results_share_no_terms_dict():
     chi = nab_sum((0, 1, -1), (0, -1, 1), (-1, 1, 0), (-1, 0, 1), (-1, 0, -1), (-1, -1, 0))
     before = dict(chi.terms)
-    junk = (symbol(SIMPLE), W(9, 9, 9))
+    junk = (symbol(DELTA, B3), W(9, 9, 9))
     for name, make in _fresh_results(chi):
         first = make()
         snapshot = dict(first.terms)
@@ -713,20 +708,3 @@ def test_results_share_no_terms_dict():
     zero = theta_char(0, ZERO_CHAR)
     zero.terms[junk] = 1
     assert ZERO_CHAR.terms == {} and theta_char(0, ZERO_CHAR).is_zero()
-
-
-def test_simple_in_verma_basis_memo_is_untouched():
-    memo = {}
-    child = W(1, 2, 0)
-    low = simple_in_verma_basis(child, memo)
-    low_terms = dict(low.terms)
-    # the parent accumulates from the memoised child values without writing
-    # into them
-    simple_in_verma_basis(W(2, 1, 0), memo)
-    assert memo[child] is low and low.terms == low_terms
-    snapshot = {lam: dict(v.terms) for lam, v in memo.items()}
-    kac = kac_char(W(2, 1, 0))
-    assert all(kac.terms is not v.terms for v in memo.values())
-    kac.terms.clear()
-    assert {lam: dict(v.terms) for lam, v in memo.items()} == snapshot
-    assert not kac_char(W(2, 1, 0)).is_zero()

@@ -246,6 +246,8 @@ def test_error_zero_denominator(capsys, argv):
     ],
 )
 def test_error_simple_basis(capsys, tmp_path, argv):
+    # a conversion given the basis it converts to is a SimpleBasis error; a
+    # simple-basis file is refused when it loads, before theta runs
     src = tmp_path / "simple.json"
     basis = "nabla" if argv[0] == "char" else "simple"
     doc = {"basis": basis, "terms": [{"weight": ["0", "1"], "coeff": 1}]}
@@ -254,7 +256,8 @@ def test_error_simple_basis(capsys, tmp_path, argv):
     src.write_text(json.dumps(doc))
     code, _, err = run_cli(capsys, *argv, "--char", str(src))
     assert code == 1
-    assert err.startswith("error: SimpleBasis:")
+    expected = "error: SimpleBasis:" if basis == "nabla" else "error: unknown basis 'simple'\n"
+    assert err.startswith(expected)
     assert "Traceback" not in err
 
 
@@ -275,7 +278,7 @@ def _nabla_doc(weight, coeff):
         ({**_nabla_doc(["0", "1"], 1), "terms": [5]}, "terms"),
         ({**_nabla_doc(["0", "1"], 1), "parabolic": [2, 1]}, "term 0: weight has 2 entries"),
         (
-            {"basis": "simple", "terms": [
+            {**_nabla_doc(["0", "1"], 1), "terms": [
                 {"weight": ["0", "1"], "coeff": 1}, {"weight": ["0", "1", "2"], "coeff": 1},
             ]},
             "term 1: weight has 3 entries",
@@ -285,12 +288,22 @@ def _nabla_doc(weight, coeff):
         (_nabla_doc("01", 1), "term 0: weight '01' is not a list"),
         (_nabla_doc(["x", "1"], 1), "term 0: Invalid literal"),
         (_nabla_doc(["1/0", "1"], 1), "term 0: weight coordinate '1/0' has a zero denominator"),
+        # the kinds of the retired simple, Kac and gl(n) bases
+        *(
+            ({"basis": kind, "terms": [{"weight": ["0", "1"], "coeff": 1}]}, f"unknown basis '{kind}'")
+            for kind in ("simple", "kac", "even_simple")
+        ),
+        *(
+            ({**_nabla_doc(["0", "1"], 1), "basis": kind}, f"unknown basis '{kind}'")
+            for kind in ("even_verma", "levi_simple")
+        ),
     ],
     ids=[
         "list-document", "float-weight", "bool-weight", "float-coeff", "bool-coeff",
         "string-parabolic", "unknown-basis", "int-term", "weight-off-parabolic",
         "weight-lengths-differ", "no-coeff", "no-weight", "string-weight",
-        "non-numeric-entry", "zero-denominator",
+        "non-numeric-entry", "zero-denominator", "simple", "kac", "even_simple",
+        "even_verma", "levi_simple",
     ],
 )
 def test_error_bad_character_file(capsys, tmp_path, doc, needle):

@@ -25,26 +25,18 @@ from pericat.linkage import strong_up_set, strongly_linked
 from pericat.tilting import (
     NotWeaklyTypical,
     OddReflectionFact,
-    kac_char,
-    kac_is_simple,
     neg_w0p,
-    parabolic_verma_is_simple,
-    pieri_difference,
-    prop41_equivalent,
     standard_fact_edges,
-    super_verma_mult_wt,
     tilting_equals_nabla,
     weakly_typical_tilting,
 )
 from pericat.weights import (
     exact,
-    is_dominant,
-    is_integral,
+    is_g0_weakly_typical,
     is_p_dominant,
     is_p_weakly_typical,
     negate,
 )
-from pericat.characters import LEVI_SIMPLE, delta
 from pericat import glmult, tilting
 from pericat.weyl import InvariantViolation, all_perms, apply_perm
 
@@ -56,42 +48,22 @@ def test_neg_w0p():
 
 
 def test_prop41_equivalent():
-    assert prop41_equivalent(W(-1, 1, 5), B3)
-    assert not prop41_equivalent(W(0, 1, 5), B3)
-    assert prop41_equivalent(W(2, 0, 5), (2, 1))
-
-
-def test_kac_char():
-    assert kac_char(W(0, 1)) == delta(W(0, 1))  # antidominant
-    assert kac_char(W(1, 0)) == delta(W(1, 0)) - delta(W(0, 1))
-    for lam in (W(2, 0, 1), W(1, 1, 0)):
-        assert kac_char(lam).coeff(DELTA, lam) == 1
-
-
-def test_super_verma_mult_wt():
-    lam = W(1, -1, -5)
-    assert super_verma_mult_wt(lam, lam) == 1
-    assert super_verma_mult_wt(W(-5, -1, 1), lam) == verma_simple_mult(
-        W(-5, -1, 1), lam
-    )
-    assert super_verma_mult_wt(W(0, 0, 0), lam) == 0
-    with pytest.raises(NotWeaklyTypical):
-        super_verma_mult_wt(W(0, -1, -5), W(0, -1, -5))
-
-
-def test_kac_is_simple():
-    assert kac_is_simple(W(1, -1, -5))
-    assert not kac_is_simple(W(0, -1, -5))
-    assert kac_is_simple(W(7,))
-
-
-def test_parabolic_verma_is_simple():
-    assert parabolic_verma_is_simple(W(-2, 0, 1), B3)
-    assert not parabolic_verma_is_simple(W(2, 1, 0), B3)  # M^0 not simple
-    assert not parabolic_verma_is_simple(W(1, 0, 5), B3)  # pairing 1 kills it
-    # (0,1,5) is g0-weakly-typical (pairings -1,-5,-4) with an antidominant
-    # hence simple even Verma, so its super Verma is simple too.
-    assert parabolic_verma_is_simple(W(0, 1, 5), B3)
+    # Prop. 4.1: a p-dominant lam is p-weakly-typical exactly when
+    # -w_0^p(lam) is g0-weakly-typical; every composition, n <= 4, over an
+    # integral and a half-integral box
+    assert is_g0_weakly_typical(neg_w0p(W(2, 0, 5), (2, 1)))
+    assert not is_g0_weakly_typical(neg_w0p(W(0, 1, 5), B3))
+    boxes = (frac_box(-2, 2), [Fraction(k, 2) for k in range(-3, 4)])
+    seen = set()
+    for n in range(1, 5):
+        for values in boxes:
+            for lam in itertools.product(map(exact, values), repeat=n):
+                for p in _compositions(n):
+                    if is_p_dominant(lam, p):
+                        typical = is_p_weakly_typical(lam, p)
+                        assert typical == is_g0_weakly_typical(neg_w0p(lam, p)), (lam, p)
+                        seen.add((typical, p != (1,) * n))
+    assert len(seen) == 4  # both verdicts, at the Borel and at a larger p
 
 
 # --- the six weakly-typical anchors the appendix builds on --------------------
@@ -283,24 +255,8 @@ def test_odd_reflection_fact_br_payload():
     assert fact.kac_weight() == W(-1, 1, 0)
 
 
-def test_pieri_difference():
-    chi = pieri_difference(W(1, 0, 5), (2, 1))
-    assert chi.coeff(LEVI_SIMPLE, W(1, -2, 5), (2, 1)) == 1
-    assert chi.coeff(LEVI_SIMPLE, W(1, 0, 3), (2, 1)) == 1
-    assert chi.coeff(LEVI_SIMPLE, W(0, -1, 5), (2, 1)) == -1
-    assert chi.coeff(LEVI_SIMPLE, W(-1, 0, 5), (2, 1)) == 0
-    # Borel case: only the +2 epsilon terms survive.
-    chi_b = pieri_difference(W(3, 1, 0), B3)
-    assert all(c == 1 for c in chi_b.terms.values())
-    assert len(chi_b.terms) == 3
-
-
 def test_engine_invariants_raise_typed_errors(monkeypatch):
     lam = W(-1, 1, 5)
-    with monkeypatch.context() as m:
-        m.setattr(tilting, "is_g0_weakly_typical", lambda mu: False)
-        with pytest.raises(InvariantViolation, match="Prop. 4.1"):
-            prop41_equivalent(lam)
     # the engine reads each multiplicity as a Levi sum of glmult._term
     with monkeypatch.context() as m:
         m.setattr(glmult, "_term", lambda x, y, dense, blocks: 2)
@@ -310,7 +266,6 @@ def test_engine_invariants_raise_typed_errors(monkeypatch):
         m.setattr(glmult, "_term", lambda x, y, dense, blocks: -1)
         with pytest.raises(InvariantViolation, match=r"\[M\^p_1,-1,-5 : L_1,-1,-5\] = -1 < 0"):
             weakly_typical_tilting(lam)
-    assert prop41_equivalent(lam) is True
     assert weakly_typical_tilting(lam).coeff(NABLA, lam) == 1
 
 
@@ -318,13 +273,13 @@ def test_engine_invariant_fires_under_python_O():
     src = Path(tilting.__file__).resolve().parents[1]
     code = (
         "import sys\n"
-        "from pericat import tilting\n"
+        "from pericat import glmult, tilting\n"
         "from pericat.weights import weight\n"
         "from pericat.weyl import InvariantViolation\n"
         "assert False, 'asserts are stripped under -O'\n"
-        "tilting.is_g0_weakly_typical = lambda mu: False\n"
+        "glmult._term = lambda x, y, dense, blocks: 2\n"
         "try:\n"
-        "    tilting.prop41_equivalent(weight(-1, 1, 5))\n"
+        "    tilting.weakly_typical_tilting(weight(-1, 1, 5))\n"
         "except InvariantViolation as exc:\n"
         "    print(exc)\n"
         "    sys.exit(0)\n"
@@ -336,4 +291,4 @@ def test_engine_invariant_fires_under_python_O():
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith("Prop. 4.1 fails at -1,1,5")
+    assert proc.stdout.startswith("T^p_-1,1,5 (p=(1, 1, 1)) has coefficient 2")

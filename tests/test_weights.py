@@ -6,17 +6,25 @@ from fractions import Fraction
 import pytest
 from hypothesis import given
 
-from conftest import W, frac_box, is_antidominant, mixed_weights, normalised, partial_weight
+from conftest import (
+    W,
+    basis_vector,
+    conjugate,
+    even_root,
+    frac_box,
+    is_antidominant,
+    levi_positive_roots,
+    mixed_weights,
+    normalised,
+    partial_weight,
+)
 from pericat.glmult import parabolic_verma_simple_mult
 from pericat.linkage import thm34_nabla_edge
 from pericat.tilting import weakly_typical_tilting
 from pericat.weights import (
     add,
-    basis_vector,
     borel,
-    conjugate,
     degree,
-    even_root,
     exact,
     format_weight,
     integrality_classes,
@@ -28,7 +36,6 @@ from pericat.weights import (
     is_p_weakly_typical,
     is_typical,
     levi_blocks,
-    levi_positive_roots,
     n_odd,
     negate,
     omega,
@@ -128,11 +135,12 @@ def test_dominance():
             (weakly_typical_tilting, ((-1, 1, 5), [1, 1, 1])),
             (thm34_nabla_edge, ((2, 0, 1), 1, [1, 1, 1])),
             (parabolic_verma_simple_mult, ((1, 0, 2), (1, 0, 2), [1, 1, 1])),
+            (is_p_dominant, ((2, 0, 1), [1, 1, 1])),
         )
     ],
 )
 def test_list_parabolic_is_a_typed_error(entry, args):
-    # is_p_dominant's cache cannot hash a list; the guard names the argument
+    # is_p_dominant's cache cannot hash a list; its guard names the argument
     with pytest.raises(TypeError, match=r"parabolic \[1, 1, 1\] is a list, not a tuple"):
         entry(*args)
 
@@ -158,6 +166,7 @@ def test_typicality_predicates():
     # g0-weak-typicality only constrains within-orbit pairs.
     assert is_g0_weakly_typical(W(1, -1, -5))
     assert not is_g0_weakly_typical(W(0, -1, -5))
+    assert is_g0_weakly_typical(W(7))
     # Typicality is the stronger condition <lam, eps_i + eps_j> != -1.
     assert is_typical(W(0, "1/2", "1/3"))
     assert not is_typical(W(0, -1, 5))  # eps_1 + eps_2 pairing is -1
