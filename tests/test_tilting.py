@@ -47,6 +47,13 @@ def test_neg_w0p():
     assert neg_w0p(W(1, 2, 3), (3,)) == W(-3, -2, -1)
 
 
+def test_kac_is_simple():
+    # The Kac module K(lam) is simple exactly when lam is g0-weakly-typical.
+    assert is_g0_weakly_typical(W(1, -1, -5))
+    assert not is_g0_weakly_typical(W(0, -1, -5))
+    assert is_g0_weakly_typical(W(7))
+
+
 def test_prop41_equivalent():
     # Prop. 4.1: a p-dominant lam is p-weakly-typical exactly when
     # -w_0^p(lam) is g0-weakly-typical; every composition, n <= 4, over an

@@ -166,7 +166,6 @@ def test_typicality_predicates():
     # g0-weak-typicality only constrains within-orbit pairs.
     assert is_g0_weakly_typical(W(1, -1, -5))
     assert not is_g0_weakly_typical(W(0, -1, -5))
-    assert is_g0_weakly_typical(W(7))
     # Typicality is the stronger condition <lam, eps_i + eps_j> != -1.
     assert is_typical(W(0, "1/2", "1/3"))
     assert not is_typical(W(0, -1, 5))  # eps_1 + eps_2 pairing is -1
