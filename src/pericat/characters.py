@@ -14,8 +14,8 @@ coefficients of the Borel expansion (w.lam is not p-dominant for w != 1 in W_p):
   * nabla_sum_to_delta_sum (the kappa-rule in one pass) and
     delta_sum_to_nabla_sum (greedy, one degree level at a time); both raise
     NonTerminating with the leftover past `depth` levels
-  * to_borel_delta / nabla_to_delta: the Levi orbits of the Delta(p) form
-  * translation-functor rules theta_delta / theta_nabla / theta_char
+  * to_borel_delta: the Levi orbits of the Delta(p) form
+  * the translation-functor rule theta_char
   * shift_by_omega, the twist by a power of the determinant.
 
 The conversions and theta keep their rows on scaled ints: weights times the
@@ -23,7 +23,7 @@ least common denominator d of a character's coordinates (and theta's a), so
 kappa steps by 2d and theta by d; an integral character has d = 1.
 
 >>> from .weights import weight, borel
->>> theta_nabla(-1, weight(-1, 1, 1), borel(3)) == (
+>>> theta_char(-1, nabla(weight(-1, 1, 1), borel(3))) == (
 ...     nabla(weight(0, 1, 1)) + nabla(weight(-1, 0, 1)) + nabla(weight(-1, 1, 0))
 ... )
 True
@@ -43,13 +43,12 @@ from .weights import (
     degree,
     exact,
     format_weight,
-    levi_blocks,
     require_p_dominant,
     scale,
     shift,
     unscale,
 )
-from .weyl import apply_perm, length
+from .weyl import apply_perm, length, levi_weyl_group
 
 DELTA = "delta"
 NABLA = "nabla"
@@ -157,9 +156,6 @@ class FormalChar:
         return "FormalChar(" + " + ".join(bits) + ")"
 
 
-ZERO_CHAR = FormalChar()
-
-
 def delta(lam: Weight, p: Optional[Parabolic] = None) -> FormalChar:
     return FormalChar.single(DELTA, lam, p or borel(len(lam)))
 
@@ -177,26 +173,6 @@ def char_sum(chars: Iterable[FormalChar]) -> FormalChar:
 
 
 # --- expansions ---------------------------------------------------------------
-
-
-def nabla_to_delta(lam: Weight) -> FormalChar:
-    """ch Nabla_lam = sum_{kappa in {0,2}^n} ch Delta_{lam - kappa} (Borel).
-
-    >>> from .weights import weight
-    >>> len(nabla_to_delta(weight(0, 1)).terms)
-    4
-    """
-    return to_borel_delta(nabla(lam))
-
-
-@lru_cache(maxsize=None)
-def levi_weyl_group(p: Parabolic) -> tuple:
-    """The Levi Weyl group as whole-space permutations, with lengths."""
-    out = []
-    for parts in itertools.product(*(itertools.permutations(b) for b in levi_blocks(p))):
-        w = tuple(itertools.chain.from_iterable(parts))  # the blocks are contiguous
-        out.append((w, length(w)))
-    return tuple(out)
 
 
 def to_borel_delta(chi: FormalChar) -> FormalChar:
@@ -322,20 +298,11 @@ def nabla_sum_to_delta_sum(chi: FormalChar, depth: int = 64) -> FormalChar:
 # --- translation functors -----------------------------------------------------
 
 
-def theta_delta(a, lam: Weight, p: Optional[Parabolic] = None) -> FormalChar:
-    """theta_a on a standard character: sum over lam_i = a of
-    Delta_{lam + e_i} + Delta_{lam - e_i}, keeping weights in Sigma_p^+."""
-    return theta_char(a, delta(lam, p))
-
-
-def theta_nabla(a, lam: Weight, p: Optional[Parabolic] = None) -> FormalChar:
-    """theta_a on a costandard character: raise the coordinates equal to a,
-    lower the coordinates equal to a + 2, keeping weights in Sigma_p^+."""
-    return theta_char(a, nabla(lam, p))
-
-
 def theta_char(a, chi: FormalChar) -> FormalChar:
-    """theta_a term by term on a single-basis Delta(p) or Nabla(p) character."""
+    """theta_a term by term on a single-basis Delta(p) or Nabla(p) character:
+    Delta_lam goes to the sum over lam_i = a of Delta_{lam + e_i} +
+    Delta_{lam - e_i}; Nabla_lam raises the coordinates equal to a and
+    lowers those equal to a + 2; only weights in Sigma_p^+ are kept."""
     if chi.is_zero():
         return FormalChar()
     sym = chi.sole_basis()

@@ -24,10 +24,9 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .characters import levi_weyl_group
 from .linkage import _ranks
 from .weights import Parabolic, Weight, format_weight, require_p_dominant
-from .weyl import InvariantViolation, apply_perm, kl_eval_one
+from .weyl import InvariantViolation, apply_perm, kl_eval_one, levi_weyl_group
 
 __all__ = ["verma_simple_mult", "parabolic_verma_simple_mult"]
 

@@ -150,7 +150,7 @@ def canonical_representative(lam: Weight) -> Weight:
     Within each integrality class (key r, odd count o) the class's index
     positions are refilled, in order, with o copies of r+1 followed by
     copies of r; an integral weight lands on (1,..,1,0,..,0) with
-    n_odd(lam) ones.
+    one 1 per odd coordinate.
 
     >>> from .weights import weight, format_weight
     >>> format_weight(canonical_representative(weight(4, 7, 0)))

@@ -223,14 +223,14 @@ def _read_fixture(key: str) -> str:
     return Path(key).read_text(encoding="utf-8")
 
 
-def load_families(refresh: bool = False) -> dict[str, TiltingFamily]:
+def load_families() -> dict[str, TiltingFamily]:
     """All table rows, keyed by id, in file order.
 
     The environment variable ``PERICAT_FIXTURES`` may point at an alternative
     JSON file (or a directory containing ``families.json``).
     """
     key = _fixture_key()
-    if refresh or key not in _CACHE:
+    if key not in _CACHE:
         payload = json.loads(_read_fixture(key))
         families: dict[str, TiltingFamily] = {}
         for record in payload["families"]:

@@ -19,9 +19,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from typing import Iterator, NamedTuple, Optional
+from typing import Iterator, NamedTuple
 
-from ..characters import NABLA, DELTA, FormalChar, nabla_sum_to_delta_sum, theta_char
+from ..characters import NABLA, FormalChar, nabla_sum_to_delta_sum, theta_char
 from ..linkage import block_label, strong_down_set, strongly_linked
 from ..tilting import weakly_typical_tilting
 from ..weights import (
@@ -47,6 +47,7 @@ from .tables import (
 
 _B3 = borel(3)
 NONINT_SAMPLES = (Fraction(1, 2), Fraction(3, 2), Fraction(-5, 2))
+_MAX_STEPS = 64  # greedy steps before decompose_into_tiltings gives up
 
 
 class CheckReport(NamedTuple):
@@ -119,31 +120,30 @@ def _statement_failures(lam: Weight, chi: FormalChar) -> Iterator[tuple[int, str
             )
 
 
-def _theorem_D_sources(param_bound: int, grid_bound: int) -> Iterator[tuple[Weight, FormalChar]]:
+def _theorem_D_sources(param_bound: int) -> Iterator[tuple[Weight, FormalChar]]:
     for fam in load_families().values():
         if fam.parabolic != _B3:
             continue  # the minimality statements concern the final Borel
         for params in _instances(fam, param_bound):
             yield fam.highest_weight(params), fam.instantiate(params)
-    coords = range(-grid_bound, grid_bound + 1)
-    for lam in product(coords, repeat=3):
+    for lam in product(range(-2, 3), repeat=3):
         if is_p_weakly_typical(lam, _B3):
             yield lam, weakly_typical_tilting(lam, _B3)
 
 
-def verify_theorem_D(param_bound: int = 6, grid_bound: int = 2) -> list[CheckReport]:
+def verify_theorem_D(param_bound: int = 6) -> list[CheckReport]:
     """Check the six minimality statements on every in-scope character.
 
     Sources: all stored final-Borel families instantiated with integer
     parameters clipped to ``|v| <= param_bound`` (plus the stock
     non-integral samples), and every weakly typical integral weight in
-    ``{-grid_bound..grid_bound}^3`` via the character engine.
+    ``{-2..2}^3`` via the character engine.
     """
     if param_bound < 4:
         raise ValueError("param_bound must be at least 4 to cover every pattern")
     failures: dict[int, list[str]] = {k: [] for k in range(1, 7)}
     checked = 0
-    for lam, chi in _theorem_D_sources(param_bound, grid_bound):
+    for lam, chi in _theorem_D_sources(param_bound):
         checked += 1
         for stmt, detail in _statement_failures(lam, chi):
             failures[stmt].append(detail)
@@ -195,23 +195,20 @@ def _head_candidates(chi: FormalChar) -> list[Weight]:
     ]
 
 
-def decompose_into_tiltings(
-    chi: FormalChar, p, max_steps: int = 64, _memo: Optional[dict] = None
-) -> dict[Weight, int]:
+def decompose_into_tiltings(chi: FormalChar, p, memo: dict) -> dict[Weight, int]:
     """Write a dual-Verma-basis character as a non-negative integer
     combination of tilting characters, greedily from the top.
 
     Raises ValueError if a step produces a negative coefficient or the
     remainder fails to vanish; propagates NoTableEntry when a head falls
-    outside the stored patterns.  ``_memo`` maps (head, parabolic) to the
+    outside the stored patterns.  ``memo`` maps (head, parabolic) to the
     tilting characters already looked up, so a caller that decomposes many
     images can share them; a failed lookup is never stored.
     """
-    memo = _memo if _memo is not None else {}
     p = tuple(p)
     parts: dict[Weight, int] = {}
     remainder = chi
-    for _ in range(max_steps):
+    for _ in range(_MAX_STEPS):
         if remainder.is_zero():
             return parts
         head = _head_candidates(remainder)[0]
@@ -273,7 +270,7 @@ def _check_family(fam: TiltingFamily, param_bound: int, memo: dict) -> CheckRepo
             if image.is_zero():
                 continue
             try:
-                decompose_into_tiltings(image, p, _memo=memo)
+                decompose_into_tiltings(image, p, memo)
             except NoTableEntry as exc:
                 if p == _B3:
                     failures.append(f"{tag}: theta_{a}: {exc}")

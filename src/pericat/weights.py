@@ -17,8 +17,6 @@ and e_i + e_j (i <= j).  A root is stored as its index pair (i, j), where
 
 >>> parse_weight("0,1/2,1")
 (0, Fraction(1, 2), 1)
->>> format_weight(reflect_coords((3, 1, 0), 0, 2))
-'0,1,3'
 >>> is_dominant(parse_weight("0,1/2,1"))
 False
 """
@@ -125,11 +123,6 @@ def format_weight(lam: Weight) -> str:
     return ",".join(str(c) for c in lam)
 
 
-def rho(n: int) -> Weight:
-    """rho = (n-1, n-2, ..., 1, 0)."""
-    return tuple(n - 1 - i for i in range(n))
-
-
 def omega(n: int) -> Weight:
     """omega_n = e_1 + ... + e_n, the weight of the determinant character."""
     return (ONE,) * n
@@ -141,12 +134,6 @@ def shift(lam: Weight, k) -> Weight:
     return tuple(exact(c + k) for c in lam)
 
 
-def add(lam: Weight, mu: Weight) -> Weight:
-    if len(lam) != len(mu):
-        raise ValueError("dimension mismatch")
-    return tuple(a + b for a, b in zip(lam, mu))
-
-
 def sub(lam: Weight, mu: Weight) -> Weight:
     if len(lam) != len(mu):
         raise ValueError("dimension mismatch")
@@ -155,13 +142,6 @@ def sub(lam: Weight, mu: Weight) -> Weight:
 
 def negate(lam: Weight) -> Weight:
     return tuple(-c for c in lam)
-
-
-def reflect_coords(lam: Weight, i: int, j: int) -> Weight:
-    """Reflection in e_i - e_j: swap coordinates i and j."""
-    out = list(lam)
-    out[i], out[j] = out[j], out[i]
-    return tuple(out)
 
 
 def levi_blocks(p: Parabolic) -> list[range]:
@@ -257,17 +237,6 @@ def require_p_dominant(lam: Weight, p: Parabolic, d: int = 1) -> None:
         raise ValueError(f"{format_weight(lam)} is not in Sigma_p^+ for p={p}")
 
 
-def is_typical(lam: Weight) -> bool:
-    """Product over both signs of even roots of (<lam, beta> - 1) != 0.
-
-    >>> is_typical(weight(0, 1, 3))
-    False
-    >>> is_typical(weight(0, 2, 4))
-    True
-    """
-    return all(lam[i] - lam[j] not in (1, -1) for i, j in _positive_pairs(len(lam)))
-
-
 def is_g0_weakly_typical(lam: Weight) -> bool:
     """Product over positive even roots of (<lam, beta> - 1) != 0."""
     return all(lam[i] - lam[j] != 1 for i, j in _positive_pairs(len(lam)))
@@ -293,10 +262,6 @@ def degree(lam: Weight) -> Coord:
     return sum(lam, ZERO) - n * (n - 1) // 2
 
 
-def is_integral(lam: Weight) -> bool:
-    return all(is_integer(c) for c in lam)
-
-
 def integrality_classes(lam: Weight) -> list:
     """The positions of lam grouped by integrality class, in first-occurrence
     order, as ((r, d), positions): every coordinate there has denominator d
@@ -311,13 +276,6 @@ def integrality_classes(lam: Weight) -> list:
         d = c.denominator
         classes.setdefault((c.numerator % d, d), []).append(i)
     return list(classes.items())
-
-
-def n_odd(lam: Weight) -> int:
-    """Number of odd coordinates of an integral weight."""
-    if not is_integral(lam):
-        raise ValueError(f"n_odd needs an integral weight, got {format_weight(lam)}")
-    return sum(1 for c in lam if c.numerator % 2 != 0)
 
 
 if __name__ == "__main__":

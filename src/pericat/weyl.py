@@ -12,7 +12,7 @@ with no trailing zeros; the zero polynomial is the empty tuple.
 2
 >>> bruhat_leq((0, 2, 1), (2, 1, 0))
 True
->>> kl_polynomial((0, 1, 2, 3), longest_element(4))
+>>> kl_polynomial((0, 1, 2, 3), (3, 2, 1, 0))
 (1,)
 """
 
@@ -36,10 +36,6 @@ ONE_POLY: Poly = (1,)
 # --- permutations -----------------------------------------------------------
 
 
-def identity(n: int) -> Perm:
-    return tuple(range(n))
-
-
 def inverse(w: Perm) -> Perm:
     out = [0] * len(w)
     for i, wi in enumerate(w):
@@ -55,15 +51,11 @@ def all_perms(n: int) -> Tuple[Perm, ...]:
 def length(w: Perm) -> int:
     """Number of inversions.
 
-    >>> length(longest_element(4))
+    >>> length((3, 2, 1, 0))
     6
     """
     n = len(w)
     return sum(1 for i in range(n) for j in range(i + 1, n) if w[i] > w[j])
-
-
-def longest_element(n: int) -> Perm:
-    return tuple(range(n - 1, -1, -1))
 
 
 def parabolic_longest(p: Parabolic) -> Perm:
@@ -71,6 +63,16 @@ def parabolic_longest(p: Parabolic) -> Perm:
     out: list[int] = []
     for block in levi_blocks(p):
         out.extend(reversed(block))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def levi_weyl_group(p: Parabolic) -> tuple:
+    """The Levi Weyl group as whole-space permutations, with lengths."""
+    out = []
+    for parts in itertools.product(*(itertools.permutations(b) for b in levi_blocks(p))):
+        w = tuple(itertools.chain.from_iterable(parts))  # the blocks are contiguous
+        out.append((w, length(w)))
     return tuple(out)
 
 

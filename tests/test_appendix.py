@@ -2,16 +2,10 @@
 
 import json
 import time
-from fractions import Fraction
 
 import pytest
 
-from pericat.pe3.appendix import (
-    AppendixMismatch,
-    DEFAULT_SAMPLES,
-    StepRecord,
-    replay_appendix,
-)
+from pericat.pe3.appendix import DEFAULT_SAMPLES, StepRecord, replay_appendix
 
 
 def test_replay_all_steps_pass():
@@ -34,43 +28,30 @@ def test_replay_covers_every_numbered_identity():
         assert any(s.startswith(concl) or s == concl for s in steps)
 
 
-def test_replay_strict_mode_clean():
-    records = replay_appendix(strict=True)
-    assert all(r.ok for r in records)
+def _drop_last_term(rec):
+    del rec["terms"][-1]  # drop one costandard term
 
 
-def test_replay_custom_samples():
-    records = replay_appendix(samples={"b_high": (4,), "c_nonint": (Fraction(5, 2),)})
-    assert all(r.ok for r in records)
+def _wrong_weight(rec):
+    rec["terms"][1][0] = "0,-1,-4"
 
 
-def test_replay_strict_raises_on_corrupt_table(tmp_path, monkeypatch):
+@pytest.mark.parametrize(
+    "fam_id, corrupt, failing",
+    [("5.4", _drop_last_term, ["5.4", "6.6"]), ("5.13", _wrong_weight, ["5.13"])],
+    ids=["5.4-drop-term", "5.13-wrong-weight"],
+)
+def test_replay_non_strict_collects_failures(tmp_path, monkeypatch, fam_id, corrupt, failing):
     import pericat.pe3.tables as tables_mod
 
     doc = json.loads(tables_mod._read_fixture(tables_mod._fixture_key()))
     for rec in doc["families"]:
-        if rec["id"] == "5.4":
-            del rec["terms"][-1]  # drop one costandard term
+        if rec["id"] == fam_id:
+            corrupt(rec)
     alt = tmp_path / "families.json"
     alt.write_text(json.dumps(doc))
     monkeypatch.setenv("PERICAT_FIXTURES", str(alt))
-    with pytest.raises(AppendixMismatch) as exc:
-        replay_appendix(strict=True)
-    assert "6." in str(exc.value) or "5." in str(exc.value)
-
-
-def test_replay_non_strict_collects_failures(tmp_path, monkeypatch):
-    import pericat.pe3.tables as tables_mod
-
-    doc = json.loads(tables_mod._read_fixture(tables_mod._fixture_key()))
-    for rec in doc["families"]:
-        if rec["id"] == "5.13":
-            rec["terms"][1][0] = "0,-1,-4"  # wrong weight
-    alt = tmp_path / "families.json"
-    alt.write_text(json.dumps(doc))
-    monkeypatch.setenv("PERICAT_FIXTURES", str(alt))
-    records = replay_appendix()
-    assert any(not r.ok for r in records)
+    assert [r.step for r in replay_appendix() if not r.ok] == failing
 
 
 def test_default_samples_shape():

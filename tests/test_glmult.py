@@ -15,16 +15,15 @@ from functools import lru_cache
 import pytest
 
 from conftest import W, compose, frac_box, oracle_verma_mult_small
-from pericat.characters import levi_weyl_group
 from pericat.glmult import parabolic_verma_simple_mult, verma_simple_mult
 from pericat import glmult
 from pericat.linkage import strong_down_set, strongly_linked
-from pericat.weights import integrality_classes, is_integer, is_p_dominant, reflect_coords
+from pericat.weights import integrality_classes, is_integer, is_p_dominant
 from pericat.weyl import (
     InvariantViolation,
     apply_perm,
     kl_eval_one,
-    longest_element,
+    levi_weyl_group,
 )
 
 
@@ -82,7 +81,7 @@ def jantzen_sum(lam):
     for i, j in itertools.combinations(range(len(lam)), 2):
         c = lam[i] - lam[j]
         if is_integer(c) and c > 0:
-            mu = reflect_coords(lam, i, j)
+            mu = lam[:i] + (lam[j],) + lam[i + 1 : j] + (lam[i],) + lam[j + 1 :]
             out[mu] = out.get(mu, 0) + 1
     return out
 
@@ -218,7 +217,8 @@ def _max_coset_rep(mu, nu):
 
 
 def _ref_w0_rep(pattern):
-    return compose(longest_element(len(pattern)), _max_coset_rep(pattern, tuple(sorted(pattern))))
+    w0 = tuple(reversed(range(len(pattern))))
+    return compose(w0, _max_coset_rep(pattern, tuple(sorted(pattern))))
 
 
 @lru_cache(maxsize=None)

@@ -2,7 +2,6 @@
 
 import itertools
 import json
-import shutil
 from fractions import Fraction
 
 import pytest
@@ -239,14 +238,14 @@ def test_decompose_into_tiltings():
     t1 = lookup_tilting_pe3(W(0, 1, 0))
     t2 = lookup_tilting_pe3(W(0, 0, 1))
     combo = 2 * t1 + t2
-    parts = decompose_into_tiltings(combo, B3)
+    parts = decompose_into_tiltings(combo, B3, {})
     assert parts == {W(0, 1, 0): 2, W(0, 0, 1): 1}
     with pytest.raises(ValueError):
-        decompose_into_tiltings(t1 - 2 * t2, B3)
+        decompose_into_tiltings(t1 - 2 * t2, B3, {})
 
 
 def test_verify_theorem_d():
-    reports = verify_theorem_D(param_bound=4, grid_bound=1)
+    reports = verify_theorem_D(param_bound=4)
     assert len(reports) == 6
     for rep in reports:
         assert rep.ok, rep
@@ -360,9 +359,9 @@ def test_compiled_rows_match_string_route():
 
 
 def test_decompose_memo_matches_fresh_lookups():
-    def outcome(image, p, **kw):
+    def outcome(image, p, memo):
         try:
-            return decompose_into_tiltings(image, p, **kw)
+            return decompose_into_tiltings(image, p, memo)
         except (NoTableEntry, ValueError) as exc:
             return type(exc), str(exc)
 
@@ -376,6 +375,6 @@ def test_decompose_memo_matches_fresh_lookups():
                 if image.is_zero():
                     continue
                 images += 1
-                fresh = outcome(image, fam.parabolic)
-                assert outcome(image, fam.parabolic, _memo=memo) == fresh, (fam.id, a)
+                fresh = outcome(image, fam.parabolic, {})
+                assert outcome(image, fam.parabolic, memo) == fresh, (fam.id, a)
     assert images > 0 and memo

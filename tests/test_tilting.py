@@ -19,7 +19,7 @@ from conftest import (
     nab_sum,
     tilting_delta_mults_wt,
 )
-from pericat.characters import DELTA, NABLA, FormalChar, nabla, nabla_to_delta, symbol
+from pericat.characters import DELTA, NABLA, FormalChar, nabla, symbol, to_borel_delta
 from pericat.glmult import parabolic_verma_simple_mult, verma_simple_mult
 from pericat.linkage import strong_up_set, strongly_linked
 from pericat.tilting import (
@@ -220,7 +220,7 @@ def test_dominant_orbit_sum():
 
 def test_delta_mults_weakly_typical():
     chi = tilting_delta_mults_wt(W(-1, 1, 5))
-    assert chi == nabla_to_delta(W(-1, 1, 5))
+    assert chi == to_borel_delta(nabla(W(-1, 1, 5)))
     assert chi.coeff(DELTA, W(-1, 1, 5)) == 1
 
 

@@ -32,14 +32,12 @@ from pericat.weyl import (
     apply_perm,
     bruhat_leq,
     format_poly,
-    identity,
     inverse,
     kl_eval_one,
     kl_polynomial,
     left_descents,
     left_mult,
     length,
-    longest_element,
     parabolic_longest,
     parse_perm,
     poly_add,
@@ -51,7 +49,6 @@ from pericat.weyl import (
     poly_trim,
     r_polynomial,
 )
-from pericat.weights import reflect_coords
 
 
 def poly_reverse(a, top: int):
@@ -206,7 +203,7 @@ def _s6_sample(rng: random.Random, count: int) -> list:
         if k % 3 == 0:
             pairs.append((rng.choice(perms), rng.choice(perms)))
         elif k % 3 == 1:
-            w = list(longest_element(6))
+            w = [5, 4, 3, 2, 1, 0]
             for _ in range(rng.randint(0, 2)):
                 i = rng.randrange(5)
                 w[i], w[i + 1] = w[i + 1], w[i]
@@ -255,7 +252,7 @@ def _poisoned_memo(x, w, bad):
         memo.update(saved)
 
 
-E4, W3412 = identity(4), parse_perm("3,4,1,2")
+E4, W3412 = (0, 1, 2, 3), parse_perm("3,4,1,2")
 
 
 def _index_from_definitions(n: int) -> dict:
@@ -395,7 +392,7 @@ def test_s4_kl_polynomials_nontrivial_pairs():
 
 def test_kl_invariants_s4():
     perms = all_perms(4)
-    w0 = longest_element(4)
+    w0 = (3, 2, 1, 0)
     for x in perms:
         assert kl_polynomial(x, x) == (1,)
         assert kl_polynomial(x, w0) == (1,)
@@ -408,7 +405,7 @@ def test_kl_invariants_s4():
 
 def test_mu_coefficient():
     # mu(z, w) is the top coefficient when the degree bound is tight.
-    e = identity(4)
+    e = (0, 1, 2, 3)
     assert mu_coefficient(e, parse_perm("2,1,3,4")) == 1  # P = 1, gap 1
     assert mu_coefficient(e, parse_perm("3,4,1,2")) == 0  # gap 4, even
     assert mu_coefficient(parse_perm("1,3,2,4"), parse_perm("3,4,1,2")) == 1
@@ -417,19 +414,20 @@ def test_mu_coefficient():
 
 
 def test_kl_eval_one():
-    assert kl_eval_one(identity(4), parse_perm("3,4,1,2")) == 2
-    assert kl_eval_one(identity(3), longest_element(3)) == 1
+    assert kl_eval_one((0, 1, 2, 3), parse_perm("3,4,1,2")) == 2
+    assert kl_eval_one((0, 1, 2), (2, 1, 0)) == 1
 
 
 def test_apply_and_reflect_fixtures():
     s1 = (1, 0, 2)
     assert apply_perm(s1, W(1, 0, 2)) == W(0, 1, 2)
-    assert apply_perm(identity(3), W(1, 0, 2)) == W(1, 0, 2)
-    assert apply_perm(longest_element(3), W(2, 1, 0)) == W(0, 1, 2)
-    assert reflect_coords(W(1, 2, 0), 1, 2) == W(1, 0, 2)
-    assert reflect_coords(W(1, 0, -1), 0, 2) == W(-1, 0, 1)
+    assert apply_perm((0, 1, 2), W(1, 0, 2)) == W(1, 0, 2)
+    assert apply_perm((2, 1, 0), W(2, 1, 0)) == W(0, 1, 2)
+    # a transposition acts as the reflection in e_i - e_j
+    assert apply_perm((0, 2, 1), W(1, 2, 0)) == W(1, 0, 2)
+    assert apply_perm((2, 1, 0), W(1, 0, -1)) == W(-1, 0, 1)
     lam = W(3, 3, 1)
-    assert reflect_coords(lam, 0, 1) == lam  # pairing 0 fixed point
+    assert apply_perm(s1, lam) == lam  # pairing 0 fixed point
 
 
 def test_apply_is_group_action():
@@ -438,20 +436,19 @@ def test_apply_is_group_action():
     for w in perms:
         for v in perms:
             assert apply_perm(w, apply_perm(v, lam)) == apply_perm(compose(w, v), lam)
-        assert reflect_coords(reflect_coords(lam, 0, 1), 0, 1) == lam
+        assert apply_perm((1, 0, 2), apply_perm((1, 0, 2), lam)) == lam
 
 
 def test_length_longest_parabolic():
-    assert length(identity(4)) == 0
-    assert length(longest_element(3)) == 3
+    assert length((0, 1, 2, 3)) == 0
+    assert length((2, 1, 0)) == 3
     assert parabolic_longest((2, 1)) == parse_perm("2,1,3")
-    assert parabolic_longest((1, 1, 1)) == identity(3)
-    assert parabolic_longest((4,)) == longest_element(4)
+    assert parabolic_longest((1, 1, 1)) == (0, 1, 2)
+    assert parabolic_longest((4,)) == (3, 2, 1, 0)
 
 
 def test_bruhat_order():
-    e = identity(3)
-    w0 = longest_element(3)
+    e, w0 = (0, 1, 2), (2, 1, 0)
     for w in all_perms(3):
         assert bruhat_leq(e, w)
         assert bruhat_leq(w, w0)
