@@ -202,22 +202,20 @@ def _cmd_mult(args, fmt: str) -> int:
 
 
 def _report_rows(suite: str, bound: Optional[int]):
-    if suite == "pe3":
-        return [
-            (r.name, r.ok, f"checked={r.checked}", r.failures)
-            for r in verify_tables(4 if bound is None else bound)
-        ]
+    args = () if bound is None else (bound,)  # each suite keeps its own default
     if suite == "appendix":
+        if args:
+            raise ValueError("verify appendix takes no --bound: it replays fixed samples")
         return [(r.step, r.ok, r.detail, ()) for r in replay_appendix()]
-    if suite == "thmD":
-        return [
-            (r.name, r.ok, f"checked={r.checked}", r.failures)
-            for r in verify_theorem_D(6 if bound is None else bound)
-        ]
-    if suite == "props":
-        r = pe2_property_check(3 if bound is None else bound)
-        return [(r.name, r.ok, f"checked={r.checked}", r.failures)]
-    raise ValueError(f"unknown verification suite {suite!r}")
+    if suite == "pe3":
+        reports = verify_tables(*args)
+    elif suite == "thmD":
+        reports = verify_theorem_D(*args)
+    elif suite == "props":
+        reports = [pe2_property_check(*args)]
+    else:
+        raise ValueError(f"unknown verification suite {suite!r}")
+    return [(r.name, r.ok, f"checked={r.checked}", r.failures) for r in reports]
 
 
 def _cmd_verify(args, fmt: str) -> int:
@@ -264,21 +262,21 @@ def build_parser() -> argparse.ArgumentParser:
         default="text",
         help="output format (default: text)",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    subparsers = parser.add_subparsers(dest="command", required=True)
 
-    p_block = sub.add_parser(
+    p_block = subparsers.add_parser(
         "block", parents=[common], help="block label of a single weight"
     )
     p_block.add_argument("--weight", required=True, help="comma-separated weight")
 
-    p_blocks = sub.add_parser(
+    p_blocks = subparsers.add_parser(
         "blocks",
         parents=[common],
         help="block count (and labels) for a class-size composition",
     )
     p_blocks.add_argument("--composition", required=True, help="e.g. 2,1")
 
-    p_char = sub.add_parser(
+    p_char = subparsers.add_parser(
         "char", parents=[common], help="normalize or convert a character file"
     )
     p_char.add_argument("--char", required=True, help="path to a character JSON file")
@@ -289,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="convert to this basis before printing",
     )
 
-    p_tilt = sub.add_parser(
+    p_tilt = subparsers.add_parser(
         "tilting",
         parents=[common],
         help="tilting character in the costandard basis",
@@ -298,27 +296,27 @@ def build_parser() -> argparse.ArgumentParser:
     p_tilt.add_argument("--weight", required=True, help="comma-separated weight")
     p_tilt.add_argument("--parabolic", default=None, help="composition, e.g. 2,1")
 
-    p_theta = sub.add_parser(
+    p_theta = subparsers.add_parser(
         "theta", parents=[common], help="apply a translation functor to a character"
     )
     p_theta.add_argument("--a", required=True, help="rational parameter of theta_a")
     p_theta.add_argument("--char", required=True, help="path to a character JSON file")
 
-    p_kl = sub.add_parser(
+    p_kl = subparsers.add_parser(
         "kl", parents=[common], help="Kazhdan-Lusztig polynomial P_{x,w}"
     )
     p_kl.add_argument("--n", type=int, default=None, help="rank (optional check)")
     p_kl.add_argument("--x", required=True, help="one-line permutation, e.g. 2,1,3")
     p_kl.add_argument("--w", required=True, help="one-line permutation")
 
-    p_mult = sub.add_parser(
+    p_mult = subparsers.add_parser(
         "mult", parents=[common], help="(parabolic) Verma-to-simple multiplicity"
     )
     p_mult.add_argument("--verma", required=True, help="comma-separated weight")
     p_mult.add_argument("--simple", required=True, help="comma-separated weight")
     p_mult.add_argument("--parabolic", default=None, help="composition, e.g. 2,1")
 
-    p_verify = sub.add_parser(
+    p_verify = subparsers.add_parser(
         "verify", parents=[common], help="run a verification suite"
     )
     p_verify.add_argument(

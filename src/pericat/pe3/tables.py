@@ -80,6 +80,9 @@ class ParamSpec(NamedTuple):
         raise ValueError(f"unknown parameter kind {self.kind!r}")
 
 
+# The values at which the checkers instantiate a "nonint" parameter.
+NONINT_SAMPLES = (Fraction(1, 2), Fraction(3, 2), Fraction(-5, 2))
+
 # A compiled pattern coordinate: an exact constant, or the name of a
 # parameter (or an unparsable token, refused when the row is instantiated).
 Token = Union[Coord, str]

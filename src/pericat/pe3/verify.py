@@ -17,12 +17,11 @@ renders:
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import product
 from typing import Iterator, NamedTuple
 
 from ..characters import NABLA, FormalChar, nabla_sum_to_delta_sum, theta_char
-from ..linkage import block_label, strong_down_set, strongly_linked
+from ..linkage import _lowered, strong_down_set, strongly_linked
 from ..tilting import weakly_typical_tilting
 from ..weights import (
     Coord,
@@ -32,12 +31,11 @@ from ..weights import (
     format_weight,
     is_p_weakly_typical,
     negate,
-    omega,
-    sub,
-    weight,
+    shift,
 )
 from ..weyl import all_perms, apply_perm
 from .tables import (
+    NONINT_SAMPLES,
     NoTableEntry,
     TableIntegrityError,
     TiltingFamily,
@@ -46,7 +44,6 @@ from .tables import (
 )
 
 _B3 = borel(3)
-NONINT_SAMPLES = (Fraction(1, 2), Fraction(3, 2), Fraction(-5, 2))
 _MAX_STEPS = 64  # greedy steps before decompose_into_tiltings gives up
 
 
@@ -72,12 +69,7 @@ def _instances(fam: TiltingFamily, bound: int) -> Iterator[dict[str, Coord]]:
         yield dict(combo)
 
 
-def _conj(i: int, j: int) -> Weight:
-    """e_i + e_j for 1-based i < j at rank 3."""
-    return weight(*(1 if k in (i - 1, j - 1) else 0 for k in range(3)))
-
-
-_ROOT_PAIRS = ((1, 2), (1, 3), (2, 3))
+_ROOT_PAIRS = ((0, 1), (0, 2), (1, 2))  # e_i + e_j, 0-based i < j, at rank 3
 
 
 def _statement_failures(lam: Weight, chi: FormalChar) -> Iterator[tuple[int, str]]:
@@ -90,9 +82,9 @@ def _statement_failures(lam: Weight, chi: FormalChar) -> Iterator[tuple[int, str
         if coeff(mu) <= 0:
             yield 1, f"lambda={format_weight(lam)} mu={format_weight(mu)}"
 
-    minus_one_pairs = [(i, j) for (i, j) in _ROOT_PAIRS if lam[i - 1] - lam[j - 1] == -1]
+    minus_one_pairs = [(i, j) for (i, j) in _ROOT_PAIRS if lam[i] - lam[j] == -1]
     for i, j in minus_one_pairs:
-        base = sub(lam, _conj(i, j))
+        base = _lowered(lam, i, j)
         if coeff(base) <= 0:
             yield 2, f"lambda={format_weight(lam)} mu={format_weight(base)}"
         for w in all_perms(3):
@@ -102,17 +94,16 @@ def _statement_failures(lam: Weight, chi: FormalChar) -> Iterator[tuple[int, str
 
     # Simple-root pairings (alpha_1, alpha_2).
     a1, a2 = lam[0] - lam[1], lam[1] - lam[2]
-    below = sub(lam, _conj(2, 3))
+    below = _lowered(lam, 1, 2)
     if a2 == -1 and below[0] - below[1] == -1:
-        mu = sub(below, _conj(1, 2))
+        mu = _lowered(below, 0, 1)
         if coeff(mu) <= 0:
             yield 4, f"lambda={format_weight(lam)} mu={format_weight(mu)}"
     if a1 == -1 and a2 == -1:
-        for first in (_conj(1, 2), _conj(2, 3)):
-            mu = sub(sub(lam, first), _conj(1, 3))
+        for mu in (_lowered(lam, 0, 0, 1, 2), _lowered(lam, 0, 1, 2, 2)):
             if coeff(mu) <= 0:
                 yield 5, f"lambda={format_weight(lam)} mu={format_weight(mu)}"
-        mu = sub(lam, tuple(2 * c for c in omega(3)))
+        mu = shift(lam, -2)
         if coeff(mu) != 1:
             yield 6, (
                 f"lambda={format_weight(lam)} mu={format_weight(mu)} "
@@ -257,9 +248,6 @@ def _check_family(fam: TiltingFamily, param_bound: int, memo: dict) -> CheckRepo
         except ValueError as exc:
             failures.append(f"{tag}: instantiate: {exc}")
             continue
-        labels = {block_label(mu) for mu in chi.support()}
-        if len(labels) != 1:
-            failures.append(f"{tag}: support spans {len(labels)} blocks")
         hw = fam.highest_weight(params)
         if is_p_weakly_typical(hw, p) and chi != weakly_typical_tilting(hw, p):
             failures.append(

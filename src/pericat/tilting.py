@@ -1,6 +1,5 @@
 r"""pe(n) tilting characters from the gl(n) multiplicity engine: the
-weakly-typical tilting characters, the tilting = costandard detector, and
-certified positivity edges from socle/odd-reflection facts.
+weakly-typical tilting characters and the tilting = costandard detector.
 
 Everything here is certified only on the weakly-typical side; operations
 that the theory does not determine outside that region raise
@@ -18,11 +17,11 @@ True
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Optional
+from typing import Optional
 
 from .characters import NABLA, FormalChar, symbol
 from .glmult import _class_blocks, _levi_sum
-from .linkage import _ranks, _walk, strong_up_set
+from .linkage import _ranks, _walk
 from .weights import (
     Parabolic,
     Weight,
@@ -34,16 +33,13 @@ from .weights import (
     negate,
     refuse_inexact,
     require_p_dominant,
-    shift,
 )
 from .weyl import InvariantViolation, apply_perm, parabolic_longest
 
 __all__ = [
     "NotWeaklyTypical",
-    "OddReflectionFact",
     "weakly_typical_tilting",
     "tilting_equals_nabla",
-    "standard_fact_edges",
     "neg_w0p",
 ]
 
@@ -123,44 +119,6 @@ def tilting_equals_nabla(lam: Weight, p: Optional[Parabolic] = None) -> bool:
     if not is_p_weakly_typical(lam, p):
         return False
     return is_dominant(neg_w0p(lam, p))
-
-
-class OddReflectionFact(NamedTuple):
-    """A transcribed simple-socle identification: L_eta = soc K_kac, with
-    an optional highest weight br of the same simple in the odd-reflected
-    Borel (inert metadata unless kac is absent, in which case kac is
-    recovered as br + 2*omega).  These facts are data, never computed."""
-
-    tag: str
-    eta: Weight
-    kac: Optional[Weight] = None
-    br: Optional[Weight] = None
-
-    @property
-    def kind(self) -> str:
-        return "socle-of-kac" if self.kac is not None else "br-highest-weight"
-
-    def kac_weight(self) -> Weight:
-        if self.kac is not None:
-            return self.kac
-        if self.br is not None:
-            return shift(self.br, 2)
-        raise ValueError(f"fact {self.tag} carries no Kac weight")
-
-
-def standard_fact_edges(
-    facts: Iterable[OddReflectionFact],
-) -> set[tuple[Weight, Weight]]:
-    """Certified positivity edges: each fact L_eta = soc K_mu yields, for
-    every nu in the strong up-set of mu, the claim (T_{-eta} : Nabla_{-nu})
-    > 0, since [Delta_nu : K_mu] > 0 there (exact for n <= 3, where all
-    even Verma multiplicities are 0 or 1)."""
-    claims: set[tuple[Weight, Weight]] = set()
-    for fact in facts:
-        mu = fact.kac_weight()
-        for nu in strong_up_set(mu):
-            claims.add((negate(fact.eta), negate(nu)))
-    return claims
 
 
 if __name__ == "__main__":

@@ -35,9 +35,6 @@ Weight = Tuple[Coord, ...]
 # the Borel is (1, ..., 1).
 Parabolic = Tuple[int, ...]
 
-ZERO = 0
-ONE = 1
-
 
 def exact(c) -> Coord:
     """One exact coordinate: an int when integral, else a reduced Fraction.
@@ -123,21 +120,11 @@ def format_weight(lam: Weight) -> str:
     return ",".join(str(c) for c in lam)
 
 
-def omega(n: int) -> Weight:
-    """omega_n = e_1 + ... + e_n, the weight of the determinant character."""
-    return (ONE,) * n
-
-
 def shift(lam: Weight, k) -> Weight:
-    """lam + k*omega_n (tensor by the k-th power of the determinant)."""
+    """lam + k*omega_n, omega_n = e_1 + ... + e_n (tensor by the k-th power
+    of the determinant)."""
     k = exact(k)
     return tuple(exact(c + k) for c in lam)
-
-
-def sub(lam: Weight, mu: Weight) -> Weight:
-    if len(lam) != len(mu):
-        raise ValueError("dimension mismatch")
-    return tuple(a - b for a, b in zip(lam, mu))
 
 
 def negate(lam: Weight) -> Weight:
@@ -259,7 +246,7 @@ def is_p_weakly_typical(lam: Weight, p: Parabolic) -> bool:
 def degree(lam: Weight) -> Coord:
     """Sum of coordinates, normalized so rho has degree 0."""
     n = len(lam)
-    return sum(lam, ZERO) - n * (n - 1) // 2
+    return sum(lam) - n * (n - 1) // 2
 
 
 def integrality_classes(lam: Weight) -> list:

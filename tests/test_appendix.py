@@ -1,11 +1,16 @@
 """Replay of the worked pe(3) derivations against the stored tables."""
 
+import itertools
 import json
 import time
 
 import pytest
 
-from pericat.pe3.appendix import DEFAULT_SAMPLES, StepRecord, replay_appendix
+from conftest import W
+from pericat.linkage import strong_up_set
+from pericat.pe3 import appendix
+from pericat.pe3.appendix import DEFAULT_SAMPLES, StepRecord, _certified, replay_appendix
+from pericat.weights import negate
 
 
 def test_replay_all_steps_pass():
@@ -66,3 +71,48 @@ def test_default_samples_shape():
     }
     for values in DEFAULT_SAMPLES.values():
         assert values  # non-empty tuples
+
+
+def _fact_calls(monkeypatch) -> list:
+    """(fact, tilt, nab, verdict) for every _fact_covers call of a replay."""
+    calls = []
+    real = appendix._fact_covers
+
+    def spy(fact, tilt, nab):
+        verdict = real(fact, tilt, nab)
+        calls.append((fact, tilt, nab, verdict))
+        return verdict
+
+    monkeypatch.setattr(appendix, "_fact_covers", spy)
+    assert all(r.ok for r in replay_appendix())
+    return calls
+
+
+def test_fact_covers_matches_up_set_oracle(monkeypatch):
+    """_fact_covers is the old edge set {(-eta, -nu) : nu in the strong
+    up-set of kac}, on every pair of the box {-3..3}^3 and of the edges."""
+    facts = {call[0] for call in _fact_calls(monkeypatch)}
+    assert sorted(f.tag for f in facts) == ["6.1-V", "6.15", "6.2-I", "6.2-I", "6.2-IV", "6.2-IV"]
+    box = list(itertools.product(range(-3, 4), repeat=3))
+    for fact in facts:
+        edges = {(negate(fact.eta), negate(nu)) for nu in strong_up_set(fact.kac)}
+        tilts = box + [negate(fact.eta)]
+        nabs = box + [nab for _, nab in edges]
+        for tilt, nab in itertools.product(tilts, nabs):
+            assert appendix._fact_covers(fact, tilt, nab) == ((tilt, nab) in edges), (fact, tilt, nab)
+
+
+SOCLE_PAIRS = (
+    [(W(-1, 1, 0), W(-2, 1, -1))]  # 6.1-V
+    + [(W(0, c, 1), W(-1, c, 0)) for c in DEFAULT_SAMPLES["c_high"] + DEFAULT_SAMPLES["c_low"]]
+    + [(W(1, 0, 1), nab) for nab in (W(-1, 1, 0), W(1, -1, 0), W(0, -1, 1), W(-1, 0, 1))]  # 6.15
+)
+
+
+def test_socle_pairs_need_the_socle_fact(monkeypatch):
+    """The socle facts cover exactly the nine pairs of the socle steps, and
+    the diagonal route certifies none of them."""
+    covered = {(tilt, nab) for _, tilt, nab, ok in _fact_calls(monkeypatch) if ok}
+    assert covered == set(SOCLE_PAIRS) and len(SOCLE_PAIRS) == 9
+    for tilt, nab in SOCLE_PAIRS:
+        assert not _certified(tilt, nab), (tilt, nab)

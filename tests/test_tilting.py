@@ -21,12 +21,10 @@ from conftest import (
 )
 from pericat.characters import DELTA, NABLA, FormalChar, nabla, symbol, to_borel_delta
 from pericat.glmult import parabolic_verma_simple_mult, verma_simple_mult
-from pericat.linkage import strong_up_set, strongly_linked
+from pericat.linkage import strong_up_set
 from pericat.tilting import (
     NotWeaklyTypical,
-    OddReflectionFact,
     neg_w0p,
-    standard_fact_edges,
     tilting_equals_nabla,
     weakly_typical_tilting,
 )
@@ -240,26 +238,6 @@ def test_delta_mult_two_exists():
     assert tilt2 == nab_sum((0, -2), (-2, 0))
     mults2 = tilting_delta_mults_wt(W(0, -2))
     assert mults2.coeff(DELTA, W(-2, -2)) == 2
-
-
-def test_standard_fact_edges():
-    fact = OddReflectionFact(tag="soc-1", eta=W(0, -2, -1), kac=W(1, -2, 0))
-    edges = standard_fact_edges([fact])
-    assert (W(0, 2, 1), W(-1, 2, 0)) in edges
-    fact2 = OddReflectionFact(tag="soc-2", eta=W(1, -1, 0), kac=W(2, -1, 1))
-    edges2 = standard_fact_edges([fact2])
-    assert (W(-1, 1, 0), W(-2, 1, -1)) in edges2
-    assert standard_fact_edges([]) == set()
-    # Every edge source is the fixed tilting weight and every target comes
-    # from the up-set of the Kac weight.
-    for src, dst in edges:
-        assert src == W(0, 2, 1)
-        assert strongly_linked(W(1, -2, 0), negate(dst))
-
-
-def test_odd_reflection_fact_br_payload():
-    fact = OddReflectionFact(tag="br", eta=W(-1, 0, -1), br=W(-3, -1, -2))
-    assert fact.kac_weight() == W(-1, 1, 0)
 
 
 def test_engine_invariants_raise_typed_errors(monkeypatch):

@@ -19,7 +19,7 @@ from conftest import (
     partial_weight,
 )
 from pericat.glmult import parabolic_verma_simple_mult
-from pericat.linkage import thm34_nabla_edge
+from pericat.linkage import _lowered, thm34_nabla_edge
 from pericat.tilting import weakly_typical_tilting
 from pericat.weights import (
     borel,
@@ -34,10 +34,8 @@ from pericat.weights import (
     is_p_weakly_typical,
     levi_blocks,
     negate,
-    omega,
     parse_weight,
     shift,
-    sub,
     weight,
 )
 from pericat.weyl import all_perms, apply_perm
@@ -68,15 +66,14 @@ def test_rho_and_degree():
 def test_degree_invariances():
     lam = W(3, -1, 2)
     for q in range(3):
-        two_eq = tuple(2 * c for c in basis_vector(q, 3))
-        assert degree(sub(lam, negate(two_eq))) == degree(lam) + 2
-        assert degree(sub(lam, two_eq)) == degree(lam) - 2
+        assert degree(negate(_lowered(negate(lam), q, q))) == degree(lam) + 2
+        assert degree(_lowered(lam, q, q)) == degree(lam) - 2
     for w in all_perms(3):
         assert degree(apply_perm(w, lam)) == degree(lam)
 
 
 def test_omega_and_partial_weight():
-    assert omega(3) == W(1, 1, 1)
+    assert shift(W(0, 0, 0), 1) == W(1, 1, 1)
     assert partial_weight(2, 3) == W(1, 1, 0)
 
 
@@ -161,9 +158,10 @@ def test_weakly_typical_vs_parabolic():
 
 def test_weight_algebra():
     lam = W(1, 2, 3)
-    assert sub(lam, negate(lam)) == W(2, 4, 6)
+    assert _lowered(lam, 0, 1, 1, 2, 2, 2) == W(0, 0, 0)
+    assert _lowered(lam, 2, 0, 2) == W(0, 2, 1)  # the order of the indices is free
     assert shift(lam, Fraction(1, 2)) == W("3/2", "5/2", "7/2")
-    assert sub(shift(lam, 2), lam) == W(2, 2, 2)
+    assert _lowered(shift(lam, 2), 0, 0, 1, 1, 2, 2) == lam
     assert weight("1/2") == (Fraction(1, 2),)
 
 
@@ -197,7 +195,7 @@ def test_integral_coordinates_are_int():
         shift(half, Fraction(2)),
         shift(W(1, 2, 3), "-1/2"),
         shift(W(1, 2, 3), Fraction(4, 2)),
-        omega(3),
+        _lowered(half, 0, 2),
         basis_vector(1, 3),
         even_root(0, 2, 3),
         conjugate(even_root(0, 2, 3)),
