@@ -12,8 +12,10 @@ coefficients of the Borel expansion (w.lam is not p-dominant for w != 1 in W_p):
     ch Delta^p_{lam-kappa}, with lam-kappa sorted into Sigma_p^+ block by block
     at the sign of the sort (0 if a Levi block repeats a coordinate)
   * nabla_sum_to_delta_sum (the kappa-rule in one pass) and
-    delta_sum_to_nabla_sum (greedy, one degree level at a time); both raise
-    NonTerminating with the leftover past `depth` levels
+    delta_sum_to_nabla_sum (greedy, one degree level at a time), which
+    raises NonTerminating when no finite Nabla(p) sum exists: Nabla^p_x has
+    one Delta(p) term 2n below x, so no answer has a Nabla term below the
+    lowest degree of its input plus 2n
   * to_borel_delta: the Levi orbits of the Delta(p) form
   * the translation-functor rule theta_char
   * shift_by_omega, the twist by a power of the determinant.
@@ -64,14 +66,13 @@ class SimpleBasis(Exception):
 
 
 class NonTerminating(Exception):
-    """Greedy basis conversion did not clear within the level budget."""
+    """A Delta(p)-basis character is no finite Nabla(p) sum; `remainder` is
+    what the greedy left, in Delta(borel)."""
 
-    def __init__(self, depth: int, remainder: "FormalChar"):
-        self.depth = depth
+    def __init__(self, remainder: "FormalChar"):
         self.remainder = remainder
         super().__init__(
-            f"conversion still has {len(remainder.terms)} terms after "
-            f"{depth} degree levels"
+            f"no finite costandard sum exists; {len(remainder.terms)} terms remain"
         )
 
 
@@ -255,42 +256,41 @@ def _delta_rows(chi: FormalChar, kind: str) -> tuple:
     return p, d, rows
 
 
-def delta_sum_to_nabla_sum(chi: FormalChar, depth: int = 64) -> FormalChar:
+def delta_sum_to_nabla_sum(chi: FormalChar) -> FormalChar:
     """Rewrite a Delta(p)-basis character as a Nabla(p)-basis character.
 
     Greedy, one degree level at a time: each weight of the top degree is
     cleared by subtracting its costandard (only kappa = 0 keeps the degree).
-    Raises NonTerminating, with the rest in Delta(borel), if more than
-    `depth` levels are needed (a lone Delta at n = 1 is no finite sum)."""
+    Nabla^p_x has exactly one Delta(p) term at drop 2dn, x - 2d(1,..,1) with
+    coefficient 1, so the lowest Nabla terms of a finite answer leave Delta
+    terms that nothing cancels: no answer has a Nabla term below the floor,
+    the lowest degree of chi plus 2dn.  The greedy's leaders are forced, so
+    a leader below the floor raises NonTerminating, with the rest in
+    Delta(borel) (a lone Delta is no finite sum)."""
     if chi.is_zero():
         return FormalChar()
     p, d, remaining = _delta_rows(chi, DELTA)
+    floor = min(remaining) + 2 * d * sum(p)
     collected: dict = {}
-    levels = 0
-    while remaining and levels < depth:
+    while remaining:
         top = max(remaining)
         level = remaining[top]
-        levels += bool(level)  # a row emptied by cancellation uses no level
+        if level and top < floor:
+            raise NonTerminating(_borel(p, d, remaining))
         for x, c in list(level.items()):  # each subtraction deletes its x
             collected[x] = c
             _subtract_leader(remaining, x, p, d, top, c)
         del remaining[top]
-    if any(remaining.values()):
-        raise NonTerminating(depth, _borel(p, d, remaining))
     out_sym = symbol(NABLA, p)
     return FormalChar({(out_sym, lam): c for lam, c in unscale(collected, d)})
 
 
-def nabla_sum_to_delta_sum(chi: FormalChar, depth: int = 64) -> FormalChar:
+def nabla_sum_to_delta_sum(chi: FormalChar) -> FormalChar:
     """Rewrite a Nabla(p)-basis character as a Delta(p)-basis character by
-    the kappa-rule.  Raises NonTerminating if the answer spans more than
-    `depth` degrees, with the part below the top `depth` in Delta(borel)."""
+    the kappa-rule, in one pass."""
     if chi.is_zero():
         return FormalChar()
     p, d, rows = _delta_rows(chi, NABLA)
-    degrees = sorted((e for e, row in rows.items() if row), reverse=True)
-    if len(degrees) > depth:
-        raise NonTerminating(depth, _borel(p, d, {e: rows[e] for e in degrees[max(depth, 0) :]}))
     out_sym = symbol(DELTA, p)
     return FormalChar({(out_sym, lam): c for row in rows.values() for lam, c in unscale(row, d)})
 

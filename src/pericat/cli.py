@@ -13,6 +13,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from itertools import product
 from typing import Optional, Sequence
 
 from .characters import (
@@ -78,23 +79,6 @@ def _load_char(path: str) -> FormalChar:
         return char_from_json(json.load(fh))
 
 
-def _composition_sample_labels(comp: tuple[int, ...]) -> set:
-    """Distinct block labels over a box of weights with the given class
-    structure (one rational class per part, distinct fractional offsets)."""
-    from itertools import combinations_with_replacement, product as iproduct
-
-    offsets = [0] + [Fraction(1, k + 2) for k in range(len(comp) - 1)]
-    per_part = []
-    for size, off in zip(comp, offsets):
-        coords = [off + v for v in range(-size, size + 1)]
-        per_part.append(list(combinations_with_replacement(coords, size)))
-    labels = set()
-    for pick in iproduct(*per_part):
-        lam = tuple(c for part in pick for c in part)
-        labels.add(block_label(lam))
-    return labels
-
-
 def _cmd_block(args, fmt: str) -> int:
     lam = parse_weight(args.weight)
     label = block_label(lam)
@@ -118,23 +102,13 @@ def _cmd_block(args, fmt: str) -> int:
 def _cmd_blocks(args, fmt: str) -> int:
     comp = _parse_composition(args.composition)
     count = block_count(comp)
-    labels = _composition_sample_labels(comp)
-    if len(labels) != count:
-        print(
-            f"error: enumerated {len(labels)} labels, formula gives {count}",
-            file=sys.stderr,
-        )
-        return 1
     if fmt == "json":
-        print(
-            json.dumps(
-                {
-                    "composition": list(comp),
-                    "count": count,
-                    "labels": [_label_to_json(lab) for lab in sorted(labels)],
-                }
-            )
-        )
+        # one class per part, keyed by its own fractional offset; a class of
+        # size k has 0..k coordinates at odd offset, independently
+        keys = [0] + [Fraction(1, k + 2) for k in range(len(comp) - 1)]
+        classes = [[(key, size, odd) for odd in range(size + 1)] for key, size in zip(keys, comp)]
+        labels = [_label_to_json(lab) for lab in product(*classes)]
+        print(json.dumps({"composition": list(comp), "count": count, "labels": labels}))
     else:
         print(count)
     return 0

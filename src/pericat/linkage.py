@@ -95,20 +95,11 @@ def strongly_linked(mu: Weight, lam: Weight) -> bool:
     return ranked is not None and ranked[1] in _walk(ranked[0], ranked[2], 1)
 
 
-def _closure(start: Weight, sign: int) -> frozenset[Weight]:
-    r, _, keys = _ranks(start, start)
-    value = dict(zip(r, start))
-    return frozenset(tuple(map(value.__getitem__, x)) for x in _walk(r, keys, sign))
-
-
 def strong_down_set(lam: Weight) -> frozenset[Weight]:
     """All mu strongly linked to lam (including lam)."""
-    return _closure(lam, 1)
-
-
-def strong_up_set(mu: Weight) -> frozenset[Weight]:
-    """All lam with mu strongly linked to lam (including mu)."""
-    return _closure(mu, -1)
+    r, _, keys = _ranks(lam, lam)
+    value = dict(zip(r, lam))
+    return frozenset(tuple(map(value.__getitem__, x)) for x in _walk(r, keys, 1))
 
 
 # --- blocks -------------------------------------------------------------------

@@ -11,8 +11,10 @@ renders:
 * :func:`verify_tables` — internal consistency of every stored family:
   single block, agreement with the engine on weakly typical highest
   weights, closure of the table set under every relevant translation
-  functor, and the claimed standard-flag bound (T : standard) <= 1, which
-  exact computation refutes (see :func:`delta_flag_bound_report`).
+  functor (each image decomposed greedily into tilting characters, a loop
+  that ends within |supp| steps), and the claimed standard-flag bound
+  (T : standard) <= 1, which exact computation refutes (see
+  :func:`delta_flag_bound_report`).
 """
 
 from __future__ import annotations
@@ -44,7 +46,6 @@ from .tables import (
 )
 
 _B3 = borel(3)
-_MAX_STEPS = 64  # greedy steps before decompose_into_tiltings gives up
 
 
 class CheckReport(NamedTuple):
@@ -190,18 +191,19 @@ def decompose_into_tiltings(chi: FormalChar, p, memo: dict) -> dict[Weight, int]
     """Write a dual-Verma-basis character as a non-negative integer
     combination of tilting characters, greedily from the top.
 
-    Raises ValueError if a step produces a negative coefficient or the
-    remainder fails to vanish; propagates NoTableEntry when a head falls
-    outside the stored patterns.  ``memo`` maps (head, parabolic) to the
-    tilting characters already looked up, so a caller that decomposes many
-    images can share them; a failed lookup is never stored.
+    Raises ValueError if a step produces a non-positive head or a negative
+    coefficient; propagates NoTableEntry when a head falls outside the
+    stored patterns.  A tilting character has positive coefficients and
+    coefficient 1 at its head, so a step that leaves no negative coefficient
+    removes the head from the support: the loop ends within |supp chi|
+    steps.  ``memo`` maps (head, parabolic) to the tilting characters
+    already looked up, so a caller that decomposes many images can share
+    them; a failed lookup is never stored.
     """
     p = tuple(p)
     parts: dict[Weight, int] = {}
     remainder = chi
-    for _ in range(_MAX_STEPS):
-        if remainder.is_zero():
-            return parts
+    while not remainder.is_zero():
         head = _head_candidates(remainder)[0]
         c = remainder.coeff(NABLA, head, p)
         if c <= 0:
@@ -217,7 +219,7 @@ def decompose_into_tiltings(chi: FormalChar, p, memo: dict) -> dict[Weight, int]
                 f"subtracting {c} x T_{format_weight(head)} went negative"
             )
         parts[head] = parts.get(head, 0) + c
-    raise ValueError("decomposition did not terminate")
+    return parts
 
 
 def _closure_alphabet(chi: FormalChar) -> list[Coord]:

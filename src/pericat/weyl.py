@@ -261,7 +261,7 @@ class _RankIndex:
         # the prefix when it is the j-th value left, inserts one field at r.
         level = [(0, 0, tuple(range(n)))]
         shift = 0
-        for depth in range(1, n - 1):
+        for taken in range(1, n - 1):
             extended = []
             for packed, row, rest in level:
                 for j, v in enumerate(rest):
@@ -269,7 +269,7 @@ class _RankIndex:
                     low = row & ((1 << cut) - 1)
                     row_v = low | v << cut | (row ^ low) << width
                     extended.append((packed | row_v << shift, row_v, rest[:j] + rest[j + 1:]))
-            shift += depth * width
+            shift += taken * width
             level = extended
         if n < 2:
             self.key = [0] * size

@@ -315,7 +315,7 @@ def test_criterion_05_table_self_consistency():
             tag = _tag(fam, params)
             row = fam.instantiate(params)
             hw = fam.highest_weight(params)
-            d = nabla_sum_to_delta_sum(row)  # NonTerminating fails the test
+            d = nabla_sum_to_delta_sum(row)
             assert d.symbols() == {symbol(DELTA, fam.parabolic)}, (tag, d.symbols())
             mults = {mu: c for (_, mu), c in d.terms.items()}
             positive = all(isinstance(c, int) and c > 0 for c in mults.values())

@@ -6,8 +6,7 @@ import time
 
 import pytest
 
-from conftest import W
-from pericat.linkage import strong_up_set
+from conftest import W, bfs_closure
 from pericat.pe3 import appendix
 from pericat.pe3.appendix import DEFAULT_SAMPLES, StepRecord, _certified, replay_appendix
 from pericat.weights import negate
@@ -90,12 +89,13 @@ def _fact_calls(monkeypatch) -> list:
 
 def test_fact_covers_matches_up_set_oracle(monkeypatch):
     """_fact_covers is the old edge set {(-eta, -nu) : nu in the strong
-    up-set of kac}, on every pair of the box {-3..3}^3 and of the edges."""
+    up-set of kac, by the weight BFS}, on every pair of the box {-3..3}^3
+    and of the edges."""
     facts = {call[0] for call in _fact_calls(monkeypatch)}
     assert sorted(f.tag for f in facts) == ["6.1-V", "6.15", "6.2-I", "6.2-I", "6.2-IV", "6.2-IV"]
     box = list(itertools.product(range(-3, 4), repeat=3))
     for fact in facts:
-        edges = {(negate(fact.eta), negate(nu)) for nu in strong_up_set(fact.kac)}
+        edges = {(negate(fact.eta), negate(nu)) for nu in bfs_closure(fact.kac, -1)}
         tilts = box + [negate(fact.eta)]
         nabs = box + [nab for _, nab in edges]
         for tilt, nab in itertools.product(tilts, nabs):

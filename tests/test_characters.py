@@ -28,6 +28,7 @@ from pericat.characters import (
     to_borel_delta,
 )
 from pericat.linkage import block_label
+from pericat.pe3.tables import lookup_tilting_pe3
 from pericat.tilting import weakly_typical_tilting
 from pericat.weights import (
     borel,
@@ -37,6 +38,7 @@ from pericat.weights import (
     is_p_dominant,
     require_p_dominant,
     scale,
+    shift,
     unscale,
     weight,
 )
@@ -96,8 +98,33 @@ def test_delta_sum_to_nabla_sum_round_trip():
 
 
 def test_delta_sum_to_nabla_sum_diverges():
+    # a lone Delta lies below its own floor, 2n above it: the greedy stops
+    # before its first level
+    with pytest.raises(NonTerminating, match="no finite costandard sum exists") as info:
+        delta_sum_to_nabla_sum(delta(W(0)))
+    assert info.value.remainder == delta(W(0))
     with pytest.raises(NonTerminating):
-        delta_sum_to_nabla_sum(delta(W(0)), depth=12)
+        delta_sum_to_nabla_sum(nabla_sum_to_delta_sum(nabla(W(0, 1, 5))) + delta(W(-9, -9, -9)))
+
+
+def _wide_character(n):
+    """Characters whose Delta forms span more than 64 degrees: nabla_0 +
+    nabla_2 + ... + nabla_138 at n = 1, and the table row T_{0,1,-1} shifted
+    by k omega and summed over k < 22 at n = 3 (132 costandard terms)."""
+    if n == 1:
+        return char_sum(nabla(W(k)) for k in range(0, 139, 2))
+    tilt = lookup_tilting_pe3(W(0, 1, -1))
+    return char_sum(shift_by_omega(tilt, k) for k in range(22))
+
+
+@pytest.mark.parametrize("n, terms", [(1, 70), (3, 132)])
+def test_wide_characters_round_trip(n, terms):
+    nab = _wide_character(n)
+    assert len(nab.terms) == terms
+    dlt = nabla_sum_to_delta_sum(nab)
+    assert to_borel_delta(dlt) == to_borel_delta(nab)
+    assert len({degree(mu) for mu in dlt.support()}) > 64
+    assert delta_sum_to_nabla_sum(dlt) == nab
 
 
 def test_theta_delta_fixtures():
@@ -319,7 +346,7 @@ def _raw_weight(draw, p):
 def _outcome(convert, *args):
     try:
         return convert(*args)
-    except (ValueError, NonTerminating) as exc:
+    except (ValueError, NonTerminating, _Uncleared) as exc:
         return type(exc).__name__, str(exc), getattr(exc, "remainder", None)
 
 
@@ -372,7 +399,8 @@ def test_raw_fraction_input_matches_normalised(data):
 # --- the previous accumulate-by-copy route, kept as a reference ---------------
 # Every sum below copies the whole term dict (out = out + ...), each leader is
 # expanded into a FormalChar, and the degree of every expanded term is
-# recomputed; the library must give the same characters and errors.
+# recomputed; the library must give the same characters, and raise
+# NonTerminating only where the reference does not clear either.
 
 
 def _ref_nabla_to_delta(lam):
@@ -409,7 +437,13 @@ def _ref_to_borel_delta(chi):
     return out
 
 
-def _ref_convert(chi, depth):
+class _Uncleared(Exception):
+    """The reference greedy still has terms after its level budget."""
+
+
+def _ref_convert(chi, depth, floor=None):
+    """Greedy from the top: `depth` non-empty levels below `floor` (all
+    levels when floor is None) before it gives up with _Uncleared."""
     sym = chi.sole_basis()
     p, kind = sym.parabolic, (NABLA if sym.kind == DELTA else DELTA)
     remaining = {}
@@ -438,14 +472,19 @@ def _ref_convert(chi, depth):
                 "not in the span of the target basis; leftover leading terms "
                 + ", ".join(format_weight(lam) for lam in sorted(level))
             )
-        levels += 1
+        levels += floor is None or top < floor
     if remaining:
-        leftover = FormalChar()
-        for row in remaining.values():
-            for lam, c in row.items():
-                leftover = leftover + c * delta(lam)
-        raise NonTerminating(depth, leftover)
+        raise _Uncleared(sum(map(len, remaining.values())))
     return collected
+
+
+def _floor(chi):
+    """The lowest degree a conversion of chi has to reach: 2n below the
+    lowest Nabla term, or the floor 2n above the lowest Delta term, under
+    which a finite Nabla sum has no term."""
+    n = len(next(iter(chi.support())))
+    low = min(degree(mu) for mu in chi.support())
+    return low + 2 * n if chi.sole_basis().kind == DELTA else low - 2 * n
 
 
 def _ref_theta_char(a, chi):
@@ -509,27 +548,31 @@ def test_conversions_match_previous_route(data):
     nab = data.draw(_signed_char(NABLA, p))
     if nab.is_zero():
         return
-    depth = data.draw(st.sampled_from((1, 2, 64)))
     assert to_borel_delta(nab) == _ref_to_borel_delta(nab)
     assert all(normalised(mu) for mu in to_borel_delta(nab).support())
-    d_form = _outcome(nabla_sum_to_delta_sum, nab, depth)
-    assert d_form == _outcome(_ref_convert, nab, depth)
+    d_form = nabla_sum_to_delta_sum(nab)
+    assert d_form == _ref_convert(nab, 3, _floor(nab))
     # equality cannot tell 2 from Fraction(2, 1): every coordinate is
     # checked to come back normalised, also inside a NonTerminating remainder
-    assert all(normalised(mu) for mu in _result_char(d_form).support())
-    if isinstance(d_form, FormalChar):
-        # the Delta form converts back; an extra Delta makes it infinite, so
-        # the remainder at a small depth is compared
-        extra = data.draw(_signed_char(DELTA, p))
-        dlt = d_form + extra if data.draw(st.booleans()) else d_form
-        back = 64 if dlt == d_form else data.draw(st.integers(1, 3))
-        if not dlt.is_zero():
-            assert to_borel_delta(dlt) == _ref_to_borel_delta(dlt)
-            got = _outcome(delta_sum_to_nabla_sum, dlt, back)
-            assert got == _outcome(_ref_convert, dlt, back)
-            assert all(normalised(mu) for mu in _result_char(got).support())
-            if dlt == d_form:
-                assert got == nab
+    assert all(normalised(mu) for mu in d_form.support())
+    # the Delta form converts back; one extra Delta makes it, as a rule, no
+    # finite Nabla sum, and then the reference must not clear either
+    if data.draw(st.booleans()):
+        extra = data.draw(st.sampled_from((-2, -1, 1, 3))) * delta(data.draw(_p_dominant_weight(p)), p)
+        dlt = d_form + extra
+    else:
+        dlt = d_form
+    if not dlt.is_zero():
+        assert to_borel_delta(dlt) == _ref_to_borel_delta(dlt)
+        got = _outcome(delta_sum_to_nabla_sum, dlt)
+        ref = _outcome(_ref_convert, dlt, 3, _floor(dlt))
+        if isinstance(got, FormalChar):
+            assert got == ref
+        else:
+            assert got[0] == "NonTerminating" and ref[0] == "_Uncleared", (got, ref)
+        assert all(normalised(mu) for mu in _result_char(got).support())
+        if dlt == d_form:
+            assert got == nab
     alphabet = sorted({c for mu in nab.support() for c in mu} | {Fraction(1, 2)})
     for a in data.draw(st.lists(st.sampled_from(alphabet), max_size=3)):
         assert theta_char(a, nab) == _ref_theta_char(a, nab)
@@ -631,22 +674,23 @@ def test_flag_terms_are_the_p_dominant_borel_part(data):
         }
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(st.data())
-def test_nabla_to_delta_depth_is_the_number_of_degrees(data):
+def test_delta_form_ends_2n_below_the_lowest_nabla(data):
+    # kappa = (2,..,2) is the only drop of 2n, and it keeps the order of x:
+    # the lowest Nabla terms leave their shifts by -2(1,..,1) uncancelled,
+    # which is why delta_sum_to_nabla_sum may stop below its floor
     p = data.draw(st.sampled_from(_PARABOLICS))
     nab = data.draw(_signed_char(NABLA, p))
     if nab.is_zero():
         return
-    full = nabla_sum_to_delta_sum(nab)
-    levels = len({degree(mu) for mu in full.support()})
-    for k in range(levels + 2):
-        got = _outcome(nabla_sum_to_delta_sum, nab, k)
-        if k >= levels:
-            assert got == full
-        else:
-            assert got[0] == "NonTerminating"
-            assert got == _outcome(_ref_convert, nab, k)
+    n = sum(p)
+    low = min(degree(mu) for mu in nab.support())
+    dlt = nabla_sum_to_delta_sum(nab)
+    assert min(degree(mu) for mu in dlt.support()) == low - 2 * n
+    assert {mu: c for (_, mu), c in dlt.terms.items() if degree(mu) == low - 2 * n} == {
+        shift(lam, -2): c for (_, lam), c in nab.terms.items() if degree(lam) == low
+    }
 
 
 # --- FormalChar invariants --------------------------------------------------------

@@ -6,10 +6,16 @@ directory holding those files, so paths in messages are relative.  After a
 deliberate change of output, rewrite the stored results with
 
     PYTHONPATH=src python tests/test_cli_golden.py
+
+An argv given on that command line is appended as a new query first,
+unless it is stored already:
+
+    PYTHONPATH=src python tests/test_cli_golden.py blocks --composition 3,3,3
 """
 
 import json
 import os
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 from pathlib import Path
@@ -52,6 +58,8 @@ def test_cli_golden(query, tmp_path, monkeypatch):
 if __name__ == "__main__":
     import tempfile
 
+    if sys.argv[1:] and sys.argv[1:] not in [q["argv"] for q in DOC["queries"]]:
+        DOC["queries"].append({"argv": sys.argv[1:]})
     os.environ.pop("PERICAT_FIXTURES", None)
     os.environ["COLUMNS"] = "80"
     with tempfile.TemporaryDirectory() as tmp:

@@ -23,7 +23,6 @@ from pericat.linkage import (
     canonical_representative,
     cor36_edge,
     strong_down_set,
-    strong_up_set,
     strongly_linked,
     thm34_delta_edge,
     thm34_nabla_edge,
@@ -42,8 +41,14 @@ def test_strongly_linked_orientation_fixture():
     assert strongly_linked(lam, lam)
 
 
+def _up_set(mu):
+    """All lam with mu in strong_down_set(lam): a strong-linkage step only
+    swaps coordinates, so lam runs over the rearrangements of mu."""
+    return {lam for lam in itertools.permutations(mu) if mu in strong_down_set(lam)}
+
+
 def test_strong_up_set_fixture():
-    assert strong_up_set(W(1, -1, 3)) == {
+    assert _up_set(W(1, -1, 3)) == bfs_closure(W(1, -1, 3), -1) == {
         W(1, -1, 3),
         W(3, -1, 1),
         W(1, 3, -1),
@@ -55,11 +60,11 @@ def test_down_up_sets_extremes():
     anti = W(-2, 0, 1)
     assert strong_down_set(anti) == {anti}
     dom = W(3, 1, 0)
-    assert strong_up_set(dom) == {dom}
+    assert _up_set(dom) == {dom}
     # Non-integral steps never move: a fully incomparable weight is alone.
     alone = W(0, "1/2", "1/3")
     assert strong_down_set(alone) == {alone}
-    assert strong_up_set(alone) == {alone}
+    assert _up_set(alone) == {alone}
 
 
 def test_strongly_linked_partial_order():
@@ -82,7 +87,7 @@ def test_up_down_adjointness():
     box = frac_box(-2, 2)
     for lam in itertools.product(box, repeat=2):
         for mu in itertools.product(box, repeat=2):
-            assert (mu in strong_down_set(lam)) == (lam in strong_up_set(mu))
+            assert (mu in strong_down_set(lam)) == (lam in bfs_closure(mu, -1))
             assert (mu in strong_down_set(lam)) == strongly_linked(mu, lam)
 
 
@@ -181,7 +186,7 @@ def test_block_functions_normalise_raw_fraction_input():
 _FLOAT_CASES = [
     *(
         (entry, ((1.5, 0),))
-        for entry in (strong_down_set, strong_up_set, block_label, canonical_representative)
+        for entry in (strong_down_set, block_label, canonical_representative)
     ),
     (strongly_linked, ((1.5, 0), (0, 1.5))),
     (thm34_nabla_edge, ((1.5, 0), 1, (1, 1))),
@@ -211,7 +216,6 @@ def test_ranked_closure_matches_weight_bfs():
         lam = tuple(rng.choice(values) for _ in range(rng.randint(1, 6)))
         down = bfs_closure(lam, 1)
         assert strong_down_set(lam) == down, lam
-        assert strong_up_set(lam) == bfs_closure(lam, -1), lam
         mus = [("member", m) for m in rng.sample(sorted(down), min(3, len(down)))]
         for _ in range(4):
             mu = list(lam)

@@ -21,7 +21,6 @@ from conftest import (
 )
 from pericat.characters import DELTA, NABLA, FormalChar, nabla, symbol, to_borel_delta
 from pericat.glmult import parabolic_verma_simple_mult, verma_simple_mult
-from pericat.linkage import strong_up_set
 from pericat.tilting import (
     NotWeaklyTypical,
     neg_w0p,
@@ -127,7 +126,7 @@ def test_flag_multiplicity_restatement():
     # [M_{-mu} : L_{-lam}] for p = b.
     for lam in (W(-1, 1, -3), W(1, -1, 1), W(0, -2, "1/2")):
         chi = weakly_typical_tilting(lam)
-        for mu_neg in strong_up_set(negate(lam)):
+        for mu_neg in bfs_closure(negate(lam), -1):
             mu = negate(mu_neg)
             assert chi.coeff(NABLA, mu) == verma_simple_mult(negate(mu), negate(lam))
 
