@@ -116,7 +116,7 @@ class FormalChar:
         return {lam for (_, lam) in self.terms}
 
     def symbols(self) -> set[BasisSymbol]:
-        return {sym for (sym, _) in self.terms}
+        return set(map(operator.itemgetter(0), self.terms))
 
     def sole_basis(self) -> BasisSymbol:
         syms = self.symbols()
@@ -303,25 +303,34 @@ def theta_char(a, chi: FormalChar) -> FormalChar:
     Delta_lam goes to the sum over lam_i = a of Delta_{lam + e_i} +
     Delta_{lam - e_i}; Nabla_lam raises the coordinates equal to a and
     lowers those equal to a + 2; only weights in Sigma_p^+ are kept."""
+    return _theta_images((a,), chi)[0]
+
+
+def _theta_images(alphabet, chi: FormalChar) -> list[FormalChar]:
+    """[theta_char(a, chi) for a in alphabet], with chi scaled and guarded once."""
     if chi.is_zero():
-        return FormalChar()
+        return [FormalChar() for _ in alphabet]
     sym = chi.sole_basis()
     p = sym.parabolic
-    d, ((a,), *xs) = scale([(exact(a),)] + [lam for _, lam in chi.terms])
-    moves = {a: (d, -d)} if sym.kind == DELTA else {a: (d,), a + 2 * d: (-d,)}
-    edges = set(itertools.accumulate(p, initial=0))  # where the Levi blocks start and end
-    out: dict = {}
+    lams = map(operator.itemgetter(1), chi.terms)
+    d, (alphabet, *xs) = scale([tuple(map(exact, alphabet)), *lams])
+    outs, moves = [], {}  # moves: coordinate -> (image, step) for each image it moves in
+    for a in alphabet:
+        outs.append(out := {})
+        moves.setdefault(a, []).append((out, d))
+        moves.setdefault(a if sym.kind == DELTA else a + 2 * d, []).append((out, -d))
+    edges = {0, *itertools.accumulate(p)}  # where the Levi blocks start and end
     for x, c in zip(xs, chi.terms.values()):
         require_p_dominant(x, p, d)
         for i, v in enumerate(x):
-            for s in moves.get(v, ()):
+            for out, s in moves.get(v, ()):
                 # the moved weight stays in Sigma_p^+ unless the move closes
                 # the gap, a positive multiple of d, to its Levi-block neighbour
                 k = i if s > 0 else i + 1
                 if k in edges or x[k - 1] - x[k] != d:
                     mu = x[:i] + (v + s,) + x[i + 1 :]
                     out[mu] = out.get(mu, 0) + c
-    return FormalChar({(sym, mu): c for mu, c in unscale(out, d)})
+    return [FormalChar({(sym, mu): c for mu, c in unscale(out, d)}) for out in outs]
 
 
 def shift_by_omega(chi: FormalChar, k) -> FormalChar:

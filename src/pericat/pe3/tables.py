@@ -26,7 +26,7 @@ from typing import Mapping, NamedTuple, Optional, Union
 
 from ..characters import NABLA, FormalChar, shift_by_omega, symbol
 from ..linkage import block_label
-from ..tilting import weakly_typical_tilting
+from ..tilting import _weakly_typical_tilting
 from ..weights import (
     Coord,
     Parabolic,
@@ -278,12 +278,10 @@ def lookup_tilting_pe3(lam: Weight, p: Optional[Parabolic] = None) -> FormalChar
     if len(lam) != 3:
         raise ValueError(f"table lookup requires rank 3, got {len(lam)}")
     lam = weight(*lam)
-    if p is None:
-        p = borel(3)
-    p = tuple(p)
+    p = borel(3) if p is None else tuple(p)
     require_p_dominant(lam, p)
     if is_p_weakly_typical(lam, p):
-        return weakly_typical_tilting(lam, p)
+        return _weakly_typical_tilting(lam, p)  # guarded just above
 
     base = shift(lam, -lam[0])  # int wherever lam_1's class allows: no Fraction arithmetic
     matches = []

@@ -11,10 +11,10 @@ renders:
 * :func:`verify_tables` — internal consistency of every stored family:
   single block, agreement with the engine on weakly typical highest
   weights, closure of the table set under every relevant translation
-  functor (each image decomposed greedily into tilting characters, a loop
-  that ends within |supp| steps), and the claimed standard-flag bound
-  (T : standard) <= 1, which exact computation refutes (see
-  :func:`delta_flag_bound_report`).
+  functor (each image peeled in place into tilting characters from its
+  first maximal top-degree weight, within |supp| steps), and the claimed
+  standard-flag bound (T : standard) <= 1, which exact computation refutes
+  (see :func:`delta_flag_bound_report`); each row is instantiated once.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ from __future__ import annotations
 from itertools import product
 from typing import Iterator, NamedTuple
 
-from ..characters import NABLA, FormalChar, nabla_sum_to_delta_sum, theta_char
-from ..linkage import _lowered, strong_down_set, strongly_linked
+from ..characters import NABLA, FormalChar, _theta_images, nabla_sum_to_delta_sum, symbol
+from ..linkage import _lowered, _ranks, _walk, strong_down_set, strongly_linked
 from ..tilting import weakly_typical_tilting
 from ..weights import (
     Coord,
@@ -172,63 +172,72 @@ def pe2_property_check(bound: int = 3) -> CheckReport:
     return CheckReport("rank2-linkage-bound", not failures, checked, tuple(failures))
 
 
-def _head_candidates(chi: FormalChar) -> list[Weight]:
-    """Support weights of maximal degree that are not strictly below
-    another maximal-degree weight in the strong order on negatives."""
-    degrees = {mu: degree(mu) for mu in chi.support()}
-    top = max(degrees.values())
-    tops = [mu for mu, d in degrees.items() if d == top]
-    return [
-        mu
-        for mu in tops
-        if not any(
-            nu != mu and strongly_linked(negate(nu), negate(mu)) for nu in tops
-        )
-    ]
+def _head(terms: dict, degrees: dict) -> Weight:
+    """The first top-degree weight mu in support-set order with no other top
+    nu such that -nu is strongly linked to -mu.  Each candidate tried is
+    ranked and walked once; the last needs no walk once the others are out."""
+    top = max(degrees[mu] for _, mu in terms)
+    tops = [mu for _, mu in terms if degrees[mu] == top]
+    if len(tops) == 1:
+        return tops[0]
+    tops = [mu for mu in {mu for _, mu in terms} if degrees[mu] == top]
+    negs = [negate(mu) for mu in tops]
+    for mu, lam in zip(tops[:-1], negs):
+        walked = None  # lam's ranks, and so its walk, are the same for every nu
+        for nu in negs:
+            ranked = nu is not lam and _ranks(lam, nu)
+            if ranked:
+                walked = walked or _walk(ranked[0], ranked[2], 1)
+                if ranked[1] in walked:
+                    break
+        else:
+            return mu
+    return tops[-1]
 
 
 def decompose_into_tiltings(chi: FormalChar, p, memo: dict) -> dict[Weight, int]:
     """Write a dual-Verma-basis character as a non-negative integer
-    combination of tilting characters, greedily from the top.
+    combination of tilting characters, greedily from the top: each step
+    subtracts c * T_head (see :func:`_head`) in place from one terms dict.
 
-    Raises ValueError if a step produces a non-positive head or a negative
-    coefficient; propagates NoTableEntry when a head falls outside the
-    stored patterns.  A tilting character has positive coefficients and
-    coefficient 1 at its head, so a step that leaves no negative coefficient
-    removes the head from the support: the loop ends within |supp chi|
-    steps.  ``memo`` maps (head, parabolic) to the tilting characters
-    already looked up, so a caller that decomposes many images can share
-    them; a failed lookup is never stored.
-    """
+    Raises ValueError if a step meets a non-positive head or leaves a
+    negative coefficient (read on the touched keys, and once on the input);
+    propagates NoTableEntry when a head falls outside the stored patterns.
+    A tilting character has positive coefficients and 1 at its head, so a
+    step that leaves no negative coefficient removes the head and adds no
+    weight: the loop ends within |supp chi| steps.  ``memo`` maps (head,
+    parabolic) to the tilting characters already looked up, so a caller that
+    decomposes many images can share them; a failed lookup is never stored."""
     p = tuple(p)
+    sym = symbol(NABLA, p)
+    remainder = dict(chi.terms)
+    degrees = {mu: degree(mu) for _, mu in remainder}  # no step adds a key and survives
+    negative = any(c < 0 for c in remainder.values())
     parts: dict[Weight, int] = {}
-    remainder = chi
-    while not remainder.is_zero():
-        head = _head_candidates(remainder)[0]
-        c = remainder.coeff(NABLA, head, p)
+    while remainder:
+        head = _head(remainder, degrees)
+        c = remainder.get((sym, head), 0)
         if c <= 0:
-            raise ValueError(
-                f"head {format_weight(head)} has non-positive coefficient {c}"
-            )
+            raise ValueError(f"head {format_weight(head)} has non-positive coefficient {c}")
         tilting = memo.get((head, p))
         if tilting is None:
             tilting = memo[head, p] = lookup_tilting_pe3(head, p)
-        remainder = remainder - c * tilting
-        if any(k < 0 for k in remainder.terms.values()):
-            raise ValueError(
-                f"subtracting {c} x T_{format_weight(head)} went negative"
-            )
+        for key, t in tilting.terms.items():
+            v = remainder.get(key, 0) - c * t
+            if v:
+                remainder[key] = v
+                negative = negative or v < 0
+            else:
+                del remainder[key]
+        if negative:
+            raise ValueError(f"subtracting {c} x T_{format_weight(head)} went negative")
         parts[head] = parts.get(head, 0) + c
     return parts
 
 
 def _closure_alphabet(chi: FormalChar) -> list[Coord]:
-    values: set[Coord] = set()
-    for mu in chi.support():
-        for c in mu:
-            values.add(c)
-            values.add(c - 2)
-    return sorted(values)
+    coords = {c for _, mu in chi.terms for c in mu}
+    return sorted(coords | {c - 2 for c in coords})
 
 
 def _tag(fam: TiltingFamily, params: dict) -> str:
@@ -237,43 +246,64 @@ def _tag(fam: TiltingFamily, params: dict) -> str:
     return fam.id + "@" + ",".join(f"{k}={v}" for k, v in sorted(params.items()))
 
 
-def _check_family(fam: TiltingFamily, param_bound: int, memo: dict) -> CheckReport:
+def _instantiate_all(bound: int) -> list[tuple]:
+    """(family, params, character or the ValueError it raised) per row instance."""
+    rows = []
+    for fam in load_families().values():
+        for params in _instances(fam, bound):
+            try:
+                rows.append((fam, params, fam.instantiate(params)))
+            except ValueError as exc:
+                rows.append((fam, params, exc))
+    return rows
+
+
+def _check_family(fam: TiltingFamily, rows: list, memo: dict) -> CheckReport:
     failures: list[str] = []
     skipped: list[str] = []
-    checked = 0
     p = fam.parabolic
-    for params in _instances(fam, param_bound):
-        checked += 1
+    rows = [row for row in rows if row[0] is fam]
+    for _, params, chi in rows:
         tag = _tag(fam, params)
-        try:
-            chi = fam.instantiate(params)
-        except ValueError as exc:
-            failures.append(f"{tag}: instantiate: {exc}")
+        if isinstance(chi, ValueError):
+            failures.append(f"{tag}: instantiate: {chi}")
             continue
         hw = fam.highest_weight(params)
-        if is_p_weakly_typical(hw, p) and chi != weakly_typical_tilting(hw, p):
+        engine = is_p_weakly_typical(hw, p) and weakly_typical_tilting(hw, p)
+        if engine and chi != memo.setdefault((hw, p), engine):  # = lookup_tilting_pe3(hw, p)
             failures.append(
                 f"{tag}: stored row disagrees with the engine at {format_weight(hw)}"
             )
-        for a in _closure_alphabet(chi):
-            image = theta_char(a, chi)
+        alphabet = _closure_alphabet(chi)
+        for a, image in zip(alphabet, _theta_images(alphabet, chi)):
             if image.is_zero():
                 continue
             try:
                 decompose_into_tiltings(image, p, memo)
-            except NoTableEntry as exc:
-                if p == _B3:
-                    failures.append(f"{tag}: theta_{a}: {exc}")
-                else:
-                    # The proper-parabolic tables cover only the patterns the
-                    # source rows exhibit; images outside them are reported.
-                    skipped.append(f"{tag}: theta_{a}: {exc}")
-            except ValueError as exc:
-                failures.append(f"{tag}: theta_{a}: {exc}")
-    name = f"table-{fam.id}"
-    if skipped and not failures:
-        return CheckReport(name, True, checked, tuple(f"skipped: {s}" for s in skipped))
-    return CheckReport(name, not failures, checked, tuple(failures))
+            except (NoTableEntry, ValueError) as exc:
+                # The proper-parabolic tables cover only the patterns the
+                # source rows exhibit; images outside them are reported.
+                miss = isinstance(exc, NoTableEntry) and p != _B3
+                (skipped if miss else failures).append(f"{tag}: theta_{a}: {exc}")
+    lines = tuple(failures) + tuple(f"skipped: {s}" for s in skipped)
+    return CheckReport(f"table-{fam.id}", not failures, len(rows), lines)
+
+
+def _flag_report(rows: list) -> CheckReport:
+    failures: list[str] = []
+    for fam, params, chi in rows:
+        if isinstance(chi, ValueError):
+            failures.append(f"{_tag(fam, params)}: instantiate: {chi}")
+            continue
+        dmults = nabla_sum_to_delta_sum(chi)
+        bad = sorted((mu, c) for (_, mu), c in dmults.terms.items() if c not in (0, 1))
+        for mu, c in bad[:2]:
+            hw = fam.highest_weight(params)
+            failures.append(
+                f"{_tag(fam, params)}: (T_{format_weight(hw)} : "
+                f"standard_{format_weight(mu)}) = {c}"
+            )
+    return CheckReport("delta-flag-bound", not failures, len(rows), tuple(failures))
 
 
 def delta_flag_bound_report(param_bound: int = 4) -> CheckReport:
@@ -292,27 +322,7 @@ def delta_flag_bound_report(param_bound: int = 4) -> CheckReport:
     in T_2,0,1.  Callers treat this report as the machine record of the
     discrepancy.
     """
-    failures: list[str] = []
-    checked = 0
-    for fam in load_families().values():
-        for params in _instances(fam, param_bound):
-            checked += 1
-            try:
-                chi = fam.instantiate(params)
-            except TableIntegrityError as exc:
-                failures.append(f"{_tag(fam, params)}: instantiate: {exc}")
-                continue
-            dmults = nabla_sum_to_delta_sum(chi)
-            bad = sorted(
-                (mu, c) for (_, mu), c in dmults.terms.items() if c not in (0, 1)
-            )
-            for mu, c in bad[:2]:
-                hw = fam.highest_weight(params)
-                failures.append(
-                    f"{_tag(fam, params)}: (T_{format_weight(hw)} : "
-                    f"standard_{format_weight(mu)}) = {c}"
-                )
-    return CheckReport("delta-flag-bound", not failures, checked, tuple(failures))
+    return _flag_report(_instantiate_all(param_bound))
 
 
 def verify_tables(param_bound: int = 4) -> list[CheckReport]:
@@ -323,15 +333,14 @@ def verify_tables(param_bound: int = 4) -> list[CheckReport]:
     if param_bound < 4:
         raise ValueError("param_bound must be at least 4 to cover every pattern")
     families = load_families()
+    rows = _instantiate_all(param_bound)
     memo: dict = {}  # tilting characters by (weight, parabolic), for this call only
-    reports = [_check_family(fam, param_bound, memo) for fam in families.values()]
+    reports = [_check_family(fam, rows, memo) for fam in families.values()]
     try:
         same = families["5.2"].instantiate() == families["5.7"].instantiate()
         detail = "rows 5.2 and 5.7 disagree"
     except TableIntegrityError as exc:
         same, detail = False, str(exc)
-    reports.append(
-        CheckReport("rows-5.2==5.7", same, 1, () if same else (detail,))
-    )
-    reports.append(delta_flag_bound_report(param_bound))
+    reports.append(CheckReport("rows-5.2==5.7", same, 1, () if same else (detail,)))
+    reports.append(_flag_report(rows))
     return reports

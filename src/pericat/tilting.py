@@ -70,7 +70,12 @@ def weakly_typical_tilting(lam: Weight, p: Optional[Parabolic] = None) -> Formal
         raise NotWeaklyTypical(
             f"{format_weight(lam)} is not p-weakly-typical for p={p}"
         )
-    eta = neg_w0p(lam, p)
+    return _weakly_typical_tilting(lam, p)
+
+
+def _weakly_typical_tilting(lam: Weight, p: Parabolic) -> FormalChar:  # lam guarded by caller
+    back = parabolic_longest(p)  # an involution: mu_k = -nu_{w_0^p(k)}
+    eta = tuple([-lam[k] for k in back])
     try:
         r, _, keys = _ranks(eta, eta)
     except TypeError:  # it names a coordinate of eta; name the caller's instead
@@ -81,7 +86,6 @@ def weakly_typical_tilting(lam: Weight, p: Optional[Parabolic] = None) -> Formal
     # every nu: nu is p-dominant when its ranks fall along each Levi pair,
     # and then so is -w_0^p(nu)
     levi = _levi_pairs(p, len(lam))
-    back = parabolic_longest(p)  # an involution: mu_k = -nu_{w_0^p(k)}
     neg = {k: -c for k, c in zip(r, eta)}  # rank -> -(its coordinate)
     sym = symbol(NABLA, p)
     terms = {}  # -w_0^p is a bijection, so each mu arrives once
@@ -96,7 +100,7 @@ def weakly_typical_tilting(lam: Weight, p: Optional[Parabolic] = None) -> Formal
             if c:
                 terms[(sym, tuple([neg[x[k]] for k in back]))] = c
     chi = FormalChar(terms)
-    if chi.coeff(NABLA, lam, p) != 1:
+    if terms.get((sym, lam)) != 1:
         raise InvariantViolation(
             f"T^p_{format_weight(lam)} (p={p}) has coefficient "
             f"{chi.coeff(NABLA, lam, p)} at its highest weight: {chi!r}"

@@ -1,5 +1,6 @@
 """Formal character algebra, basis conversions, and translation rules."""
 
+import functools
 import itertools
 from fractions import Fraction
 
@@ -396,45 +397,85 @@ def test_raw_fraction_input_matches_normalised(data):
         ]
 
 
-# --- the previous accumulate-by-copy route, kept as a reference ---------------
-# Every sum below copies the whole term dict (out = out + ...), each leader is
-# expanded into a FormalChar, and the degree of every expanded term is
-# recomputed; the library must give the same characters, and raise
-# NonTerminating only where the reference does not clear either.
+# --- the previous route, kept as a reference -----------------------------------
+# Each leader is expanded term by term (the kappa-rule over every kappa, the
+# alternating Levi orbit) into plain dicts accumulated in place, and the
+# degree of every expanded term is recomputed; the library must give the
+# same characters, and raise NonTerminating only where the reference does
+# not clear either.  A leader's expansion depends on (kind, lam, p) alone,
+# and hypothesis meets the same leaders in many examples, so it is kept; its
+# weights hash their Fraction coordinates once, as the greedy looks each of
+# them up again at every leader that reaches it.
+
+
+class _Weight(tuple):
+    """A weight tuple that computes its hash once."""
+
+    def __new__(cls, coords):
+        self = super().__new__(cls, coords)
+        self.hash = tuple.__hash__(self)
+        return self
+
+    def __hash__(self):
+        return self.hash
+
+
+def _ref_add(out, items, c=1):
+    """out += c * items, items being (key, coefficient) pairs; zeros stay."""
+    for key, v in items:
+        out[key] = out.get(key, 0) + c * v
 
 
 def _ref_nabla_to_delta(lam):
     sym = symbol(DELTA, borel(len(lam)))
-    out = FormalChar()
-    for kappa in itertools.product((0, 2), repeat=len(lam)):
-        out = out + FormalChar({(sym, tuple(a - b for a, b in zip(lam, kappa))): 1})
+    out = {}
+    # every kappa in {0,2}^n, in the order of itertools.product((0, 2), ...)
+    for mu in itertools.product(*((a, a - 2) for a in lam)):
+        key = (sym, _Weight(mu))
+        out[key] = out.get(key, 0) + 1
     return out
 
 
 def _ref_expand_parabolic(kind, lam, p):
     require_p_dominant(lam, p)
     sym = symbol(kind, borel(len(lam)))
-    out = FormalChar()
+    out = {}
     for w, lw in levi_weyl_group(p):
-        out = out + FormalChar({(sym, apply_perm(w, lam)): (-1) ** lw})
+        key = (sym, _Weight(apply_perm(w, lam)))
+        out[key] = out.get(key, 0) + (-1) ** lw
     return out
 
 
+@functools.lru_cache(maxsize=None)
 def _ref_leader_expansion(kind, lam, p):
+    """The Delta(borel) terms of kind(p)_lam, as (key, coefficient) pairs."""
     if kind == DELTA:
-        return _ref_expand_parabolic(DELTA, lam, p)
-    out = FormalChar()
-    for (_, mu), c in _ref_expand_parabolic(NABLA, lam, p).terms.items():
-        out = out + c * _ref_nabla_to_delta(mu)
-    return out
+        return tuple(_ref_expand_parabolic(DELTA, lam, p).items())
+    out = {}
+    for (_, mu), c in _ref_expand_parabolic(NABLA, lam, p).items():
+        _ref_add(out, _ref_nabla_to_delta(mu).items(), c)
+    return tuple((key, v) for key, v in out.items() if v)
+
+
+_ref_degree = functools.lru_cache(maxsize=None)(degree)  # leaders' expansions overlap
+
+
+@functools.lru_cache(maxsize=None)
+def _ref_leader_levels(kind, lam, p):
+    """_ref_leader_expansion as (degree, ((weight, coefficient), ...)) per
+    degree, each degree recomputed from the weight."""
+    levels = {}
+    for (_, mu), c in _ref_leader_expansion(kind, lam, p):
+        levels.setdefault(_ref_degree(mu), []).append((mu, c))
+    return tuple((e, tuple(terms)) for e, terms in levels.items())
 
 
 def _ref_to_borel_delta(chi):
     sym = chi.sole_basis()
-    out = FormalChar()
+    out = {}
     for (_, lam), c in chi.terms.items():
-        out = out + c * _ref_leader_expansion(sym.kind, lam, sym.parabolic)
-    return out
+        _ref_add(out, _ref_leader_expansion(sym.kind, lam, sym.parabolic), c)
+    return FormalChar({(s, tuple(mu)): c for (s, mu), c in out.items()})
 
 
 class _Uncleared(Exception):
@@ -448,8 +489,8 @@ def _ref_convert(chi, depth, floor=None):
     p, kind = sym.parabolic, (NABLA if sym.kind == DELTA else DELTA)
     remaining = {}
     for (_, lam), c in _ref_to_borel_delta(chi).terms.items():
-        remaining.setdefault(degree(lam), {})[lam] = c
-    collected = FormalChar()
+        remaining.setdefault(degree(lam), {})[_Weight(lam)] = c
+    collected = {}
     levels = 0
     while remaining and levels < depth:
         top = max(remaining)
@@ -458,15 +499,17 @@ def _ref_convert(chi, depth, floor=None):
             c = level.get(lam, 0)
             if c == 0:
                 continue
-            collected = collected + c * FormalChar.single(kind, lam, p)
-            for (_, mu), d in _ref_leader_expansion(kind, lam, p).terms.items():
-                e = degree(mu)
+            _ref_add(collected, FormalChar.single(kind, lam, p).terms.items(), c)
+            for e, terms in _ref_leader_levels(kind, lam, p):
                 row = level if e == top else remaining.setdefault(e, {})
-                row[mu] = row.get(mu, 0) - c * d
-                if row[mu] == 0:
-                    del row[mu]
-                    if not row and row is not level:
-                        del remaining[e]
+                for mu, d in terms:
+                    v = row.get(mu, 0) - c * d
+                    if v:
+                        row[mu] = v
+                    else:
+                        del row[mu]
+                if not row and row is not level:
+                    del remaining[e]
         if level:
             raise ValueError(
                 "not in the span of the target basis; leftover leading terms "
@@ -475,7 +518,7 @@ def _ref_convert(chi, depth, floor=None):
         levels += floor is None or top < floor
     if remaining:
         raise _Uncleared(sum(map(len, remaining.values())))
-    return collected
+    return FormalChar(collected)
 
 
 def _floor(chi):
@@ -493,7 +536,7 @@ def _ref_theta_char(a, chi):
         return FormalChar()
     sym = chi.sole_basis()
     p = sym.parabolic
-    out = FormalChar()
+    out = {}
     for (_, lam), c in chi.terms.items():
         require_p_dominant(lam, p)
         for i, x in enumerate(lam):
@@ -504,8 +547,8 @@ def _ref_theta_char(a, chi):
             for step in steps:
                 mu = tuple(y + step if j == i else y for j, y in enumerate(lam))
                 if is_p_dominant(mu, p):
-                    out = out + c * FormalChar.single(sym.kind, mu, p)
-    return out
+                    _ref_add(out, FormalChar.single(sym.kind, mu, p).terms.items(), c)
+    return FormalChar(out)
 
 
 _OFFSETS = (0, Fraction(1, 2), Fraction(1, 3), Fraction(2, 3))
@@ -574,9 +617,9 @@ def test_conversions_match_previous_route(data):
         if dlt == d_form:
             assert got == nab
     alphabet = sorted({c for mu in nab.support() for c in mu} | {Fraction(1, 2)})
+    dlt = _ref_to_borel_delta(nab)
     for a in data.draw(st.lists(st.sampled_from(alphabet), max_size=3)):
         assert theta_char(a, nab) == _ref_theta_char(a, nab)
-        dlt = _ref_to_borel_delta(nab)
         assert theta_char(a, dlt) == _ref_theta_char(a, dlt)
         for image in (theta_char(a, nab), theta_char(a, dlt)):
             assert all(normalised(mu) for mu in image.support())
@@ -658,7 +701,7 @@ def test_flag_terms_are_the_p_dominant_borel_part(data):
         got[mu] = got.get(mu, 0) + c
     ref = _ref_leader_expansion(NABLA, lam, p)
     assert {mu: c for mu, c in got.items() if c} == {
-        mu: c for (_, mu), c in ref.terms.items() if is_p_dominant(mu, p)
+        mu: c for (_, mu), c in ref if is_p_dominant(mu, p)
     }
     top = [t for t in characters._flag_terms(x, p, d) if t[2] == 0]
     assert top == [(x, 1, 0)]

@@ -9,6 +9,8 @@ import pytest
 from conftest import B3, W, corrupt_row, nab_sum, normalised, same_block
 from pericat.characters import (
     NABLA,
+    FormalChar,
+    _theta_images,
     char_sum,
     nabla,
     nabla_sum_to_delta_sum,
@@ -16,6 +18,8 @@ from pericat.characters import (
     theta_char,
 )
 from pericat.pe3 import tables
+from pericat.linkage import strongly_linked
+from pericat.pe3 import verify
 from pericat.pe3.tables import (
     NoTableEntry,
     TableIntegrityError,
@@ -33,9 +37,11 @@ from pericat.pe3.verify import (
 )
 from pericat.tilting import weakly_typical_tilting
 from pericat.weights import (
+    degree,
     format_weight,
     is_p_dominant,
     is_p_weakly_typical,
+    negate,
     shift,
     weight,
 )
@@ -378,3 +384,97 @@ def test_decompose_memo_matches_fresh_lookups():
                 fresh = outcome(image, fam.parabolic, {})
                 assert outcome(image, fam.parabolic, memo) == fresh, (fam.id, a)
     assert images > 0 and memo
+
+
+def test_skipped_images_follow_the_failures(tmp_path, monkeypatch):
+    # Row 5.8-4 corrupt: theta_-1 of row 5.8-3 looks it up and fails, while
+    # its theta_1 image stays outside the (2,1) tables; both lines are kept.
+    monkeypatch.setenv("PERICAT_FIXTURES", str(corrupt_row(tmp_path, "5.8-4")))
+    report = {r.name: r for r in verify_tables(param_bound=4)}["table-5.8-3"]
+    assert not report.ok
+    assert report.failures == (
+        "5.8-3: theta_-1: family 5.8-4: coefficient 2 at 0,-1,0; "
+        "all stored coefficients are 1",
+        "skipped: 5.8-3: theta_1: no table entry for weight 2,0,1 with parabolic (2, 1)",
+    )
+
+
+def test_theta_images_match_theta_char_term_for_term():
+    # The closure check translates a row by its whole alphabet at once; each
+    # image must be theta_char's, in the same term order (the order breaks
+    # ties between heads of equal degree).
+    for fam in load_families().values():
+        for params in _instances(fam, 6):
+            chi = fam.instantiate(params)
+            alphabet = _closure_alphabet(chi) + [Fraction(1, 3)]
+            for a, image in zip(alphabet, _theta_images(alphabet, chi)):
+                single = theta_char(a, chi)
+                assert list(image.terms.items()) == list(single.terms.items()), (fam.id, a)
+    assert _theta_images([0, 1], FormalChar()) == [FormalChar(), FormalChar()]
+
+
+# --- the pairwise-head, copy-based decomposition, kept as a reference ---------
+
+
+def _ref_head_candidates(chi):
+    degrees = {mu: degree(mu) for mu in chi.support()}
+    top = max(degrees.values())
+    tops = [mu for mu, d in degrees.items() if d == top]
+    return [
+        mu
+        for mu in tops
+        if not any(nu != mu and strongly_linked(negate(nu), negate(mu)) for nu in tops)
+    ]
+
+
+def _ref_decompose(chi, p, memo):
+    p = tuple(p)
+    parts = {}
+    remainder = chi
+    while not remainder.is_zero():
+        head = _ref_head_candidates(remainder)[0]
+        c = remainder.coeff(NABLA, head, p)
+        if c <= 0:
+            raise ValueError(f"head {format_weight(head)} has non-positive coefficient {c}")
+        tilting = memo.get((head, p))
+        if tilting is None:
+            tilting = memo[head, p] = lookup_tilting_pe3(head, p)
+        remainder = remainder - c * tilting
+        if any(k < 0 for k in remainder.terms.values()):
+            raise ValueError(f"subtracting {c} x T_{format_weight(head)} went negative")
+        parts[head] = parts.get(head, 0) + c
+    return parts
+
+
+def _decomposition(fn, chi, p):
+    try:
+        return list(fn(chi, p, {}).items())  # the heads in the order taken
+    except (NoTableEntry, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("bound", [4, 6])
+def test_decompose_matches_pairwise_reference(bound, monkeypatch):
+    images = []
+
+    def record(chi, p, memo):
+        images.append((chi, p))
+        return decompose_into_tiltings(chi, p, memo)
+
+    monkeypatch.setattr(verify, "decompose_into_tiltings", record)
+    verify_tables(param_bound=bound)
+    assert len(images) == {4: 381, 6: 577}[bound]
+    t1, t2 = lookup_tilting_pe3(W(0, 1, 0)), lookup_tilting_pe3(W(0, 0, 1))
+    extra = [
+        (t1 - 2 * t2, B3),  # goes negative
+        (t1 - t2, B3),
+        (t2 - t1, B3),  # a non-positive head
+        (t1 + nab_sum((-5, -7, -9)) - 2 * nab_sum((-5, -7, -9)), B3),  # an input below zero
+        (2 * t1 + t2, B3),
+    ]
+    outcomes = {"parts": 0, "errors": 0}
+    for chi, p in images + extra:
+        got = _decomposition(decompose_into_tiltings, chi, p)
+        assert got == _decomposition(_ref_decompose, chi, p), (chi, p)
+        outcomes["parts" if isinstance(got, list) else "errors"] += 1
+    assert outcomes["errors"] >= 4 and outcomes["parts"] > 300
