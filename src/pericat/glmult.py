@@ -8,10 +8,14 @@ classes of coordinate positions; each integral factor is a Kazhdan-Lusztig
 value P_{w0 x, w0 y}(1) where x, y are the longest coset representatives
 carrying the nondecreasing (antidominant) orbit base to lam and mu.
 
-One ranking pass serves a whole multiplicity: the pair's shared multiset
-is sorted once, and every integrality class, and in [M^p_mu : L_lam] every
-Levi element, reads its rank pattern off those ranks.  A pattern's coset
-representative w0 x is one sort of its positions.
+One ranking pass serves a whole multiplicity: `linkage._ranks` sorts the
+shared multiset once (ints on their values, other weights on exact
+(numerator, denominator) pairs), and every integrality class, and in
+[M^p_mu : L_lam] every Levi element, reads its rank pattern off those ranks.
+A pair of one class is a single KL value, with no split into classes.  A
+pattern's coset representative w0 x is one sort of its positions.  In one
+class the ranks of mu also show whether mu lies in Sigma_p^+; the guard
+`require_p_dominant` runs only when they cannot.
 
 >>> from .weights import weight
 >>> verma_simple_mult(weight(2, 1, 0), weight(0, 1, 2))
@@ -25,7 +29,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .linkage import _ranks
-from .weights import Parabolic, Weight, format_weight, require_p_dominant
+from .weights import Parabolic, Weight, _levi_pairs, format_weight, require_p_dominant
 from .weyl import InvariantViolation, apply_perm, kl_eval_one, levi_weyl_group
 
 __all__ = ["verma_simple_mult", "parabolic_verma_simple_mult"]
@@ -44,24 +48,11 @@ def _integral_mult(x: tuple, y: tuple) -> int:
     return kl_eval_one(_w0_rep(x), _w0_rep(y))
 
 
-def _rank_pair(lam: Weight, mu: Weight):
-    """(x, y, dense, blocks), or None when no Borel term can be nonzero:
-    x, y rank lam and mu as in `linkage._ranks`, and dense and blocks are
-    `_class_blocks` of y."""
-    if len(lam) != len(mu):
-        raise ValueError("dimension mismatch")
-    ranked = _ranks(lam, mu)
-    if ranked is None:
-        return None
-    x, y, keys = ranked
-    return (x, y, *_class_blocks(y, keys))
-
-
-def _class_blocks(y: tuple, keys: list) -> tuple:
+def _class_blocks(y: tuple, keys) -> tuple:
     """(dense, blocks) for the rank tuple y, keys[r] the integrality class
     of rank r: dense[r] is r's place in its class, and blocks holds y's
-    positions and dense pattern per class; (None, None) for one class."""
-    if len(set(keys)) < 2:
+    positions and dense pattern per class; (None, None) for keys None."""
+    if keys is None:
         return None, None
     dense = [keys[:r].count(k) for r, k in enumerate(keys)]
     classes: dict = {}
@@ -71,8 +62,8 @@ def _class_blocks(y: tuple, keys: list) -> tuple:
 
 
 def _term(x: tuple, y: tuple, dense: list, blocks) -> int:
-    """One Borel multiplicity from `_rank_pair` data, x possibly permuted
-    within the classes of positions: the product of its class factors."""
+    """One Borel multiplicity from ranks and their `_class_blocks`, x possibly
+    permuted within the classes of positions: the product of class factors."""
     if blocks is None:
         return _integral_mult(x, y)
     total = 1
@@ -83,23 +74,50 @@ def _term(x: tuple, y: tuple, dense: list, blocks) -> int:
     return total
 
 
+def _falls(x: tuple, levi) -> bool:
+    """Whether the ranks x fall along every Levi pair (i, j).  For the ranks
+    of a weight of one class, x_i > x_j exactly when its coordinates i and j
+    differ by a positive integer: this is the test of Sigma_p^+ on ranks."""
+    return all(x[i] > x[j] for i, j in levi)
+
+
 def verma_simple_mult(lam: Weight, mu: Weight) -> int:
     """[M_lam : L_mu] for gl(n).
 
     Zero unless mu rearranges lam within integrality classes of positions;
     otherwise a product of integral-block Kazhdan-Lusztig values."""
-    ranked = _rank_pair(lam, mu)
-    return 0 if ranked is None else _term(*ranked)
+    if len(lam) != len(mu):
+        raise ValueError("dimension mismatch")
+    ranked = _ranks(lam, mu)
+    if ranked is None:
+        return 0
+    x, y, keys = ranked
+    if keys is None:  # one class: one Kazhdan-Lusztig value
+        return _integral_mult(x, y)
+    return _term(x, y, *_class_blocks(y, keys))
 
 
 def parabolic_verma_simple_mult(mu: Weight, lam: Weight, p: Parabolic) -> int:
     """[M^p_mu : L_lam]: alternating Levi-orbit sum of Borel Verma
     multiplicities.  Requires mu in Sigma_p^+."""
-    require_p_dominant(mu, p)
+    try:
+        if len(lam) != len(mu):
+            raise ValueError("dimension mismatch")
+        ranked = _ranks(mu, lam)
+    except (TypeError, ValueError):  # an error of the guard's comes first
+        require_p_dominant(mu, p)
+        raise
+    # the ranks of a one-class mu show whether it lies in Sigma_p^+; the
+    # guard and its typed errors take every other case, and any list
+    one = ranked and ranked[2] is None and type(mu) is tuple and type(p) is tuple
+    if not (one and _falls(ranked[0], _levi_pairs(p, len(mu)))):
+        require_p_dominant(mu, p)
+    if ranked is None:
+        return 0
     # each Levi block of a p-dominant mu lies in one integrality class, so
     # every w(mu) has mu's classes by position: one ranking serves all terms
-    ranked = _rank_pair(mu, lam)
-    total = 0 if ranked is None else _levi_sum(*ranked, p)
+    x, y, keys = ranked
+    total = _levi_sum(x, y, *_class_blocks(y, keys), p)
     if total < 0:
         raise InvariantViolation(
             f"[M^p_{format_weight(mu)} : L_{format_weight(lam)}] = {total} < 0 for p={p}"
@@ -108,8 +126,8 @@ def parabolic_verma_simple_mult(mu: Weight, lam: Weight, p: Parabolic) -> int:
 
 
 def _levi_sum(x: tuple, y: tuple, dense: list, blocks, p: Parabolic) -> int:
-    """[M^p_mu : L_lam] from `_rank_pair` data, x the ranks of mu: the
-    alternating sum of `_term` over the Levi orbit of x."""
+    """[M^p_mu : L_lam] from ranks and their `_class_blocks`, x the ranks of
+    mu: the alternating sum of `_term` over the Levi orbit of x."""
     total = 0
     for w, lw in levi_weyl_group(p):
         m = _term(apply_perm(w, x), y, dense, blocks)

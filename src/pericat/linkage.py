@@ -30,6 +30,8 @@ from .weights import (
     Coord,
     Parabolic,
     Weight,
+    _EXACT,
+    _INT,
     _levi_pairs,
     _positive_pairs,
     integrality_classes,
@@ -41,39 +43,46 @@ from .weights import (
 
 def _ranks(lam: Weight, mu: Weight):
     """(x, y, keys): the rank tuples of lam and mu over their shared
-    multiset and the integrality class of each rank; None unless mu
-    rearranges lam within the integrality classes of positions, which both
-    mu up-arrow lam and a nonzero [M_lam : L_mu] need.
+    multiset and the integrality class of each rank, or keys None for one
+    class; None unless mu rearranges lam within the integrality classes of
+    positions, which both mu up-arrow lam and a nonzero [M_lam : L_mu] need.
 
-    Rank k is the k-th distinct exact (numerator, denominator) pair, in
-    value order inside each integrality class.  A strong-linkage step swaps
-    two coordinates of one class, so every weight it reaches from lam has
-    lam's ranking."""
-    try:
-        lam_q = [(c.numerator, c.denominator) for c in lam]
-        mu_q = lam_q if mu is lam else [(c.numerator, c.denominator) for c in mu]
-    except AttributeError:
-        refuse_inexact(lam, mu)
-        raise
-    ordered = sorted(lam_q)
-    if mu_q is not lam_q and ordered != sorted(mu_q):
+    Rank k is the k-th distinct value, in value order inside each class.
+    Weights of ints alone are ranked on their values, with no pair built;
+    others on exact (numerator, denominator) pairs.  A float or bool raises
+    refuse_inexact's error.  A strong-linkage step swaps two coordinates of
+    one class, so every weight it reaches from lam has lam's ranking."""
+    kinds = {*map(type, lam), *map(type, mu)}
+    ints = kinds <= _INT
+    if ints:
+        lam_q, mu_q = lam, mu
+    else:
+        if not kinds <= _EXACT:
+            refuse_inexact(lam, mu)
+        lam_q = [c.as_integer_ratio() for c in lam]
+        mu_q = lam_q if mu is lam else [c.as_integer_ratio() for c in mu]
+    if mu_q is not lam_q and sorted(lam_q) != sorted(mu_q):
         return None
-    rank = dict(zip(dict.fromkeys(ordered), range(len(ordered))))
-    x = tuple(map(rank.__getitem__, lam_q))
-    keys = [(a % d, d) for a, d in rank]
-    if mu_q is lam_q:  # one weight ranked for a walk: nothing to compare
-        return x, x, keys
-    y = tuple(map(rank.__getitem__, mu_q))
-    if len(set(keys)) > 1 and [keys[r] for r in x] != [keys[r] for r in y]:
+    values = sorted(set(lam_q))
+    x = tuple(map(values.index, lam_q))
+    y = x if mu_q is lam_q else tuple(map(values.index, mu_q))
+    if ints:
+        return x, y, None
+    keys = [(a % d, d) for a, d in values]
+    if keys.count(keys[0]) == len(keys):
+        return x, y, None
+    if y is not x and [keys[r] for r in x] != [keys[r] for r in y]:
         return None  # some lam_i - mu_i is not an integer
     return x, y, keys
 
 
-def _walk(r: tuple, keys: list, sign: int) -> set:
-    """The rank tuples reached from r (ranks of `_ranks`) by strictly
+def _walk(r: tuple, keys, sign: int) -> set:
+    """The rank tuples reached from r (ranks and keys of `_ranks`) by strictly
     lowering (sign 1) or raising (sign -1) steps: swap r_i, r_j, i < j of
     one class, when sign * (r_i - r_j) > 0."""
-    pairs = [(i, j) for i, j in _positive_pairs(len(r)) if keys[r[i]] == keys[r[j]]]
+    pairs = _positive_pairs(len(r))
+    if keys is not None:
+        pairs = [(i, j) for i, j in pairs if keys[r[i]] == keys[r[j]]]
     seen = {r}
     stack = [r]
     while stack:

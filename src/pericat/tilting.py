@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .characters import NABLA, FormalChar, symbol
-from .glmult import _class_blocks, _levi_sum
+from .glmult import _class_blocks, _falls, _levi_sum
 from .linkage import _ranks, _walk
 from .weights import (
     Parabolic,
@@ -64,6 +64,7 @@ def weakly_typical_tilting(lam: Weight, p: Optional[Parabolic] = None) -> Formal
     up-set of eta = -w_0^p(lam).  eta is ranked once; the walk, the
     p-dominance test and each multiplicity then run on rank tuples, and
     each kept nu is mapped back to a weight once."""
+    refuse_inexact(lam)  # negated, a bool would reach the engine as an int
     p = p or borel(len(lam))
     require_p_dominant(lam, p)
     if not is_p_weakly_typical(lam, p):
@@ -76,11 +77,7 @@ def weakly_typical_tilting(lam: Weight, p: Optional[Parabolic] = None) -> Formal
 def _weakly_typical_tilting(lam: Weight, p: Parabolic) -> FormalChar:  # lam guarded by caller
     back = parabolic_longest(p)  # an involution: mu_k = -nu_{w_0^p(k)}
     eta = tuple([-lam[k] for k in back])
-    try:
-        r, _, keys = _ranks(eta, eta)
-    except TypeError:  # it names a coordinate of eta; name the caller's instead
-        refuse_inexact(lam)
-        raise
+    r, _, keys = _ranks(eta, eta)
     dense, blocks = _class_blocks(r, keys)
     # eta is p-dominant, so each Levi block lies in one class, in eta and in
     # every nu: nu is p-dominant when its ranks fall along each Levi pair,
@@ -90,7 +87,7 @@ def _weakly_typical_tilting(lam: Weight, p: Parabolic) -> FormalChar:  # lam gua
     sym = symbol(NABLA, p)
     terms = {}  # -w_0^p is a bijection, so each mu arrives once
     for x in _walk(r, keys, -1):
-        if all(x[i] > x[j] for i, j in levi):
+        if _falls(x, levi):
             c = _levi_sum(x, r, dense, blocks, p)
             if c < 0:
                 nu = [-neg[k] for k in x]

@@ -34,6 +34,7 @@ Weight = Tuple[Coord, ...]
 # A parabolic is the composition of n giving the block sizes of its Levi;
 # the Borel is (1, ..., 1).
 Parabolic = Tuple[int, ...]
+_INT, _EXACT = frozenset({int}), frozenset({int, Fraction})  # coordinate types
 
 
 def exact(c) -> Coord:
@@ -61,28 +62,27 @@ def exact(c) -> Coord:
 
 def refuse_inexact(*weights) -> None:
     """Raise TypeError naming the first coordinate that is not an int or
-    Fraction.  The engine reads coordinates unchecked and calls this only
-    after an AttributeError, so exact input pays nothing for the check."""
+    Fraction; a bool is neither.  The kernels call this only once a type
+    scan or a read fails, so exact input pays nothing for the search."""
     for c in (c for lam in weights for c in lam):
-        if not isinstance(c, (int, Fraction)):
+        if type(c) is bool or not isinstance(c, (int, Fraction)):
             raise TypeError(f"weight coordinate {c!r} is not exact; build it with weight()")
 
 
 def scale(weights: Sequence[Weight]) -> tuple[int, Sequence[tuple[int, ...]]]:
     """(d, the weights times d as int tuples), d the least common
     denominator of their coordinates; weights of ints alone are returned as
-    they are, with d = 1.  A float coordinate raises refuse_inexact's error.
+    they are, with d = 1.  A float or bool raises refuse_inexact's error.
 
     >>> scale([(1, Fraction(1, 2)), (Fraction(-2, 3), 0)])
     (6, [(6, 3), (-4, 0)])
     """
-    if set(map(type, chain.from_iterable(weights))) <= {int}:
+    kinds = set(map(type, chain.from_iterable(weights)))
+    if kinds <= _INT:
         return 1, weights
-    try:
-        d = lcm(*{c.denominator for c in chain.from_iterable(weights)})
-    except AttributeError:
+    if not kinds <= _EXACT:
         refuse_inexact(*weights)
-        raise
+    d = lcm(*{c.denominator for c in chain.from_iterable(weights)})
     return d, [tuple([c.numerator * (d // c.denominator) for c in lam]) for lam in weights]
 
 

@@ -653,21 +653,28 @@ def test_theta_with_a_denominator_of_its_own(a, rows, p):
         assert all(normalised(mu) for mu in image.support())
 
 
-@pytest.mark.parametrize(
-    "convert, kind",
-    [
-        (nabla_sum_to_delta_sum, NABLA),
-        (delta_sum_to_nabla_sum, DELTA),
-        (to_borel_delta, NABLA),
-        (to_borel_delta, DELTA),
-        (lambda chi: theta_char(0, chi), NABLA),
-        (lambda chi: theta_char(Fraction(1, 2), chi), DELTA),
-    ],
-)
+_KERNELS = [
+    (nabla_sum_to_delta_sum, NABLA),
+    (delta_sum_to_nabla_sum, DELTA),
+    (to_borel_delta, NABLA),
+    (to_borel_delta, DELTA),
+    (lambda chi: theta_char(0, chi), NABLA),
+    (lambda chi: theta_char(Fraction(1, 2), chi), DELTA),
+]
+
+
+@pytest.mark.parametrize("convert, kind", _KERNELS)
 @pytest.mark.parametrize("p", [B2, (2,)])
 def test_kernel_refuses_float_coordinates(convert, kind, p):
     chi = FormalChar({(symbol(kind, p), (1.5, 0)): 1})
     with pytest.raises(TypeError, match="weight coordinate 1.5 is not exact"):
+        convert(chi)
+
+
+@pytest.mark.parametrize("convert, kind", _KERNELS)
+def test_kernel_refuses_bool_coordinates(convert, kind):
+    chi = FormalChar({(symbol(kind, (2,)), (True, 0)): 1})
+    with pytest.raises(TypeError, match="weight coordinate True is not exact"):
         convert(chi)
 
 

@@ -146,6 +146,53 @@ def test_parabolic_mult_refuses_float_coordinates(p):
         parabolic_verma_simple_mult((1.5, 0), (0, 1.5), p)
 
 
+def test_verma_mult_refuses_bool_coordinates():
+    # True == 1 and hashes like it: unrefused, this pair would give 1
+    with pytest.raises(TypeError, match="weight coordinate True is not exact"):
+        verma_simple_mult((True, 0), (0, True))
+
+
+@pytest.mark.parametrize("p", [(1, 1), (2,)])
+def test_parabolic_mult_refuses_bool_coordinates(p):
+    with pytest.raises(TypeError, match="weight coordinate True is not exact"):
+        parabolic_verma_simple_mult((True, 0), (0, True), p)
+
+
+@pytest.mark.parametrize(
+    "mu, lam, text",
+    [
+        pytest.param(W(0, 1, 2), W(2, 1, 0), "0,1,2", id="one-class"),
+        pytest.param(
+            (Fraction(0), Fraction(1), Fraction(2)), W(2, 0, 1), "0,1,2", id="one-class-raw"
+        ),
+        pytest.param(W(0, 1, "1/2"), W(1, 0, "1/2"), "0,1,1/2", id="several-classes"),
+        pytest.param(W(0, 1, 2), W(0, 1, 3), "0,1,2", id="other-multiset"),
+    ],
+)
+def test_parabolic_guard_keeps_its_typed_error(mu, lam, text):
+    # mu is not (2,1)-dominant; the ranks read it in one class, the guard
+    # in the others, and each case gives require_p_dominant's message
+    with pytest.raises(ValueError) as err:
+        parabolic_verma_simple_mult(mu, lam, (2, 1))
+    assert str(err.value) == f"{text} is not in Sigma_p^+ for p=(2, 1)"
+
+
+def test_rank_guard_agrees_with_is_p_dominant():
+    # every pair of a box mixing classes and repeats, under every
+    # composition: a value exactly when mu is p-dominant, else the guard's error
+    box = list(itertools.product((0, 1, 2, H), repeat=3))
+    for p in _compositions(3):
+        for mu in box:
+            dominant = is_p_dominant(mu, p)
+            for lam in box:
+                try:
+                    parabolic_verma_simple_mult(mu, lam, p)
+                except ValueError as err:
+                    assert not dominant and "not in Sigma_p^+" in str(err), (mu, lam, p)
+                else:
+                    assert dominant, (mu, lam, p)
+
+
 def test_oracle_rank_guard():
     with pytest.raises(ValueError):
         oracle_verma_mult_small(W(1, 0, 2, 3), W(0, 1, 2, 3))

@@ -18,6 +18,7 @@ from conftest import (
 )
 from pericat.linkage import (
     A_set,
+    _ranks,
     block_count,
     block_label,
     canonical_representative,
@@ -203,6 +204,40 @@ _FLOAT_CASES = [
 def test_linkage_refuses_float_coordinates(entry, args):
     with pytest.raises(TypeError, match="weight coordinate 1.5 is not exact"):
         entry(*args)
+
+
+# each entry point with arguments holding True, which equals and hashes like 1
+_BOOL_CASES = [
+    (strongly_linked, ((0, True), (True, 0))),
+    (strong_down_set, ((True, 0),)),
+    (thm34_nabla_edge, ((True, 0), 1, (1, 1))),
+    (cor36_edge, ((2, True, 0), 1)),
+]
+
+
+@pytest.mark.parametrize(
+    "entry, args", [pytest.param(entry, args, id=entry.__name__) for entry, args in _BOOL_CASES]
+)
+def test_linkage_refuses_bool_coordinates(entry, args):
+    with pytest.raises(TypeError, match="weight coordinate True is not exact"):
+        entry(*args)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_int_ranking_matches_pair_ranking(n):
+    # weights of ints alone are ranked on their values; the same weights
+    # with every coordinate a raw Fraction take the pair path, which must
+    # give the same ranks and the same one-class verdict
+    box = list(itertools.product((-1, 0, 1, 2), repeat=n))
+    raw = {lam: tuple(map(Fraction, lam)) for lam in box}
+    ranked = 0
+    for lam in box:
+        assert _ranks(lam, lam) == _ranks(raw[lam], raw[lam]), lam
+        for mu in box:
+            got = _ranks(lam, mu)
+            assert got == _ranks(raw[lam], raw[mu]), (lam, mu)
+            ranked += got is not None
+    assert ranked == sum(len(set(itertools.permutations(lam))) for lam in box)
 
 
 def test_ranked_closure_matches_weight_bfs():

@@ -114,6 +114,12 @@ def test_tilting_refuses_float_coordinates():
         weakly_typical_tilting((1.5, 0, 3))
 
 
+def test_tilting_refuses_bool_coordinates():
+    # negated, True would reach the engine as the int -1
+    with pytest.raises(TypeError, match="weight coordinate True is not exact"):
+        weakly_typical_tilting((True, 0))
+
+
 def test_tilting_leading_coefficient_and_positivity():
     for lam in (W(-1, 1, -3), W(2, -1, 1), W(0, 2, -3)):
         chi = weakly_typical_tilting(lam)
