@@ -8,13 +8,16 @@ classes of coordinate positions; each integral factor is a Kazhdan-Lusztig
 value P_{w0 x, w0 y}(1) where x, y are the longest coset representatives
 carrying the nondecreasing (antidominant) orbit base to lam and mu.
 
-One ranking pass serves a whole multiplicity: `linkage._ranks` sorts the
-shared multiset once (ints on their values, other weights on exact
-(numerator, denominator) pairs), and every integrality class, and in
-[M^p_mu : L_lam] every Levi element, reads its rank pattern off those ranks.
-A pair of one class is a single KL value, with no split into classes.  A
-pattern's coset representative w0 x is one sort of its positions.  In one
-class the ranks of mu also show whether mu lies in Sigma_p^+; the guard
+One ranking pass serves a whole multiplicity: `linkage._ranks` ranks the
+shared multiset (ints on their values, other weights on exact (numerator,
+denominator) pairs), and every integrality class, and in [M^p_mu : L_lam]
+every Levi element, reads its rank pattern off those ranks.  The row
+weight's half of the ranking (its sort, rank map and classes) is held for
+the last tuple ranked as row, matched by identity, so a sweep of one row
+against many columns ranks the row once.  A pair of one class is a single
+KL value, with no split into classes.  A pattern's coset representative
+w0 x is one sort of its positions.  In one class the row's own ranks show
+whether mu lies in Sigma_p^+, whether or not the pair ranks; the guard
 `require_p_dominant` runs only when they cannot.
 
 >>> from .weights import weight
@@ -28,7 +31,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .linkage import _ranks
+from . import linkage
 from .weights import Parabolic, Weight, _levi_pairs, format_weight, require_p_dominant
 from .weyl import InvariantViolation, apply_perm, kl_eval_one, levi_weyl_group
 
@@ -88,7 +91,7 @@ def verma_simple_mult(lam: Weight, mu: Weight) -> int:
     otherwise a product of integral-block Kazhdan-Lusztig values."""
     if len(lam) != len(mu):
         raise ValueError("dimension mismatch")
-    ranked = _ranks(lam, mu)
+    ranked = linkage._ranks(lam, mu)
     if ranked is None:
         return 0
     x, y, keys = ranked
@@ -103,14 +106,16 @@ def parabolic_verma_simple_mult(mu: Weight, lam: Weight, p: Parabolic) -> int:
     try:
         if len(lam) != len(mu):
             raise ValueError("dimension mismatch")
-        ranked = _ranks(mu, lam)
+        ranked = linkage._ranks(mu, lam)
     except (TypeError, ValueError):  # an error of the guard's comes first
         require_p_dominant(mu, p)
         raise
-    # the ranks of a one-class mu show whether it lies in Sigma_p^+; the
-    # guard and its typed errors take every other case, and any list
-    one = ranked and ranked[2] is None and type(mu) is tuple and type(p) is tuple
-    if not (one and _falls(ranked[0], _levi_pairs(p, len(mu)))):
+    # mu's own ranks, held since it was ranked (a list is never held), show
+    # whether a one-class mu lies in Sigma_p^+, also when the pair does not
+    # rank; the guard and its typed errors take every other case
+    held, row = linkage._held  # row = (x, keys, ...) of `linkage._row`
+    one = held is mu and row[1] is None and type(p) is tuple
+    if not (one and _falls(row[0], _levi_pairs(p, len(mu)))):
         require_p_dominant(mu, p)
     if ranked is None:
         return 0

@@ -41,6 +41,44 @@ from .weights import (
 )
 
 
+_held: tuple = (None, None)  # (lam, _row(lam)) for the last tuple ranked as lam
+
+
+def _row(lam: Weight) -> tuple:
+    """lam's half of `_ranks`, (x, keys, key_x, pairs, sorted_q, rank): its
+    rank tuple, the class of each rank (None for one class) and of each
+    position, whether it is ranked on exact (numerator, denominator) pairs
+    or, ints alone, on values, its sorted multiset and each entry's rank.
+    A tuple lam is held in `_held`, matched by identity, until another
+    weight is ranked as lam: a row of multiplicities is one object."""
+    global _held
+    held, row = _held
+    if held is lam:
+        return row
+    kinds = set(map(type, lam))
+    pairs = not kinds <= _INT
+    if pairs:
+        if not kinds <= _EXACT:
+            refuse_inexact(lam)
+        q = [c.as_integer_ratio() for c in lam]
+    else:
+        q = lam
+    sorted_q = sorted(q)
+    rank = {v: r for r, v in enumerate(dict.fromkeys(sorted_q))}
+    x = tuple(map(rank.__getitem__, q))
+    keys = key_x = None
+    if pairs:
+        keys = tuple([(a % d, d) for a, d in rank])
+        if keys.count(keys[0]) == len(keys):
+            keys = None
+        else:
+            key_x = tuple(map(keys.__getitem__, x))
+    row = (x, keys, key_x, pairs, sorted_q, rank)
+    if type(lam) is tuple:
+        _held = (lam, row)
+    return row
+
+
 def _ranks(lam: Weight, mu: Weight):
     """(x, y, keys): the rank tuples of lam and mu over their shared
     multiset and the integrality class of each rank, or keys None for one
@@ -48,30 +86,21 @@ def _ranks(lam: Weight, mu: Weight):
     positions, which both mu up-arrow lam and a nonzero [M_lam : L_mu] need.
 
     Rank k is the k-th distinct value, in value order inside each class.
-    Weights of ints alone are ranked on their values, with no pair built;
-    others on exact (numerator, denominator) pairs.  A float or bool raises
-    refuse_inexact's error.  A strong-linkage step swaps two coordinates of
-    one class, so every weight it reaches from lam has lam's ranking."""
-    kinds = {*map(type, lam), *map(type, mu)}
-    ints = kinds <= _INT
-    if ints:
-        lam_q, mu_q = lam, mu
-    else:
-        if not kinds <= _EXACT:
-            refuse_inexact(lam, mu)
-        lam_q = [c.as_integer_ratio() for c in lam]
-        mu_q = lam_q if mu is lam else [c.as_integer_ratio() for c in mu]
-    if mu_q is not lam_q and sorted(lam_q) != sorted(mu_q):
+    lam's half comes from `_row`, computed once per held lam; each call
+    does mu's half: one type scan, one sort and compare, and one rank
+    lookup per coordinate.  A float or bool raises refuse_inexact's error.
+    A strong-linkage step swaps two coordinates of one class, so every
+    weight it reaches from lam has lam's ranking."""
+    x, keys, key_x, pairs, sorted_q, rank = _row(lam)
+    if mu is lam:
+        return x, x, keys
+    if not _EXACT.issuperset(map(type, mu)):
+        refuse_inexact(mu)
+    q = [c.as_integer_ratio() for c in mu] if pairs else mu
+    if sorted(q) != sorted_q:
         return None
-    values = sorted(set(lam_q))
-    x = tuple(map(values.index, lam_q))
-    y = x if mu_q is lam_q else tuple(map(values.index, mu_q))
-    if ints:
-        return x, y, None
-    keys = [(a % d, d) for a, d in values]
-    if keys.count(keys[0]) == len(keys):
-        return x, y, None
-    if y is not x and [keys[r] for r in x] != [keys[r] for r in y]:
+    y = tuple(map(rank.__getitem__, q))
+    if keys is not None and tuple(map(keys.__getitem__, y)) != key_x:
         return None  # some lam_i - mu_i is not an integer
     return x, y, keys
 
@@ -119,13 +148,8 @@ BlockRecord = tuple[Coord, int, int]  # (class key, size, odd count)
 def _class_records(lam: Weight) -> list:
     """(key, positions, odd count) per integrality class of lam, in
     first-occurrence order; the key is the class's fractional part."""
-    try:
-        classes = integrality_classes(lam)
-    except AttributeError:
-        refuse_inexact(lam)
-        raise
     out = []
-    for (r, d), positions in classes:
+    for (r, d), positions in integrality_classes(lam):
         odd = sum((lam[i].numerator - r) // d % 2 for i in positions)
         out.append((r if d == 1 else Fraction(r, d), positions, odd))
     return out

@@ -115,6 +115,7 @@ def tilting_equals_nabla(lam: Weight, p: Optional[Parabolic] = None) -> bool:
     >>> tilting_equals_nabla(weight(-1, 1, 0))
     False
     """
+    refuse_inexact(lam)  # the cached guard reads (True, 0) as (1, 0)
     p = p or borel(len(lam))
     require_p_dominant(lam, p)
     if not is_p_weakly_typical(lam, p):

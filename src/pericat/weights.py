@@ -253,15 +253,22 @@ def integrality_classes(lam: Weight) -> list:
     """The positions of lam grouped by integrality class, in first-occurrence
     order, as ((r, d), positions): every coordinate there has denominator d
     and fractional part r/d.  Two coordinates differ by an integer exactly
-    when they share the key, which is built from ints alone.
+    when they share the key, which is built from ints alone.  A float or
+    bool raises refuse_inexact's error.
 
     >>> integrality_classes(weight("1/2", 0, "3/2", 1))
     [((1, 2), [0, 2]), ((0, 1), [1, 3])]
     """
+    if bool in map(type, lam):  # a bool has an int's numerator and denominator
+        refuse_inexact(lam)
     classes: dict = {}
-    for i, c in enumerate(lam):
-        d = c.denominator
-        classes.setdefault((c.numerator % d, d), []).append(i)
+    try:
+        for i, c in enumerate(lam):
+            d = c.denominator
+            classes.setdefault((c.numerator % d, d), []).append(i)
+    except AttributeError:
+        refuse_inexact(lam)
+        raise
     return list(classes.items())
 
 

@@ -212,6 +212,8 @@ _BOOL_CASES = [
     (strong_down_set, ((True, 0),)),
     (thm34_nabla_edge, ((True, 0), 1, (1, 1))),
     (cor36_edge, ((2, True, 0), 1)),
+    (block_label, ((True, 0),)),
+    (canonical_representative, ((True, 2),)),
 ]
 
 

@@ -120,6 +120,14 @@ def test_tilting_refuses_bool_coordinates():
         weakly_typical_tilting((True, 0))
 
 
+@pytest.mark.parametrize("lam, shown", [((1.5, 0, 3), "1.5"), ((True, 0), "True")])
+def test_tilting_equals_nabla_refuses_inexact_coordinates(lam, shown):
+    # is_dominant would read 1.5's missing denominator, and the cached
+    # p-dominance guard would take (True, 0) for (1, 0)
+    with pytest.raises(TypeError, match=f"weight coordinate {shown} is not exact"):
+        tilting_equals_nabla(lam)
+
+
 def test_tilting_leading_coefficient_and_positivity():
     for lam in (W(-1, 1, -3), W(2, -1, 1), W(0, 2, -3)):
         chi = weakly_typical_tilting(lam)

@@ -221,6 +221,13 @@ def test_integrality_classes_fixtures():
     ]
 
 
+@pytest.mark.parametrize("lam, shown", [((1.5, 0), "1.5"), ((0, True), "True")])
+def test_integrality_classes_refuses_inexact_coordinates(lam, shown):
+    # a float has no denominator to read; a bool has an int's
+    with pytest.raises(TypeError, match=f"weight coordinate {shown} is not exact"):
+        integrality_classes(lam)
+
+
 @given(mixed_weights)
 def test_integrality_classes_partition(lam):
     classes = integrality_classes(lam)
