@@ -22,7 +22,13 @@ coefficients of the Borel expansion (w.lam is not p-dominant for w != 1 in W_p):
 
 The conversions and theta keep their rows on scaled ints: weights times the
 least common denominator d of a character's coordinates (and theta's a), so
-kappa steps by 2d and theta by d; an integral character has d = 1.
+kappa steps by 2d and theta by d; an integral character has d = 1.  Each
+operation certifies its input once: one basis, exact coordinates, and every
+term in Sigma_p^+, tested on those ints with the Levi pairs of p read once
+(the Borel has none, so a term's length is its whole check there), with
+`require_p_dominant` run only to raise its error.  Each character keeps
+its certified form with its scaled weights, so theta called one a at a
+time on the same character certifies it once.
 
 >>> from .weights import weight, borel
 >>> theta_char(-1, nabla(weight(-1, 1, 1), borel(3))) == (
@@ -36,11 +42,14 @@ from __future__ import annotations
 import itertools
 import operator
 from functools import lru_cache
+from math import lcm
 from typing import Iterable, NamedTuple, Optional
 
 from .weights import (
     Parabolic,
     Weight,
+    _falls,
+    _levi_pairs,
     borel,
     degree,
     exact,
@@ -92,15 +101,18 @@ def symbol(kind: str, parabolic: Optional[Parabolic]) -> BasisSymbol:
 class FormalChar:
     """Immutable-by-convention finite integer combination of flags: every
     operation returns a character with a terms dict of its own and never
-    writes into the terms of a character it was given."""
+    writes into the terms of a character it was given.  The first
+    operation on a character stores its certified form in `_form` (see
+    `_certified`)."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_form")
 
     def __init__(self, terms: Optional[dict] = None):
         # dict(terms) reuses the stored key hashes; only zeros are re-hashed
         self.terms: dict[tuple[BasisSymbol, Weight], int] = dict(terms) if terms else {}
         for key in [key for key, c in self.terms.items() if c == 0]:
             del self.terms[key]
+        self._form = None
 
     @classmethod
     def single(cls, kind: str, lam: Weight, parabolic: Parabolic, coeff: int = 1) -> "FormalChar":
@@ -181,7 +193,7 @@ def to_borel_delta(chi: FormalChar) -> FormalChar:
     alternating Levi orbit of each term of its Delta(p) form."""
     if chi.is_zero():
         return FormalChar()
-    return _borel(*_delta_rows(chi, chi.sole_basis().kind))
+    return _borel(*_delta_rows(chi))
 
 
 def _borel(p: Parabolic, d: int, rows: dict) -> FormalChar:
@@ -238,18 +250,47 @@ def _subtract_leader(remaining: dict, x: tuple, p: Parabolic, d: int, top: int, 
             del row[mu]
 
 
-def _delta_rows(chi: FormalChar, kind: str) -> tuple:
-    """(p, d, the Delta(p) form of the kind(p)-basis chi scaled by d, by
-    degree); a row emptied by cancellation stays as an empty dict."""
-    sym = chi.sole_basis()
-    if sym.kind != kind:
+def _guard(xs: list, p: Parabolic, d: int) -> None:
+    """Raise require_p_dominant's error for the first of the weights xs,
+    scaled by d, that is not in Sigma_p^+: the Levi pairs are read once
+    (from the first weight's length, so its length error is the one raised)
+    and each weight is tested on its ints; at the Borel only its length."""
+    n = len(xs[0])
+    levi = _levi_pairs(p, n)
+    for x in xs:
+        if len(x) != n or levi and not _falls(x, levi, d):
+            require_p_dominant(x, p, d)
+
+
+def _certified(chi: FormalChar, kind: Optional[str] = None) -> tuple:
+    """(sym, d, xs) for the nonzero chi: its one basis (which must be of the
+    kind given, if any), the least common denominator d of its coordinates
+    and its weights scaled by d, guarded in Sigma_p^+.  The form is stored
+    on chi with its keys and reused while they are the same objects in the
+    same order, so a weight changed in place is certified again; callers
+    read the coefficients."""
+    form = chi._form
+    if form and not (len(form[0]) == len(chi.terms) and all(map(operator.is_, chi.terms, form[0]))):
+        form = None
+    sym = form[1] if form else chi.sole_basis()
+    if kind is not None and sym.kind != kind:
         raise SimpleBasis(f"expected a {kind.title()}-basis character, got {sym.kind!r}")
+    if form is None:
+        d, xs = scale([lam for _, lam in chi.terms])
+        _guard(xs, sym.parabolic, d)  # the leaders derived from each x are in Sigma_p^+
+        form = chi._form = (tuple(chi.terms), sym, d, xs)
+    return form[1:]
+
+
+def _delta_rows(chi: FormalChar, kind: Optional[str] = None) -> tuple:
+    """(p, d, the Delta(p) form of chi scaled by d, by degree), chi in the
+    kind(p) basis if a kind is given; a row emptied by cancellation stays as
+    an empty dict."""
+    sym, d, xs = _certified(chi, kind)
     p = sym.parabolic
-    d, xs = scale([lam for _, lam in chi.terms])
     rows: dict[int, dict[tuple, int]] = {}
     for x, c in zip(xs, chi.terms.values()):
-        require_p_dominant(x, p, d)  # the leaders derived from x are in Sigma_p^+
-        if kind == DELTA:  # the keys of chi are distinct, and so are the x
+        if sym.kind == DELTA:  # the keys of chi are distinct, and so are the x
             rows.setdefault(sum(x), {})[x] = c
         else:
             _subtract_leader(rows, x, p, d, sum(x), -c)
@@ -307,13 +348,16 @@ def theta_char(a, chi: FormalChar) -> FormalChar:
 
 
 def _theta_images(alphabet, chi: FormalChar) -> list[FormalChar]:
-    """[theta_char(a, chi) for a in alphabet], with chi scaled and guarded once."""
+    """[theta_char(a, chi) for a in alphabet], with chi certified once."""
     if chi.is_zero():
         return [FormalChar() for _ in alphabet]
-    sym = chi.sole_basis()
+    alphabet = tuple(map(exact, alphabet))
+    sym, d, xs = _certified(chi)
     p = sym.parabolic
-    lams = map(operator.itemgetter(1), chi.terms)
-    d, (alphabet, *xs) = scale([tuple(map(exact, alphabet)), *lams])
+    m = lcm(d, *(a.denominator for a in alphabet)) // d
+    if m > 1:  # an a of a finer denominator: scale chi by it too
+        d, xs = d * m, [tuple([v * m for v in x]) for x in xs]
+    alphabet = [a.numerator * (d // a.denominator) for a in alphabet]
     outs, moves = [], {}  # moves: coordinate -> (image, step) for each image it moves in
     for a in alphabet:
         outs.append(out := {})
@@ -321,7 +365,6 @@ def _theta_images(alphabet, chi: FormalChar) -> list[FormalChar]:
         moves.setdefault(a if sym.kind == DELTA else a + 2 * d, []).append((out, -d))
     edges = {0, *itertools.accumulate(p)}  # where the Levi blocks start and end
     for x, c in zip(xs, chi.terms.values()):
-        require_p_dominant(x, p, d)
         for i, v in enumerate(x):
             for out, s in moves.get(v, ()):
                 # the moved weight stays in Sigma_p^+ unless the move closes

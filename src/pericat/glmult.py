@@ -16,7 +16,7 @@ weight's half of the ranking (its sort, rank map and classes) is held for
 the last tuple ranked as row, matched by identity, so a sweep of one row
 against many columns ranks the row once.  A pair of one class is a single
 KL value, with no split into classes.  A pattern's coset representative
-w0 x is one sort of its positions.  In one class the row's own ranks show
+w0 x is one sort of its positions.  The row's own ranks and classes show
 whether mu lies in Sigma_p^+, whether or not the pair ranks; the guard
 `require_p_dominant` runs only when they cannot.
 
@@ -32,7 +32,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from . import linkage
-from .weights import Parabolic, Weight, _levi_pairs, format_weight, require_p_dominant
+from .weights import Parabolic, Weight, _falls, _levi_pairs, format_weight, require_p_dominant
 from .weyl import InvariantViolation, apply_perm, kl_eval_one, levi_weyl_group
 
 __all__ = ["verma_simple_mult", "parabolic_verma_simple_mult"]
@@ -77,11 +77,14 @@ def _term(x: tuple, y: tuple, dense: list, blocks) -> int:
     return total
 
 
-def _falls(x: tuple, levi) -> bool:
-    """Whether the ranks x fall along every Levi pair (i, j).  For the ranks
-    of a weight of one class, x_i > x_j exactly when its coordinates i and j
-    differ by a positive integer: this is the test of Sigma_p^+ on ranks."""
-    return all(x[i] > x[j] for i, j in levi)
+def _in_sigma(row: tuple, levi) -> bool:
+    """Whether the weight of a held row (x, keys, key_x, ...) of
+    `linkage._row` lies in Sigma_p^+: along every Levi pair its ranks fall
+    and, for several classes, its two positions share a class.  Inside one
+    class the ranks follow value order, so these say the coordinates
+    differ by a positive integer."""
+    x, keys, key_x = row[:3]
+    return _falls(x, levi) and (keys is None or all(key_x[i] == key_x[j] for i, j in levi))
 
 
 def verma_simple_mult(lam: Weight, mu: Weight) -> int:
@@ -111,11 +114,10 @@ def parabolic_verma_simple_mult(mu: Weight, lam: Weight, p: Parabolic) -> int:
         require_p_dominant(mu, p)
         raise
     # mu's own ranks, held since it was ranked (a list is never held), show
-    # whether a one-class mu lies in Sigma_p^+, also when the pair does not
-    # rank; the guard and its typed errors take every other case
-    held, row = linkage._held  # row = (x, keys, ...) of `linkage._row`
-    one = held is mu and row[1] is None and type(p) is tuple
-    if not (one and _falls(row[0], _levi_pairs(p, len(mu)))):
+    # whether mu lies in Sigma_p^+, also when the pair does not rank; the
+    # guard and its typed errors take every other case
+    held, row = linkage._held
+    if not (held is mu and type(p) is tuple and _in_sigma(row, _levi_pairs(p, len(mu)))):
         require_p_dominant(mu, p)
     if ranked is None:
         return 0

@@ -11,9 +11,15 @@ typical weights are answered by the character engine, everything else is
 matched against the stored families after factoring out a multiple of
 ``omega = (1,1,1)`` (tensoring with the one-dimensional module shifts every
 weight in the character by the same multiple of ``omega``).  The shape of a
-row lives only in its ``hw`` pattern and parameter domains: lookup tries
-every stored row of the requested parabolic, so a row added to a
-replacement file is reachable.
+row lives only in its ``hw`` pattern and parameter domains.  When a file is
+loaded, the solve of every row is compiled into an index keyed by the
+differences between the pattern's constants, so a lookup reads the rows it
+may match off one key per pattern shape instead of trying every row, and a
+row added to a replacement file is still reachable.  Each (row, parameters)
+instance is built and validated the first time a lookup or a verifier asks
+for it, and kept with its file: switching ``PERICAT_FIXTURES`` never serves
+another file's rows, and a lookup returns the kept instance shifted, as a
+character of its own.
 """
 
 from __future__ import annotations
@@ -37,7 +43,6 @@ from ..weights import (
     is_p_dominant,
     is_p_weakly_typical,
     require_p_dominant,
-    shift,
     weight,
 )
 
@@ -205,7 +210,52 @@ def _parse_family(record: dict) -> TiltingFamily:
     )
 
 
-_CACHE: dict[str, dict[str, TiltingFamily]] = {}
+def _compile_solve(families) -> dict:
+    """The solve lam = hw(params) + k*omega of every row, compiled: for each
+    (parabolic, length), a map from shape to {key: rows}.  A row's shape is
+    (anchor, the other constant positions, the positions of each token) and
+    its key the differences of those constants from the anchor's, so a head
+    of that shape finds the rows it may match by one key; k is then
+    lam[anchor] minus the anchor's constant.  A row with no constant, or with
+    a declared parameter absent from its pattern, matches nothing."""
+    out: dict = {}
+    for pos, fam in enumerate(families):
+        consts, slots = [], {}
+        for i, t in enumerate(fam.hw):
+            if type(t) is str:
+                slots.setdefault(t, []).append(i)
+            else:
+                consts.append(i)
+        if not consts or not set(fam.param_names) <= slots.keys():
+            continue
+        anchor, *rest = consts
+        shape = (anchor, tuple(rest), tuple(map(tuple, slots.values())))
+        key = tuple(fam.hw[i] - fam.hw[anchor] for i in rest)
+        rows = out.setdefault((fam.parabolic, len(fam.hw)), {}).setdefault(shape, {})
+        rows.setdefault(key, []).append((pos, fam, fam.hw[anchor], tuple(slots)))
+    return out
+
+
+class _Fixture(NamedTuple):
+    """One fixture file: its rows by id in file order, their compiled solve,
+    and the row instances built and validated so far."""
+
+    families: dict[str, TiltingFamily]
+    solve: dict
+    kept: dict
+
+    def instance(self, fam: TiltingFamily, params: dict[str, Coord]) -> FormalChar:
+        """fam.instantiate(params) for a row of this file, kept once it has
+        validated: a failing instance is never kept, so it raises on every
+        call.  Callers share the kept character and never write into it."""
+        key = (fam.id, *params.values())
+        chi = self.kept.get(key)
+        if chi is None:
+            chi = self.kept[key] = fam.instantiate(params)
+        return chi
+
+
+_CACHE: dict[str, _Fixture] = {}
 
 
 def _fixture_key() -> str:
@@ -226,12 +276,8 @@ def _read_fixture(key: str) -> str:
     return Path(key).read_text(encoding="utf-8")
 
 
-def load_families() -> dict[str, TiltingFamily]:
-    """All table rows, keyed by id, in file order.
-
-    The environment variable ``PERICAT_FIXTURES`` may point at an alternative
-    JSON file (or a directory containing ``families.json``).
-    """
+def _fixture() -> _Fixture:
+    """The fixture file that ``PERICAT_FIXTURES`` names, loaded once."""
     key = _fixture_key()
     if key not in _CACHE:
         payload = json.loads(_read_fixture(key))
@@ -241,36 +287,27 @@ def load_families() -> dict[str, TiltingFamily]:
             if fam.id in families:
                 raise ValueError(f"duplicate family id {fam.id!r}")
             families[fam.id] = fam
-        _CACHE[key] = families
+        _CACHE[key] = _Fixture(families, _compile_solve(families.values()), {})
     return _CACHE[key]
 
 
-def _solve(fam: TiltingFamily, lam: Weight) -> Optional[tuple[dict[str, Coord], Coord]]:
-    """(params, k) with lam = hw(params) + k*omega and every parameter inside
-    its domain, or None: one k serves every constant of the row's highest
-    weight, and each parameter is lam_i - k wherever it appears."""
-    shifts = [c - t for t, c in zip(fam.hw, lam) if type(t) is not str]
-    if len(fam.hw) != len(lam) or not shifts or shifts.count(shifts[0]) != len(shifts):
-        return None
-    k = shifts[0]
-    values: dict[str, Coord] = {}
-    for t, c in zip(fam.hw, lam):
-        if type(t) is str and values.setdefault(t, c - k) != c - k:
-            return None
-    for name, spec in fam.params:
-        if name not in values or not spec.admits(values[name]):
-            return None
-    # an undeclared token stays out, so instantiate names it as corrupt
-    return {name: values[name] for name, _ in fam.params}, k
+def load_families() -> dict[str, TiltingFamily]:
+    """All table rows, keyed by id, in file order.
+
+    The environment variable ``PERICAT_FIXTURES`` may point at an alternative
+    JSON file (or a directory containing ``families.json``).
+    """
+    return _fixture().families
 
 
 def lookup_tilting_pe3(lam: Weight, p: Optional[Parabolic] = None) -> FormalChar:
     """Tilting character for a rank-3 highest weight.
 
     Weakly typical weights are answered by the character engine for any
-    parabolic.  Otherwise every stored row of parabolic p is tried in file
-    order, solving lam = hw(params) + k*omega with each parameter inside its
-    domain, and the first match is returned shifted by k.  Raises
+    parabolic.  Otherwise the rows of parabolic p that the compiled solve
+    offers for lam are solved, lam = hw(params) + k*omega with each
+    parameter inside its domain, and the first match in file order is
+    returned: its kept instance shifted by k.  Raises
     :class:`NoTableEntry` when no row matches (the stored rows are
     Borel and ``(2,1)`` only) and :class:`TableIntegrityError` when a
     matching row is corrupt or two matching rows disagree.
@@ -283,21 +320,30 @@ def lookup_tilting_pe3(lam: Weight, p: Optional[Parabolic] = None) -> FormalChar
     if is_p_weakly_typical(lam, p):
         return _weakly_typical_tilting(lam, p)  # guarded just above
 
-    base = shift(lam, -lam[0])  # int wherever lam_1's class allows: no Fraction arithmetic
+    fixture = _fixture()
     matches = []
-    for fam in load_families().values():
-        solved = _solve(fam, base) if fam.parabolic == p else None
-        if solved is not None:
-            params, k = solved
-            matches.append((fam.id, shift_by_omega(fam.instantiate(params), k + lam[0])))
+    for (anchor, rest, groups), rows in fixture.solve.get((p, 3), {}).items():
+        c = lam[anchor]
+        found = rows.get(tuple([lam[i] - c for i in rest]))
+        if found is None or any(lam[i] != lam[g[0]] for g in groups for i in g[1:]):
+            continue
+        for pos, fam, t, tokens in found:
+            k = c - t
+            values = {name: lam[g[0]] - k for name, g in zip(tokens, groups)}
+            # an undeclared token stays out, so instantiate names it as corrupt
+            if all(spec.admits(values[name]) for name, spec in fam.params):
+                matches.append((pos, fam, {name: values[name] for name, _ in fam.params}, k))
     if not matches:
         raise NoTableEntry(
             f"no table entry for weight {format_weight(lam)} with parabolic {p}"
         )
-    first_id, first = matches[0]
-    for fam_id, other in matches[1:]:
-        if other != first:
+    matches.sort(key=lambda match: match[0])  # file order
+    first, *others = [
+        (fam.id, shift_by_omega(fixture.instance(fam, params), k)) for _, fam, params, k in matches
+    ]
+    for fam_id, other in others:
+        if other != first[1]:
             raise TableIntegrityError(
-                f"families {first_id} and {fam_id} disagree at {format_weight(lam)}"
+                f"families {first[0]} and {fam_id} disagree at {format_weight(lam)}"
             )
-    return first
+    return first[1]

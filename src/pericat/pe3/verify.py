@@ -14,7 +14,8 @@ renders:
   functor (each image peeled in place into tilting characters from its
   first maximal top-degree weight, within |supp| steps), and the claimed
   standard-flag bound (T : standard) <= 1, which exact computation refutes
-  (see :func:`delta_flag_bound_report`); each row is instantiated once.
+  (see :func:`delta_flag_bound_report`); each row instance is built once
+  per fixture file, and each head looked up once per class mod omega.
 """
 
 from __future__ import annotations
@@ -22,7 +23,14 @@ from __future__ import annotations
 from itertools import product
 from typing import Iterator, NamedTuple
 
-from ..characters import NABLA, FormalChar, _theta_images, nabla_sum_to_delta_sum, symbol
+from ..characters import (
+    NABLA,
+    FormalChar,
+    _theta_images,
+    nabla_sum_to_delta_sum,
+    shift_by_omega,
+    symbol,
+)
 from ..linkage import _lowered, _ranks, _walk, strong_down_set, strongly_linked
 from ..tilting import weakly_typical_tilting
 from ..weights import (
@@ -41,7 +49,7 @@ from .tables import (
     NoTableEntry,
     TableIntegrityError,
     TiltingFamily,
-    load_families,
+    _fixture,
     lookup_tilting_pe3,
 )
 
@@ -113,11 +121,12 @@ def _statement_failures(lam: Weight, chi: FormalChar) -> Iterator[tuple[int, str
 
 
 def _theorem_D_sources(param_bound: int) -> Iterator[tuple[Weight, FormalChar]]:
-    for fam in load_families().values():
+    fixture = _fixture()
+    for fam in fixture.families.values():
         if fam.parabolic != _B3:
             continue  # the minimality statements concern the final Borel
         for params in _instances(fam, param_bound):
-            yield fam.highest_weight(params), fam.instantiate(params)
+            yield fam.highest_weight(params), fixture.instance(fam, params)
     for lam in product(range(-2, 3), repeat=3):
         if is_p_weakly_typical(lam, _B3):
             yield lam, weakly_typical_tilting(lam, _B3)
@@ -205,9 +214,11 @@ def decompose_into_tiltings(chi: FormalChar, p, memo: dict) -> dict[Weight, int]
     propagates NoTableEntry when a head falls outside the stored patterns.
     A tilting character has positive coefficients and 1 at its head, so a
     step that leaves no negative coefficient removes the head and adds no
-    weight: the loop ends within |supp chi| steps.  ``memo`` maps (head,
-    parabolic) to the tilting characters already looked up, so a caller that
-    decomposes many images can share them; a failed lookup is never stored."""
+    weight: the loop ends within |supp chi| steps.  ``memo`` maps (weight,
+    parabolic) to the tilting characters already found, so a caller that
+    decomposes many images can share them; a new head is looked up once per
+    class mod omega (see :func:`_class_tilting`), and a failed lookup is
+    never stored."""
     p = tuple(p)
     sym = symbol(NABLA, p)
     remainder = dict(chi.terms)
@@ -221,7 +232,7 @@ def decompose_into_tiltings(chi: FormalChar, p, memo: dict) -> dict[Weight, int]
             raise ValueError(f"head {format_weight(head)} has non-positive coefficient {c}")
         tilting = memo.get((head, p))
         if tilting is None:
-            tilting = memo[head, p] = lookup_tilting_pe3(head, p)
+            tilting = memo[head, p] = _class_tilting(head, p, memo)
         for key, t in tilting.terms.items():
             v = remainder.get(key, 0) - c * t
             if v:
@@ -233,6 +244,25 @@ def decompose_into_tiltings(chi: FormalChar, p, memo: dict) -> dict[Weight, int]
             raise ValueError(f"subtracting {c} x T_{format_weight(head)} went negative")
         parts[head] = parts.get(head, 0) + c
     return parts
+
+
+def _class_tilting(head: Weight, p: tuple, memo: dict) -> FormalChar:
+    """T_head as the memo entry of its class mod omega, the weight
+    head - head[0]*omega (looked up and stored when missing), shifted back:
+    tensoring with the one-dimensional module shifts a whole tilting
+    character.  When the class has none, the lookup of head itself raises
+    the error, so it names the head."""
+    k = head[0]
+    base = shift(head, -k)
+    tilting = memo.get((base, p))
+    if tilting is None:
+        try:
+            tilting = memo[base, p] = lookup_tilting_pe3(base, p)
+        except (NoTableEntry, ValueError):
+            pass
+        if tilting is None:
+            return lookup_tilting_pe3(head, p)  # raises the error naming head
+    return shift_by_omega(tilting, k) if k else tilting
 
 
 def _closure_alphabet(chi: FormalChar) -> list[Coord]:
@@ -247,12 +277,14 @@ def _tag(fam: TiltingFamily, params: dict) -> str:
 
 
 def _instantiate_all(bound: int) -> list[tuple]:
-    """(family, params, character or the ValueError it raised) per row instance."""
+    """(family, params, kept character or the ValueError it raised) per row
+    instance."""
+    fixture = _fixture()
     rows = []
-    for fam in load_families().values():
+    for fam in fixture.families.values():
         for params in _instances(fam, bound):
             try:
-                rows.append((fam, params, fam.instantiate(params)))
+                rows.append((fam, params, fixture.instance(fam, params)))
             except ValueError as exc:
                 rows.append((fam, params, exc))
     return rows
@@ -332,12 +364,13 @@ def verify_tables(param_bound: int = 4) -> list[CheckReport]:
     instantiations at ``param_bound=4`` (see :func:`delta_flag_bound_report`)."""
     if param_bound < 4:
         raise ValueError("param_bound must be at least 4 to cover every pattern")
-    families = load_families()
+    fixture = _fixture()
+    families = fixture.families
     rows = _instantiate_all(param_bound)
     memo: dict = {}  # tilting characters by (weight, parabolic), for this call only
     reports = [_check_family(fam, rows, memo) for fam in families.values()]
     try:
-        same = families["5.2"].instantiate() == families["5.7"].instantiate()
+        same = fixture.instance(families["5.2"], {}) == fixture.instance(families["5.7"], {})
         detail = "rows 5.2 and 5.7 disagree"
     except TableIntegrityError as exc:
         same, detail = False, str(exc)

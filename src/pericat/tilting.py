@@ -20,11 +20,12 @@ from __future__ import annotations
 from typing import Optional
 
 from .characters import NABLA, FormalChar, symbol
-from .glmult import _class_blocks, _falls, _levi_sum
+from .glmult import _class_blocks, _levi_sum
 from .linkage import _ranks, _walk
 from .weights import (
     Parabolic,
     Weight,
+    _falls,
     _levi_pairs,
     borel,
     format_weight,

@@ -166,6 +166,17 @@ def _weak_typicality_pairs(p: Parabolic, n: int) -> tuple:
     return tuple((i, j, 1 if (i, j) in levi else -1) for i, j in _positive_pairs(n))
 
 
+def _falls(x: tuple, levi, d: int = 1) -> bool:
+    """Whether x_i - x_j is a positive multiple of d along every Levi pair
+    (i, j) of the ints x: the test of Sigma_p^+ on a weight scaled by d
+    (see `scale`), and with d = 1 on the ranks of a weight of one
+    integrality class, where x_i > x_j exactly when coordinates i and j
+    differ by a positive integer."""
+    if d == 1:
+        return all(x[i] > x[j] for i, j in levi)
+    return all(x[i] > x[j] and (x[i] - x[j]) % d == 0 for i, j in levi)
+
+
 def borel(n: int) -> Parabolic:
     return (1,) * n
 

@@ -1,0 +1,436 @@
+"""Certification runs once per object it certifies, and no answer changes.
+
+The character operations guard their input once per call, the pe(3) table
+lookup reads its candidate rows off a solve compiled when the file loads and
+serves validated instances kept per fixture file, and `verify pe3`'s
+decompositions look a head up once per class mod omega.  These tests compare
+each against a reference that re-certifies on every call: a copy of the
+table lookup that solves every row and instantiates every match, and the
+per-term guard `require_p_dominant`.
+"""
+
+import importlib.util
+import json
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from conftest import B3, W, corrupt_row
+from pericat import glmult
+from pericat.characters import (
+    FormalChar,
+    delta,
+    delta_sum_to_nabla_sum,
+    nabla,
+    nabla_sum_to_delta_sum,
+    shift_by_omega,
+    theta_char,
+    to_borel_delta,
+)
+from pericat.pe3 import tables, verify
+from pericat.pe3.tables import (
+    NoTableEntry,
+    TableIntegrityError,
+    load_families,
+    lookup_tilting_pe3,
+)
+from pericat.pe3.verify import _instances, decompose_into_tiltings, verify_tables
+from pericat.tilting import _weakly_typical_tilting
+from pericat.weights import (
+    borel,
+    format_weight,
+    is_p_weakly_typical,
+    require_p_dominant,
+    shift,
+    weight,
+)
+
+P21 = (2, 1)
+
+
+def _ref_solve(fam, lam):
+    """The solve of one row, run on every row per lookup."""
+    shifts = [c - t for t, c in zip(fam.hw, lam) if type(t) is not str]
+    if len(fam.hw) != len(lam) or not shifts or shifts.count(shifts[0]) != len(shifts):
+        return None
+    k = shifts[0]
+    values = {}
+    for t, c in zip(fam.hw, lam):
+        if type(t) is str and values.setdefault(t, c - k) != c - k:
+            return None
+    for name, spec in fam.params:
+        if name not in values or not spec.admits(values[name]):
+            return None
+    return {name: values[name] for name, _ in fam.params}, k
+
+
+def ref_lookup(lam, p=None):
+    """`lookup_tilting_pe3` that keeps nothing: every row of p is solved in
+    file order and every match instantiated and validated on every call."""
+    if len(lam) != 3:
+        raise ValueError(f"table lookup requires rank 3, got {len(lam)}")
+    lam = weight(*lam)
+    p = borel(3) if p is None else tuple(p)
+    require_p_dominant(lam, p)
+    if is_p_weakly_typical(lam, p):
+        return _weakly_typical_tilting(lam, p)
+    base = shift(lam, -lam[0])
+    matches = []
+    for fam in load_families().values():
+        solved = _ref_solve(fam, base) if fam.parabolic == p else None
+        if solved is not None:
+            params, k = solved
+            matches.append((fam.id, shift_by_omega(fam.instantiate(params), k + lam[0])))
+    if not matches:
+        raise NoTableEntry(f"no table entry for weight {format_weight(lam)} with parabolic {p}")
+    first_id, first = matches[0]
+    for fam_id, other in matches[1:]:
+        if other != first:
+            raise TableIntegrityError(
+                f"families {first_id} and {fam_id} disagree at {format_weight(lam)}"
+            )
+    return first
+
+
+def _outcome(call, *args):
+    try:
+        return "value", call(*args)
+    except Exception as exc:  # the exception type and text are the answer
+        return type(exc), str(exc)
+
+
+def _verify_heads(bound):
+    """Every (head, parabolic) that verify_tables(bound) peels or looks up."""
+    heads = set()
+    head, lookup = verify._head, verify.lookup_tilting_pe3
+
+    def record_head(terms, degrees):
+        mu = head(terms, degrees)
+        heads.add((mu, next(iter(terms))[0].parabolic))
+        return mu
+
+    def record_lookup(lam, p=None):
+        heads.add((lam, p))
+        return lookup(lam, p)
+
+    verify._head, verify.lookup_tilting_pe3 = record_head, record_lookup
+    try:
+        verify_tables(bound)
+    finally:
+        verify._head, verify.lookup_tilting_pe3 = head, lookup
+    return sorted(heads, key=repr)
+
+
+@pytest.fixture(scope="module")
+def verify_heads():
+    return _verify_heads(12)
+
+
+def _sweep_items():
+    """The n=3 (weight, parabolic) items of tilting-sweep, seeds 31 and 2002."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    sweep = workloads.WORKLOADS["tilting-sweep"]
+    items = []
+    for seed in (31, 2002):
+        for round_index in range(10):
+            for item in sweep.generate(seed, round_index):
+                lam, p = sweep.prepare(item)
+                if len(lam) == 3:
+                    items.append((lam, p))
+    return items
+
+
+def test_lookup_matches_reference_on_verify_heads(verify_heads):
+    assert len(verify_heads) > 300
+    for lam, p in verify_heads:
+        for _ in range(2):  # the second call reads kept instances
+            assert _outcome(lookup_tilting_pe3, lam, p) == _outcome(ref_lookup, lam, p), (lam, p)
+
+
+def test_lookup_matches_reference_on_sweep_items():
+    items = _sweep_items()
+    assert len(items) == 640
+    outcomes = {"value": 0}
+    for lam, p in items:
+        got = _outcome(lookup_tilting_pe3, lam, p)
+        assert got == _outcome(ref_lookup, lam, p), (lam, p)
+        outcomes[got[0]] = outcomes.get(got[0], 0) + 1
+    assert outcomes["value"] > 500 and outcomes[NoTableEntry] > 10
+
+
+_CORRUPTIONS = [
+    ("5.4", "coefficient"),
+    ("5.4", "no-highest-weight"),
+    ("5.4", "unlinked"),
+    ("5.4", "not-p-dominant"),
+    ("5.4", "undeclared-token"),
+    ("5.1", "widen-domain"),
+    ("5.1", "unknown-kind"),
+    ("5.1", "undeclared-token"),
+    ("5.8-1", "coefficient"),
+    ("5.8-1", "widen-domain"),
+    ("5.2", "coefficient"),
+]
+
+
+@pytest.mark.parametrize("fam_id,mutation", _CORRUPTIONS, ids=[f"{f}-{m}" for f, m in _CORRUPTIONS])
+def test_lookup_matches_reference_under_corruption(
+    tmp_path, monkeypatch, verify_heads, fam_id, mutation
+):
+    monkeypatch.setenv("PERICAT_FIXTURES", str(corrupt_row(tmp_path, fam_id, mutation)))
+    raised = 0
+    for lam, p in verify_heads:
+        want = _outcome(ref_lookup, lam, p)
+        for _ in range(2):  # a failing instance is never kept: it raises again
+            assert _outcome(lookup_tilting_pe3, lam, p) == want, (lam, p)
+        raised += want[0] is TableIntegrityError
+    assert raised
+
+
+def _table_heads():
+    """The highest weight of every stored instance at bound 4."""
+    return [
+        (fam.highest_weight(params), fam.parabolic)
+        for fam in load_families().values()
+        for params in _instances(fam, 4)
+    ]
+
+
+def _engine_heads():
+    box = [W(a, b, c) for a in range(-2, 3) for b in range(-2, 3) for c in range(-2, 3)]
+    box += [W(a, "1/2", c) for a in range(-2, 3) for c in range(-2, 3)]
+    return [
+        (lam, p)
+        for p in (B3, P21)
+        for lam in box
+        if is_p_weakly_typical(lam, p) and _outcome(require_p_dominant, lam, p)[0] == "value"
+    ]
+
+
+@pytest.mark.parametrize("k", [1, -2, Fraction(1, 2), Fraction(-3, 2)], ids=str)
+def test_lookup_commutes_with_omega(k):
+    table, engine = _table_heads(), _engine_heads()
+    assert len(table) == 65 and len(engine) > 50
+    for lam, p in table + engine:
+        assert lookup_tilting_pe3(shift(lam, k), p) == shift_by_omega(lookup_tilting_pe3(lam, p), k)
+    miss = shift(W(3, 1, 2), k)
+    message = f"no table entry for weight {format_weight(miss)} with parabolic {P21}"
+    with pytest.raises(NoTableEntry) as exc:
+        lookup_tilting_pe3(miss, P21)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("k", [0, 3, Fraction(1, 2)], ids=str)
+def test_decompose_reports_the_exact_head_of_a_failed_class(k):
+    head = shift(W(3, 1, 2), k)
+    memo = {}
+    for _ in range(2):
+        with pytest.raises(NoTableEntry) as exc:
+            decompose_into_tiltings(nabla(head, P21), P21, memo)
+        assert str(exc.value) == (
+            f"no table entry for weight {format_weight(head)} with parabolic {P21}"
+        )
+    assert memo == {}  # a failed lookup is never stored
+
+
+def test_decompose_shares_one_lookup_per_omega_class(monkeypatch):
+    calls = []
+
+    def counted(lam, p=None):
+        calls.append(lam)
+        return lookup_tilting_pe3(lam, p)
+
+    monkeypatch.setattr(verify, "lookup_tilting_pe3", counted)
+    memo = {}
+    for lam in (W(0, 1, -1), W(2, 3, 1), W("1/2", "3/2", "-1/2"), W(2, 3, 1)):
+        tilting = lookup_tilting_pe3(lam)
+        assert decompose_into_tiltings(tilting, B3, memo) == {lam: 1}
+        assert memo[lam, B3] == tilting
+    assert calls == [W(0, 1, -1)]  # the class, once; repeats read the exact entry
+
+
+def _without_row(tmp_path, fam_id, name):
+    doc = json.loads(tables._read_fixture("<packaged>"))
+    doc["families"] = [rec for rec in doc["families"] if rec["id"] != fam_id]
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def _fewer_terms(tmp_path, fam_id, name):
+    """The packaged file with the last constituent of one row dropped: a
+    different, still valid row."""
+    doc = json.loads(tables._read_fixture("<packaged>"))
+    for rec in doc["families"]:
+        if rec["id"] == fam_id:
+            del rec["terms"][-1]
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_switching_fixtures_serves_each_files_rows(tmp_path, monkeypatch):
+    packaged = lookup_tilting_pe3(W(0, 1, -1))
+    assert len(packaged.terms) == 6
+    files = {
+        "fewer": _fewer_terms(tmp_path, "5.4", "fewer.json"),
+        "without": _without_row(tmp_path, "5.4", "without.json"),
+        "corrupt": corrupt_row(tmp_path, "5.4", "coefficient"),
+        "packaged": None,
+    }
+    want = {
+        "fewer": ("value", len(packaged.terms) - 1),
+        "without": (NoTableEntry, "no table entry for weight 2,3,1 with parabolic (1, 1, 1)"),
+        "corrupt": (
+            TableIntegrityError,
+            "family 5.4: coefficient 2 at 0,-1,1; all stored coefficients are 1",
+        ),
+        "packaged": ("value", len(packaged.terms)),
+    }
+    order = ["fewer", "packaged", "without", "corrupt", "fewer", "corrupt", "packaged", "without"]
+    for name in order + order[::-1]:
+        if files[name] is None:
+            monkeypatch.delenv("PERICAT_FIXTURES", raising=False)
+        else:
+            monkeypatch.setenv("PERICAT_FIXTURES", str(files[name]))
+        got = _outcome(lookup_tilting_pe3, W(2, 3, 1))
+        if got[0] == "value":
+            got = ("value", len(got[1].terms))
+        assert got == want[name], name
+
+
+def test_lookups_return_characters_of_their_own():
+    first = lookup_tilting_pe3(W(0, 1, -1))
+    first.terms.clear()
+    assert len(lookup_tilting_pe3(W(0, 1, -1)).terms) == 6
+    assert lookup_tilting_pe3(W(0, 1, -1)) is not lookup_tilting_pe3(W(0, 1, -1))
+
+
+# --- the character guard, once per operation -----------------------------------
+
+_OPERATIONS = [
+    ("nabla_sum_to_delta_sum", nabla, nabla_sum_to_delta_sum),
+    ("delta_sum_to_nabla_sum", delta, delta_sum_to_nabla_sum),
+    ("theta_char", nabla, lambda chi: theta_char(1, chi)),
+    ("to_borel_delta", nabla, to_borel_delta),
+]
+
+
+def _ref_guard(chi):
+    """The per-term guard: the first term of chi outside Sigma_p^+ raises."""
+    p = chi.sole_basis().parabolic
+    for _, lam in chi.terms:
+        require_p_dominant(lam, p)
+
+
+def _char(make, rows, p):
+    out = FormalChar()
+    for row in rows:
+        out = out + make(W(*row), p)
+    return out
+
+
+_OUTSIDE = [
+    ([(0, 1, 2)], P21, "0,1,2 is not in Sigma_p^+ for p=(2, 1)"),
+    ([(2, 1, 0), (1, 1, 0)], P21, "1,1,0 is not in Sigma_p^+ for p=(2, 1)"),
+    ([("3/2", "1/2", 0), ("1/2", "3/2", 0)], P21, "1/2,3/2,0 is not in Sigma_p^+ for p=(2, 1)"),
+    ([(1, "1/2", 0)], P21, "1,1/2,0 is not in Sigma_p^+ for p=(2, 1)"),
+    ([(3, 1, 2, 0), (2, 3, 1, 0)], (2, 2), "2,3,1,0 is not in Sigma_p^+ for p=(2, 2)"),
+]
+
+
+@pytest.mark.parametrize("name,make,op", _OPERATIONS, ids=[o[0] for o in _OPERATIONS])
+@pytest.mark.parametrize("rows,p,message", _OUTSIDE)
+def test_operations_refuse_a_term_outside_sigma(name, make, op, rows, p, message):
+    chi = _char(make, rows, p)
+    with pytest.raises(ValueError) as ref:
+        _ref_guard(chi)
+    assert str(ref.value) == message
+    for _ in range(2):
+        with pytest.raises(ValueError) as exc:
+            op(chi)
+        assert str(exc.value) == message
+
+
+_WRONG_LENGTH = [
+    ([(2, 1, 0), (2, 1)], B3),
+    ([(2, 1), (2, 1, 0)], B3),
+    ([(2, 1, 0, 5)], B3),
+    ([(2, 1, 0), (3, 1)], P21),
+    ([("1/2", 0), (2, 1, 0)], P21),
+]
+
+
+@pytest.mark.parametrize("name,make,op", _OPERATIONS, ids=[o[0] for o in _OPERATIONS])
+@pytest.mark.parametrize("rows,p", _WRONG_LENGTH)
+def test_operations_refuse_a_term_of_the_wrong_length(name, make, op, rows, p):
+    chi = _char(make, rows, p)
+    with pytest.raises(ValueError) as ref:
+        _ref_guard(chi)
+    assert "does not sum to n=" in str(ref.value)
+    with pytest.raises(ValueError) as exc:
+        op(chi)
+    assert str(exc.value) == str(ref.value)
+
+
+def test_borel_operations_run_no_guard(monkeypatch):
+    from pericat import characters
+
+    calls = []
+    monkeypatch.setattr(characters, "require_p_dominant", lambda *args: calls.append(args))
+    chi = lookup_tilting_pe3(W(0, 1, -1))
+    nabla_sum_to_delta_sum(chi)
+    delta_sum_to_nabla_sum(nabla_sum_to_delta_sum(chi))
+    theta_char(0, chi)
+    to_borel_delta(chi)
+    chi21 = lookup_tilting_pe3(W(1, 0, 3), P21)
+    nabla_sum_to_delta_sum(chi21)
+    theta_char(1, chi21)
+    assert calls == []
+
+
+def test_multi_class_rows_skip_the_parabolic_guard(monkeypatch):
+    calls = []
+    guard = glmult.require_p_dominant
+    monkeypatch.setattr(
+        glmult, "require_p_dominant", lambda *args: (calls.append(args), guard(*args))[1]
+    )
+    row = W("5/2", "1/2", 2, 0)
+    for mu in ((Fraction(1, 2), Fraction(5, 2), 0, 2), (0, 2, Fraction(5, 2), Fraction(1, 2)), row):
+        glmult.parabolic_verma_simple_mult(row, mu, (2, 2))
+    assert calls == []
+    with pytest.raises(ValueError, match=r"5/2,1/2,2,0 is not in Sigma_p\^\+ for p=\(1, 3\)"):
+        glmult.parabolic_verma_simple_mult(row, row, (1, 3))
+    assert len(calls) == 1
+
+
+def test_held_character_form_follows_changes_in_place():
+    """A character's stored certified form is reused only while its keys
+    are the same objects: a character changed in place (outside the
+    immutable-by-convention contract) answers as a fresh copy does."""
+    chi = lookup_tilting_pe3(W(1, 0, 3), P21)
+    (sym, lam), _ = next(iter(chi.terms.items()))
+
+    def same_as_fresh_copy():
+        for op in (nabla_sum_to_delta_sum, to_borel_delta, lambda c: theta_char(3, c)):
+            want = _outcome(op, FormalChar(dict(chi.terms)))
+            assert _outcome(op, chi) == _outcome(op, chi) == want
+
+    same_as_fresh_copy()
+    chi.terms[sym, lam] = 5  # a coefficient
+    same_as_fresh_copy()
+    del chi.terms[sym, lam]
+    chi.terms[sym, tuple(Fraction(c) for c in lam)] = 1  # an equal key, another object
+    same_as_fresh_copy()
+    chi.terms[sym, W(0, 1, 2)] = 1  # a term outside Sigma_p^+
+    with pytest.raises(ValueError, match=r"0,1,2 is not in Sigma_p\^\+ for p=\(2, 1\)"):
+        nabla_sum_to_delta_sum(chi)
+    del chi.terms[sym, W(0, 1, 2)]
+    same_as_fresh_copy()
+    chi.terms[sym, (True, 0, 5)] = 1  # a bool coordinate
+    with pytest.raises(TypeError, match="is not exact"):
+        theta_char(3, chi)

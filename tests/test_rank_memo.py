@@ -165,6 +165,37 @@ def test_row_memo_changes_no_answer(data):
         assert _outcome(engine, row, col, p) == want, (name, row, col, p)
 
 
+# rows of several integrality classes, each with a parabolic that puts it
+# inside Sigma_p^+ and one that does not (a Levi pair across two classes,
+# or one class whose coordinates rise or repeat)
+_MULTI_CLASS = [
+    ((Fraction(5, 2), Fraction(1, 2), 2, 0), (2, 2), (1, 3)),
+    ((3, 1, Fraction(1, 2)), (2, 1), (1, 2)),
+    ((Fraction(1, 2), 2, 0, Fraction(-3, 2)), (1, 2, 1), (2, 2)),
+    ((Fraction(7, 2), Fraction(3, 2), Fraction(1, 2), 1, 0), (3, 2), (1, 4)),
+    ((1, Fraction(1, 2), 0), (1, 1, 1), (2, 1)),
+    ((Fraction(1, 2), Fraction(3, 2), 0), (1, 1, 1), (2, 1)),
+    ((Fraction(3, 2), Fraction(1, 2), 1, 1), (2, 1, 1), (2, 2)),
+]
+
+
+@pytest.mark.parametrize("row,inside,outside", _MULTI_CLASS)
+def test_multi_class_rows_match_reference(row, inside, outside):
+    from itertools import permutations
+
+    assert require_p_dominant(row, inside) is None
+    with pytest.raises(ValueError, match="is not in Sigma_p"):
+        require_p_dominant(row, outside)
+    n = len(row)
+    columns = sorted(set(permutations(row)), key=repr)[:24] + [row, tuple(reversed(row))]
+    for p in (inside, outside, (n,), (1,) * n):
+        for col in columns:
+            for _ in range(2):  # the same row object again: its ranks are held
+                for name, engine, ref in _ENTRIES:
+                    want = _outcome(ref, row, col, p)
+                    assert _outcome(engine, row, col, p) == want, (name, row, col, p)
+
+
 @pytest.mark.parametrize("row", [(1.5, 0, 3), (True, 0, 2)], ids=["float", "bool"])
 def test_refused_row_raises_on_every_call(row):
     for mu in ((0, 2, 3), (3, 0, 2), row):
