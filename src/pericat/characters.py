@@ -22,13 +22,15 @@ coefficients of the Borel expansion (w.lam is not p-dominant for w != 1 in W_p):
 
 The conversions and theta keep their rows on scaled ints: weights times the
 least common denominator d of a character's coordinates (and theta's a), so
-kappa steps by 2d and theta by d; an integral character has d = 1.  Each
+kappa steps by 2d and theta by d; an integral character has d = 1.  delta
+and nabla refuse a coordinate that is not an int or Fraction.  Each
 operation certifies its input once: one basis, exact coordinates, and every
-term in Sigma_p^+, tested on those ints with the Levi pairs of p read once
-(the Borel has none, so a term's length is its whole check there), with
-`require_p_dominant` run only to raise its error.  Each character keeps
-its certified form with its scaled weights, so theta called one a at a
-time on the same character certifies it once.
+term in Sigma_p^+, tested on those ints by `is_p_dominant`'s own test
+`_falls` with the Levi pairs of p read once (the Borel has none, so a term's
+length is its whole check there); `require_p_dominant` runs, on the term
+unscaled, only to raise its error.  Each character keeps its certified form
+with its scaled weights, so theta called one a at a time on the same
+character certifies it once.
 
 >>> from .weights import weight, borel
 >>> theta_char(-1, nabla(weight(-1, 1, 1), borel(3))) == (
@@ -41,6 +43,7 @@ from __future__ import annotations
 
 import itertools
 import operator
+from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 from typing import Iterable, NamedTuple, Optional
@@ -116,6 +119,7 @@ class FormalChar:
 
     @classmethod
     def single(cls, kind: str, lam: Weight, parabolic: Parabolic, coeff: int = 1) -> "FormalChar":
+        scale([lam])  # refuses a coordinate that is not an int or Fraction
         return cls({(symbol(kind, parabolic), tuple(lam)): coeff})
 
     def coeff(self, kind: str, lam: Weight, parabolic: Optional[Parabolic] = None) -> int:
@@ -251,15 +255,16 @@ def _subtract_leader(remaining: dict, x: tuple, p: Parabolic, d: int, top: int, 
 
 
 def _guard(xs: list, p: Parabolic, d: int) -> None:
-    """Raise require_p_dominant's error for the first of the weights xs,
-    scaled by d, that is not in Sigma_p^+: the Levi pairs are read once
-    (from the first weight's length, so its length error is the one raised)
-    and each weight is tested on its ints; at the Borel only its length."""
+    """Raise require_p_dominant's error, naming the weight unscaled, for the
+    first of the weights xs, scaled by d, that is not in Sigma_p^+: the Levi
+    pairs are read once (from the first weight's length, so its length error
+    is the one raised) and each weight is tested on its ints; at the Borel
+    only its length."""
     n = len(xs[0])
     levi = _levi_pairs(p, n)
     for x in xs:
         if len(x) != n or levi and not _falls(x, levi, d):
-            require_p_dominant(x, p, d)
+            require_p_dominant(tuple(Fraction(c, d) for c in x), p)
 
 
 def _certified(chi: FormalChar, kind: Optional[str] = None) -> tuple:

@@ -38,6 +38,7 @@ from .weights import (
     is_p_dominant,
     refuse_inexact,
     require_p_dominant,
+    scale,
 )
 
 
@@ -210,7 +211,8 @@ def A_set(lam: Weight, q: int) -> frozenset[int]:
     n = len(lam)
     if not 1 <= q <= n:
         raise ValueError(f"index {q} out of range for n={n}")
-    return frozenset(j for j in range(q, n + 1) if lam[q - 1] == lam[j - 1])
+    _, (x,) = scale([lam])
+    return frozenset(j for j in range(q, n + 1) if x[q - 1] == x[j - 1])
 
 
 def thm34_nabla_edge(lam: Weight, q: int, p: Parabolic) -> bool:
@@ -219,7 +221,6 @@ def thm34_nabla_edge(lam: Weight, q: int, p: Parabolic) -> bool:
     Requires lam in Sigma_p^+.  Holds when lam - 2 e_q stays in Sigma_p^+
     and no j in A_set(lam, q) with j <= n-1 has <lam, alpha_j> = 1.
     """
-    refuse_inexact(lam)  # a float lam can pass every test below
     require_p_dominant(lam, p)
     n = len(lam)
     if not is_p_dominant(_lowered(lam, q - 1, q - 1), p):

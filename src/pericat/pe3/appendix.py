@@ -30,7 +30,7 @@ from ..characters import FormalChar, NABLA, char_sum, nabla, shift_by_omega, the
 from ..linkage import _lowered, cor36_edge, strongly_linked
 from ..tilting import tilting_equals_nabla, weakly_typical_tilting
 from ..weights import Weight, borel, format_weight, is_p_weakly_typical, negate, weight
-from .tables import NONINT_SAMPLES, load_families
+from .tables import NONINT_SAMPLES, _fixture
 
 _B3 = borel(3)
 
@@ -158,7 +158,10 @@ class _Recorder:
 
 
 def _table(fam_id: str, **params) -> FormalChar:
-    return load_families()[fam_id].instantiate(params or None)
+    """Row fam_id at params: the instance the table lookup keeps."""
+    fixture = _fixture()
+    fam = fixture.families[fam_id]
+    return fixture.instance(fam, {name: params[name] for name in fam.param_names})
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,6 @@ from .weights import (
     is_dominant,
     is_p_weakly_typical,
     negate,
-    refuse_inexact,
     require_p_dominant,
 )
 from .weyl import InvariantViolation, apply_perm, parabolic_longest
@@ -65,7 +64,6 @@ def weakly_typical_tilting(lam: Weight, p: Optional[Parabolic] = None) -> Formal
     up-set of eta = -w_0^p(lam).  eta is ranked once; the walk, the
     p-dominance test and each multiplicity then run on rank tuples, and
     each kept nu is mapped back to a weight once."""
-    refuse_inexact(lam)  # negated, a bool would reach the engine as an int
     p = p or borel(len(lam))
     require_p_dominant(lam, p)
     if not is_p_weakly_typical(lam, p):
@@ -116,7 +114,6 @@ def tilting_equals_nabla(lam: Weight, p: Optional[Parabolic] = None) -> bool:
     >>> tilting_equals_nabla(weight(-1, 1, 0))
     False
     """
-    refuse_inexact(lam)  # the cached guard reads (True, 0) as (1, 0)
     p = p or borel(len(lam))
     require_p_dominant(lam, p)
     if not is_p_weakly_typical(lam, p):

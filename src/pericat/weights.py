@@ -62,8 +62,8 @@ def exact(c) -> Coord:
 
 def refuse_inexact(*weights) -> None:
     """Raise TypeError naming the first coordinate that is not an int or
-    Fraction; a bool is neither.  The kernels call this only once a type
-    scan or a read fails, so exact input pays nothing for the search."""
+    Fraction; a bool is neither.  Callers run this only once their type
+    scan has failed, so exact input pays nothing for the search."""
     for c in (c for lam in weights for c in lam):
         if type(c) is bool or not isinstance(c, (int, Fraction)):
             raise TypeError(f"weight coordinate {c!r} is not exact; build it with weight()")
@@ -124,6 +124,8 @@ def shift(lam: Weight, k) -> Weight:
     """lam + k*omega_n, omega_n = e_1 + ... + e_n (tensor by the k-th power
     of the determinant)."""
     k = exact(k)
+    if not _EXACT.issuperset(map(type, lam)):  # True + k would pass as an int
+        refuse_inexact(lam)
     return tuple(exact(c + k) for c in lam)
 
 
@@ -181,63 +183,38 @@ def borel(n: int) -> Parabolic:
     return (1,) * n
 
 
-def is_integer(x: Coord) -> bool:
-    return x.denominator == 1
-
-
 def is_dominant(lam: Weight) -> bool:
     """No pairing with a positive even root lies in Z_{<0}."""
-    n = len(lam)
-    return all(
-        not (is_integer(lam[i] - lam[j]) and lam[i] - lam[j] < 0)
-        for i in range(n)
-        for j in range(i + 1, n)
-    )
+    d, (x,) = scale([lam])
+    return not any(x[i] < x[j] and (x[j] - x[i]) % d == 0 for i, j in _positive_pairs(len(x)))
 
 
-def is_p_dominant(lam: Weight, p: Parabolic, d: int = 1) -> bool:
-    """lam/d lies in Sigma_p^+: <lam/d, alpha> in Z_{>0} for alpha in
-    Phi^+(l), where d > 1 takes lam as scaled by `scale`.
+def is_p_dominant(lam: Weight, p: Parabolic) -> bool:
+    """lam lies in Sigma_p^+: <lam, alpha> in Z_{>0} for alpha in Phi^+(l).
 
     These are the weights indexing parabolic Vermas/costandards in O^p.
-    A lam or p that is not a tuple raises TypeError naming it (the cache
-    hashes both).
+    The test runs on lam scaled to ints (see `scale`), so a coordinate that
+    is not an int or Fraction raises TypeError naming it at every p, and so
+    does a lam or p that is not a tuple.
     """
-    try:
-        return _is_p_dominant(lam, p, d)
-    except TypeError:
-        for name, arg in (("weight", lam), ("parabolic", p)):
-            if type(arg) is not tuple:
-                raise TypeError(
-                    f"{name} {arg!r} is a {type(arg).__name__}, not a tuple"
-                ) from None
-        raise
+    for name, arg in (("weight", lam), ("parabolic", p)):
+        if not isinstance(arg, tuple):
+            raise TypeError(f"{name} {arg!r} is a {type(arg).__name__}, not a tuple")
+    d, (x,) = scale([lam])
+    return _falls(x, _levi_pairs(p, len(lam)), d)
 
 
-@lru_cache(maxsize=65536)
-def _is_p_dominant(lam: Weight, p: Parabolic, d: int) -> bool:
-    try:
-        for i, j in _levi_pairs(p, len(lam)):
-            v = lam[i] - lam[j]
-            if not (is_integer(v) and v > 0 and v % d == 0):
-                return False
-    except AttributeError:
-        refuse_inexact(lam)
-        raise
-    return True
-
-
-def require_p_dominant(lam: Weight, p: Parabolic, d: int = 1) -> None:
-    """Raise ValueError unless lam/d lies in Sigma_p^+, and TypeError as
+def require_p_dominant(lam: Weight, p: Parabolic) -> None:
+    """Raise ValueError unless lam lies in Sigma_p^+, and TypeError as
     is_p_dominant does."""
-    if not is_p_dominant(lam, p, d):
-        lam = tuple(Fraction(c, d) for c in lam)
+    if not is_p_dominant(lam, p):
         raise ValueError(f"{format_weight(lam)} is not in Sigma_p^+ for p={p}")
 
 
 def is_g0_weakly_typical(lam: Weight) -> bool:
     """Product over positive even roots of (<lam, beta> - 1) != 0."""
-    return all(lam[i] - lam[j] != 1 for i, j in _positive_pairs(len(lam)))
+    d, (x,) = scale([lam])
+    return all(x[i] - x[j] != d for i, j in _positive_pairs(len(x)))
 
 
 def is_p_weakly_typical(lam: Weight, p: Parabolic) -> bool:
@@ -248,10 +225,8 @@ def is_p_weakly_typical(lam: Weight, p: Parabolic) -> bool:
     product is nonzero.  For p = (1,...,1) this says no lam_j = lam_i + 1
     with i < j.
     """
-    for i, j, t in _weak_typicality_pairs(tuple(p), len(lam)):
-        if lam[i] - lam[j] == t:
-            return False
-    return True
+    d, (x,) = scale([lam])
+    return all(x[i] - x[j] != t * d for i, j, t in _weak_typicality_pairs(tuple(p), len(x)))
 
 
 def degree(lam: Weight) -> Coord:
@@ -270,16 +245,12 @@ def integrality_classes(lam: Weight) -> list:
     >>> integrality_classes(weight("1/2", 0, "3/2", 1))
     [((1, 2), [0, 2]), ((0, 1), [1, 3])]
     """
-    if bool in map(type, lam):  # a bool has an int's numerator and denominator
+    if not _EXACT.issuperset(map(type, lam)):
         refuse_inexact(lam)
     classes: dict = {}
-    try:
-        for i, c in enumerate(lam):
-            d = c.denominator
-            classes.setdefault((c.numerator % d, d), []).append(i)
-    except AttributeError:
-        refuse_inexact(lam)
-        raise
+    for i, c in enumerate(lam):
+        d = c.denominator
+        classes.setdefault((c.numerator % d, d), []).append(i)
     return list(classes.items())
 
 

@@ -10,7 +10,7 @@ from pericat.characters import FormalChar, char_sum, delta, nabla, nabla_sum_to_
 from pericat.linkage import block_label
 from pericat.pe3 import tables
 from pericat.tilting import weakly_typical_tilting
-from pericat.weights import _levi_pairs, borel, is_integer, weight
+from pericat.weights import _levi_pairs, borel, weight
 
 # One verdict line per acceptance criterion, printed after capture ends so
 # they are visible in the terminal summary of every run.
@@ -119,6 +119,20 @@ def conjugate(beta):
 def levi_positive_roots(p, n: int):
     """Phi^+(l): the positive even roots inside the Levi blocks of p."""
     return [even_root(i, j, n) for i, j in _levi_pairs(tuple(p), n)]
+
+
+def compositions(n: int):
+    """Every composition of n: the parabolics of gl(n)."""
+    if n == 0:
+        yield ()
+        return
+    for head in range(1, n + 1):
+        for tail in compositions(n - head):
+            yield (head,) + tail
+
+
+def is_integer(x) -> bool:
+    return x.denominator == 1
 
 
 def frac_box(lo: int, hi: int):

@@ -30,6 +30,7 @@ from conftest import (
     B3,
     B4,
     W,
+    compositions,
     frac_box,
     is_antidominant,
     nab_sum,
@@ -103,15 +104,6 @@ def _canon_label(label) -> tuple:
     return tuple(sorted(label))
 
 
-def _compositions(n: int):
-    if n == 0:
-        yield ()
-        return
-    for head in range(1, n + 1):
-        for tail in _compositions(n - head):
-            yield (head,) + tail
-
-
 _OFFSETS = (Fraction(0), Fraction(1, 2), Fraction(1, 3), Fraction(1, 4), Fraction(1, 5))
 
 
@@ -150,7 +142,7 @@ def test_criterion_01_block_counts():
     # part its own fractional offset.
     comp_count = 0
     for n in range(1, 6):
-        for comp in _compositions(n):
+        for comp in compositions(n):
             comp_count += 1
             per_part = []
             for offset, size in zip(_OFFSETS, comp):

@@ -14,11 +14,11 @@ from functools import lru_cache
 
 import pytest
 
-from conftest import W, compose, frac_box, oracle_verma_mult_small
+from conftest import W, compose, compositions, frac_box, is_integer, oracle_verma_mult_small
 from pericat.glmult import parabolic_verma_simple_mult, verma_simple_mult
 from pericat import glmult
 from pericat.linkage import strong_down_set, strongly_linked
-from pericat.weights import integrality_classes, is_integer, is_p_dominant
+from pericat.weights import integrality_classes, is_p_dominant
 from pericat.weyl import (
     InvariantViolation,
     apply_perm,
@@ -181,7 +181,7 @@ def test_rank_guard_agrees_with_is_p_dominant():
     # every pair of a box mixing classes and repeats, under every
     # composition: a value exactly when mu is p-dominant, else the guard's error
     box = list(itertools.product((0, 1, 2, H), repeat=3))
-    for p in _compositions(3):
+    for p in compositions(3):
         for mu in box:
             dominant = is_p_dominant(mu, p)
             for lam in box:
@@ -311,17 +311,8 @@ def ref_parabolic_mult(mu, lam, p):
     )
 
 
-def _compositions(n):
-    if n == 0:
-        yield ()
-        return
-    for first in range(1, n + 1):
-        for rest in _compositions(n - first):
-            yield (first,) + rest
-
-
 def _p_dominant_for(lam):
-    return [p for p in _compositions(len(lam)) if is_p_dominant(lam, p)]
+    return [p for p in compositions(len(lam)) if is_p_dominant(lam, p)]
 
 
 def _check_against_reference(lam, mu, ps):
@@ -363,7 +354,7 @@ def test_kernel_matches_reference_on_samples(n):
     starts = (0, 1, -2, H, -3 * H, T, 2 * T, Fraction(3))
     for _ in range(100):
         # a p-dominant weight block by block, then rearrangements of it
-        p = rng.choice(list(_compositions(n)))
+        p = rng.choice(list(compositions(n)))
         lam = []
         for size in p:
             c = rng.choice(starts)

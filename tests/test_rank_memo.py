@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import compositions
 from pericat import linkage
 from pericat.glmult import (
     _class_blocks,
@@ -112,12 +113,6 @@ def _outcome(call, *args):
         return type(exc), str(exc)
 
 
-def _compositions(n):
-    if n == 0:
-        return [()]
-    return [(k, *rest) for k in range(1, n + 1) for rest in _compositions(n - k)]
-
-
 # integral and half-integral coordinates, and a raw integral Fraction
 _COORDS = st.sampled_from(
     [-1, 0, 1, 2, 3, Fraction(2), Fraction(-1, 2), Fraction(1, 2), Fraction(3, 2)]
@@ -144,7 +139,7 @@ def test_row_memo_changes_no_answer(data):
     n = data.draw(st.integers(2, 4), label="n")
     bases = data.draw(st.lists(st.tuples(*[_COORDS] * n), min_size=1, max_size=3))
     rows = [row for base in bases for row in _rows(base)]
-    parabolics = _compositions(n)
+    parabolics = list(compositions(n))
     i = 0
     for _ in range(data.draw(st.integers(4, 30), label="calls")):
         if not data.draw(st.booleans(), label="same row object"):

@@ -14,6 +14,7 @@ from conftest import (
     B3,
     W,
     bfs_closure,
+    compositions,
     frac_box,
     is_antidominant,
     nab_sum,
@@ -62,7 +63,7 @@ def test_prop41_equivalent():
     for n in range(1, 5):
         for values in boxes:
             for lam in itertools.product(map(exact, values), repeat=n):
-                for p in _compositions(n):
+                for p in compositions(n):
                     if is_p_dominant(lam, p):
                         typical = is_p_weakly_typical(lam, p)
                         assert typical == is_g0_weakly_typical(neg_w0p(lam, p)), (lam, p)
@@ -171,14 +172,6 @@ def _ref_weakly_typical_tilting(lam, p):
     return FormalChar(terms)
 
 
-def _compositions(n):
-    if n == 0:
-        yield ()
-    for k in range(1, n + 1):
-        for rest in _compositions(n - k):
-            yield (k,) + rest
-
-
 def test_ranked_engine_matches_weight_route():
     # every p-dominant, p-weakly-typical weight of an integral and a
     # half-integral box at n <= 4, for every composition
@@ -187,7 +180,7 @@ def test_ranked_engine_matches_weight_route():
     for n in range(1, 5):
         for values in boxes:
             for lam in itertools.product(map(exact, values), repeat=n):
-                for p in _compositions(n):
+                for p in compositions(n):
                     if is_p_dominant(lam, p) and is_p_weakly_typical(lam, p):
                         got = weakly_typical_tilting(lam, p)
                         assert got == _ref_weakly_typical_tilting(lam, p), (lam, p)
@@ -199,7 +192,7 @@ def test_ranked_engine_matches_weight_route():
     sampled = 0
     while sampled < 60:
         n = 5 + sampled % 2
-        p = rng.choice(list(_compositions(n)))
+        p = rng.choice(list(compositions(n)))
         lam = tuple(rng.choice(values) for _ in range(n))
         if is_p_dominant(lam, p) and is_p_weakly_typical(lam, p):
             assert weakly_typical_tilting(lam, p) == _ref_weakly_typical_tilting(lam, p), (lam, p)

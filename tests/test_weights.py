@@ -9,10 +9,12 @@ from hypothesis import given
 from conftest import (
     W,
     basis_vector,
+    compositions,
     conjugate,
     even_root,
     frac_box,
     is_antidominant,
+    is_integer,
     levi_positive_roots,
     mixed_weights,
     normalised,
@@ -29,7 +31,6 @@ from pericat.weights import (
     integrality_classes,
     is_dominant,
     is_g0_weakly_typical,
-    is_integer,
     is_p_dominant,
     is_p_weakly_typical,
     levi_blocks,
@@ -117,7 +118,7 @@ def test_dominance():
     ],
 )
 def test_list_parabolic_is_a_typed_error(entry, args):
-    # is_p_dominant's cache cannot hash a list; its guard names the argument
+    # is_p_dominant refuses a weight or parabolic that is not a tuple, naming it
     with pytest.raises(TypeError, match=r"parabolic \[1, 1, 1\] is a list, not a tuple"):
         entry(*args)
 
@@ -143,6 +144,62 @@ def test_typicality_predicates():
     # g0-weak-typicality only constrains within-orbit pairs.
     assert is_g0_weakly_typical(W(1, -1, -5))
     assert not is_g0_weakly_typical(W(0, -1, -5))
+
+
+# Reference predicates in Fraction arithmetic, independent of `scale`: each
+# pairing is read as a number and tested for integrality.
+
+
+def _ref_levi_pairs(p):
+    blocks = [range(sum(p[:k]), sum(p[: k + 1])) for k in range(len(p))]
+    return [(i, j) for block in blocks for i in block for j in block if i < j]
+
+
+def _ref_is_p_dominant(lam, p):
+    return all(
+        is_integer(lam[i] - lam[j]) and lam[i] - lam[j] > 0 for i, j in _ref_levi_pairs(p)
+    )
+
+
+def _ref_is_dominant(lam):
+    n = len(lam)
+    return all(
+        not (is_integer(lam[i] - lam[j]) and lam[i] - lam[j] < 0)
+        for i in range(n)
+        for j in range(i + 1, n)
+    )
+
+
+def _ref_is_g0_weakly_typical(lam):
+    return all(lam[i] - lam[j] != 1 for i, j in itertools.combinations(range(len(lam)), 2))
+
+
+def _ref_is_p_weakly_typical(lam, p):
+    levi = set(_ref_levi_pairs(p))
+    return all(
+        lam[i] - lam[j] != (1 if (i, j) in levi else -1)
+        for i, j in itertools.combinations(range(len(lam)), 2)
+    )
+
+
+ORACLE_BOXES = {
+    "integral": list(range(-2, 3)),
+    "half-integral": [Fraction(k, 2) for k in (-3, -1, 1, 3)],
+    "mixed-class": [-1, 0, 1, Fraction(1, 2), Fraction(-1, 2), Fraction(1, 3)],
+    "raw-Fraction": frac_box(-2, 2),
+}
+
+
+@pytest.mark.parametrize("box", ORACLE_BOXES.values(), ids=ORACLE_BOXES.keys())
+def test_scaled_predicates_match_fraction_oracle(box):
+    for n in range(1, 5):
+        parabolics = list(compositions(n))
+        for lam in itertools.product(box, repeat=n):
+            assert is_dominant(lam) == _ref_is_dominant(lam), lam
+            assert is_g0_weakly_typical(lam) == _ref_is_g0_weakly_typical(lam), lam
+            for p in parabolics:
+                assert is_p_dominant(lam, p) == _ref_is_p_dominant(lam, p), (lam, p)
+                assert is_p_weakly_typical(lam, p) == _ref_is_p_weakly_typical(lam, p), (lam, p)
 
 
 def test_weakly_typical_vs_parabolic():
