@@ -30,7 +30,10 @@ term in Sigma_p^+, tested on those ints by `is_p_dominant`'s own test
 length is its whole check there); `require_p_dominant` runs, on the term
 unscaled, only to raise its error.  Each character keeps its certified form
 with its scaled weights, so theta called one a at a time on the same
-character certifies it once.
+character certifies it once.  The conversions and theta return their
+answer in that form, its scaled rows, which are in Sigma_p^+ by
+construction: the next operation reads them as they are, and the (symbol,
+weight) terms are built from them only when they are first read.
 
 >>> from .weights import weight, borel
 >>> theta_char(-1, nabla(weight(-1, 1, 1), borel(3))) == (
@@ -106,7 +109,9 @@ class FormalChar:
     operation returns a character with a terms dict of its own and never
     writes into the terms of a character it was given.  The first
     operation on a character stores its certified form in `_form` (see
-    `_certified`)."""
+    `_certified`).  A conversion or theta returns a character holding only
+    that form (see `_result`); its terms are built from the form's rows on
+    the first read, and later reads are plain slot reads."""
 
     __slots__ = ("terms", "_form")
 
@@ -117,6 +122,16 @@ class FormalChar:
             del self.terms[key]
         self._form = None
 
+    def __getattr__(self, name):
+        # reached only for an unset slot: the terms of an operation's result,
+        # built in the order of its rows, whose keys then certify them
+        if name != "terms":
+            raise AttributeError(name)
+        _, sym, d, rows = self._form
+        self.terms = terms = {(sym, lam): c for lam, c in unscale(rows, d)}
+        self._form = (tuple(terms), sym, d, rows)
+        return terms
+
     @classmethod
     def single(cls, kind: str, lam: Weight, parabolic: Parabolic, coeff: int = 1) -> "FormalChar":
         scale([lam])  # refuses a coordinate that is not an int or Fraction
@@ -126,7 +141,8 @@ class FormalChar:
         return self.terms.get((symbol(kind, parabolic or borel(len(lam))), tuple(lam)), 0)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        form = self._form
+        return not (form and form[0] is None) and not self.terms  # a result's rows are nonzero
 
     def support(self) -> set[Weight]:
         return {lam for (_, lam) in self.terms}
@@ -268,14 +284,16 @@ def _guard(xs: list, p: Parabolic, d: int) -> None:
 
 
 def _certified(chi: FormalChar, kind: Optional[str] = None) -> tuple:
-    """(sym, d, xs) for the nonzero chi: its one basis (which must be of the
-    kind given, if any), the least common denominator d of its coordinates
-    and its weights scaled by d, guarded in Sigma_p^+.  The form is stored
-    on chi with its keys and reused while they are the same objects in the
-    same order, so a weight changed in place is certified again; callers
-    read the coefficients."""
+    """(sym, d, (x, coeff) per term) for the nonzero chi: its one basis
+    (which must be of the kind given, if any), a common denominator d of its
+    coordinates and its weights x scaled by d, in Sigma_p^+.  The form
+    (keys, sym, d, xs) is stored on chi and reused while its keys are the
+    same objects in the same order, so a weight changed in place is
+    certified again; the coefficients are read from chi.terms.  A result
+    holds (None, sym, d, rows) until its terms are read (see `_result`)."""
     form = chi._form
-    if form and not (len(form[0]) == len(chi.terms) and all(map(operator.is_, chi.terms, form[0]))):
+    keys = form and form[0]  # None also for a result's rows
+    if keys and not (len(keys) == len(chi.terms) and all(map(operator.is_, chi.terms, keys))):
         form = None
     sym = form[1] if form else chi.sole_basis()
     if kind is not None and sym.kind != kind:
@@ -284,17 +302,31 @@ def _certified(chi: FormalChar, kind: Optional[str] = None) -> tuple:
         d, xs = scale([lam for _, lam in chi.terms])
         _guard(xs, sym.parabolic, d)  # the leaders derived from each x are in Sigma_p^+
         form = chi._form = (tuple(chi.terms), sym, d, xs)
-    return form[1:]
+    keys, _, d, xs = form
+    return sym, d, xs.items() if keys is None else zip(xs, chi.terms.values())
+
+
+def _result(sym: BasisSymbol, d: int, rows: dict) -> FormalChar:
+    """An operation's answer, rows mapping each of its weights, scaled by
+    d, to its coefficient: held as its certified form, with no terms until
+    they are read (see FormalChar.__getattr__)."""
+    if 0 in rows.values():
+        rows = {x: c for x, c in rows.items() if c}
+    if not rows:
+        return FormalChar()
+    chi = FormalChar.__new__(FormalChar)
+    chi._form = (None, sym, d, rows)
+    return chi
 
 
 def _delta_rows(chi: FormalChar, kind: Optional[str] = None) -> tuple:
     """(p, d, the Delta(p) form of chi scaled by d, by degree), chi in the
     kind(p) basis if a kind is given; a row emptied by cancellation stays as
     an empty dict."""
-    sym, d, xs = _certified(chi, kind)
+    sym, d, pairs = _certified(chi, kind)
     p = sym.parabolic
     rows: dict[int, dict[tuple, int]] = {}
-    for x, c in zip(xs, chi.terms.values()):
+    for x, c in pairs:
         if sym.kind == DELTA:  # the keys of chi are distinct, and so are the x
             rows.setdefault(sum(x), {})[x] = c
         else:
@@ -327,8 +359,7 @@ def delta_sum_to_nabla_sum(chi: FormalChar) -> FormalChar:
             collected[x] = c
             _subtract_leader(remaining, x, p, d, top, c)
         del remaining[top]
-    out_sym = symbol(NABLA, p)
-    return FormalChar({(out_sym, lam): c for lam, c in unscale(collected, d)})
+    return _result(symbol(NABLA, p), d, collected)
 
 
 def nabla_sum_to_delta_sum(chi: FormalChar) -> FormalChar:
@@ -337,8 +368,7 @@ def nabla_sum_to_delta_sum(chi: FormalChar) -> FormalChar:
     if chi.is_zero():
         return FormalChar()
     p, d, rows = _delta_rows(chi, NABLA)
-    out_sym = symbol(DELTA, p)
-    return FormalChar({(out_sym, lam): c for row in rows.values() for lam, c in unscale(row, d)})
+    return _result(symbol(DELTA, p), d, {x: c for row in rows.values() for x, c in row.items()})
 
 
 # --- translation functors -----------------------------------------------------
@@ -357,11 +387,11 @@ def _theta_images(alphabet, chi: FormalChar) -> list[FormalChar]:
     if chi.is_zero():
         return [FormalChar() for _ in alphabet]
     alphabet = tuple(map(exact, alphabet))
-    sym, d, xs = _certified(chi)
+    sym, d, pairs = _certified(chi)
     p = sym.parabolic
     m = lcm(d, *(a.denominator for a in alphabet)) // d
     if m > 1:  # an a of a finer denominator: scale chi by it too
-        d, xs = d * m, [tuple([v * m for v in x]) for x in xs]
+        d, pairs = d * m, [(tuple([v * m for v in x]), c) for x, c in pairs]
     alphabet = [a.numerator * (d // a.denominator) for a in alphabet]
     outs, moves = [], {}  # moves: coordinate -> (image, step) for each image it moves in
     for a in alphabet:
@@ -369,7 +399,7 @@ def _theta_images(alphabet, chi: FormalChar) -> list[FormalChar]:
         moves.setdefault(a, []).append((out, d))
         moves.setdefault(a if sym.kind == DELTA else a + 2 * d, []).append((out, -d))
     edges = {0, *itertools.accumulate(p)}  # where the Levi blocks start and end
-    for x, c in zip(xs, chi.terms.values()):
+    for x, c in pairs:
         for i, v in enumerate(x):
             for out, s in moves.get(v, ()):
                 # the moved weight stays in Sigma_p^+ unless the move closes
@@ -378,7 +408,7 @@ def _theta_images(alphabet, chi: FormalChar) -> list[FormalChar]:
                 if k in edges or x[k - 1] - x[k] != d:
                     mu = x[:i] + (v + s,) + x[i + 1 :]
                     out[mu] = out.get(mu, 0) + c
-    return [FormalChar({(sym, mu): c for mu, c in unscale(out, d)}) for out in outs]
+    return [_result(sym, d, out) for out in outs]
 
 
 def shift_by_omega(chi: FormalChar, k) -> FormalChar:

@@ -34,6 +34,7 @@ from ..characters import NABLA, FormalChar, shift_by_omega, symbol
 from ..linkage import block_label
 from ..tilting import _weakly_typical_tilting
 from ..weights import (
+    _EXACT,
     Coord,
     Parabolic,
     Weight,
@@ -42,6 +43,7 @@ from ..weights import (
     format_weight,
     is_p_dominant,
     is_p_weakly_typical,
+    refuse_inexact,
     require_p_dominant,
     weight,
 )
@@ -248,7 +250,7 @@ class _Fixture(NamedTuple):
         """fam.instantiate(params) for a row of this file, kept once it has
         validated: a failing instance is never kept, so it raises on every
         call.  Callers share the kept character and never write into it."""
-        key = (fam.id, *params.values())
+        key = (fam.id, *params.items())
         chi = self.kept.get(key)
         if chi is None:
             chi = self.kept[key] = fam.instantiate(params)
@@ -310,10 +312,14 @@ def lookup_tilting_pe3(lam: Weight, p: Optional[Parabolic] = None) -> FormalChar
     returned: its kept instance shifted by k.  Raises
     :class:`NoTableEntry` when no row matches (the stored rows are
     Borel and ``(2,1)`` only) and :class:`TableIntegrityError` when a
-    matching row is corrupt or two matching rows disagree.
+    matching row is corrupt or two matching rows disagree.  A coordinate
+    that is not an int or Fraction, a numeric string too, raises TypeError
+    naming it; an integral Fraction is read as its int.
     """
     if len(lam) != 3:
         raise ValueError(f"table lookup requires rank 3, got {len(lam)}")
+    if not _EXACT.issuperset(map(type, lam)):  # a string is refused, not parsed
+        refuse_inexact(lam)
     lam = weight(*lam)
     p = borel(3) if p is None else tuple(p)
     require_p_dominant(lam, p)

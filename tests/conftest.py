@@ -1,8 +1,10 @@
 """Shared helpers for the test suite."""
 
+import importlib.util
 import itertools
 import json
 from fractions import Fraction
+from pathlib import Path
 
 from hypothesis import strategies as st
 
@@ -30,6 +32,22 @@ B4 = (1, 1, 1, 1)
 
 def W(*coords):
     return weight(*coords)
+
+
+def sweep_items(seeds=(31, 2002), rounds=10):
+    """The (weight, parabolic) items of perfbench's tilting-sweep, read
+    through its own generator, for the given seeds and rounds."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    sweep = workloads.WORKLOADS["tilting-sweep"]
+    return [
+        sweep.prepare(item)
+        for seed in seeds
+        for round_index in range(rounds)
+        for item in sweep.generate(seed, round_index)
+    ]
 
 
 def nab_sum(*rows) -> FormalChar:

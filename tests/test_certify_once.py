@@ -9,14 +9,12 @@ table lookup that solves every row and instantiates every match, and the
 per-term guard `require_p_dominant`.
 """
 
-import importlib.util
 import json
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
-from conftest import B3, W, corrupt_row
+from conftest import B3, W, corrupt_row, sweep_items
 from pericat import glmult
 from pericat.characters import (
     FormalChar,
@@ -127,23 +125,6 @@ def verify_heads():
     return _verify_heads(12)
 
 
-def _sweep_items():
-    """The n=3 (weight, parabolic) items of tilting-sweep, seeds 31 and 2002."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    sweep = workloads.WORKLOADS["tilting-sweep"]
-    items = []
-    for seed in (31, 2002):
-        for round_index in range(10):
-            for item in sweep.generate(seed, round_index):
-                lam, p = sweep.prepare(item)
-                if len(lam) == 3:
-                    items.append((lam, p))
-    return items
-
-
 def test_lookup_matches_reference_on_verify_heads(verify_heads):
     assert len(verify_heads) > 300
     for lam, p in verify_heads:
@@ -152,7 +133,7 @@ def test_lookup_matches_reference_on_verify_heads(verify_heads):
 
 
 def test_lookup_matches_reference_on_sweep_items():
-    items = _sweep_items()
+    items = [(lam, p) for lam, p in sweep_items() if len(lam) == 3]
     assert len(items) == 640
     outcomes = {"value": 0}
     for lam, p in items:
@@ -301,6 +282,20 @@ def test_switching_fixtures_serves_each_files_rows(tmp_path, monkeypatch):
         if got[0] == "value":
             got = ("value", len(got[1].terms))
         assert got == want[name], name
+
+
+def test_kept_instances_are_keyed_by_parameter_name():
+    """Row 5.5-1 takes b an int >= 2 and c non-integral: its parameters
+    given in the other order, with the values swapped, are another instance,
+    and one that violates b's domain."""
+    fixture = tables._fixture()
+    fam = fixture.families["5.5-1"]
+    half = Fraction(1, 2)
+    assert fixture.instance(fam, {"b": 3, "c": half}) == fam.instantiate({"b": 3, "c": half})
+    for _ in range(2):
+        with pytest.raises(ValueError, match=r"parameter b=1/2 violates"):
+            fixture.instance(fam, {"c": 3, "b": half})
+    assert fixture.instance(fam, {"c": half, "b": 3}) == nabla(W(0, 3, half))
 
 
 def test_lookups_return_characters_of_their_own():

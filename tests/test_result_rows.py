@@ -1,0 +1,338 @@
+"""The conversions and theta return their answer as scaled-int rows.
+
+A result holds its certified form (symbol, d, rows) and builds its
+(symbol, weight) terms only when they are first read; the next operation
+reads the rows as they are.  These tests compare the results with a copy of
+the eager route, which unscales every answer into a new terms dict, on the
+heads of perfbench's tilting-sweep and on every theta image that
+`verify_tables(12)` decomposes.
+"""
+
+import itertools
+from fractions import Fraction
+from math import lcm
+
+import pytest
+
+from conftest import W, sweep_items
+from pericat import characters
+from pericat.characters import (
+    DELTA,
+    NABLA,
+    FormalChar,
+    NonTerminating,
+    SimpleBasis,
+    _borel,
+    _guard,
+    _subtract_leader,
+    _theta_images,
+    char_from_json,
+    char_to_json,
+    delta_sum_to_nabla_sum,
+    nabla,
+    nabla_sum_to_delta_sum,
+    symbol,
+    theta_char,
+)
+from pericat.pe3 import verify
+from pericat.pe3.tables import NoTableEntry, lookup_tilting_pe3
+from pericat.tilting import NotWeaklyTypical, weakly_typical_tilting
+from pericat.weights import exact, scale, unscale
+
+# --- the eager route: every answer unscaled into a terms dict of its own -------
+
+
+def _ref_rows(chi, kind=None):
+    sym = chi.sole_basis()
+    if kind is not None and sym.kind != kind:
+        raise SimpleBasis(f"expected a {kind.title()}-basis character, got {sym.kind!r}")
+    d, xs = scale([lam for _, lam in chi.terms])
+    _guard(xs, sym.parabolic, d)
+    rows: dict = {}
+    for x, c in zip(xs, chi.terms.values()):
+        if sym.kind == DELTA:
+            rows.setdefault(sum(x), {})[x] = c
+        else:
+            _subtract_leader(rows, x, sym.parabolic, d, sum(x), -c)
+    return sym, d, rows
+
+
+def ref_nabla_to_delta(chi):
+    if chi.is_zero():
+        return FormalChar()
+    sym, d, rows = _ref_rows(chi, NABLA)
+    out = symbol(DELTA, sym.parabolic)
+    return FormalChar({(out, lam): c for row in rows.values() for lam, c in unscale(row, d)})
+
+
+def ref_delta_to_nabla(chi):
+    if chi.is_zero():
+        return FormalChar()
+    sym, d, remaining = _ref_rows(chi, DELTA)
+    p = sym.parabolic
+    floor = min(remaining) + 2 * d * sum(p)
+    collected: dict = {}
+    while remaining:
+        top = max(remaining)
+        level = remaining[top]
+        if level and top < floor:
+            raise NonTerminating(_borel(p, d, remaining))
+        for x, c in list(level.items()):
+            collected[x] = c
+            _subtract_leader(remaining, x, p, d, top, c)
+        del remaining[top]
+    out = symbol(NABLA, p)
+    return FormalChar({(out, lam): c for lam, c in unscale(collected, d)})
+
+
+def ref_theta_images(alphabet, chi):
+    if chi.is_zero():
+        return [FormalChar() for _ in alphabet]
+    alphabet = tuple(map(exact, alphabet))
+    sym = chi.sole_basis()
+    d, xs = scale([lam for _, lam in chi.terms])
+    _guard(xs, sym.parabolic, d)
+    m = lcm(d, *(a.denominator for a in alphabet)) // d
+    if m > 1:
+        d, xs = d * m, [tuple([v * m for v in x]) for x in xs]
+    alphabet = [a.numerator * (d // a.denominator) for a in alphabet]
+    outs, moves = [], {}
+    for a in alphabet:
+        outs.append(out := {})
+        moves.setdefault(a, []).append((out, d))
+        moves.setdefault(a if sym.kind == DELTA else a + 2 * d, []).append((out, -d))
+    edges = {0, *itertools.accumulate(sym.parabolic)}
+    for x, c in zip(xs, chi.terms.values()):
+        for i, v in enumerate(x):
+            for out, s in moves.get(v, ()):
+                k = i if s > 0 else i + 1
+                if k in edges or x[k - 1] - x[k] != d:
+                    mu = x[:i] + (v + s,) + x[i + 1 :]
+                    out[mu] = out.get(mu, 0) + c
+    return [FormalChar({(sym, mu): c for mu, c in unscale(out, d)}) for out in outs]
+
+
+# --- the cases -------------------------------------------------------------------
+
+
+def _sweep_heads():
+    """The tilting character of every head of tilting-sweep at seeds 31 and
+    2002 that has one."""
+    chars = []
+    for lam, p in sweep_items():
+        try:
+            chars.append(
+                lookup_tilting_pe3(lam, p) if len(lam) == 3 else weakly_typical_tilting(lam, p)
+            )
+        except (NoTableEntry, NotWeaklyTypical):
+            pass
+    return chars
+
+
+def _alphabet(chi):
+    coords = {c for mu in chi.support() for c in mu}
+    return sorted(coords | {c - 2 for c in coords})
+
+
+@pytest.fixture(scope="module")
+def sweep_cases():
+    """(chi, its alphabet, the eager route's results) per sweep head."""
+    cases = []
+    for chi in _sweep_heads():
+        alphabet = _alphabet(chi)
+        ref_delta = ref_nabla_to_delta(chi)
+        eager = [ref_delta, ref_delta_to_nabla(ref_delta)]
+        eager += ref_theta_images(alphabet, chi) + ref_theta_images(alphabet, ref_delta)
+        cases.append((chi, alphabet, eager))
+    assert len(cases) > 800
+    return cases
+
+
+@pytest.fixture(scope="module")
+def verify_images():
+    """(alphabet, chi) for every _theta_images call of verify_tables(12)."""
+    calls = []
+    images = verify._theta_images
+
+    def record(alphabet, chi):
+        calls.append((list(alphabet), FormalChar(dict(chi.terms))))
+        return images(alphabet, chi)
+
+    verify._theta_images = record
+    try:
+        verify.verify_tables(12)
+    finally:
+        verify._theta_images = images
+    assert len(calls) > 100
+    return calls
+
+
+def _results(chi, alphabet):
+    """The new route's results, in the order of sweep_cases' eager ones:
+    the Delta form, its Nabla form, and theta of chi and of the Delta form
+    at every a of the alphabet, each still unread."""
+    delta_form = nabla_sum_to_delta_sum(chi)
+    new = [delta_form, delta_sum_to_nabla_sum(delta_form)]
+    return new + _theta_images(alphabet, chi) + _theta_images(alphabet, delta_form)
+
+
+_READS = {
+    "terms": lambda chi: list(chi.terms.items()),  # with its iteration order
+    "repr": repr,
+    "hash": hash,
+    "json": lambda chi: char_to_json(chi, empty_basis=NABLA),
+}
+
+
+@pytest.mark.parametrize("read", list(_READS), ids=list(_READS))
+def test_sweep_results_read_as_the_eager_route(sweep_cases, read):
+    """Each read is the first one of a fresh result."""
+    for chi, alphabet, eager in sweep_cases:
+        got = [_READS[read](r) for r in _results(chi, alphabet)]
+        assert got == [_READS[read](e) for e in eager], chi
+
+
+def test_sweep_results_equal_the_eager_route(sweep_cases):
+    for chi, alphabet, eager in sweep_cases:
+        new = _results(chi, alphabet)
+        assert [r.is_zero() for r in new] == [e.is_zero() for e in eager]
+        assert new == eager and eager == new
+
+
+@pytest.mark.parametrize("read", list(_READS), ids=list(_READS))
+def test_verify_theta_images_read_as_the_eager_route(verify_images, read):
+    for alphabet, chi in verify_images:
+        eager = ref_theta_images(alphabet, chi)
+        assert [_READS[read](e) for e in eager] == [
+            _READS[read](r) for r in _theta_images(alphabet, chi)
+        ]
+        assert _theta_images(alphabet, chi) == eager
+
+
+# --- the rows a result holds --------------------------------------------------------
+
+
+def _rows_from_view(result):
+    """(d, e) for an unread result held at d whose terms, once read, have
+    least common denominator e: its rows must be what scale and _guard
+    give from its terms, scaled by d/e."""
+    keys, sym, d, rows = result._form
+    assert keys is None
+    assert all(rows.values())
+    view = result.terms
+    e, xs = scale([lam for _, lam in view])
+    _guard(xs, sym.parabolic, e)
+    assert d % e == 0
+    m = d // e
+    assert list(rows.items()) == [
+        (tuple(v * m for v in x), c) for x, c in zip(xs, view.values())
+    ]
+    assert {s for s, _ in view} == {sym}
+    return d, e
+
+
+def test_sweep_results_hold_the_rows_of_their_terms(sweep_cases):
+    for chi, alphabet, _ in sweep_cases:
+        for result in _results(chi, alphabet):
+            if not result.is_zero():
+                _rows_from_view(result)
+
+
+def test_results_may_hold_a_finer_denominator():
+    """theta keeps the d it computed with: a term of a finer denominator
+    that theta drops, or a finer a in the same alphabet, leaves a result
+    whose rows are scaled by more than its least common denominator."""
+    mixed = nabla(W("1/3", 0, 1)) + nabla(W("1/2", -1, 1))
+    image = theta_char(Fraction(1, 2), mixed)
+    assert _rows_from_view(image) == (6, 2)
+    assert image == theta_char(Fraction(1, 2), nabla(W("1/2", -1, 1)))
+    half = lookup_tilting_pe3(W("1/2", "3/2", "5/2"))
+    coarse, finer = _theta_images([Fraction(1, 2), Fraction(1, 3)], half)
+    assert finer.is_zero()  # no coordinate of a half-integral weight is a third
+    assert _rows_from_view(coarse) == (6, 2)
+    assert coarse == ref_theta_images([Fraction(1, 2)], half)[0]
+    # a result of d = 6 converts as its terms do
+    for result in (image, coarse):
+        fresh = FormalChar(dict(result.terms))
+        for op in (nabla_sum_to_delta_sum, lambda c: theta_char(Fraction(3, 2), c)):
+            assert list(op(result).terms.items()) == list(op(fresh).terms.items())
+
+
+# --- no view until it is read -------------------------------------------------------
+
+
+def test_operations_on_results_unscale_nothing(monkeypatch):
+    """nabla -> delta -> nabla -> theta reads each result's rows: no scale,
+    no guard and no unscale until a result's terms are read."""
+    calls = []
+    for name in ("unscale", "scale", "_guard"):
+        real = getattr(characters, name)
+        monkeypatch.setattr(
+            characters, name, lambda *args, _real=real, _name=name: (calls.append(_name), _real(*args))[1]
+        )
+    chi = lookup_tilting_pe3(W("1/2", "3/2", "5/2"))
+    delta_form = nabla_sum_to_delta_sum(chi)
+    assert calls == ["scale", "_guard"]  # chi, built from terms, is certified once
+    calls.clear()
+    back = delta_sum_to_nabla_sum(delta_form)
+    images = [theta_char(a, back) for a in (Fraction(1, 2), Fraction(-1, 2), Fraction(5, 2))]
+    images += _theta_images([Fraction(1, 2), Fraction(3, 2)], delta_form)
+    assert not delta_form.is_zero() and not back.is_zero()
+    assert sum(not r.is_zero() for r in images) >= 2
+    assert calls == []
+    assert back == chi
+    assert calls == ["unscale"]
+    assert repr(back) == repr(chi) and calls == ["unscale"]  # the view is kept
+
+
+def test_is_zero_reads_no_view():
+    chi = lookup_tilting_pe3(W("1/2", "3/2", "5/2"))
+    result = nabla_sum_to_delta_sum(chi)
+    assert not result.is_zero()
+    assert result._form[0] is None
+    assert theta_char(7, chi).is_zero() and theta_char(7, chi) == FormalChar()
+
+
+def test_results_refuse_the_wrong_basis_without_a_view():
+    result = nabla_sum_to_delta_sum(lookup_tilting_pe3(W(0, 1, 2)))
+    with pytest.raises(SimpleBasis, match="expected a Nabla-basis character, got 'delta'"):
+        nabla_sum_to_delta_sum(result)
+    assert result._form[0] is None
+
+
+def _outcome(op, chi):
+    try:
+        return "value", list(op(chi).terms.items())
+    except Exception as exc:  # the exception type and text are the answer
+        return type(exc), str(exc)
+
+
+def test_read_results_follow_changes_in_place():
+    """Once its terms are read, a result is certified by its keys, as a
+    character built from terms is: changed in place, it answers as a fresh
+    copy does."""
+    result = nabla_sum_to_delta_sum(lookup_tilting_pe3(W("1/2", "3/2", "5/2")))
+    (sym, lam), _ = next(iter(result.terms.items()))
+
+    def same_as_fresh_copy():
+        for op in (delta_sum_to_nabla_sum, lambda c: theta_char(Fraction(3, 2), c)):
+            want = _outcome(op, FormalChar(dict(result.terms)))
+            assert _outcome(op, result) == _outcome(op, result) == want
+
+    same_as_fresh_copy()
+    result.terms[sym, lam] += 1  # a coefficient
+    same_as_fresh_copy()
+    del result.terms[sym, lam]
+    result.terms[sym, tuple(Fraction(c) for c in lam)] = 1  # an equal key, another object
+    same_as_fresh_copy()
+    result.terms[sym, (True, 0, 5)] = 1  # a bool coordinate
+    with pytest.raises(TypeError, match="is not exact"):
+        delta_sum_to_nabla_sum(result)
+
+
+def test_results_round_trip_through_json():
+    chi = lookup_tilting_pe3(W("1/2", "3/2", "5/2"))
+    for result in (nabla_sum_to_delta_sum(chi), theta_char(Fraction(1, 2), chi)):
+        doc = char_to_json(result)
+        assert char_from_json(doc) == result
+        assert theta_char(Fraction(3, 2), char_from_json(doc)) == theta_char(Fraction(3, 2), result)

@@ -2,8 +2,8 @@
 
 Every public function of the engine modules whose first parameter is a
 `Weight` and that answers about it refuses a coordinate that is not an int
-or Fraction: a float, a bool or a non-numeric string gives TypeError or
-ValueError naming that coordinate, at the Borel (no Levi pair reads it)
+or Fraction: a float, a bool or a string, numeric or not, gives TypeError
+or ValueError naming that coordinate, at the Borel (no Levi pair reads it)
 and at p = (2, 1) (the Levi pair (0, 1) reads it), and never an answer or
 an AttributeError.
 """
@@ -25,7 +25,7 @@ EXEMPT = {
     "neg_w0p": "permutes and negates; callers guard the weight first",
 }
 
-BAD = (1.5, True, "x")  # a float, a bool and a non-numeric string
+BAD = (1.5, True, "x", "1")  # a float, a bool, a non-numeric and a numeric string
 PARABOLICS = ((1, 1, 1), (2, 1))
 GOOD = (2, 0, 3)  # p-dominant and weakly typical at both parabolics
 EXTRA = {"q": 1, "i": 1, "k": 1, "mu": GOOD, "lam": GOOD}
