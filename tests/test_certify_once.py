@@ -298,6 +298,14 @@ def test_kept_instances_are_keyed_by_parameter_name():
     assert fixture.instance(fam, {"c": half, "b": 3}) == nabla(W(0, 3, half))
 
 
+def test_lookup_reads_an_integral_fraction_as_its_int():
+    got = lookup_tilting_pe3((Fraction(0), Fraction(2, 2), Fraction(-1)))
+    assert got == lookup_tilting_pe3(W(0, 1, -1))
+    assert {type(c) for _, mu in got.terms for c in mu} == {int}
+    with pytest.raises(TypeError, match="weight coordinate '1' is not exact"):
+        lookup_tilting_pe3((0, "1", -1))
+
+
 def test_lookups_return_characters_of_their_own():
     first = lookup_tilting_pe3(W(0, 1, -1))
     first.terms.clear()
