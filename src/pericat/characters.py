@@ -142,7 +142,8 @@ class FormalChar:
 
     def is_zero(self) -> bool:
         form = self._form
-        return not (form and form[0] is None) and not self.terms  # a result's rows are nonzero
+        # a result's rows are nonzero; a coefficient set to 0 in place is skipped
+        return not (form and form[0] is None) and not any(self.terms.values())
 
     def support(self) -> set[Weight]:
         return {lam for (_, lam) in self.terms}
@@ -289,10 +290,14 @@ def _certified(chi: FormalChar, kind: Optional[str] = None) -> tuple:
     coordinates and its weights x scaled by d, in Sigma_p^+.  The form
     (keys, sym, d, xs) is stored on chi and reused while its keys are the
     same objects in the same order, so a weight changed in place is
-    certified again; the coefficients are read from chi.terms.  A result
-    holds (None, sym, d, rows) until its terms are read (see `_result`)."""
+    certified again; the coefficients are read from chi.terms, and a
+    coefficient set to 0 in place is skipped, as FormalChar(chi.terms) drops
+    it.  A result holds (None, sym, d, rows) until its terms are read (see
+    `_result`)."""
     form = chi._form
     keys = form and form[0]  # None also for a result's rows
+    if not (form and keys is None) and 0 in chi.terms.values():
+        return _certified(FormalChar(chi.terms), kind)
     if keys and not (len(keys) == len(chi.terms) and all(map(operator.is_, chi.terms, keys))):
         form = None
     sym = form[1] if form else chi.sole_basis()

@@ -217,8 +217,8 @@ def decompose_into_tiltings(chi: FormalChar, p, memo: dict) -> dict[Weight, int]
     weight: the loop ends within |supp chi| steps.  ``memo`` maps (weight,
     parabolic) to the tilting characters already found, so a caller that
     decomposes many images can share them; a new head is looked up once per
-    class mod omega (see :func:`_class_tilting`), and a failed lookup is
-    never stored."""
+    class mod omega (see :func:`_class_tilting`), and a class with no
+    tilting character is stored as None."""
     p = tuple(p)
     sym = symbol(NABLA, p)
     remainder = dict(chi.terms)
@@ -250,18 +250,18 @@ def _class_tilting(head: Weight, p: tuple, memo: dict) -> FormalChar:
     """T_head as the memo entry of its class mod omega, the weight
     head - head[0]*omega (looked up and stored when missing), shifted back:
     tensoring with the one-dimensional module shifts a whole tilting
-    character.  When the class has none, the lookup of head itself raises
-    the error, so it names the head."""
+    character.  A class with none is stored as None, and the lookup of head
+    itself raises the error, so it names the head."""
     k = head[0]
-    base = shift(head, -k)
-    tilting = memo.get((base, p))
-    if tilting is None:
+    key = shift(head, -k), p
+    if key not in memo:
         try:
-            tilting = memo[base, p] = lookup_tilting_pe3(base, p)
+            memo[key] = lookup_tilting_pe3(*key)
         except (NoTableEntry, ValueError):
-            pass
-        if tilting is None:
-            return lookup_tilting_pe3(head, p)  # raises the error naming head
+            memo[key] = None
+    tilting = memo[key]
+    if tilting is None:
+        return lookup_tilting_pe3(head, p)  # raises the error naming head
     return shift_by_omega(tilting, k) if k else tilting
 
 

@@ -8,6 +8,12 @@ matching the reflection in e_i - e_j.
 Polynomials in q are tuples of integer coefficients, constant term first,
 with no trailing zeros; the zero polynomial is the empty tuple.
 
+Kazhdan-Lusztig polynomials come from the classical recursion, except for
+the comparable pairs with l(w) - l(x) <= 2 (after normalizing x), which the
+degree bound deg P_{x,w} <= (l(w) - l(x) - 1)/2 and P_{x,w}(0) = 1 fix at 1.
+Each polynomial the recursion computes is checked against both facts and
+kept in a per-rank memo of the remaining pairs.
+
 >>> length((2, 0, 1))
 2
 >>> bruhat_leq((0, 2, 1), (2, 1, 0))
@@ -20,8 +26,6 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from math import factorial
-from operator import gt
 from typing import Tuple
 
 from .weights import Parabolic, Weight, levi_blocks
@@ -200,16 +204,20 @@ class InvariantViolation(ValueError):
 class _RankIndex:
     """S_n enumerated once, as int tables over the positions of ``all_perms(n)``.
 
-    ``all_perms`` lists S_n in lexicographic order, so the position k of w
-    is the factorial-base number of its Lehmer code c (c_j counts the
-    j' > j with w(j') < w(j)): k = sum_j c_j (n-1-j)!.  The tables follow
-    from that arithmetic; none of them looks a permutation up in ``position``:
+    ``all_perms`` lists S_m in lexicographic order, so S_m is m blocks of
+    (m-1)! positions: block d holds w = (d, f_d(u)) for u in S_{m-1} in
+    order, with f_d(v) = v for v < d and v + 1 otherwise.  The tables are
+    built from S_1 up, each S_m's block by block from S_{m-1}'s; none of
+    them looks a permutation up in ``position``:
 
-    * ``length[k]`` is l(w_k), the digit sum of k;
-    * ``descents[k]`` has bit i set iff s_i w_k < w_k, i.e. iff a > b for
-      a = w_k^{-1}(i) and b = w_k^{-1}(i+1);
-    * ``left[i][k]`` is the position of s_i w_k.  Swapping the values i and
-      i+1 changes only the digit c_min(a, b), by +1 if a < b and -1 if not.
+    * ``length[k]`` is l(w_k); in block d, l(w) = d + l(u);
+    * ``descents[k]`` has bit i set iff s_i w_k < w_k (value i sits right of
+      value i+1).  In block d these are u's bits 0..d-2, then bit d-1 set
+      and bit d clear, then u's bits from d on shifted up by one;
+    * ``left[i][k]`` is the position of s_i w_k.  When i + 1 = d or i = d,
+      s_i w is (d -+ 1, f_{d-+1}(u)), the same offset in the block before or
+      after; otherwise it stays in block d as (d, f_d(s_i' u)), with i' = i
+      below d - 1 and i' = i - 1 above d.
 
     Bruhat order is the prefix-sorting criterion on packed keys: field
     (k, j) of ``key[w]`` holds the j-th smallest entry of w[:k] in ``bits``
@@ -217,8 +225,10 @@ class _RankIndex:
     == guard`` iff every field of x is at most the matching field of w (no
     borrow crosses a field).  Keys are packed prefix by prefix, each shared
     by every permutation that extends it.  ``by_length[s][L]`` lists the w
-    of length L with s a left descent.  ``position`` maps a permutation to
-    its k.  ``kl`` memoizes P_{x,w} on normalized pairs, keyed x*size+w.
+    of length L with s a left descent, read off ``descents``.  ``position``
+    maps a permutation to its k.  ``kl`` memoizes P_{x,w}, keyed x*size+w,
+    on the normalized pairs x < w with l(w) - l(x) >= 3 that the recursion
+    reached; the degree bound answers every other comparable pair.
     """
 
     def __init__(self, n: int):
@@ -232,27 +242,33 @@ class _RankIndex:
         self.position = dict(zip(perms, range(size)))
         self.guard = sum(1 << (f * width + bits) for f in range(fields))
 
-        # S_m is m blocks of (m-1)! positions, block d holding the w with
-        # w(0) = d, so the digit sums extend block by block.
-        lengths = [0]
+        lengths, descents, left = [0], [0], []
         for m in range(2, n + 1):
+            step = len(lengths)  # (m-1)!, the size of a block
+            rows = []
+            for i in range(m - 1):
+                row = []
+                for d in range(m):
+                    if i + 1 == d:
+                        row += range((d - 1) * step, d * step)
+                    elif i == d:
+                        row += range((d + 1) * step, (d + 2) * step)
+                    else:
+                        row += map((d * step).__add__, left[i if i < d else i - 1])
+                rows.append(row)
+            left = rows
+            out = [u << 1 for u in descents]
+            for d in range(1, m):
+                low = (1 << d - 1) - 1
+                out += [u & low | low + 1 | u >> d << d + 1 for u in descents]
+            descents = out
             lengths = [d + l for d in range(m) for l in lengths]
-        self.length = lengths
+        self.length, self.descents, self.left = lengths, descents, left
 
-        where = [[w.index(v) for w in perms] for v in range(n)]  # w_k^{-1}(v)
-        place = [factorial(n - 1 - a) for a in range(n)]
-        self.descents = descents = [0] * size
-        self.left = []
         self.by_length = [[[] for _ in range(fields + 1)] for _ in range(n - 1)]
-        for i in range(n - 1):
-            col_a, col_b = where[i], where[i + 1]
-            self.left.append([
-                k - place[b] if a > b else k + place[a]
-                for k, a, b in zip(range(size), col_a, col_b)
-            ])
-            bit, rows = 1 << i, self.by_length[i]
-            for k in itertools.compress(range(size), map(gt, col_a, col_b)):
-                descents[k] |= bit
+        for i, rows in enumerate(self.by_length):
+            bit = 1 << i
+            for k in itertools.compress(range(size), [dk & bit for dk in descents]):
                 rows[lengths[k]].append(k)
 
         # Prefixes one length at a time, in lexicographic order: a prefix
@@ -300,7 +316,8 @@ class _RankIndex:
         while up:
             x = self.left[(up & -up).bit_length() - 1][x]
             up = dw & ~descents[x]
-        if x == w:
+        # x <= w stays true; the degree bound fixes P = 1 at a gap of 2 or less.
+        if self.length[w] - self.length[x] <= 2:
             return ONE_POLY
         key = x * self.size + w
         cached = self.kl.get(key)
@@ -365,10 +382,14 @@ def kl_polynomial(x: Perm, w: Perm) -> Poly:
     """Kazhdan-Lusztig polynomial P_{x,w} for the symmetric group.
 
     Classical recursion on a left descent s of w, after normalizing x up
-    through the descents of w (P_{x,w} = P_{sx,w} when sw < w < sx); results
-    are memoized per normalized pair.  For x <= w the constant term is 1 and
-    the degree is at most (l(w) - l(x) - 1)/2 (checked: ``InvariantViolation``),
-    with P_{w,w} = 1.  Runs on the per-rank tables of ``_RankIndex``.
+    through the descents of w (P_{x,w} = P_{sx,w} when sw < w < sx).  For
+    x <= w the constant term is 1 and the degree is at most
+    (l(w) - l(x) - 1)/2, so P_{x,w} = 1 whenever the normalized pair has
+    l(w) - l(x) <= 2: those pairs are answered from the bound, after the
+    Bruhat test, and never recursed on or memoized.  Every polynomial the
+    recursion computes is checked against both facts
+    (``InvariantViolation``) and memoized per normalized pair.  Runs on the
+    per-rank tables of ``_RankIndex``.
     """
     index, px, pw = _positions(x, w)
     return index.poly(px, pw)

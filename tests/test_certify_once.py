@@ -206,16 +206,25 @@ def test_lookup_commutes_with_omega(k):
 
 
 @pytest.mark.parametrize("k", [0, 3, Fraction(1, 2)], ids=str)
-def test_decompose_reports_the_exact_head_of_a_failed_class(k):
-    head = shift(W(3, 1, 2), k)
+def test_decompose_reports_the_exact_head_of_a_failed_class(k, monkeypatch):
+    calls = []
+
+    def counted(lam, p=None):
+        calls.append(lam)
+        return lookup_tilting_pe3(lam, p)
+
+    monkeypatch.setattr(verify, "lookup_tilting_pe3", counted)
+    head, base = shift(W(3, 1, 2), k), W(0, -2, -1)
     memo = {}
-    for _ in range(2):
+    for looked_up in ([base, head], [head]):  # a stored miss costs one lookup
+        calls.clear()
         with pytest.raises(NoTableEntry) as exc:
             decompose_into_tiltings(nabla(head, P21), P21, memo)
         assert str(exc.value) == (
             f"no table entry for weight {format_weight(head)} with parabolic {P21}"
         )
-    assert memo == {}  # a failed lookup is never stored
+        assert calls == looked_up
+    assert memo == {(base, P21): None}  # the failed class is stored as a miss
 
 
 def test_decompose_shares_one_lookup_per_omega_class(monkeypatch):

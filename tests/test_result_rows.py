@@ -330,6 +330,23 @@ def test_read_results_follow_changes_in_place():
         delta_sum_to_nabla_sum(result)
 
 
+def test_operations_skip_coefficients_set_to_zero():
+    """A coefficient set to 0 in place answers as the fresh copy, which drops
+    it, answers: both conversions and theta, and 0 once every one is 0."""
+    nab = lookup_tilting_pe3(W(0, 1, -1))
+    dlt = nabla_sum_to_delta_sum(nab)
+    for chi, convert in ((nab, nabla_sum_to_delta_sum), (dlt, delta_sum_to_nabla_sum)):
+        ops = [convert] + [
+            lambda c, a=a: theta_char(a, c) for a in sorted({v for _, lam in chi.terms for v in lam})
+        ]
+        for key in list(chi.terms):
+            chi.terms[key] = 0
+            fresh = FormalChar(dict(chi.terms))
+            for op in ops:
+                assert _outcome(op, chi) == _outcome(op, fresh)
+        assert all(op(chi) == FormalChar() for op in ops)
+
+
 def test_results_round_trip_through_json():
     chi = lookup_tilting_pe3(W("1/2", "3/2", "5/2"))
     for result in (nabla_sum_to_delta_sum(chi), theta_char(Fraction(1, 2), chi)):

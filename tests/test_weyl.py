@@ -252,7 +252,9 @@ def _poisoned_memo(x, w, bad):
         memo.update(saved)
 
 
-E4, W3412 = (0, 1, 2, 3), parse_perm("3,4,1,2")
+# P_{e,w} = 1 + q, and its recursion reads memo entries.  The recursion of
+# (e, 3412) in S_4 reaches only pairs the degree bound answers, so reads none.
+E5, W24513 = (0, 1, 2, 3, 4), parse_perm("2,4,5,1,3")
 
 
 def _index_from_definitions(n: int) -> dict:
@@ -294,11 +296,42 @@ def test_rank_index_matches_definitions(n):
 
 
 def test_kl_memo_holds_normalised_pairs_s5():
+    # A pair is normalised when every left descent of w is one of x; the
+    # memo keeps exactly those x < w with l(w) - l(x) >= 3.
+    perms = all_perms(5)
+    expected = {
+        (x, w)
+        for x in perms
+        for w in perms
+        if bruhat_leq(x, w)
+        and length(w) - length(x) >= 3
+        and set(left_descents(w)) <= set(left_descents(x))
+    }
     index = weyl._RankIndex(5)
     for x in range(index.size):
         for w in range(index.size):
             index.poly(x, w)
-    assert len(index.kl) == 562
+    assert {divmod(key, index.size) for key in index.kl} == {
+        (index.position[x], index.position[w]) for x, w in expected
+    }
+
+
+def test_kl_degree_bound_answers_gap_two_or_less_s5():
+    # Comparable pairs of gap <= 2 are 1 and add no memo entry; the bound
+    # waits for the Bruhat test, so an incomparable pair of gap 2 stays 0.
+    x, w = (1, 0, 2, 3), (0, 3, 2, 1)
+    assert length(w) - length(x) == 2 and not bruhat_leq(x, w)
+    assert kl_polynomial(x, w) == ZERO_POLY
+    index = weyl._RankIndex(5)
+    comparable = 0
+    for x in all_perms(5):
+        for w in all_perms(5):
+            if length(w) - length(x) <= 2:
+                leq = bruhat_leq(x, w)
+                p = index.poly(index.position[x], index.position[w])
+                assert p == (ONE_POLY if leq else ZERO_POLY), (x, w)
+                comparable += leq
+    assert comparable > 0 and index.kl == {}
 
 
 def test_kl_smallest_ranks():
@@ -307,19 +340,19 @@ def test_kl_smallest_ranks():
 
 
 def test_kl_invariant_violation_is_typed():
-    with _poisoned_memo(E4, W3412, (2,)):
+    with _poisoned_memo(E5, W24513, (2,)):
         with pytest.raises(InvariantViolation, match="malformed"):
-            kl_polynomial(E4, W3412)
-    with _poisoned_memo(E4, W3412, (1, 0, 0, 1)):
+            kl_polynomial(E5, W24513)
+    with _poisoned_memo(E5, W24513, (1, 0, 0, 1)):
         with pytest.raises(InvariantViolation, match="degree bound"):
-            kl_polynomial(E4, W3412)
+            kl_polynomial(E5, W24513)
     assert issubclass(InvariantViolation, ValueError)
-    assert kl_polynomial(E4, W3412) == (1, 1)
+    assert kl_polynomial(E5, W24513) == (1, 1)
 
 
 def test_kl_invariant_violation_cli_exit_1(capsys):
-    with _poisoned_memo(E4, W3412, (2,)):
-        assert main(["kl", "--x", "1,2,3,4", "--w", "3,4,1,2"]) == 1
+    with _poisoned_memo(E5, W24513, (2,)):
+        assert main(["kl", "--x", "1,2,3,4,5", "--w", "2,4,5,1,3"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: KL polynomial malformed")
 
@@ -329,10 +362,10 @@ def test_kl_invariant_violation_under_python_O():
     src = Path(weyl.__file__).resolve().parents[1]
     code = (
         "import sys\n"
-        "from test_weyl import E4, W3412, _poisoned_memo\n"
+        "from test_weyl import E5, W24513, _poisoned_memo\n"
         "from pericat.cli import main\n"
-        "with _poisoned_memo(E4, W3412, (2,)):\n"
-        "    sys.exit(main(['kl', '--x', '1,2,3,4', '--w', '3,4,1,2']))\n"
+        "with _poisoned_memo(E5, W24513, (2,)):\n"
+        "    sys.exit(main(['kl', '--x', '1,2,3,4,5', '--w', '2,4,5,1,3']))\n"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), str(tests)]))
     proc = subprocess.run(
