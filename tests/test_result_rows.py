@@ -331,8 +331,9 @@ def test_read_results_follow_changes_in_place():
 
 
 def test_operations_skip_coefficients_set_to_zero():
-    """A coefficient set to 0 in place answers as the fresh copy, which drops
-    it, answers: both conversions and theta, and 0 once every one is 0."""
+    """With coefficients set to 0 in place, a character answers as its fresh
+    copy, which drops them, in both conversions and theta; with every
+    coefficient 0 each answer is 0."""
     nab = lookup_tilting_pe3(W(0, 1, -1))
     dlt = nabla_sum_to_delta_sum(nab)
     for chi, convert in ((nab, nabla_sum_to_delta_sum), (dlt, delta_sum_to_nabla_sum)):
