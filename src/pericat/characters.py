@@ -49,7 +49,8 @@ import operator
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from typing import Iterable, NamedTuple, Optional
+from types import MappingProxyType
+from typing import Iterable, Mapping, NamedTuple, Optional
 
 from .weights import (
     Parabolic,
@@ -105,32 +106,36 @@ def symbol(kind: str, parabolic: Optional[Parabolic]) -> BasisSymbol:
 
 
 class FormalChar:
-    """Immutable-by-convention finite integer combination of flags: every
-    operation returns a character with a terms dict of its own and never
-    writes into the terms of a character it was given.  The first
-    operation on a character stores its certified form in `_form` (see
-    `_certified`).  A conversion or theta returns a character holding only
-    that form (see `_result`); its terms are built from the form's rows on
-    the first read, and later reads are plain slot reads."""
+    """A finite integer combination of flags, and a value: `terms` is a
+    read-only mapping over a dict of the character's own, so a write raises
+    TypeError, and no coefficient is 0.  The first operation on a character
+    stores its certified form in `_form` (see `_certified`).  A conversion
+    or theta returns a character holding only that form (see `_result`);
+    its terms are built from the form's rows on the first read, and later
+    reads are plain slot reads."""
 
     __slots__ = ("terms", "_form")
 
-    def __init__(self, terms: Optional[dict] = None):
-        # dict(terms) reuses the stored key hashes; only zeros are re-hashed
-        self.terms: dict[tuple[BasisSymbol, Weight], int] = dict(terms) if terms else {}
-        for key in [key for key, c in self.terms.items() if c == 0]:
-            del self.terms[key]
+    def __init__(self, terms: Optional[Mapping] = None):
+        # both copies reuse the stored key hashes; dict() of a view would not
+        own = terms.copy() if type(terms) is MappingProxyType else dict(terms or {})
+        for key in [key for key, c in own.items() if c == 0]:
+            del own[key]
+        self.terms: Mapping[tuple[BasisSymbol, Weight], int] = MappingProxyType(own)
         self._form = None
 
     def __getattr__(self, name):
         # reached only for an unset slot: the terms of an operation's result,
-        # built in the order of its rows, whose keys then certify them
+        # built in the order of its rows
         if name != "terms":
             raise AttributeError(name)
-        _, sym, d, rows = self._form
-        self.terms = terms = {(sym, lam): c for lam, c in unscale(rows, d)}
-        self._form = (tuple(terms), sym, d, rows)
+        sym, d, rows = self._form
+        self.terms = terms = MappingProxyType({(sym, lam): c for lam, c in unscale(rows, d)})
         return terms
+
+    def __reduce__(self):
+        # a read-only view does not pickle: copy and pickle rebuild from its dict
+        return FormalChar, (self.terms.copy(),)
 
     @classmethod
     def single(cls, kind: str, lam: Weight, parabolic: Parabolic, coeff: int = 1) -> "FormalChar":
@@ -141,9 +146,7 @@ class FormalChar:
         return self.terms.get((symbol(kind, parabolic or borel(len(lam))), tuple(lam)), 0)
 
     def is_zero(self) -> bool:
-        form = self._form
-        # a result's rows are nonzero; a coefficient set to 0 in place is skipped
-        return not (form and form[0] is None) and not any(self.terms.values())
+        return self._form is None and not self.terms  # a certified form is nonzero
 
     def support(self) -> set[Weight]:
         return {lam for (_, lam) in self.terms}
@@ -158,7 +161,7 @@ class FormalChar:
         return next(iter(syms))
 
     def __add__(self, other: "FormalChar") -> "FormalChar":
-        out = dict(self.terms)
+        out = self.terms.copy()
         for key, c in other.terms.items():
             out[key] = out.get(key, 0) + c
         return FormalChar(out)
@@ -288,27 +291,17 @@ def _certified(chi: FormalChar, kind: Optional[str] = None) -> tuple:
     """(sym, d, (x, coeff) per term) for the nonzero chi: its one basis
     (which must be of the kind given, if any), a common denominator d of its
     coordinates and its weights x scaled by d, in Sigma_p^+.  The form
-    (keys, sym, d, xs) is stored on chi and reused while its keys are the
-    same objects in the same order, so a weight changed in place is
-    certified again; the coefficients are read from chi.terms, and a
-    coefficient set to 0 in place is skipped, as FormalChar(chi.terms) drops
-    it.  A result holds (None, sym, d, rows) until its terms are read (see
-    `_result`)."""
-    form = chi._form
-    keys = form and form[0]  # None also for a result's rows
-    if not (form and keys is None) and 0 in chi.terms.values():
-        return _certified(FormalChar(chi.terms), kind)
-    if keys and not (len(keys) == len(chi.terms) and all(map(operator.is_, chi.terms, keys))):
-        form = None
-    sym = form[1] if form else chi.sole_basis()
+    (sym, d, {x: coeff}) is stored on chi, as `_result` stores an
+    operation's answer, and reused by every later operation."""
+    sym = chi._form[0] if chi._form else chi.sole_basis()
     if kind is not None and sym.kind != kind:
         raise SimpleBasis(f"expected a {kind.title()}-basis character, got {sym.kind!r}")
-    if form is None:
+    if chi._form is None:
         d, xs = scale([lam for _, lam in chi.terms])
         _guard(xs, sym.parabolic, d)  # the leaders derived from each x are in Sigma_p^+
-        form = chi._form = (tuple(chi.terms), sym, d, xs)
-    keys, _, d, xs = form
-    return sym, d, xs.items() if keys is None else zip(xs, chi.terms.values())
+        chi._form = (sym, d, dict(zip(xs, chi.terms.values())))
+    _, d, rows = chi._form
+    return sym, d, rows.items()
 
 
 def _result(sym: BasisSymbol, d: int, rows: dict) -> FormalChar:
@@ -320,7 +313,7 @@ def _result(sym: BasisSymbol, d: int, rows: dict) -> FormalChar:
     if not rows:
         return FormalChar()
     chi = FormalChar.__new__(FormalChar)
-    chi._form = (None, sym, d, rows)
+    chi._form = (sym, d, rows)
     return chi
 
 
@@ -417,10 +410,10 @@ def _theta_images(alphabet, chi: FormalChar) -> list[FormalChar]:
 
 
 def shift_by_omega(chi: FormalChar, k) -> FormalChar:
-    """Tensor by the one-dimensional character of weight k*omega_n."""
-    return FormalChar(
-        {(sym, shift(lam, k)): c for (sym, lam), c in chi.terms.items()}
-    )
+    """Tensor by the one-dimensional character of weight k*omega_n; chi itself at k = 0."""
+    if not k:
+        return chi
+    return FormalChar({(sym, shift(lam, k)): c for (sym, lam), c in chi.terms.items()})
 
 
 # --- serialization ------------------------------------------------------------

@@ -249,7 +249,7 @@ class _Fixture(NamedTuple):
     def instance(self, fam: TiltingFamily, params: dict[str, Coord]) -> FormalChar:
         """fam.instantiate(params) for a row of this file, kept once it has
         validated: a failing instance is never kept, so it raises on every
-        call.  Callers share the kept character and never write into it."""
+        call.  Callers share the kept character: its `terms` is read-only."""
         key = (fam.id, *params.items())
         chi = self.kept.get(key)
         if chi is None:

@@ -221,7 +221,7 @@ def decompose_into_tiltings(chi: FormalChar, p, memo: dict) -> dict[Weight, int]
     tilting character is stored as None."""
     p = tuple(p)
     sym = symbol(NABLA, p)
-    remainder = dict(chi.terms)
+    remainder = chi.terms.copy()
     degrees = {mu: degree(mu) for _, mu in remainder}  # no step adds a key and survives
     negative = any(c < 0 for c in remainder.values())
     parts: dict[Weight, int] = {}
@@ -262,7 +262,7 @@ def _class_tilting(head: Weight, p: tuple, memo: dict) -> FormalChar:
     tilting = memo[key]
     if tilting is None:
         return lookup_tilting_pe3(head, p)  # raises the error naming head
-    return shift_by_omega(tilting, k) if k else tilting
+    return shift_by_omega(tilting, k)
 
 
 def _closure_alphabet(chi: FormalChar) -> list[Coord]:

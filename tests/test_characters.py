@@ -777,20 +777,33 @@ def _fresh_results(chi):
     ]
 
 
-def test_results_share_no_terms_dict():
+def _refuse_writes(chi, junk):
+    """Every write into chi.terms raises TypeError; its view has no
+    mutating method."""
+    key = next(iter(chi.terms), junk)
+    for k, c in ((junk, 5), (key, 0), (key, 5)):
+        with pytest.raises(TypeError):
+            chi.terms[k] = c
+    with pytest.raises(TypeError):
+        del chi.terms[key]
+    mutators = ("pop", "popitem", "clear", "update", "setdefault", "__setitem__", "__delitem__")
+    assert not [m for m in mutators if hasattr(chi.terms, m)]
+
+
+def test_results_refuse_writes():
     chi = nab_sum((0, 1, -1), (0, -1, 1), (-1, 1, 0), (-1, 0, 1), (-1, 0, -1), (-1, -1, 0))
-    before = dict(chi.terms)
+    before = chi.terms.copy()
     junk = (symbol(DELTA, B3), W(9, 9, 9))
     for name, make in _fresh_results(chi):
         first = make()
-        snapshot = dict(first.terms)
-        assert first.terms is not chi.terms, name
-        first.terms[junk] = 5
-        first.terms.pop(next(iter(snapshot), None), None)
+        snapshot = first.terms.copy()
+        _refuse_writes(first, junk)
+        assert first.terms == snapshot, name
         assert make().terms == snapshot, name
         assert chi.terms == before, name
-    # theta_char(0, ...) of the zero character is a fresh one too
+    assert shift_by_omega(chi, 0) is chi  # a value, so the twist by 0 shares it
+    # theta_char(0, ...) of the zero character refuses writes too
     zero = FormalChar()
     image = theta_char(0, zero)
-    image.terms[junk] = 1
+    _refuse_writes(image, junk)
     assert zero.terms == {} and theta_char(0, zero).is_zero()

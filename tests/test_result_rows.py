@@ -8,7 +8,9 @@ heads of perfbench's tilting-sweep and on every theta image that
 `verify_tables(12)` decomposes.
 """
 
+import copy
 import itertools
+import pickle
 from fractions import Fraction
 from math import lcm
 
@@ -212,12 +214,21 @@ def test_verify_theta_images_read_as_the_eager_route(verify_images, read):
 # --- the rows a result holds --------------------------------------------------------
 
 
+def _unread(result):
+    """A result holds only its form (sym, d, rows) until its terms are read."""
+    try:
+        object.__getattribute__(result, "terms")  # no __getattr__ build
+    except AttributeError:
+        return len(result._form) == 3
+    return False
+
+
 def _rows_from_view(result):
     """(d, e) for an unread result held at d whose terms, once read, have
     least common denominator e: its rows must be what scale and _guard
     give from its terms, scaled by d/e."""
-    keys, sym, d, rows = result._form
-    assert keys is None
+    assert _unread(result)
+    sym, d, rows = result._form
     assert all(rows.values())
     view = result.terms
     e, xs = scale([lam for _, lam in view])
@@ -253,7 +264,7 @@ def test_results_may_hold_a_finer_denominator():
     assert coarse == ref_theta_images([Fraction(1, 2)], half)[0]
     # a result of d = 6 converts as its terms do
     for result in (image, coarse):
-        fresh = FormalChar(dict(result.terms))
+        fresh = FormalChar(result.terms.copy())
         for op in (nabla_sum_to_delta_sum, lambda c: theta_char(Fraction(3, 2), c)):
             assert list(op(result).terms.items()) == list(op(fresh).terms.items())
 
@@ -289,7 +300,7 @@ def test_is_zero_reads_no_view():
     chi = lookup_tilting_pe3(W("1/2", "3/2", "5/2"))
     result = nabla_sum_to_delta_sum(chi)
     assert not result.is_zero()
-    assert result._form[0] is None
+    assert _unread(result)
     assert theta_char(7, chi).is_zero() and theta_char(7, chi) == FormalChar()
 
 
@@ -297,7 +308,7 @@ def test_results_refuse_the_wrong_basis_without_a_view():
     result = nabla_sum_to_delta_sum(lookup_tilting_pe3(W(0, 1, 2)))
     with pytest.raises(SimpleBasis, match="expected a Nabla-basis character, got 'delta'"):
         nabla_sum_to_delta_sum(result)
-    assert result._form[0] is None
+    assert _unread(result)
 
 
 def _outcome(op, chi):
@@ -307,45 +318,113 @@ def _outcome(op, chi):
         return type(exc), str(exc)
 
 
-def test_read_results_follow_changes_in_place():
-    """Once its terms are read, a result is certified by its keys, as a
-    character built from terms is: changed in place, it answers as a fresh
-    copy does."""
+def test_read_results_refuse_changes_in_place():
+    """Once its terms are read, a result keeps the rows it was built from:
+    every write into its terms raises, and it answers as a fresh copy
+    does."""
     result = nabla_sum_to_delta_sum(lookup_tilting_pe3(W("1/2", "3/2", "5/2")))
-    (sym, lam), _ = next(iter(result.terms.items()))
+    (sym, lam), c = next(iter(result.terms.items()))
 
     def same_as_fresh_copy():
         for op in (delta_sum_to_nabla_sum, lambda c: theta_char(Fraction(3, 2), c)):
-            want = _outcome(op, FormalChar(dict(result.terms)))
+            want = _outcome(op, FormalChar(result.terms.copy()))
             assert _outcome(op, result) == _outcome(op, result) == want
 
     same_as_fresh_copy()
-    result.terms[sym, lam] += 1  # a coefficient
+    form, before = result._form, result.terms.copy()
+    for key, v in (((sym, lam), c + 1), ((sym, tuple(Fraction(x) for x in lam)), 1), ((sym, (True, 0, 5)), 1)):
+        with pytest.raises(TypeError):
+            result.terms[key] = v
+    with pytest.raises(TypeError):
+        del result.terms[sym, lam]
+    assert result.terms == before and result._form is form
     same_as_fresh_copy()
-    del result.terms[sym, lam]
-    result.terms[sym, tuple(Fraction(c) for c in lam)] = 1  # an equal key, another object
-    same_as_fresh_copy()
-    result.terms[sym, (True, 0, 5)] = 1  # a bool coordinate
-    with pytest.raises(TypeError, match="is not exact"):
-        delta_sum_to_nabla_sum(result)
 
 
-def test_operations_skip_coefficients_set_to_zero():
-    """With coefficients set to 0 in place, a character answers as its fresh
-    copy, which drops them, in both conversions and theta; with every
-    coefficient 0 each answer is 0."""
+def test_operations_never_see_a_zero_coefficient():
+    """Coefficients 0 given to FormalChar are dropped, so a character built
+    with them answers as one built without them, in both conversions and
+    theta; with every coefficient 0 it is the zero character."""
     nab = lookup_tilting_pe3(W(0, 1, -1))
     dlt = nabla_sum_to_delta_sum(nab)
     for chi, convert in ((nab, nabla_sum_to_delta_sum), (dlt, delta_sum_to_nabla_sum)):
         ops = [convert] + [
             lambda c, a=a: theta_char(a, c) for a in sorted({v for _, lam in chi.terms for v in lam})
         ]
-        for key in list(chi.terms):
-            chi.terms[key] = 0
-            fresh = FormalChar(dict(chi.terms))
+        keys = list(chi.terms)
+        for k in range(len(keys) + 1):
+            zeros = dict.fromkeys(keys[:k], 0)
+            with_zeros = FormalChar({**chi.terms, **zeros})
+            fresh = FormalChar({key: c for key, c in chi.terms.items() if key not in zeros})
+            assert 0 not in with_zeros.terms.values() and with_zeros == fresh
             for op in ops:
-                assert _outcome(op, chi) == _outcome(op, fresh)
-        assert all(op(chi) == FormalChar() for op in ops)
+                assert _outcome(op, with_zeros) == _outcome(op, fresh)
+        assert with_zeros.is_zero() and all(op(with_zeros) == FormalChar() for op in ops)
+
+
+def _four_kinds():
+    """(name, make, a key of its terms) for a character built from terms, a
+    conversion result before and after its first read, and a lookup's
+    answer; make builds a fresh one, and the key is read off another."""
+    built = lambda: FormalChar(
+        {(symbol(NABLA, (1, 1, 1)), W(0, 1, -1)): 2, (symbol(NABLA, (1, 1, 1)), W("1/2", 1, -1)): -1}
+    )
+    half = lookup_tilting_pe3(W("1/2", "3/2", "5/2"))
+    unread = lambda: nabla_sum_to_delta_sum(half)
+
+    def read():
+        result = unread()
+        result.terms
+        return result
+
+    lookup = lambda: lookup_tilting_pe3(W(0, 1, -1))
+    return [(name, make, next(iter(make().terms))) for name, make in (
+        ("built", built), ("unread", unread), ("read", read), ("lookup", lookup)
+    )]
+
+
+_ANSWERS = {
+    "==": lambda chi: chi,
+    "hash": hash,
+    "repr": repr,
+    "support": FormalChar.support,
+    "json": char_to_json,
+    "to delta": lambda chi: _outcome(nabla_sum_to_delta_sum, chi),
+    "to nabla": lambda chi: _outcome(delta_sum_to_nabla_sum, chi),
+    "theta": lambda chi: [
+        _outcome(lambda c, a=a: theta_char(a, c), chi)
+        for a in sorted({v for _, lam in chi.terms for v in lam})
+    ],
+}
+
+
+_KINDS = _four_kinds()
+
+
+@pytest.mark.parametrize("name,make,key", _KINDS, ids=[kind[0] for kind in _KINDS])
+def test_no_write_reaches_a_character(name, make, key):
+    """Setting a coefficient to 0 or 5, or deleting a term, raises
+    TypeError on every kind of character, which then answers every read
+    and operation as its fresh copy does."""
+    chi = make()
+    assert _unread(chi) == (name == "unread")
+    for c in (0, 5):
+        with pytest.raises(TypeError):
+            chi.terms[key] = c
+    with pytest.raises(TypeError):
+        del chi.terms[key]
+    fresh = FormalChar(chi.terms.copy())
+    assert chi.terms[key] and 0 not in chi.terms.values()
+    assert [answer for answer, read in _ANSWERS.items() if read(chi) != read(fresh)] == []
+
+
+@pytest.mark.parametrize("name,make,key", _KINDS, ids=[kind[0] for kind in _KINDS])
+def test_characters_pickle_and_copy(name, make, key):
+    chi = make()
+    for twin in (pickle.loads(pickle.dumps(chi)), copy.deepcopy(chi), copy.copy(chi)):
+        assert twin == chi and repr(twin) == repr(chi)
+        with pytest.raises(TypeError):
+            twin.terms[key] = 0
 
 
 def test_results_round_trip_through_json():
