@@ -9,6 +9,7 @@ rational entries such as ``1/2``.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import re
 import sys
@@ -34,9 +35,29 @@ from .linkage import block_count, block_label, canonical_representative
 from .tilting import NotWeaklyTypical, weakly_typical_tilting
 from .weights import borel, exact, format_weight, parse_weight
 from .weyl import format_poly, kl_polynomial, parse_perm
-from .pe3.appendix import replay_appendix
 from .pe3.tables import NoTableEntry, TableIntegrityError, lookup_tilting_pe3
-from .pe3.verify import pe2_property_check, verify_tables, verify_theorem_D
+
+
+def _lazy(name: str):
+    """The module ``name``, registered in ``sys.modules`` and on its parent
+    package now, but compiled and run on its first attribute read.  An
+    already imported module is returned as it is, so no second copy of its
+    classes exists."""
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    parent, _, child = name.rpartition(".")
+    setattr(sys.modules[parent], child, module)
+    return module
+
+
+# only `verify` runs these two suites' modules: other subcommands never compile them
+appendix = _lazy("pericat.pe3.appendix")
+verify = _lazy("pericat.pe3.verify")
 
 RHO_NOTE = (
     "Weights are rho-shifted: T_{a,b,c} means the tilting module of highest "
@@ -180,13 +201,13 @@ def _report_rows(suite: str, bound: Optional[int]):
     if suite == "appendix":
         if args:
             raise ValueError("verify appendix takes no --bound: it replays fixed samples")
-        return [(r.step, r.ok, r.detail, ()) for r in replay_appendix()]
+        return [(r.step, r.ok, r.detail, ()) for r in appendix.replay_appendix()]
     if suite == "pe3":
-        reports = verify_tables(*args)
+        reports = verify.verify_tables(*args)
     elif suite == "thmD":
-        reports = verify_theorem_D(*args)
+        reports = verify.verify_theorem_D(*args)
     elif suite == "props":
-        reports = [pe2_property_check(*args)]
+        reports = [verify.pe2_property_check(*args)]
     else:
         raise ValueError(f"unknown verification suite {suite!r}")
     return [(r.name, r.ok, f"checked={r.checked}", r.failures) for r in reports]

@@ -358,15 +358,82 @@ def test_merge_negative_values():
     assert _merge_negative_values(argv) == argv
 
 
+def _fresh_python(script: str) -> list[str]:
+    """Run ``script`` in a new interpreter that imports this pericat; its
+    stdout lines."""
+    env = dict(os.environ, PYTHONPATH=str(Path(pericat.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.stderr == ""
+    return proc.stdout.splitlines()
+
+
 def test_cli_does_not_load_logging():
     script = (
         "import sys\n"
         "from pericat.cli import main\n"
         "print(main(['kl', '--x', '2,1,3', '--w', '3,2,1']), 'logging' in sys.modules)\n"
     )
-    env = dict(os.environ, PYTHONPATH=str(Path(pericat.__file__).resolve().parents[1]))
-    proc = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+    assert _fresh_python(script) == ["1", "0 False"]
+
+
+def test_cli_reuses_suite_modules_imported_first():
+    """A suite module imported before the CLI is the one the CLI runs: a
+    second copy would hold second copies of its classes."""
+    script = (
+        "import sys\n"
+        "import pericat.pe3.verify as verify, pericat.pe3.appendix as appendix\n"
+        "from pericat import cli\n"
+        "print(cli.verify is verify is sys.modules['pericat.pe3.verify'],"
+        " cli.appendix is appendix is sys.modules['pericat.pe3.appendix'])\n"
+        "print(cli.main(['verify', 'props']))\n"
     )
-    assert proc.stderr == ""
-    assert proc.stdout.splitlines() == ["1", "0 False"]
+    lines = _fresh_python(script)
+    assert lines[0] == "True True"
+    assert lines[-2:] == ["all checks passed", "0"]
+
+
+_SUITE_MODULES = ("pericat.pe3.appendix", "pericat.pe3.verify")
+
+
+@pytest.mark.parametrize(
+    "argvs, ran",
+    [
+        ([], []),
+        ([["kl", "--x", "2,1,3", "--w", "3,2,1"]], []),
+        ([["kl", "--x", "2,1,3", "--w", "3,2,1"], ["verify", "props"]], ["pericat.pe3.verify"]),
+        ([["verify", "appendix"]], ["pericat.pe3.appendix"]),
+    ],
+)
+def test_cli_runs_only_the_suite_modules_it_reads(argvs, ran):
+    """Right after ``import pericat.cli`` every module file of the package
+    has its ``sys.modules`` entry (perfbench's tracer indexes them), bound
+    on its parent package as ``import`` binds it; but a verify suite's
+    module runs only when a subcommand reads it: until then its entry is a
+    lazy module, not a ``types.ModuleType``."""
+    src = Path(pericat.__file__).resolve().parent
+    names = sorted(
+        ".".join(("pericat",) + path.relative_to(src).with_suffix("").parts).removesuffix(
+            ".__init__"
+        )
+        for path in src.rglob("*.py")
+    )
+    script = (
+        "import contextlib, io, json, sys, types\n"
+        "from pericat import cli\n"
+        "def registered(name):\n"
+        "    parent, _, child = name.rpartition('.')\n"
+        "    module = sys.modules.get(name)\n"
+        "    bound = not parent or getattr(sys.modules[parent], child, None) is module\n"
+        "    return module is not None and bound\n"
+        f"missing = [n for n in {names!r} if not registered(n)]\n"
+        "codes = []\n"
+        f"for argv in {argvs!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        codes.append(cli.main(argv))\n"
+        f"ran = [n for n in {_SUITE_MODULES!r} if type(sys.modules[n]) is types.ModuleType]\n"
+        "print(json.dumps([missing, codes, ran]))\n"
+    )
+    assert "pericat.pe3.verify" in names and "pericat.pe3" in names
+    assert json.loads(_fresh_python(script)[-1]) == [[], [0] * len(argvs), ran]
