@@ -394,9 +394,6 @@ def test_cli_reuses_suite_modules_imported_first():
     assert lines[-2:] == ["all checks passed", "0"]
 
 
-_SUITE_MODULES = ("pericat.pe3.appendix", "pericat.pe3.verify")
-
-
 @pytest.mark.parametrize(
     "argvs, ran",
     [
@@ -432,7 +429,8 @@ def test_cli_runs_only_the_suite_modules_it_reads(argvs, ran):
         f"for argv in {argvs!r}:\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        codes.append(cli.main(argv))\n"
-        f"ran = [n for n in {_SUITE_MODULES!r} if type(sys.modules[n]) is types.ModuleType]\n"
+        "ran = [n for n in ('pericat.pe3.appendix', 'pericat.pe3.verify')\n"
+        "       if type(sys.modules[n]) is types.ModuleType]\n"
         "print(json.dumps([missing, codes, ran]))\n"
     )
     assert "pericat.pe3.verify" in names and "pericat.pe3" in names
