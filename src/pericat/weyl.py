@@ -12,7 +12,10 @@ Kazhdan-Lusztig polynomials come from the classical recursion, except for
 the comparable pairs with l(w) - l(x) <= 2 (after normalizing x), which the
 degree bound deg P_{x,w} <= (l(w) - l(x) - 1)/2 and P_{x,w}(0) = 1 fix at 1.
 Each polynomial the recursion computes is checked against both facts and
-kept in a per-rank memo of the remaining pairs.
+kept in a per-rank memo of the remaining pairs.  Inside the recursion, Bruhat
+order compares rank matrices r_w(i, j) = #{a < i : w(a) >= j} packed into one
+int per permutation, built with the other per-rank tables in one pass over
+S_1, ..., S_n; ``bruhat_leq`` keeps the prefix-sorting criterion.
 
 >>> length((2, 0, 1))
 2
@@ -217,32 +220,35 @@ class _RankIndex:
     * ``left[i][k]`` is the position of s_i w_k.  When i + 1 = d or i = d,
       s_i w is (d -+ 1, f_{d-+1}(u)), the same offset in the block before or
       after; otherwise it stays in block d as (d, f_d(s_i' u)), with i' = i
-      below d - 1 and i' = i - 1 above d.
+      below d - 1 and i' = i - 1 above d;
+    * ``key[k]`` packs w_k's rank matrix r(i, j) = #{a < i : w(a) >= j},
+      1 <= i, j < n, row by row, each entry in ``bits`` value bits under a
+      guard bit.  In block d, row i of w is u's row i-1 (row 0 being 0) with
+      u's fields j >= d moved up one field (field d also stays), plus 1 in
+      each field j <= d; for d = 0, field 1 holds i-1 instead.
 
-    Bruhat order is the prefix-sorting criterion on packed keys: field
-    (k, j) of ``key[w]`` holds the j-th smallest entry of w[:k] in ``bits``
-    value bits under a guard bit, so ``((key[w] | guard) - key[x]) & guard
-    == guard`` iff every field of x is at most the matching field of w (no
-    borrow crosses a field).  Keys are packed prefix by prefix, each shared
-    by every permutation that extends it.  ``by_length[s][L]`` lists the w
-    of length L with s a left descent, read off ``descents``.  ``position``
-    maps a permutation to its k.  ``kl`` memoizes P_{x,w}, keyed x*size+w,
-    on the normalized pairs x < w with l(w) - l(x) >= 3 that the recursion
-    reached; the degree bound answers every other comparable pair.
+    Bruhat order is the rank-matrix criterion (Bjorner-Brenti, Thm 2.1.5):
+    x <= w iff r_x <= r_w field by field, that is iff ``((key[w] | guard) -
+    key[x]) & guard == guard`` (no borrow crosses a field).
+    ``by_length[s][L]`` lists the w of length L with s a left descent, read
+    off ``descents``.  ``position`` maps a permutation to its k.  ``kl``
+    memoizes P_{x,w}, keyed x*size+w, on the normalized pairs x < w with
+    l(w) - l(x) >= 3 that the recursion reached; the degree bound answers
+    every other comparable pair.
     """
 
     def __init__(self, n: int):
         perms = all_perms(n)
         size = len(perms)
-        bits = max(1, (n - 1).bit_length())
+        bits = (n - 1).bit_length()
         width = bits + 1
-        fields = n * (n - 1) // 2
+        stride = (n - 1) * width  # the bits of one rank-matrix row
         self.perms = perms
         self.size = size
         self.position = dict(zip(perms, range(size)))
-        self.guard = sum(1 << (f * width + bits) for f in range(fields))
+        self.guard = sum(1 << (f * width + bits) for f in range((n - 1) ** 2))
 
-        lengths, descents, left = [0], [0], []
+        lengths, descents, left, keys = [0], [0], [], [0]
         for m in range(2, n + 1):
             step = len(lengths)  # (m-1)!, the size of a block
             rows = []
@@ -263,41 +269,27 @@ class _RankIndex:
                 out += [u & low | low + 1 | u >> d << d + 1 for u in descents]
             descents = out
             lengths = [d + l for d in range(m) for l in lengths]
-        self.length, self.descents, self.left = lengths, descents, left
+            # field[j] masks field j+1 of u's m-2 rows; ones is 1 in field 1
+            # of w's m-1 rows, and first holds block 0's values i-1 there.
+            field = [sum(((1 << bits) - 1) << i * stride for i in range(m - 2)) << j * width
+                     for j in range(m - 2)]
+            ones = sum(1 << i * stride for i in range(m - 1))
+            first = sum(i << i * stride for i in range(m - 1))
+            out = []
+            for d in range(m):
+                low, high = sum(field[:d]), sum(field[max(d - 1, 0):])
+                add = sum(ones << j * width for j in range(d)) if d else first
+                # + and not |: the constant adds to the fields it lands on.
+                out += [((k & low) << stride) + ((k & high) << stride + width) + add
+                        for k in keys]
+            keys = out
+        self.length, self.descents, self.left, self.key = lengths, descents, left, keys
 
-        self.by_length = [[[] for _ in range(fields + 1)] for _ in range(n - 1)]
+        self.by_length = [[[] for _ in range(n * (n - 1) // 2 + 1)] for _ in range(n - 1)]
         for i, rows in enumerate(self.by_length):
             bit = 1 << i
             for k in itertools.compress(range(size), [dk & bit for dk in descents]):
                 rows[lengths[k]].append(k)
-
-        # Prefixes one length at a time, in lexicographic order: a prefix
-        # carries its packed key so far, its sorted entries packed as one row,
-        # and the values left.  Adding v, which has r = v - j smaller entries in
-        # the prefix when it is the j-th value left, inserts one field at r.
-        level = [(0, 0, tuple(range(n)))]
-        shift = 0
-        for taken in range(1, n - 1):
-            extended = []
-            for packed, row, rest in level:
-                for j, v in enumerate(rest):
-                    cut = (v - j) * width
-                    low = row & ((1 << cut) - 1)
-                    row_v = low | v << cut | (row ^ low) << width
-                    extended.append((packed | row_v << shift, row_v, rest[:j] + rest[j + 1:]))
-            shift += taken * width
-            level = extended
-        if n < 2:
-            self.key = [0] * size
-        else:
-            # The last row, sorted(w[:n-1]), is every value but w(n-1).
-            last = [
-                sum(u << (u - (u > v)) * width for u in range(n) if u != v) << shift
-                for v in range(n)
-            ]
-            self.key = []
-            for packed, _, (a, b) in level:
-                self.key += (packed | last[b], packed | last[a])
         self.kl: dict[int, Poly] = {}
 
     def leq(self, x: int, w: int) -> bool:
@@ -341,9 +333,12 @@ class _RankIndex:
         v = self.left[s][w]
         result = poly_add(self.poly(self.left[s][x], v), poly_shift(self.poly(x, v), 1))
         lw, lx = self.length[w], self.length[x]
+        key, guard = self.key, self.guard
+        kx, kv = key[x], key[v] | guard
         for lz in range(lw - 2, lx - 1, -2):
             for z in self.by_length[s][lz]:
-                if not (self.leq(x, z) and self.leq(z, v)):
+                kz = key[z]  # x <= z <= v, as in ``leq``
+                if (kz | guard) - kx & guard != guard or kv - kz & guard != guard:
                     continue
                 # z < v with l(z) = l(v) - 1 is a cover, so P_{z,v} = 1 and mu = 1.
                 m = 1 if lz == lw - 2 else self.mu(z, v)

@@ -260,19 +260,20 @@ E5, W24513 = (0, 1, 2, 3, 4), parse_perm("2,4,5,1,3")
 def _index_from_definitions(n: int) -> dict:
     """The ``_RankIndex`` tables built per permutation from the definitions:
     ``length``, the bits of ``left_descents``, the position of ``left_mult``
-    and the packed fields of ``sorted(w[:k])``."""
+    and the packed rank matrix r_w(i, j) = #{a < i : w(a) >= j}, 1 <= i, j < n,
+    with entry (i, j) in field (i-1)(n-1) + j-1 of ``bits`` + 1 bits."""
     perms = all_perms(n)
     position = {w: k for k, w in enumerate(perms)}
-    width = max(1, (n - 1).bit_length()) + 1
+    width = (n - 1).bit_length() + 1
     lengths = [length(w) for w in perms]
-    keys = []
-    for w in perms:
-        packed, shift = 0, 0
-        for k in range(1, n):
-            for v in sorted(w[:k]):
-                packed |= v << shift
-                shift += width
-        keys.append(packed)
+    keys = [
+        sum(
+            sum(1 for a in range(i) if w[a] >= j) << ((i - 1) * (n - 1) + j - 1) * width
+            for i in range(1, n)
+            for j in range(1, n)
+        )
+        for w in perms
+    ]
     by_length = [[[] for _ in range(n * (n - 1) // 2 + 1)] for _ in range(n - 1)]
     for k, w in enumerate(perms):
         for i in left_descents(w):
@@ -293,6 +294,43 @@ def test_rank_index_matches_definitions(n):
     index = weyl._RankIndex(n)
     for name, table in _index_from_definitions(n).items():
         assert getattr(index, name) == table, name
+
+
+def _bruhat_sample(n: int, rng: random.Random, count: int) -> list:
+    """Pairs of S_n: x a few inversion-removing swaps below w (comparable),
+    half of them then moved by one more swap (near misses), and every third
+    w ending in 0, so that its field r_w(n-1, 1) holds n - 1."""
+    pairs = []
+    for k in range(count):
+        w = list(rng.sample(range(n), n))
+        if k % 3 == 0:
+            w.remove(0)
+            w.append(0)
+        x = list(w)
+        for _ in range(rng.randint(0, n)):
+            i, j = sorted(rng.sample(range(n), 2))
+            if x[i] > x[j]:
+                x[i], x[j] = x[j], x[i]
+        if k % 2:
+            i, j = rng.sample(range(n), 2)
+            x[i], x[j] = x[j], x[i]
+        pairs.append((tuple(x), tuple(w)))
+    return pairs
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_rank_index_leq_matches_bruhat_leq(n):
+    index = weyl._RankIndex(n)
+    if n <= 5:
+        pairs = list(itertools.product(all_perms(n), repeat=2))
+    else:
+        pairs = _bruhat_sample(n, random.Random(n), 3000)
+    got = [index.leq(index.position[x], index.position[w]) for x, w in pairs]
+    assert got == [bruhat_leq(x, w) for x, w in pairs]
+    if n >= 6:
+        # Both verdicts are common, and fields at n - 1 meet in comparable pairs.
+        assert min(sum(got), len(got) - sum(got)) > 300
+        assert any(ok and x[-1] == w[-1] == 0 for ok, (x, w) in zip(got, pairs))
 
 
 def test_kl_memo_holds_normalised_pairs_s5():
@@ -335,8 +373,12 @@ def test_kl_degree_bound_answers_gap_two_or_less_s5():
 
 
 def test_kl_smallest_ranks():
-    assert kl_polynomial((), ()) == (1,)
-    assert kl_polynomial((0,), (0,)) == (1,)
+    e, s = (0, 1), (1, 0)
+    answers = {((), ()): 1, ((0,), (0,)): 1, (e, e): 1, (e, s): 1, (s, e): 0, (s, s): 1}
+    for (x, w), leq in answers.items():
+        assert kl_polynomial(x, w) == (ONE_POLY if leq else ZERO_POLY), (x, w)
+        index = weyl._RankIndex(len(w))
+        assert index.leq(index.position[x], index.position[w]) == leq, (x, w)
 
 
 def test_kl_invariant_violation_is_typed():
