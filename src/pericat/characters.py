@@ -15,8 +15,8 @@ coefficients of the Borel expansion (w.lam is not p-dominant for w != 1 in W_p):
     delta_sum_to_nabla_sum (greedy, one degree level at a time), which
     raises NonTerminating when no finite Nabla(p) sum exists: Nabla^p_x has
     one Delta(p) term 2n below x, so no answer has a Nabla term below the
-    lowest degree of its input plus 2n
-  * to_borel_delta: the Levi orbits of the Delta(p) form
+    lowest degree of its input plus 2n, and what is left is expanded over
+    the Levi orbits into Delta(borel)
   * the translation-functor rule theta_char
   * shift_by_omega, the twist by a power of the determinant.
 
@@ -210,14 +210,6 @@ def char_sum(chars: Iterable[FormalChar]) -> FormalChar:
 
 
 # --- expansions ---------------------------------------------------------------
-
-
-def to_borel_delta(chi: FormalChar) -> FormalChar:
-    """Expand a Delta(p)- or Nabla(p)-basis character into Delta(borel): the
-    alternating Levi orbit of each term of its Delta(p) form."""
-    if chi.is_zero():
-        return FormalChar()
-    return _borel(*_delta_rows(chi))
 
 
 def _borel(p: Parabolic, d: int, rows: dict) -> FormalChar:

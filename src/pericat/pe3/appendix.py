@@ -160,7 +160,7 @@ class _Recorder:
 def _table(fam_id: str, **params) -> FormalChar:
     """Row fam_id at params: the instance the table lookup keeps."""
     fixture = _fixture()
-    fam = fixture.families[fam_id]
+    fam = fixture.row(fam_id)
     return fixture.instance(fam, {name: params[name] for name in fam.param_names})
 
 

@@ -246,6 +246,12 @@ class _Fixture(NamedTuple):
     solve: dict
     kept: dict
 
+    def row(self, fam_id: str) -> TiltingFamily:
+        """The row of this file with id fam_id; TableIntegrityError names a missing one."""
+        if fam_id not in self.families:
+            raise TableIntegrityError(f"family {fam_id}: no such row in the fixture file")
+        return self.families[fam_id]
+
     def instance(self, fam: TiltingFamily, params: dict[str, Coord]) -> FormalChar:
         """fam.instantiate(params) for a row of this file, kept once it has
         validated: a failing instance is never kept, so it raises on every

@@ -365,12 +365,11 @@ def verify_tables(param_bound: int = 4) -> list[CheckReport]:
     if param_bound < 4:
         raise ValueError("param_bound must be at least 4 to cover every pattern")
     fixture = _fixture()
-    families = fixture.families
     rows = _instantiate_all(param_bound)
     memo: dict = {}  # tilting characters by (weight, parabolic), for this call only
-    reports = [_check_family(fam, rows, memo) for fam in families.values()]
+    reports = [_check_family(fam, rows, memo) for fam in fixture.families.values()]
     try:
-        same = fixture.instance(families["5.2"], {}) == fixture.instance(families["5.7"], {})
+        same = fixture.instance(fixture.row("5.2"), {}) == fixture.instance(fixture.row("5.7"), {})
         detail = "rows 5.2 and 5.7 disagree"
     except TableIntegrityError as exc:
         same, detail = False, str(exc)

@@ -1,14 +1,15 @@
 """Shared helpers for the test suite."""
 
 import importlib.util
-import itertools
 import json
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
 from hypothesis import strategies as st
 
-from pericat.characters import FormalChar, char_sum, delta, nabla, nabla_sum_to_delta_sum
+import reference
+from pericat.characters import FormalChar, char_sum, delta, nabla, nabla_sum_to_delta_sum, symbol
 from pericat.linkage import block_label
 from pericat.pe3 import tables
 from pericat.tilting import weakly_typical_tilting
@@ -24,6 +25,14 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+@pytest.fixture(autouse=True, scope="module")
+def _empty_reference_caches():
+    yield  # the reference's caches serve one module; kept, they slow every later gc
+    for cached in vars(reference).values():
+        getattr(cached, "cache_clear", lambda: None)()
+
 
 B2 = (1, 1)
 B3 = (1, 1, 1)
@@ -79,11 +88,11 @@ def compose(w, v):
 
 def oracle_verma_mult_small(lam, mu) -> int:
     """Independent recomputation of [M_lam : L_mu] for n <= 3, where every
-    nonzero multiplicity is 1: mu in lam's down-set by `bfs_closure`, a
-    weight BFS that shares no ranking with the engine."""
+    nonzero multiplicity is 1: mu in lam's down-set by the reference's
+    weight BFS, which shares no ranking with the engine."""
     if len(lam) > 3:
         raise ValueError("oracle only covers n <= 3")
-    return 1 if mu in bfs_closure(lam, 1) else 0
+    return 1 if reference.strongly_linked(mu, lam) else 0
 
 
 def tilting_delta_mults_wt(lam, p=None) -> FormalChar:
@@ -93,23 +102,10 @@ def tilting_delta_mults_wt(lam, p=None) -> FormalChar:
     return nabla_sum_to_delta_sum(weakly_typical_tilting(lam, p))
 
 
-def bfs_closure(start, sign):
-    """The strong-linkage closure by a BFS on the weights themselves: swap
-    nu_i, nu_j (i < j) when sign * (nu_i - nu_j) is a positive integer."""
-    seen, frontier = {start}, [start]
-    while frontier:
-        nxt = []
-        for nu in frontier:
-            for i, j in itertools.combinations(range(len(nu)), 2):
-                d = (nu[i] - nu[j]) * sign
-                if d > 0 and Fraction(d).denominator == 1:
-                    out = list(nu)
-                    out[i], out[j] = out[j], out[i]
-                    if tuple(out) not in seen:
-                        seen.add(tuple(out))
-                        nxt.append(tuple(out))
-        frontier = nxt
-    return seen
+def formal(chi: dict) -> FormalChar:
+    """A reference character, {(kind, p, weight): coeff}, as a FormalChar."""
+    syms = {basis: symbol(*basis) for basis in {key[:2] for key in chi}}
+    return FormalChar({(syms[kind, p], lam): c for (kind, p, lam), c in chi.items()})
 
 
 # Roots as dense vectors, for the tests that check the index-pair form
@@ -149,10 +145,6 @@ def compositions(n: int):
             yield (head,) + tail
 
 
-def is_integer(x) -> bool:
-    return x.denominator == 1
-
-
 def frac_box(lo: int, hi: int):
     return [Fraction(v) for v in range(lo, hi + 1)]
 
@@ -165,16 +157,6 @@ def partial_weight(i: int, n: int):
 def same_block(lam, mu) -> bool:
     """Equality of block labels as multisets of class records."""
     return sorted(block_label(lam)) == sorted(block_label(mu))
-
-
-def is_antidominant(lam) -> bool:
-    """No pairing with a positive even root lies in Z_{>0}."""
-    n = len(lam)
-    return all(
-        not (is_integer(lam[i] - lam[j]) and lam[i] - lam[j] > 0)
-        for i in range(n)
-        for j in range(i + 1, n)
-    )
 
 
 def normalised(lam) -> bool:
@@ -208,6 +190,15 @@ def _mutate(rec: dict, mutation: str) -> None:
     else:
         raise ValueError(f"unknown mutation {mutation!r}")
     terms[1][0] = ",".join(coords)
+
+
+def without_row(tmp_path, fam_id, name=None):
+    """families.json with the row fam_id left out."""
+    doc = json.loads(tables._read_fixture("<packaged>"))
+    doc["families"] = [rec for rec in doc["families"] if rec["id"] != fam_id]
+    path = tmp_path / (name or f"families-without-{fam_id}.json")
+    path.write_text(json.dumps(doc))
+    return path
 
 
 def corrupt_row(tmp_path, fam_id="5.4", mutation="coefficient"):

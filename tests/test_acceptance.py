@@ -26,13 +26,13 @@ import time
 from fractions import Fraction
 
 import conftest
+import reference
 from conftest import (
     B3,
     B4,
     W,
     compositions,
     frac_box,
-    is_antidominant,
     nab_sum,
     oracle_verma_mult_small,
 )
@@ -44,7 +44,6 @@ from pericat.characters import (
     nabla_sum_to_delta_sum,
     symbol,
     theta_char,
-    to_borel_delta,
 )
 from pericat.glmult import (
     parabolic_verma_simple_mult,
@@ -66,7 +65,6 @@ from pericat.weights import (
     format_weight,
     is_dominant,
     is_p_dominant,
-    is_p_weakly_typical,
 )
 from pericat.weyl import all_perms, kl_eval_one
 
@@ -250,29 +248,12 @@ def test_criterion_04_minimality_statements():
 # --- criterion 5: table self-consistency ---------------------------------------
 
 
-def _levi_orbit(lam, p):
-    """(w lam, sign w) over the Levi Weyl group of the composition p."""
-    starts = list(itertools.accumulate((0,) + tuple(p)))
-    blocks = [range(a, b) for a, b in zip(starts, starts[1:])]
-    for perms in itertools.product(*(itertools.permutations(b) for b in blocks)):
-        order = [i for perm in perms for i in perm]
-        inversions = sum(1 for i, j in itertools.combinations(order, 2) if i > j)
-        yield tuple(lam[i] for i in order), (-1) ** inversions
-
-
-def _kappa_rule_borel_delta(row) -> dict:
-    """Borel standard multiplicities of a costandard-basis row, from the
+def _borel_delta(chi) -> dict:
+    """Borel standard multiplicities of a FormalChar, from the reference's
     definitions: a parabolic costandard is the alternating Levi-orbit sum of
     Borel costandards, and ch Nabla_mu = sum over kappa in {0,2}^n of
     ch Delta_{mu - kappa}."""
-    ((_, p),) = row.symbols()
-    out: dict = {}
-    for (_, lam), c in row.terms.items():
-        for mu, sign in _levi_orbit(lam, p):
-            for kappa in itertools.product((0, 2), repeat=len(mu)):
-                nu = tuple(a - k for a, k in zip(mu, kappa))
-                out[nu] = out.get(nu, 0) + sign * c
-    return {nu: c for nu, c in out.items() if c}
+    return {mu: c for (_, _, mu), c in reference.borel_expansion(reference.terms(chi)).items()}
 
 
 @criterion(5)
@@ -322,12 +303,12 @@ def test_criterion_05_table_self_consistency():
             # expansion are the parabolic multiplicities (all of it for B3).
             oracle = {
                 nu: c
-                for nu, c in _kappa_rule_borel_delta(row).items()
-                if is_p_dominant(nu, fam.parabolic)
+                for nu, c in _borel_delta(row).items()
+                if reference.is_p_dominant(nu, fam.parabolic)
             }
             assert mults == oracle, f"{tag}: kappa-rule oracle disagrees"
             if fam.parabolic != B3:
-                assert to_borel_delta(d) == to_borel_delta(row), tag
+                assert _borel_delta(d) == _borel_delta(row), tag
             top = max(oracle.values())
             if top > 1:
                 above_one[tag] = top
@@ -354,7 +335,7 @@ def test_criterion_05_table_self_consistency():
     assert example.coeff(NABLA, W(-1, 0, -1)) == 1
     assert example.coeff(NABLA, W(-1, 0, 1)) == 1
     assert nabla_sum_to_delta_sum(example).coeff(DELTA, W(-3, -2, -1)) == 2
-    assert _kappa_rule_borel_delta(example)[W(-3, -2, -1)] == 2
+    assert _borel_delta(example)[W(-3, -2, -1)] == 2
 
     return (
         f"{len(table_reports)} row families single-block and theta-closed "
@@ -429,10 +410,9 @@ def test_criterion_07_theta_consistency():
         else:
             a = rng.choice(pool)
         via_nabla_rule = theta_char(a, nabla(lam))
-        expanded = char_sum(
-            c * to_borel_delta(nabla(mu)) for (_, mu), c in via_nabla_rule.terms.items()
-        )
-        via_delta_rule = theta_char(a, to_borel_delta(nabla(lam)))
+        expanded = reference.borel_expansion(reference.terms(via_nabla_rule))
+        expansion = reference.borel_expansion({(NABLA, B3, lam): 1})
+        (via_delta_rule,) = reference.theta_borel([a], expansion)
         assert expanded == via_delta_rule, (lam, a)
         if not via_nabla_rule.is_zero():
             nonzero += 1
@@ -481,11 +461,11 @@ def test_criterion_09_tilting_equals_costandard():
     box = frac_box(-3, 3)
     eq_count = 0
     for lam in itertools.product(box, repeat=3):
-        expected = is_antidominant(lam) and is_p_weakly_typical(lam, B3)
+        expected = reference.is_antidominant(lam) and reference.is_p_weakly_typical(lam, B3)
         assert tilting_equals_nabla(lam) == expected, lam
         eq_count += expected
     for lam in (W(0, "1/2", 1), W(1, "1/2", 0), W("1/2", 0, "-3/2"), W(2, "5/2", "1/2")):
-        expected = is_antidominant(lam) and is_p_weakly_typical(lam, B3)
+        expected = reference.is_antidominant(lam) and reference.is_p_weakly_typical(lam, B3)
         assert tilting_equals_nabla(lam) == expected, lam
 
     orbit_count = 0

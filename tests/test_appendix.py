@@ -6,9 +6,11 @@ import time
 
 import pytest
 
-from conftest import W, bfs_closure
+import reference
+from conftest import W, without_row
 from pericat.pe3 import appendix
 from pericat.pe3.appendix import DEFAULT_SAMPLES, StepRecord, _certified, replay_appendix
+from pericat.pe3.tables import TableIntegrityError
 from pericat.weights import negate
 
 
@@ -89,13 +91,13 @@ def _fact_calls(monkeypatch) -> list:
 
 def test_fact_covers_matches_up_set_oracle(monkeypatch):
     """_fact_covers is the old edge set {(-eta, -nu) : nu in the strong
-    up-set of kac, by the weight BFS}, on every pair of the box {-3..3}^3
-    and of the edges."""
+    up-set of kac, by the reference's weight BFS}, on every pair of the box
+    {-3..3}^3 and of the edges."""
     facts = {call[0] for call in _fact_calls(monkeypatch)}
     assert sorted(f.tag for f in facts) == ["6.1-V", "6.15", "6.2-I", "6.2-I", "6.2-IV", "6.2-IV"]
     box = list(itertools.product(range(-3, 4), repeat=3))
     for fact in facts:
-        edges = {(negate(fact.eta), negate(nu)) for nu in bfs_closure(fact.kac, -1)}
+        edges = {(negate(fact.eta), negate(nu)) for nu in reference.up_set(fact.kac)}
         tilts = box + [negate(fact.eta)]
         nabs = box + [nab for _, nab in edges]
         for tilt, nab in itertools.product(tilts, nabs):
@@ -116,3 +118,9 @@ def test_socle_pairs_need_the_socle_fact(monkeypatch):
     assert covered == set(SOCLE_PAIRS) and len(SOCLE_PAIRS) == 9
     for tilt, nab in SOCLE_PAIRS:
         assert not _certified(tilt, nab), (tilt, nab)
+
+
+def test_a_missing_row_is_a_table_integrity_error(tmp_path, monkeypatch):
+    monkeypatch.setenv("PERICAT_FIXTURES", str(without_row(tmp_path, "5.7")))
+    with pytest.raises(TableIntegrityError, match="^family 5.7: no such row in the fixture file$"):
+        replay_appendix()

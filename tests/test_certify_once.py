@@ -4,9 +4,9 @@ The character operations guard their input once per call, the pe(3) table
 lookup reads its candidate rows off a solve compiled when the file loads and
 serves validated instances kept per fixture file, and `verify pe3`'s
 decompositions look a head up once per class mod omega.  These tests compare
-each against a reference that re-certifies on every call: a copy of the
-table lookup that solves every row and instantiates every match, and the
-per-term guard `require_p_dominant`.
+each against the reference, which re-certifies on every call: its table
+lookup solves every row and instantiates every match, and its guard tests
+every term.
 """
 
 import json
@@ -14,7 +14,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import B3, W, corrupt_row, sweep_items
+import reference
+from conftest import B3, W, corrupt_row, sweep_items, without_row
 from pericat import glmult
 from pericat.characters import (
     FormalChar,
@@ -24,7 +25,6 @@ from pericat.characters import (
     nabla_sum_to_delta_sum,
     shift_by_omega,
     theta_char,
-    to_borel_delta,
 )
 from pericat.pe3 import tables, verify
 from pericat.pe3.tables import (
@@ -34,68 +34,18 @@ from pericat.pe3.tables import (
     lookup_tilting_pe3,
 )
 from pericat.pe3.verify import _instances, decompose_into_tiltings, verify_tables
-from pericat.tilting import _weakly_typical_tilting
-from pericat.weights import (
-    borel,
-    format_weight,
-    is_p_weakly_typical,
-    require_p_dominant,
-    shift,
-    weight,
-)
+from pericat.weights import format_weight, is_p_weakly_typical, require_p_dominant, shift
 
 P21 = (2, 1)
 
 
-def _ref_solve(fam, lam):
-    """The solve of one row, run on every row per lookup."""
-    shifts = [c - t for t, c in zip(fam.hw, lam) if type(t) is not str]
-    if len(fam.hw) != len(lam) or not shifts or shifts.count(shifts[0]) != len(shifts):
-        return None
-    k = shifts[0]
-    values = {}
-    for t, c in zip(fam.hw, lam):
-        if type(t) is str and values.setdefault(t, c - k) != c - k:
-            return None
-    for name, spec in fam.params:
-        if name not in values or not spec.admits(values[name]):
-            return None
-    return {name: values[name] for name, _ in fam.params}, k
-
-
-def ref_lookup(lam, p=None):
-    """`lookup_tilting_pe3` that keeps nothing: every row of p is solved in
-    file order and every match instantiated and validated on every call."""
-    if len(lam) != 3:
-        raise ValueError(f"table lookup requires rank 3, got {len(lam)}")
-    lam = weight(*lam)
-    p = borel(3) if p is None else tuple(p)
-    require_p_dominant(lam, p)
-    if is_p_weakly_typical(lam, p):
-        return _weakly_typical_tilting(lam, p)
-    base = shift(lam, -lam[0])
-    matches = []
-    for fam in load_families().values():
-        solved = _ref_solve(fam, base) if fam.parabolic == p else None
-        if solved is not None:
-            params, k = solved
-            matches.append((fam.id, shift_by_omega(fam.instantiate(params), k + lam[0])))
-    if not matches:
-        raise NoTableEntry(f"no table entry for weight {format_weight(lam)} with parabolic {p}")
-    first_id, first = matches[0]
-    for fam_id, other in matches[1:]:
-        if other != first:
-            raise TableIntegrityError(
-                f"families {first_id} and {fam_id} disagree at {format_weight(lam)}"
-            )
-    return first
-
-
 def _outcome(call, *args):
+    """("value", the answer as a reference character), or the error's type and text."""
     try:
-        return "value", call(*args)
+        answer = call(*args)
     except Exception as exc:  # the exception type and text are the answer
         return type(exc), str(exc)
+    return "value", reference.terms(answer) if isinstance(answer, FormalChar) else answer
 
 
 def _verify_heads(bound):
@@ -128,8 +78,9 @@ def verify_heads():
 def test_lookup_matches_reference_on_verify_heads(verify_heads):
     assert len(verify_heads) > 300
     for lam, p in verify_heads:
+        want = _outcome(reference.lookup, lam, p)
         for _ in range(2):  # the second call reads kept instances
-            assert _outcome(lookup_tilting_pe3, lam, p) == _outcome(ref_lookup, lam, p), (lam, p)
+            assert _outcome(lookup_tilting_pe3, lam, p) == want, (lam, p)
 
 
 def test_lookup_matches_reference_on_sweep_items():
@@ -138,7 +89,7 @@ def test_lookup_matches_reference_on_sweep_items():
     outcomes = {"value": 0}
     for lam, p in items:
         got = _outcome(lookup_tilting_pe3, lam, p)
-        assert got == _outcome(ref_lookup, lam, p), (lam, p)
+        assert got == _outcome(reference.lookup, lam, p), (lam, p)
         outcomes[got[0]] = outcomes.get(got[0], 0) + 1
     assert outcomes["value"] > 500 and outcomes[NoTableEntry] > 10
 
@@ -165,11 +116,29 @@ def test_lookup_matches_reference_under_corruption(
     monkeypatch.setenv("PERICAT_FIXTURES", str(corrupt_row(tmp_path, fam_id, mutation)))
     raised = 0
     for lam, p in verify_heads:
-        want = _outcome(ref_lookup, lam, p)
+        want = _outcome(reference.lookup, lam, p)
         for _ in range(2):  # a failing instance is never kept: it raises again
             assert _outcome(lookup_tilting_pe3, lam, p) == want, (lam, p)
         raised += want[0] is TableIntegrityError
     assert raised
+
+
+def test_lookup_checks_a_repeated_token(tmp_path, monkeypatch, verify_heads):
+    """A row whose pattern names a parameter twice matches only weights whose
+    coordinates there agree: (-1, 0, 0) and (0, 1, 1) fit b,b,0 at its 0 alone."""
+    path = tmp_path / "repeated-token.json"
+    path.write_text('{"families": [{"id": "X", "parabolic": [1, 1, 1], "hw": "b,b,0", '
+                    '"params": {"b": {"kind": "int"}}, "terms": [["b,b,0", 1]]}]}')
+    monkeypatch.setenv("PERICAT_FIXTURES", str(path))
+    for lam in (W(-1, 0, 0), W(0, 1, 1)):
+        want = (NoTableEntry, f"no table entry for weight {format_weight(lam)} with parabolic {B3}")
+        assert _outcome(reference.lookup, lam) == _outcome(lookup_tilting_pe3, lam) == want
+    hits = 0  # heads the row answers: the engine takes the weakly typical ones
+    for lam, p in verify_heads:
+        want = _outcome(reference.lookup, lam, p)
+        assert _outcome(lookup_tilting_pe3, lam, p) == want, (lam, p)
+        hits += want[0] == "value" and not reference.is_p_weakly_typical(lam, p)
+    assert hits
 
 
 def _table_heads():
@@ -243,14 +212,6 @@ def test_decompose_shares_one_lookup_per_omega_class(monkeypatch):
     assert calls == [W(0, 1, -1)]  # the class, once; repeats read the exact entry
 
 
-def _without_row(tmp_path, fam_id, name):
-    doc = json.loads(tables._read_fixture("<packaged>"))
-    doc["families"] = [rec for rec in doc["families"] if rec["id"] != fam_id]
-    path = tmp_path / name
-    path.write_text(json.dumps(doc))
-    return path
-
-
 def _fewer_terms(tmp_path, fam_id, name):
     """The packaged file with the last constituent of one row dropped: a
     different, still valid row."""
@@ -268,7 +229,7 @@ def test_switching_fixtures_serves_each_files_rows(tmp_path, monkeypatch):
     assert len(packaged.terms) == 6
     files = {
         "fewer": _fewer_terms(tmp_path, "5.4", "fewer.json"),
-        "without": _without_row(tmp_path, "5.4", "without.json"),
+        "without": without_row(tmp_path, "5.4", "without.json"),
         "corrupt": corrupt_row(tmp_path, "5.4", "coefficient"),
         "packaged": None,
     }
@@ -289,7 +250,7 @@ def test_switching_fixtures_serves_each_files_rows(tmp_path, monkeypatch):
             monkeypatch.setenv("PERICAT_FIXTURES", str(files[name]))
         got = _outcome(lookup_tilting_pe3, W(2, 3, 1))
         if got[0] == "value":
-            got = ("value", len(got[1].terms))
+            got = ("value", len(got[1]))
         assert got == want[name], name
 
 
@@ -336,15 +297,13 @@ _OPERATIONS = [
     ("nabla_sum_to_delta_sum", nabla, nabla_sum_to_delta_sum),
     ("delta_sum_to_nabla_sum", delta, delta_sum_to_nabla_sum),
     ("theta_char", nabla, lambda chi: theta_char(1, chi)),
-    ("to_borel_delta", nabla, to_borel_delta),
 ]
 
 
 def _ref_guard(chi):
     """The per-term guard: the first term of chi outside Sigma_p^+ raises."""
-    p = chi.sole_basis().parabolic
-    for _, lam in chi.terms:
-        require_p_dominant(lam, p)
+    for _, p, lam in reference.terms(chi):
+        reference.require_p_dominant(lam, p)
 
 
 def _char(make, rows, p):
@@ -406,7 +365,6 @@ def test_borel_operations_run_no_guard(monkeypatch):
     nabla_sum_to_delta_sum(chi)
     delta_sum_to_nabla_sum(nabla_sum_to_delta_sum(chi))
     theta_char(0, chi)
-    to_borel_delta(chi)
     chi21 = lookup_tilting_pe3(W(1, 0, 3), P21)
     nabla_sum_to_delta_sum(chi21)
     theta_char(1, chi21)
@@ -435,7 +393,7 @@ def test_held_character_form_refuses_changes_in_place():
     (sym, lam), _ = next(iter(chi.terms.items()))
 
     def same_as_fresh_copy():
-        for op in (nabla_sum_to_delta_sum, to_borel_delta, lambda c: theta_char(3, c)):
+        for op in (nabla_sum_to_delta_sum, lambda c: theta_char(3, c)):
             want = _outcome(op, FormalChar(chi.terms.copy()))
             assert _outcome(op, chi) == _outcome(op, chi) == want
 

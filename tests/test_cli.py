@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import pericat
-from conftest import corrupt_row
+from conftest import corrupt_row, without_row
 from pericat.cli import _merge_negative_values, main
 
 
@@ -185,6 +185,19 @@ def test_error_unknown_parameter_kind(capsys, tmp_path, monkeypatch, argv):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (1, "")
     assert err == "error: TableIntegrityError: family 5.1: unknown parameter kind 'integer'\n"
+
+
+def test_verify_pe3_names_a_missing_row(capsys, tmp_path, monkeypatch):
+    # the coincidence check of rows 5.2 and 5.7 fails naming the missing
+    # row, and every other report is still printed
+    monkeypatch.setenv("PERICAT_FIXTURES", str(without_row(tmp_path, "5.7")))
+    code, out, err = run_cli(capsys, "verify", "pe3")
+    assert (code, err) == (1, "")
+    lines = out.splitlines()
+    assert sum(line.startswith("[") for line in lines) == 28  # 26 rows, the pair, the flag bound
+    i = lines.index("[FAIL] rows-5.2==5.7: checked=1")
+    assert lines[i + 1] == "    family 5.7: no such row in the fixture file"
+    assert lines[i + 2] == "[FAIL] delta-flag-bound: checked=64"
 
 
 def test_verify_pe3_corrupt_table_under_python_O(tmp_path):

@@ -8,23 +8,17 @@ grids before any downstream fact is frozen.
 
 import itertools
 import random
-from collections import defaultdict
 from fractions import Fraction
-from functools import lru_cache
 
 import pytest
 
-from conftest import W, compose, compositions, frac_box, is_integer, oracle_verma_mult_small
+import reference
+from conftest import W, compositions, frac_box, oracle_verma_mult_small
 from pericat.glmult import parabolic_verma_simple_mult, verma_simple_mult
 from pericat import glmult
 from pericat.linkage import strong_down_set, strongly_linked
-from pericat.weights import integrality_classes, is_p_dominant
-from pericat.weyl import (
-    InvariantViolation,
-    apply_perm,
-    kl_eval_one,
-    levi_weyl_group,
-)
+from pericat.weights import is_p_dominant
+from pericat.weyl import InvariantViolation
 
 
 def test_oracle_equivalence_n2_box():
@@ -80,7 +74,7 @@ def jantzen_sum(lam):
     out = {}
     for i, j in itertools.combinations(range(len(lam)), 2):
         c = lam[i] - lam[j]
-        if is_integer(c) and c > 0:
+        if reference.is_integer(c) and c > 0:
             mu = lam[:i] + (lam[j],) + lam[i + 1 : j] + (lam[i],) + lam[j + 1 :]
             out[mu] = out.get(mu, 0) + 1
     return out
@@ -236,79 +230,7 @@ def test_parabolic_negative_total_is_typed(monkeypatch):
         parabolic_verma_simple_mult(mu, mu, (2, 1))
 
 
-# --- reference kernel ---------------------------------------------------------
-# The multiplicity kernel as it stood before one ranking pass served a whole
-# pair: the integrality split and a rank dict per class for every Borel term,
-# the parabolic sum re-splitting every Levi term, and coset representatives
-# built from dicts of positions.
-
-
-def _max_coset_rep(mu, nu):
-    """The longest permutation w with w(nu) = mu under the place action,
-    for nu nondecreasing."""
-    n = len(nu)
-    positions = defaultdict(list)
-    for i, v in enumerate(nu):
-        positions[v].append(i)
-    taken = defaultdict(int)
-    w = [0] * n
-    for j, v in enumerate(mu):
-        i = positions[v][taken[v]]
-        taken[v] += 1
-        w[i] = j
-    reverser = [0] * n
-    for block in positions.values():
-        for a, b in zip(block, reversed(block)):
-            reverser[a] = b
-    return compose(tuple(w), tuple(reverser))
-
-
-def _ref_w0_rep(pattern):
-    w0 = tuple(reversed(range(len(pattern))))
-    return compose(w0, _max_coset_rep(pattern, tuple(sorted(pattern))))
-
-
-@lru_cache(maxsize=None)
-def _ref_integral(lam, mu):
-    return kl_eval_one(_ref_w0_rep(lam), _ref_w0_rep(mu))
-
-
-def _ref_pair_mult(lam_q, mu_q, classes):
-    total = 1
-    for (r, d), idx in classes:
-        if any(lam_q[i][1] != d or lam_q[i][0] % d != r for i in idx):
-            return 0
-        sub_lam = [lam_q[i][0] for i in idx]
-        sub_mu = [mu_q[i][0] for i in idx]
-        if sorted(sub_lam) != sorted(sub_mu):
-            return 0
-        rank = {v: k for k, v in enumerate(sorted(set(sub_lam)))}
-        total *= _ref_integral(tuple(rank[v] for v in sub_lam), tuple(rank[v] for v in sub_mu))
-        if total == 0:
-            return 0
-    return total
-
-
-def _pairs(lam):
-    return [(c.numerator, c.denominator) for c in lam]
-
-
-def ref_verma_mult(lam, mu):
-    lam_q, mu_q = _pairs(lam), _pairs(mu)
-    if sorted(lam_q) != sorted(mu_q):
-        return 0
-    return _ref_pair_mult(lam_q, mu_q, integrality_classes(mu))
-
-
-def ref_parabolic_mult(mu, lam, p):
-    mu_q, lam_q = _pairs(mu), _pairs(lam)
-    if sorted(mu_q) != sorted(lam_q):
-        return 0
-    classes = integrality_classes(lam)
-    return sum(
-        (-1) ** lw * _ref_pair_mult(apply_perm(w, mu_q), lam_q, classes)
-        for w, lw in levi_weyl_group(p)
-    )
+# --- the kernel against the reference ------------------------------------------
 
 
 def _p_dominant_for(lam):
@@ -317,11 +239,11 @@ def _p_dominant_for(lam):
 
 def _check_against_reference(lam, mu, ps):
     """verma_simple_mult(lam, mu), and parabolic_verma_simple_mult(lam, mu, p)
-    for every p in ps, against the reference kernel."""
-    assert verma_simple_mult(lam, mu) == ref_verma_mult(lam, mu), (lam, mu)
+    for every p in ps, against the reference."""
+    assert verma_simple_mult(lam, mu) == reference.verma_mult(lam, mu), (lam, mu)
     for p in ps:
         got = parabolic_verma_simple_mult(lam, mu, p)
-        assert got == ref_parabolic_mult(lam, mu, p), (lam, mu, p)
+        assert got == reference.parabolic_mult(lam, mu, p), (lam, mu, p)
 
 
 H, T = Fraction(1, 2), Fraction(1, 3)
@@ -337,7 +259,7 @@ REFERENCE_BOXES = {
 @pytest.mark.parametrize("n", sorted(REFERENCE_BOXES))
 def test_kernel_matches_reference_on_boxes(n):
     box = list(itertools.product(REFERENCE_BOXES[n], repeat=n))
-    multisets = [sorted(_pairs(lam)) for lam in box]
+    multisets = [sorted(lam) for lam in box]
     for lam, lam_set in zip(box, multisets):
         ps = _p_dominant_for(lam)
         for mu, mu_set in zip(box, multisets):
@@ -369,7 +291,7 @@ def test_kernel_matches_reference_on_samples(n):
             if rng.random() < 0.3:
                 mu[rng.randrange(n)] += rng.choice((1, H, T))
             _check_against_reference(lam, tuple(mu), _p_dominant_for(lam))
-            assert verma_simple_mult(tuple(mu), lam) == ref_verma_mult(tuple(mu), lam)
+            assert verma_simple_mult(tuple(mu), lam) == reference.verma_mult(tuple(mu), lam)
 
 
 def _dense_patterns(n):
@@ -383,6 +305,6 @@ def test_single_sort_coset_representative():
     count = 0
     for n in range(1, 7):
         for pattern in _dense_patterns(n):
-            assert glmult._w0_rep(pattern) == _ref_w0_rep(pattern), pattern
+            assert glmult._w0_rep(pattern) == reference.w0_coset_rep(pattern), pattern
             count += 1
     assert count == 5316

@@ -7,9 +7,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given
 
+import reference
 from conftest import (
     W,
-    bfs_closure,
     frac_box,
     mixed_weights,
     normalised,
@@ -42,30 +42,24 @@ def test_strongly_linked_orientation_fixture():
     assert strongly_linked(lam, lam)
 
 
-def _up_set(mu):
-    """All lam with mu in strong_down_set(lam): a strong-linkage step only
-    swaps coordinates, so lam runs over the rearrangements of mu."""
-    return {lam for lam in itertools.permutations(mu) if mu in strong_down_set(lam)}
-
-
 def test_strong_up_set_fixture():
-    assert _up_set(W(1, -1, 3)) == bfs_closure(W(1, -1, 3), -1) == {
-        W(1, -1, 3),
-        W(3, -1, 1),
-        W(1, 3, -1),
-        W(3, 1, -1),
-    }
+    mu = W(1, -1, 3)
+    up = reference.up_set(mu)
+    assert up == {W(1, -1, 3), W(3, -1, 1), W(1, 3, -1), W(3, 1, -1)}
+    # a strong-linkage step only swaps coordinates: lam runs over mu's rearrangements
+    assert {lam for lam in itertools.permutations(mu) if strongly_linked(mu, lam)} == up
 
 
 def test_down_up_sets_extremes():
     anti = W(-2, 0, 1)
     assert strong_down_set(anti) == {anti}
     dom = W(3, 1, 0)
-    assert _up_set(dom) == {dom}
+    assert reference.up_set(dom) == {dom}
+    assert [lam for lam in itertools.permutations(dom) if strongly_linked(dom, lam)] == [dom]
     # Non-integral steps never move: a fully incomparable weight is alone.
     alone = W(0, "1/2", "1/3")
     assert strong_down_set(alone) == {alone}
-    assert _up_set(alone) == {alone}
+    assert reference.up_set(alone) == {alone}
 
 
 def test_strongly_linked_partial_order():
@@ -88,7 +82,7 @@ def test_up_down_adjointness():
     box = frac_box(-2, 2)
     for lam in itertools.product(box, repeat=2):
         for mu in itertools.product(box, repeat=2):
-            assert (mu in strong_down_set(lam)) == (lam in bfs_closure(mu, -1))
+            assert (mu in strong_down_set(lam)) == (lam in reference.up_set(mu))
             assert (mu in strong_down_set(lam)) == strongly_linked(mu, lam)
 
 
@@ -132,41 +126,10 @@ def test_canonical_representative():
     assert same_block(lam, rep)
 
 
-def _old_classes(lam):
-    """The grouping block labels used before `integrality_classes`: the
-    first-occurrence scan over c - floor(c), as (key, positions)."""
-    classes = []
-    for i, c in enumerate(lam):
-        key = c - c.__floor__()
-        for k, members in classes:
-            if k == key:
-                members.append(i)
-                break
-        else:
-            classes.append((key, [i]))
-    return classes
-
-
-def _old_block_label(lam):
-    return tuple(
-        (key, len(pos), sum(1 for i in pos if (lam[i] - key).numerator % 2 != 0))
-        for key, pos in _old_classes(lam)
-    )
-
-
-def _old_canonical_representative(lam):
-    out = [0] * len(lam)
-    for key, positions in _old_classes(lam):
-        odd = sum(1 for i in positions if (lam[i] - key).numerator % 2 != 0)
-        for rank, i in enumerate(positions):
-            out[i] = key + 1 if rank < odd else key
-    return tuple(out)
-
-
 @given(mixed_weights)
 def test_block_functions_match_floor_scan(lam):
-    assert block_label(lam) == _old_block_label(lam)
-    assert canonical_representative(lam) == _old_canonical_representative(lam)
+    assert block_label(lam) == reference.block_label(lam)
+    assert canonical_representative(lam) == reference.canonical_representative(lam)
     assert normalised(canonical_representative(lam))
     assert normalised([key for key, _, _ in block_label(lam)])
 
@@ -251,7 +214,7 @@ def test_ranked_closure_matches_weight_bfs():
     seen = dict.fromkeys(["member", "outside", "mismatch", "multiset", "length"], 0)
     for _ in range(300):
         lam = tuple(rng.choice(values) for _ in range(rng.randint(1, 6)))
-        down = bfs_closure(lam, 1)
+        down = reference.down_set(lam)
         assert strong_down_set(lam) == down, lam
         mus = [("member", m) for m in rng.sample(sorted(down), min(3, len(down)))]
         for _ in range(4):

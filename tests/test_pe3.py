@@ -6,19 +6,18 @@ from fractions import Fraction
 
 import pytest
 
+import reference
 from conftest import B3, W, corrupt_row, nab_sum, normalised, same_block
 from pericat.characters import (
     NABLA,
     FormalChar,
     _theta_images,
-    char_sum,
     nabla,
     nabla_sum_to_delta_sum,
     shift_by_omega,
     theta_char,
 )
 from pericat.pe3 import tables
-from pericat.linkage import strongly_linked
 from pericat.pe3 import verify
 from pericat.pe3.tables import (
     NoTableEntry,
@@ -37,11 +36,9 @@ from pericat.pe3.verify import (
 )
 from pericat.tilting import weakly_typical_tilting
 from pericat.weights import (
-    degree,
     format_weight,
     is_p_dominant,
     is_p_weakly_typical,
-    negate,
     shift,
     weight,
 )
@@ -333,23 +330,6 @@ def test_delta_flag_bound_full_size():
     assert (rep.checked, len(rep.failures)) == (65, 36)
 
 
-def _old_eval(token, values):
-    token = token.strip()
-    return values[token] if token in values else Fraction(token)
-
-
-def _old_route(record, params):
-    """The string-token interpreter the compiled rows replace."""
-    values = {k: Fraction(v) for k, v in params.items()}
-    p = tuple(record["parabolic"])
-    hw = weight(*(_old_eval(t, values) for t in record["hw"].split(",")))
-    chi = char_sum(
-        coeff * nabla(weight(*(_old_eval(t, values) for t in pattern.split(","))), p)
-        for pattern, coeff in record["terms"]
-    )
-    return hw, chi
-
-
 def test_compiled_rows_match_string_route():
     records = {
         rec["id"]: rec for rec in json.loads(tables._read_fixture("<packaged>"))["families"]
@@ -358,7 +338,8 @@ def test_compiled_rows_match_string_route():
     for fam in load_families().values():
         for params in _instances(fam, 6):
             hw, chi = fam.highest_weight(params), fam.instantiate(params)
-            assert (hw, chi) == _old_route(records[fam.id], params), (fam.id, params)
+            want = reference.row_instance(records[fam.id], params)
+            assert (hw, reference.terms(chi)) == want, (fam.id, params)
             assert all(normalised(lam) for lam in {hw} | chi.support()), (fam.id, params)
             count += 1
     assert count == 95  # every family at bound 6, non-integral samples included
@@ -413,42 +394,9 @@ def test_theta_images_match_theta_char_term_for_term():
     assert _theta_images([0, 1], FormalChar()) == [FormalChar(), FormalChar()]
 
 
-# --- the pairwise-head, copy-based decomposition, kept as a reference ---------
-
-
-def _ref_head_candidates(chi):
-    degrees = {mu: degree(mu) for mu in chi.support()}
-    top = max(degrees.values())
-    tops = [mu for mu, d in degrees.items() if d == top]
-    return [
-        mu
-        for mu in tops
-        if not any(nu != mu and strongly_linked(negate(nu), negate(mu)) for nu in tops)
-    ]
-
-
-def _ref_decompose(chi, p, memo):
-    p = tuple(p)
-    parts = {}
-    remainder = chi
-    while not remainder.is_zero():
-        head = _ref_head_candidates(remainder)[0]
-        c = remainder.coeff(NABLA, head, p)
-        if c <= 0:
-            raise ValueError(f"head {format_weight(head)} has non-positive coefficient {c}")
-        tilting = memo.get((head, p))
-        if tilting is None:
-            tilting = memo[head, p] = lookup_tilting_pe3(head, p)
-        remainder = remainder - c * tilting
-        if any(k < 0 for k in remainder.terms.values()):
-            raise ValueError(f"subtracting {c} x T_{format_weight(head)} went negative")
-        parts[head] = parts.get(head, 0) + c
-    return parts
-
-
-def _decomposition(fn, chi, p):
+def _decomposition(decompose):
     try:
-        return list(fn(chi, p, {}).items())  # the heads in the order taken
+        return list(decompose().items())  # the heads in the order taken
     except (NoTableEntry, ValueError) as exc:
         return type(exc), str(exc)
 
@@ -474,7 +422,7 @@ def test_decompose_matches_pairwise_reference(bound, monkeypatch):
     ]
     outcomes = {"parts": 0, "errors": 0}
     for chi, p in images + extra:
-        got = _decomposition(decompose_into_tiltings, chi, p)
-        assert got == _decomposition(_ref_decompose, chi, p), (chi, p)
+        got = _decomposition(lambda: decompose_into_tiltings(chi, p, {}))
+        assert got == _decomposition(lambda: reference.decompose(reference.terms(chi), p)), (chi, p)
         outcomes["parts" if isinstance(got, list) else "errors"] += 1
     assert outcomes["errors"] >= 4 and outcomes["parts"] > 300

@@ -2,31 +2,26 @@
 
 A result holds its certified form (symbol, d, rows) and builds its
 (symbol, weight) terms only when they are first read; the next operation
-reads the rows as they are.  These tests compare the results with a copy of
-the eager route, which unscales every answer into a new terms dict, on the
-heads of perfbench's tilting-sweep and on every theta image that
-`verify_tables(12)` decomposes.
+reads the rows as they are.  On the heads of perfbench's tilting-sweep and
+on every theta image that `verify_tables(12)` decomposes, these tests compare
+the results' values, and their first repr, hash and JSON reads, with the
+reference's characters; `_rows_from_view` checks the order of their terms.
 """
 
 import copy
-import itertools
 import pickle
 from fractions import Fraction
-from math import lcm
 
 import pytest
 
-from conftest import W, sweep_items
+import reference
+from conftest import W, formal, sweep_items
 from pericat import characters
 from pericat.characters import (
-    DELTA,
     NABLA,
     FormalChar,
-    NonTerminating,
     SimpleBasis,
-    _borel,
     _guard,
-    _subtract_leader,
     _theta_images,
     char_from_json,
     char_to_json,
@@ -39,80 +34,7 @@ from pericat.characters import (
 from pericat.pe3 import verify
 from pericat.pe3.tables import NoTableEntry, lookup_tilting_pe3
 from pericat.tilting import NotWeaklyTypical, weakly_typical_tilting
-from pericat.weights import exact, scale, unscale
-
-# --- the eager route: every answer unscaled into a terms dict of its own -------
-
-
-def _ref_rows(chi, kind=None):
-    sym = chi.sole_basis()
-    if kind is not None and sym.kind != kind:
-        raise SimpleBasis(f"expected a {kind.title()}-basis character, got {sym.kind!r}")
-    d, xs = scale([lam for _, lam in chi.terms])
-    _guard(xs, sym.parabolic, d)
-    rows: dict = {}
-    for x, c in zip(xs, chi.terms.values()):
-        if sym.kind == DELTA:
-            rows.setdefault(sum(x), {})[x] = c
-        else:
-            _subtract_leader(rows, x, sym.parabolic, d, sum(x), -c)
-    return sym, d, rows
-
-
-def ref_nabla_to_delta(chi):
-    if chi.is_zero():
-        return FormalChar()
-    sym, d, rows = _ref_rows(chi, NABLA)
-    out = symbol(DELTA, sym.parabolic)
-    return FormalChar({(out, lam): c for row in rows.values() for lam, c in unscale(row, d)})
-
-
-def ref_delta_to_nabla(chi):
-    if chi.is_zero():
-        return FormalChar()
-    sym, d, remaining = _ref_rows(chi, DELTA)
-    p = sym.parabolic
-    floor = min(remaining) + 2 * d * sum(p)
-    collected: dict = {}
-    while remaining:
-        top = max(remaining)
-        level = remaining[top]
-        if level and top < floor:
-            raise NonTerminating(_borel(p, d, remaining))
-        for x, c in list(level.items()):
-            collected[x] = c
-            _subtract_leader(remaining, x, p, d, top, c)
-        del remaining[top]
-    out = symbol(NABLA, p)
-    return FormalChar({(out, lam): c for lam, c in unscale(collected, d)})
-
-
-def ref_theta_images(alphabet, chi):
-    if chi.is_zero():
-        return [FormalChar() for _ in alphabet]
-    alphabet = tuple(map(exact, alphabet))
-    sym = chi.sole_basis()
-    d, xs = scale([lam for _, lam in chi.terms])
-    _guard(xs, sym.parabolic, d)
-    m = lcm(d, *(a.denominator for a in alphabet)) // d
-    if m > 1:
-        d, xs = d * m, [tuple([v * m for v in x]) for x in xs]
-    alphabet = [a.numerator * (d // a.denominator) for a in alphabet]
-    outs, moves = [], {}
-    for a in alphabet:
-        outs.append(out := {})
-        moves.setdefault(a, []).append((out, d))
-        moves.setdefault(a if sym.kind == DELTA else a + 2 * d, []).append((out, -d))
-    edges = {0, *itertools.accumulate(sym.parabolic)}
-    for x, c in zip(xs, chi.terms.values()):
-        for i, v in enumerate(x):
-            for out, s in moves.get(v, ()):
-                k = i if s > 0 else i + 1
-                if k in edges or x[k - 1] - x[k] != d:
-                    mu = x[:i] + (v + s,) + x[i + 1 :]
-                    out[mu] = out.get(mu, 0) + c
-    return [FormalChar({(sym, mu): c for mu, c in unscale(out, d)}) for out in outs]
-
+from pericat.weights import scale
 
 # --- the cases -------------------------------------------------------------------
 
@@ -136,23 +58,31 @@ def _alphabet(chi):
     return sorted(coords | {c - 2 for c in coords})
 
 
+def _reference_results(chi, alphabet):
+    """The reference's characters for `_results(chi, alphabet)`; theta of chi
+    is read back from theta of its Delta form, as `reference.theta` does."""
+    dlt = reference.delta_form(reference.terms(chi))
+    images = reference.theta(alphabet, dlt)
+    return [dlt, reference.nabla_form(dlt)] + list(map(reference.nabla_form, images)) + images
+
+
 @pytest.fixture(scope="module")
 def sweep_cases():
-    """(chi, its alphabet, the eager route's results) per sweep head."""
-    cases = []
+    """(chi, alphabet, the reference's results, as FormalChars) per sweep head."""
+    cases, known = [], {}
     for chi in _sweep_heads():
         alphabet = _alphabet(chi)
-        ref_delta = ref_nabla_to_delta(chi)
-        eager = [ref_delta, ref_delta_to_nabla(ref_delta)]
-        eager += ref_theta_images(alphabet, chi) + ref_theta_images(alphabet, ref_delta)
-        cases.append((chi, alphabet, eager))
+        if chi not in known:  # a head may recur in the sweep
+            want = _reference_results(chi, alphabet)
+            known[chi] = want, list(map(formal, want))
+        cases.append((chi, alphabet, *known[chi]))
     assert len(cases) > 800
     return cases
 
 
 @pytest.fixture(scope="module")
 def verify_images():
-    """(alphabet, chi) for every _theta_images call of verify_tables(12)."""
+    """(alphabet, chi, the reference's images) per _theta_images call of verify_tables(12)."""
     calls = []
     images = verify._theta_images
 
@@ -166,20 +96,22 @@ def verify_images():
     finally:
         verify._theta_images = images
     assert len(calls) > 100
-    return calls
+    return [
+        (alphabet, chi, list(map(formal, reference.theta(alphabet, reference.terms(chi)))))
+        for alphabet, chi in calls
+    ]
 
 
 def _results(chi, alphabet):
-    """The new route's results, in the order of sweep_cases' eager ones:
-    the Delta form, its Nabla form, and theta of chi and of the Delta form
-    at every a of the alphabet, each still unread."""
+    """The new route's results: the Delta form, its Nabla form, and theta of
+    chi and of the Delta form at every a of the alphabet, each still unread."""
     delta_form = nabla_sum_to_delta_sum(chi)
     new = [delta_form, delta_sum_to_nabla_sum(delta_form)]
     return new + _theta_images(alphabet, chi) + _theta_images(alphabet, delta_form)
 
 
 _READS = {
-    "terms": lambda chi: list(chi.terms.items()),  # with its iteration order
+    "terms": reference.terms,
     "repr": repr,
     "hash": hash,
     "json": lambda chi: char_to_json(chi, empty_basis=NABLA),
@@ -187,28 +119,26 @@ _READS = {
 
 
 @pytest.mark.parametrize("read", list(_READS), ids=list(_READS))
-def test_sweep_results_read_as_the_eager_route(sweep_cases, read):
+def test_sweep_results_read_as_the_reference(sweep_cases, read):
     """Each read is the first one of a fresh result."""
-    for chi, alphabet, eager in sweep_cases:
+    for chi, alphabet, _, want in sweep_cases:
         got = [_READS[read](r) for r in _results(chi, alphabet)]
-        assert got == [_READS[read](e) for e in eager], chi
+        assert got == [_READS[read](w) for w in want], chi
 
 
-def test_sweep_results_equal_the_eager_route(sweep_cases):
-    for chi, alphabet, eager in sweep_cases:
+def test_sweep_results_equal_the_reference(sweep_cases):
+    for chi, alphabet, want, formal_want in sweep_cases:
         new = _results(chi, alphabet)
-        assert [r.is_zero() for r in new] == [e.is_zero() for e in eager]
-        assert new == eager and eager == new
+        assert [r.is_zero() for r in new] == [not w for w in want]
+        assert new == formal_want and formal_want == new
 
 
 @pytest.mark.parametrize("read", list(_READS), ids=list(_READS))
-def test_verify_theta_images_read_as_the_eager_route(verify_images, read):
-    for alphabet, chi in verify_images:
-        eager = ref_theta_images(alphabet, chi)
-        assert [_READS[read](e) for e in eager] == [
-            _READS[read](r) for r in _theta_images(alphabet, chi)
-        ]
-        assert _theta_images(alphabet, chi) == eager
+def test_verify_theta_images_read_as_the_reference(verify_images, read):
+    for alphabet, chi, want in verify_images:
+        got = [_READS[read](r) for r in _theta_images(alphabet, chi)]
+        assert got == [_READS[read](w) for w in want]
+        assert _theta_images(alphabet, chi) == want
 
 
 # --- the rows a result holds --------------------------------------------------------
@@ -243,7 +173,7 @@ def _rows_from_view(result):
 
 
 def test_sweep_results_hold_the_rows_of_their_terms(sweep_cases):
-    for chi, alphabet, _ in sweep_cases:
+    for chi, alphabet, _, _ in sweep_cases:
         for result in _results(chi, alphabet):
             if not result.is_zero():
                 _rows_from_view(result)
@@ -261,7 +191,7 @@ def test_results_may_hold_a_finer_denominator():
     coarse, finer = _theta_images([Fraction(1, 2), Fraction(1, 3)], half)
     assert finer.is_zero()  # no coordinate of a half-integral weight is a third
     assert _rows_from_view(coarse) == (6, 2)
-    assert coarse == ref_theta_images([Fraction(1, 2)], half)[0]
+    assert [reference.terms(coarse)] == reference.theta([Fraction(1, 2)], reference.terms(half))
     # a result of d = 6 converts as its terms do
     for result in (image, coarse):
         fresh = FormalChar(result.terms.copy())

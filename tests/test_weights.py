@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given
 
+import reference
 from conftest import (
     W,
     basis_vector,
@@ -13,8 +14,6 @@ from conftest import (
     conjugate,
     even_root,
     frac_box,
-    is_antidominant,
-    is_integer,
     levi_positive_roots,
     mixed_weights,
     normalised,
@@ -96,10 +95,10 @@ def test_levi_structure():
 def test_dominance():
     assert is_dominant(W(2, 1, 0))
     assert not is_dominant(W(0, 1, 2))
-    assert is_antidominant(W(0, 1, 2))
+    assert reference.is_antidominant(W(0, 1, 2))
     # Non-integral pairings block nothing.
     assert is_dominant(W(0, "1/2"))
-    assert is_antidominant(W(0, "1/2"))
+    assert reference.is_antidominant(W(0, "1/2"))
     assert is_p_dominant(W(1, 0, 5), (2, 1))
     assert not is_p_dominant(W(0, 1, 5), (2, 1))
     assert is_p_dominant(W(0, 1, 5), (1, 1, 1))
@@ -126,9 +125,9 @@ def test_list_parabolic_is_a_typed_error(entry, args):
 def test_dominant_and_antidominant_iff_no_integer_pairing():
     box = [Fraction(0), Fraction(1), Fraction(1, 2), Fraction(-1)]
     for lam in itertools.product(box, repeat=3):
-        both = is_dominant(lam) and is_antidominant(lam)
+        both = is_dominant(lam) and reference.is_antidominant(lam)
         none_integral = all(
-            not (is_integer(pairing(lam, beta)) and pairing(lam, beta) != 0)
+            not (reference.is_integer(pairing(lam, beta)) and pairing(lam, beta) != 0)
             for beta in POSITIVE_ROOTS_3
         )
         assert both == none_integral
@@ -139,47 +138,11 @@ def test_typicality_predicates():
     assert not is_p_weakly_typical(W(0, 1, 5), (1, 1, 1))
     # Dominant integral weights are always weakly typical for the Borel.
     for lam in itertools.product(frac_box(-2, 2), repeat=3):
-        if is_dominant(lam) and all(map(is_integer, lam)):
+        if is_dominant(lam) and all(map(reference.is_integer, lam)):
             assert is_p_weakly_typical(lam, (1, 1, 1))
     # g0-weak-typicality only constrains within-orbit pairs.
     assert is_g0_weakly_typical(W(1, -1, -5))
     assert not is_g0_weakly_typical(W(0, -1, -5))
-
-
-# Reference predicates in Fraction arithmetic, independent of `scale`: each
-# pairing is read as a number and tested for integrality.
-
-
-def _ref_levi_pairs(p):
-    blocks = [range(sum(p[:k]), sum(p[: k + 1])) for k in range(len(p))]
-    return [(i, j) for block in blocks for i in block for j in block if i < j]
-
-
-def _ref_is_p_dominant(lam, p):
-    return all(
-        is_integer(lam[i] - lam[j]) and lam[i] - lam[j] > 0 for i, j in _ref_levi_pairs(p)
-    )
-
-
-def _ref_is_dominant(lam):
-    n = len(lam)
-    return all(
-        not (is_integer(lam[i] - lam[j]) and lam[i] - lam[j] < 0)
-        for i in range(n)
-        for j in range(i + 1, n)
-    )
-
-
-def _ref_is_g0_weakly_typical(lam):
-    return all(lam[i] - lam[j] != 1 for i, j in itertools.combinations(range(len(lam)), 2))
-
-
-def _ref_is_p_weakly_typical(lam, p):
-    levi = set(_ref_levi_pairs(p))
-    return all(
-        lam[i] - lam[j] != (1 if (i, j) in levi else -1)
-        for i, j in itertools.combinations(range(len(lam)), 2)
-    )
 
 
 ORACLE_BOXES = {
@@ -195,11 +158,12 @@ def test_scaled_predicates_match_fraction_oracle(box):
     for n in range(1, 5):
         parabolics = list(compositions(n))
         for lam in itertools.product(box, repeat=n):
-            assert is_dominant(lam) == _ref_is_dominant(lam), lam
-            assert is_g0_weakly_typical(lam) == _ref_is_g0_weakly_typical(lam), lam
+            assert is_dominant(lam) == reference.is_dominant(lam), lam
+            assert is_g0_weakly_typical(lam) == reference.is_g0_weakly_typical(lam), lam
             for p in parabolics:
-                assert is_p_dominant(lam, p) == _ref_is_p_dominant(lam, p), (lam, p)
-                assert is_p_weakly_typical(lam, p) == _ref_is_p_weakly_typical(lam, p), (lam, p)
+                assert is_p_dominant(lam, p) == reference.is_p_dominant(lam, p), (lam, p)
+                typical = reference.is_p_weakly_typical(lam, p)
+                assert is_p_weakly_typical(lam, p) == typical, (lam, p)
 
 
 def test_weakly_typical_vs_parabolic():
@@ -295,7 +259,7 @@ def test_integrality_classes_partition(lam):
     assert all(pos == sorted(pos) for _, pos in classes)
     cls = {i: key for key, pos in classes for i in pos}
     for i, j in itertools.combinations(range(len(lam)), 2):
-        assert (cls[i] == cls[j]) == is_integer(lam[i] - lam[j])
+        assert (cls[i] == cls[j]) == reference.is_integer(lam[i] - lam[j])
     for (r, d), pos in classes:
         for i in pos:
             assert Fraction(lam[i]) - (lam[i] // 1) == Fraction(r, d)
