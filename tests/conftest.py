@@ -37,10 +37,7 @@ def _empty_reference_caches():
 B2 = (1, 1)
 B3 = (1, 1, 1)
 B4 = (1, 1, 1, 1)
-
-
-def W(*coords):
-    return weight(*coords)
+W = weight
 
 
 def sweep_items(seeds=(31, 2002), rounds=10):

@@ -297,6 +297,7 @@ _OPERATIONS = [
     ("nabla_sum_to_delta_sum", nabla, nabla_sum_to_delta_sum),
     ("delta_sum_to_nabla_sum", delta, delta_sum_to_nabla_sum),
     ("theta_char", nabla, lambda chi: theta_char(1, chi)),
+    ("theta_char_on_delta", delta, lambda chi: theta_char(1, chi)),
 ]
 
 

@@ -1,5 +1,6 @@
 """Formal character algebra, basis conversions, and translation rules."""
 
+import functools
 from fractions import Fraction
 
 import pytest
@@ -512,6 +513,8 @@ _KERNELS = [
     (nabla_sum_to_delta_sum, NABLA),
     (delta_sum_to_nabla_sum, DELTA),
     (lambda chi: theta_char(0, chi), NABLA),
+    (functools.partial(theta_char, 0), DELTA),
+    (functools.partial(theta_char, Fraction(1, 2)), NABLA),
     (lambda chi: theta_char(Fraction(1, 2), chi), DELTA),
 ]
 
