@@ -402,8 +402,9 @@ def _theta_images(alphabet, chi: FormalChar) -> list[FormalChar]:
 
 
 def shift_by_omega(chi: FormalChar, k) -> FormalChar:
-    """Tensor by the one-dimensional character of weight k*omega_n; chi itself at k = 0."""
-    if not k:
+    """Tensor by the one-dimensional character of weight k*omega_n; chi itself
+    at k = 0.  A float or bool k raises TypeError, a zero one too."""
+    if not exact(k):
         return chi
     return FormalChar({(sym, shift(lam, k)): c for (sym, lam), c in chi.terms.items()})
 

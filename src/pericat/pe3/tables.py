@@ -11,15 +11,12 @@ typical weights are answered by the character engine, everything else is
 matched against the stored families after factoring out a multiple of
 ``omega = (1,1,1)`` (tensoring with the one-dimensional module shifts every
 weight in the character by the same multiple of ``omega``).  The shape of a
-row lives only in its ``hw`` pattern and parameter domains.  When a file is
-loaded, the solve of every row is compiled into an index keyed by the
-differences between the pattern's constants, so a lookup reads the rows it
-may match off one key per pattern shape instead of trying every row, and a
-row added to a replacement file is still reachable.  Each (row, parameters)
-instance is built and validated the first time a lookup or a verifier asks
-for it, and kept with its file: switching ``PERICAT_FIXTURES`` never serves
-another file's rows, and a lookup returns the kept instance shifted, as a
-character of its own.
+row lives only in its ``hw`` pattern and parameter domains: a lookup solves
+every row of the requested parabolic, so a row added to a replacement file
+is reachable.  Each (row, parameters) instance is built and validated the
+first time a lookup or a verifier asks for it, and kept with its file:
+switching ``PERICAT_FIXTURES`` never serves another file's rows, and a
+lookup returns the kept instance shifted, as a character of its own.
 """
 
 from __future__ import annotations
@@ -45,6 +42,7 @@ from ..weights import (
     is_p_weakly_typical,
     refuse_inexact,
     require_p_dominant,
+    shift,
     weight,
 )
 
@@ -182,68 +180,38 @@ def _compile_pattern(text: str, names: set[str]) -> tuple[Token, ...]:
     return tuple(out)
 
 
-def _parse_family(record: dict) -> TiltingFamily:
-    params = tuple(
-        (
-            name,
-            ParamSpec(
-                kind=spec["kind"],
-                min=spec.get("min"),
-                max=spec.get("max"),
-            ),
+def _parse_family(record: dict, where: str) -> TiltingFamily:
+    """One fixture record as a row.  A missing field, a term that is not a
+    [pattern, integer coefficient] pair or an unknown parameter kind raises
+    TableIntegrityError, its message led by ``where``."""
+    try:
+        params = tuple(
+            (name, ParamSpec(spec["kind"], spec.get("min"), spec.get("max")))
+            for name, spec in record.get("params", {}).items()
         )
-        for name, spec in record.get("params", {}).items()
-    )
+        names = {name for name, _ in params}
+        hw = _compile_pattern(record["hw"], names)
+        terms = tuple(
+            (_compile_pattern(pattern, names), int(coeff)) for pattern, coeff in record["terms"]
+        )
+        fam = TiltingFamily(record["id"], tuple(record["parabolic"]), params, hw, terms)
+    except KeyError as exc:
+        raise TableIntegrityError(f"{where}: no {exc.args[0]!r} field") from None
+    except ValueError:  # a term's unpacking, or int() of its coefficient
+        raise TableIntegrityError(
+            f"{where}: a term is not a [pattern, integer coefficient] pair"
+        ) from None
     for _, spec in params:
         if spec.kind not in ("int", "nonint"):
-            raise TableIntegrityError(
-                f"family {record['id']}: unknown parameter kind {spec.kind!r}"
-            )
-    names = {name for name, _ in params}
-    return TiltingFamily(
-        id=record["id"],
-        parabolic=tuple(record["parabolic"]),
-        params=params,
-        hw=_compile_pattern(record["hw"], names),
-        terms=tuple(
-            (_compile_pattern(pattern, names), int(coeff))
-            for pattern, coeff in record["terms"]
-        ),
-    )
-
-
-def _compile_solve(families) -> dict:
-    """The solve lam = hw(params) + k*omega of every row, compiled: for each
-    (parabolic, length), a map from shape to {key: rows}.  A row's shape is
-    (anchor, the other constant positions, the positions of each token) and
-    its key the differences of those constants from the anchor's, so a head
-    of that shape finds the rows it may match by one key; k is then
-    lam[anchor] minus the anchor's constant.  A row with no constant, or with
-    a declared parameter absent from its pattern, matches nothing."""
-    out: dict = {}
-    for pos, fam in enumerate(families):
-        consts, slots = [], {}
-        for i, t in enumerate(fam.hw):
-            if type(t) is str:
-                slots.setdefault(t, []).append(i)
-            else:
-                consts.append(i)
-        if not consts or not set(fam.param_names) <= slots.keys():
-            continue
-        anchor, *rest = consts
-        shape = (anchor, tuple(rest), tuple(map(tuple, slots.values())))
-        key = tuple(fam.hw[i] - fam.hw[anchor] for i in rest)
-        rows = out.setdefault((fam.parabolic, len(fam.hw)), {}).setdefault(shape, {})
-        rows.setdefault(key, []).append((pos, fam, fam.hw[anchor], tuple(slots)))
-    return out
+            raise TableIntegrityError(f"{where}: unknown parameter kind {spec.kind!r}")
+    return fam
 
 
 class _Fixture(NamedTuple):
-    """One fixture file: its rows by id in file order, their compiled solve,
-    and the row instances built and validated so far."""
+    """One fixture file: its rows by id in file order, and the row instances
+    built and validated so far."""
 
     families: dict[str, TiltingFamily]
-    solve: dict
     kept: dict
 
     def row(self, fam_id: str) -> TiltingFamily:
@@ -289,13 +257,16 @@ def _fixture() -> _Fixture:
     key = _fixture_key()
     if key not in _CACHE:
         payload = json.loads(_read_fixture(key))
+        if not isinstance(payload, dict) or not isinstance(payload.get("families"), list):
+            raise TableIntegrityError("the fixture file has no 'families' list")
         families: dict[str, TiltingFamily] = {}
-        for record in payload["families"]:
-            fam = _parse_family(record)
+        for pos, record in enumerate(payload["families"], 1):
+            where = f"family {record.get('id', f'#{pos}')}"  # by 1-based position without an id
+            fam = _parse_family(record, where)
             if fam.id in families:
-                raise ValueError(f"duplicate family id {fam.id!r}")
+                raise TableIntegrityError(f"{where}: an earlier record has the same id")
             families[fam.id] = fam
-        _CACHE[key] = _Fixture(families, _compile_solve(families.values()), {})
+        _CACHE[key] = _Fixture(families, {})
     return _CACHE[key]
 
 
@@ -308,14 +279,32 @@ def load_families() -> dict[str, TiltingFamily]:
     return _fixture().families
 
 
+def _solve(fam: TiltingFamily, base: Weight) -> Optional[tuple[dict[str, Coord], Coord]]:
+    """(params, k) with base = hw(params) + k*omega and every parameter inside
+    its domain, or None: one k serves every constant of the row's highest
+    weight, and each parameter is base_i - k wherever it appears."""
+    shifts = [c - t for t, c in zip(fam.hw, base) if type(t) is not str]
+    if len(fam.hw) != len(base) or not shifts or shifts.count(shifts[0]) != len(shifts):
+        return None
+    k = shifts[0]
+    values: dict[str, Coord] = {}
+    for t, c in zip(fam.hw, base):
+        if type(t) is str and values.setdefault(t, c - k) != c - k:
+            return None
+    for name, spec in fam.params:
+        if name not in values or not spec.admits(values[name]):
+            return None
+    # an undeclared token stays out, so instantiate names it as corrupt
+    return {name: values[name] for name, _ in fam.params}, k
+
+
 def lookup_tilting_pe3(lam: Weight, p: Optional[Parabolic] = None) -> FormalChar:
     """Tilting character for a rank-3 highest weight.
 
     Weakly typical weights are answered by the character engine for any
-    parabolic.  Otherwise the rows of parabolic p that the compiled solve
-    offers for lam are solved, lam = hw(params) + k*omega with each
-    parameter inside its domain, and the first match in file order is
-    returned: its kept instance shifted by k.  Raises
+    parabolic.  Otherwise every row of parabolic p is solved in file order,
+    lam = hw(params) + k*omega with each parameter inside its domain, and
+    the first match is returned: its kept instance shifted by k.  Raises
     :class:`NoTableEntry` when no row matches (the stored rows are
     Borel and ``(2,1)`` only) and :class:`TableIntegrityError` when a
     matching row is corrupt or two matching rows disagree.  A coordinate
@@ -333,29 +322,21 @@ def lookup_tilting_pe3(lam: Weight, p: Optional[Parabolic] = None) -> FormalChar
         return _weakly_typical_tilting(lam, p)  # guarded just above
 
     fixture = _fixture()
+    base = shift(lam, -lam[0])  # int wherever lam's first class allows: no Fraction arithmetic
     matches = []
-    for (anchor, rest, groups), rows in fixture.solve.get((p, 3), {}).items():
-        c = lam[anchor]
-        found = rows.get(tuple([lam[i] - c for i in rest]))
-        if found is None or any(lam[i] != lam[g[0]] for g in groups for i in g[1:]):
-            continue
-        for pos, fam, t, tokens in found:
-            k = c - t
-            values = {name: lam[g[0]] - k for name, g in zip(tokens, groups)}
-            # an undeclared token stays out, so instantiate names it as corrupt
-            if all(spec.admits(values[name]) for name, spec in fam.params):
-                matches.append((pos, fam, {name: values[name] for name, _ in fam.params}, k))
+    for fam in fixture.families.values():
+        solved = _solve(fam, base) if fam.parabolic == p else None
+        if solved is not None:
+            params, k = solved
+            matches.append((fam.id, shift_by_omega(fixture.instance(fam, params), k + lam[0])))
     if not matches:
         raise NoTableEntry(
             f"no table entry for weight {format_weight(lam)} with parabolic {p}"
         )
-    matches.sort(key=lambda match: match[0])  # file order
-    first, *others = [
-        (fam.id, shift_by_omega(fixture.instance(fam, params), k)) for _, fam, params, k in matches
-    ]
+    (first_id, first), *others = matches
     for fam_id, other in others:
-        if other != first[1]:
+        if other != first:
             raise TableIntegrityError(
-                f"families {first[0]} and {fam_id} disagree at {format_weight(lam)}"
+                f"families {first_id} and {fam_id} disagree at {format_weight(lam)}"
             )
-    return first[1]
+    return first

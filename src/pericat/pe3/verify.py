@@ -31,7 +31,7 @@ from ..characters import (
     shift_by_omega,
     symbol,
 )
-from ..linkage import _lowered, _ranks, _walk, strong_down_set, strongly_linked
+from ..linkage import _lowered, strong_down_set, strongly_linked
 from ..tilting import weakly_typical_tilting
 from ..weights import (
     Coord,
@@ -183,25 +183,17 @@ def pe2_property_check(bound: int = 3) -> CheckReport:
 
 def _head(terms: dict, degrees: dict) -> Weight:
     """The first top-degree weight mu in support-set order with no other top
-    nu such that -nu is strongly linked to -mu.  Each candidate tried is
-    ranked and walked once; the last needs no walk once the others are out."""
+    nu such that -nu is strongly linked to -mu; the last top needs no test
+    once the others are out.  Each top is negated once, so a candidate -mu
+    stays one object and `strongly_linked` ranks it once."""
     top = max(degrees[mu] for _, mu in terms)
-    tops = [mu for _, mu in terms if degrees[mu] == top]
-    if len(tops) == 1:
-        return tops[0]
     tops = [mu for mu in {mu for _, mu in terms} if degrees[mu] == top]
     negs = [negate(mu) for mu in tops]
-    for mu, lam in zip(tops[:-1], negs):
-        walked = None  # lam's ranks, and so its walk, are the same for every nu
-        for nu in negs:
-            ranked = nu is not lam and _ranks(lam, nu)
-            if ranked:
-                walked = walked or _walk(ranked[0], ranked[2], 1)
-                if ranked[1] in walked:
-                    break
-        else:
-            return mu
-    return tops[-1]
+    return next(
+        (mu for mu, lam in zip(tops[:-1], negs)
+         if not any(nu is not lam and strongly_linked(nu, lam) for nu in negs)),
+        tops[-1],
+    )
 
 
 def decompose_into_tiltings(chi: FormalChar, p, memo: dict) -> dict[Weight, int]:

@@ -1,12 +1,10 @@
 """Certification runs once per object it certifies, and no answer changes.
 
 The character operations guard their input once per call, the pe(3) table
-lookup reads its candidate rows off a solve compiled when the file loads and
-serves validated instances kept per fixture file, and `verify pe3`'s
+lookup serves validated instances kept per fixture file, and `verify pe3`'s
 decompositions look a head up once per class mod omega.  These tests compare
 each against the reference, which re-certifies on every call: its table
-lookup solves every row and instantiates every match, and its guard tests
-every term.
+lookup instantiates every match, and its guard tests every term.
 """
 
 import json
@@ -121,6 +119,35 @@ def test_lookup_matches_reference_under_corruption(
             assert _outcome(lookup_tilting_pe3, lam, p) == want, (lam, p)
         raised += want[0] is TableIntegrityError
     assert raised
+
+
+_SHAPES = [
+    {"id": "X1", "parabolic": [1, 1, 1], "hw": "a,b,c",
+     "params": {name: {"kind": "int"} for name in "abc"}, "terms": [["a,b,c", 1]]},
+    {"id": "X2", "parabolic": [1, 1, 1], "hw": "0,1,b",
+     "params": {"b": {"kind": "int"}, "c": {"kind": "int"}}, "terms": [["0,1,b", 1]]},
+    {"id": "X4", "parabolic": [1, 1, 1, 1], "hw": "0,1,2,3", "terms": [["0,1,2,3", 1]]},
+    {"id": "X3", "parabolic": [1, 1, 1], "hw": "-1,0,d", "terms": [["-1,0,d", 1]]},
+]
+
+
+@pytest.mark.parametrize("with_x3", [False, True], ids=["without-X3", "with-X3"])
+def test_lookup_skips_rows_the_solve_cannot_match(tmp_path, monkeypatch, verify_heads, with_x3):
+    """X1 has no constant, X2 declares a parameter c that its pattern never
+    names, and X4 is a row of another parabolic: none of them matches.  X3
+    matches every weight whose second coordinate is its first plus one, and
+    its token d, declared nowhere, makes each of those lookups name it."""
+    path = tmp_path / "shapes.json"
+    path.write_text(json.dumps({"families": _SHAPES if with_x3 else _SHAPES[:3]}))
+    monkeypatch.setenv("PERICAT_FIXTURES", str(path))
+    for lam in (W(0, 1, 2), W(1, 2, 7), W(0, 1, 5), W(-1, 0, 5), W(0, 1, -5)):
+        want = (NoTableEntry, f"no table entry for weight {format_weight(lam)} with parabolic {B3}")
+        if with_x3:
+            want = (TableIntegrityError,
+                    "family X3: token 'd' is neither a number nor a declared parameter")
+        assert _outcome(reference.lookup, lam) == _outcome(lookup_tilting_pe3, lam) == want
+    for lam, p in verify_heads:
+        assert _outcome(lookup_tilting_pe3, lam, p) == _outcome(reference.lookup, lam, p), (lam, p)
 
 
 def test_lookup_checks_a_repeated_token(tmp_path, monkeypatch, verify_heads):

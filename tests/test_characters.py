@@ -176,6 +176,13 @@ def test_shift_by_omega():
     assert shift_by_omega(shift_by_omega(tilt, Fraction(1, 2)), Fraction(-1, 2)) == tilt
 
 
+@pytest.mark.parametrize("k", [0.0, False, 0.5, True], ids=repr)
+def test_shift_by_omega_refuses_an_inexact_shift(k):
+    """A zero float or bool is refused as a nonzero one is, not read as 0."""
+    with pytest.raises(TypeError, match=f"weight coordinate {k!r} is not exact"):
+        shift_by_omega(nab_sum((-1, 0, 1)), k)
+
+
 def test_shift_commutes_with_theta_after_shifting_a():
     chi = nab_sum((0, 1, -1), (-1, 0, 1))
     for a in (-1, 0, 1):

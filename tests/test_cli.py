@@ -11,6 +11,7 @@ import pytest
 import pericat
 from conftest import corrupt_row, without_row
 from pericat.cli import _merge_negative_values, main
+from pericat.pe3 import tables
 
 
 def run_cli(capsys, *argv):
@@ -185,6 +186,53 @@ def test_error_unknown_parameter_kind(capsys, tmp_path, monkeypatch, argv):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (1, "")
     assert err == "error: TableIntegrityError: family 5.1: unknown parameter kind 'integer'\n"
+
+
+def _malformed(doc, case):
+    """The packaged families.json broken by one malformed record."""
+    rows = {rec["id"]: rec for rec in doc["families"]}
+    if case == "no-families":
+        doc.clear()
+    elif case == "no-hw":
+        del rows["5.4"]["hw"]
+    elif case == "no-id":
+        del rows["5.1"]["id"]  # the first record
+    elif case == "term-without-coefficient":
+        rows["5.4"]["terms"][1] = ["0,1,2"]
+    elif case == "param-without-kind":
+        del rows["5.1"]["params"]["b"]["kind"]
+    elif case == "coefficient-not-an-integer":
+        rows["5.4"]["terms"][1][1] = "x"
+    elif case == "repeated-id":
+        rows["5.7"]["id"] = "5.4"
+    return doc
+
+
+_MALFORMED = [
+    ("no-families", "the fixture file has no 'families' list"),
+    ("no-hw", "family 5.4: no 'hw' field"),
+    ("no-id", "family #1: no 'id' field"),
+    ("term-without-coefficient", "family 5.4: a term is not a [pattern, integer coefficient] pair"),
+    ("param-without-kind", "family 5.1: no 'kind' field"),
+    ("coefficient-not-an-integer", "family 5.4: a term is not a [pattern, integer coefficient] pair"),
+    ("repeated-id", "family 5.4: an earlier record has the same id"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv", [("verify", "pe3"), ("tilting", "--weight", "0,1,2")], ids=["verify", "tilting"]
+)
+@pytest.mark.parametrize("case,message", _MALFORMED, ids=[case for case, _ in _MALFORMED])
+def test_error_malformed_fixture_record(capsys, tmp_path, monkeypatch, argv, case, message):
+    # a record the loader cannot read is refused with one typed line that
+    # names the row, by its id or else its 1-based position
+    doc = json.loads(tables._read_fixture("<packaged>"))
+    path = tmp_path / f"families-{case}.json"
+    path.write_text(json.dumps(_malformed(doc, case)))
+    monkeypatch.setenv("PERICAT_FIXTURES", str(path))
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == f"error: TableIntegrityError: {message}\n"
 
 
 def test_verify_pe3_names_a_missing_row(capsys, tmp_path, monkeypatch):
