@@ -56,6 +56,7 @@ from .weights import (
     Parabolic,
     Weight,
     _falls,
+    _ints,
     _levi_pairs,
     borel,
     degree,
@@ -102,7 +103,9 @@ def symbol(kind: str, parabolic: Optional[Parabolic]) -> BasisSymbol:
         raise ValueError(f"unknown basis kind {kind!r}")
     if parabolic is None:
         raise ValueError(f"basis kind {kind!r} needs a parabolic")
-    return BasisSymbol(kind, tuple(parabolic))
+    if not isinstance(parabolic, tuple):
+        raise TypeError(f"parabolic {parabolic!r} is a {type(parabolic).__name__}, not a tuple")
+    return BasisSymbol(kind, parabolic)
 
 
 class FormalChar:
@@ -139,8 +142,8 @@ class FormalChar:
 
     @classmethod
     def single(cls, kind: str, lam: Weight, parabolic: Parabolic, coeff: int = 1) -> "FormalChar":
-        scale([lam])  # refuses a coordinate that is not an int or Fraction
-        return cls({(symbol(kind, parabolic), tuple(lam)): coeff})
+        _ints(lam)
+        return cls({(symbol(kind, parabolic), lam): coeff})
 
     def coeff(self, kind: str, lam: Weight, parabolic: Optional[Parabolic] = None) -> int:
         return self.terms.get((symbol(kind, parabolic or borel(len(lam))), tuple(lam)), 0)

@@ -59,6 +59,8 @@ def _lazy(name: str):
 appendix = _lazy("pericat.pe3.appendix")
 verify = _lazy("pericat.pe3.verify")
 
+MAX_BOUND = 256  # the largest --bound: there verify props takes about 6 s, verify pe3 2 s
+
 RHO_NOTE = (
     "Weights are rho-shifted: T_{a,b,c} means the tilting module of highest "
     "weight a*eps_1 + b*eps_2 + c*eps_3 - rho.  Set PERICAT_FIXTURES to "
@@ -197,6 +199,8 @@ def _cmd_mult(args, fmt: str) -> int:
 
 
 def _report_rows(suite: str, bound: Optional[int]):
+    if bound is not None and bound > MAX_BOUND:
+        raise ValueError(f"--bound must be at most {MAX_BOUND}")
     args = () if bound is None else (bound,)  # each suite keeps its own default
     if suite == "appendix":
         if args:
@@ -317,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "suite", choices=("pe3", "appendix", "thmD", "props"), help="suite to run"
     )
-    p_verify.add_argument("--bound", type=int, default=None, help="parameter bound")
+    p_verify.add_argument("--bound", type=int, help=f"parameter bound, at most {MAX_BOUND}")
 
     return parser
 

@@ -113,11 +113,10 @@ def parabolic_verma_simple_mult(mu: Weight, lam: Weight, p: Parabolic) -> int:
     except (TypeError, ValueError):  # an error of the guard's comes first
         require_p_dominant(mu, p)
         raise
-    # mu's own ranks, held since it was ranked (a list is never held), show
-    # whether mu lies in Sigma_p^+, also when the pair does not rank; the
-    # guard and its typed errors take every other case
-    held, row = linkage._held
-    if not (held is mu and type(p) is tuple and _in_sigma(row, _levi_pairs(p, len(mu)))):
+    # mu's ranks, held since it was ranked, show whether mu lies in Sigma_p^+,
+    # also when the pair does not rank; the guard takes every other case
+    row = linkage._held[1]
+    if not (type(p) is tuple and _in_sigma(row, _levi_pairs(p, len(mu)))):
         require_p_dominant(mu, p)
     if ranked is None:
         return 0

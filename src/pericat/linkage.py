@@ -31,18 +31,17 @@ from .weights import (
     Parabolic,
     Weight,
     _EXACT,
-    _INT,
+    _ints,
     _levi_pairs,
     _positive_pairs,
     integrality_classes,
     is_p_dominant,
-    refuse_inexact,
     require_p_dominant,
     scale,
 )
 
 
-_held: tuple = (None, None)  # (lam, _row(lam)) for the last tuple ranked as lam
+_held: tuple = (None, None)  # (lam, _row(lam)) for the last weight ranked as lam
 
 
 def _row(lam: Weight) -> tuple:
@@ -50,20 +49,14 @@ def _row(lam: Weight) -> tuple:
     rank tuple, the class of each rank (None for one class) and of each
     position, whether it is ranked on exact (numerator, denominator) pairs
     or, ints alone, on values, its sorted multiset and each entry's rank.
-    A tuple lam is held in `_held`, matched by identity, until another
-    weight is ranked as lam: a row of multiplicities is one object."""
+    lam is checked by `_ints`, then held in `_held`, matched by identity,
+    until another weight is ranked as lam: a row of multiplicities is one object."""
     global _held
     held, row = _held
     if held is lam:
         return row
-    kinds = set(map(type, lam))
-    pairs = not kinds <= _INT
-    if pairs:
-        if not kinds <= _EXACT:
-            refuse_inexact(lam)
-        q = [c.as_integer_ratio() for c in lam]
-    else:
-        q = lam
+    pairs = not _ints(lam)
+    q = [c.as_integer_ratio() for c in lam] if pairs else lam
     sorted_q = sorted(q)
     rank = {v: r for r, v in enumerate(dict.fromkeys(sorted_q))}
     x = tuple(map(rank.__getitem__, q))
@@ -75,8 +68,7 @@ def _row(lam: Weight) -> tuple:
         else:
             key_x = tuple(map(keys.__getitem__, x))
     row = (x, keys, key_x, pairs, sorted_q, rank)
-    if type(lam) is tuple:
-        _held = (lam, row)
+    _held = (lam, row)
     return row
 
 
@@ -89,14 +81,14 @@ def _ranks(lam: Weight, mu: Weight):
     Rank k is the k-th distinct value, in value order inside each class.
     lam's half comes from `_row`, computed once per held lam; each call
     does mu's half: one type scan, one sort and compare, and one rank
-    lookup per coordinate.  A float or bool raises refuse_inexact's error.
+    lookup per coordinate; a mu that fails the scan goes to `_ints`.
     A strong-linkage step swaps two coordinates of one class, so every
     weight it reaches from lam has lam's ranking."""
     x, keys, key_x, pairs, sorted_q, rank = _row(lam)
     if mu is lam:
         return x, x, keys
-    if not _EXACT.issuperset(map(type, mu)):
-        refuse_inexact(mu)
+    if type(mu) is not tuple or not _EXACT.issuperset(map(type, mu)):
+        _ints(mu)  # a tuple subclass or an IntEnum coordinate runs on
     q = [c.as_integer_ratio() for c in mu] if pairs else mu
     if sorted(q) != sorted_q:
         return None
@@ -260,7 +252,7 @@ def cor36_edge(lam: Weight, i: int) -> bool:
         raise ValueError("this certificate is specific to n=3")
     if i not in (1, 2):
         raise ValueError(f"simple root index {i} out of range for n=3")
-    refuse_inexact(lam)  # 1.5 - 0.5 == 1 would certify a float lam
+    _ints(lam)  # 1.5 - 0.5 == 1 would certify a float lam
     return lam[i - 1] - lam[i] == 1
 
 

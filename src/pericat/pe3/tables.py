@@ -31,7 +31,7 @@ from ..characters import NABLA, FormalChar, shift_by_omega, symbol
 from ..linkage import block_label
 from ..tilting import _weakly_typical_tilting
 from ..weights import (
-    _EXACT,
+    _ints,
     Coord,
     Parabolic,
     Weight,
@@ -40,7 +40,6 @@ from ..weights import (
     format_weight,
     is_p_dominant,
     is_p_weakly_typical,
-    refuse_inexact,
     require_p_dominant,
     shift,
     weight,
@@ -167,7 +166,7 @@ class TiltingFamily(NamedTuple):
         return chi
 
 
-def _compile_pattern(text: str, names: set[str]) -> tuple[Token, ...]:
+def _compile_pattern(text: str, names: Mapping[str, ParamSpec]) -> tuple[Token, ...]:
     out: list[Token] = []
     for token in text.split(","):
         token = token.strip()
@@ -180,31 +179,38 @@ def _compile_pattern(text: str, names: set[str]) -> tuple[Token, ...]:
     return tuple(out)
 
 
-def _parse_family(record: dict, where: str) -> TiltingFamily:
-    """One fixture record as a row.  A missing field, a term that is not a
-    [pattern, integer coefficient] pair or an unknown parameter kind raises
-    TableIntegrityError, its message led by ``where``."""
+def _field(record, name: str, kind: type, where: str, default=None):
+    """record[name], or default when absent, of JSON type kind: else TableIntegrityError."""
+    value = record.get(name, default) if type(record) is dict else None
+    if type(value) is not kind:
+        what = f"no {name!r} field" if value is None else f"{name!r} is not a {kind.__name__}"
+        raise TableIntegrityError(f"{where}: {what}")
+    return value
+
+
+def _parse_family(record, where: str) -> TiltingFamily:
+    """One fixture record as a row, its fields read by `_field`.  An unknown
+    parameter kind, a bound that is not an integer or null, or a term that is
+    not a [pattern, integer coefficient] pair raises TableIntegrityError too."""
+    fam_id = _field(record, "id", str, where)
+    params: dict[str, ParamSpec] = {}
+    for name, spec in _field(record, "params", dict, where, {}).items():
+        kind = _field(spec, "kind", str, where)
+        if kind not in ("int", "nonint"):
+            raise TableIntegrityError(f"{where}: unknown parameter kind {kind!r}")
+        for bound in ("min", "max"):
+            if type(spec.get(bound)) not in (int, type(None)):
+                raise TableIntegrityError(f"{where}: {name}.{bound} is not an integer or null")
+        params[name] = ParamSpec(kind, spec.get("min"), spec.get("max"))
+    hw = _compile_pattern(_field(record, "hw", str, where), params)
+    pairs = _field(record, "terms", list, where)
     try:
-        params = tuple(
-            (name, ParamSpec(spec["kind"], spec.get("min"), spec.get("max")))
-            for name, spec in record.get("params", {}).items()
-        )
-        names = {name for name, _ in params}
-        hw = _compile_pattern(record["hw"], names)
-        terms = tuple(
-            (_compile_pattern(pattern, names), int(coeff)) for pattern, coeff in record["terms"]
-        )
-        fam = TiltingFamily(record["id"], tuple(record["parabolic"]), params, hw, terms)
-    except KeyError as exc:
-        raise TableIntegrityError(f"{where}: no {exc.args[0]!r} field") from None
-    except ValueError:  # a term's unpacking, or int() of its coefficient
+        terms = tuple((_compile_pattern(pattern, params), int(coeff)) for pattern, coeff in pairs)
+    except (AttributeError, TypeError, ValueError):  # a term's unpacking, split or int()
         raise TableIntegrityError(
-            f"{where}: a term is not a [pattern, integer coefficient] pair"
-        ) from None
-    for _, spec in params:
-        if spec.kind not in ("int", "nonint"):
-            raise TableIntegrityError(f"{where}: unknown parameter kind {spec.kind!r}")
-    return fam
+            f"{where}: a term is not a [pattern, integer coefficient] pair") from None
+    parabolic = tuple(_field(record, "parabolic", list, where))
+    return TiltingFamily(fam_id, parabolic, tuple(params.items()), hw, terms)
 
 
 class _Fixture(NamedTuple):
@@ -256,12 +262,15 @@ def _fixture() -> _Fixture:
     """The fixture file that ``PERICAT_FIXTURES`` names, loaded once."""
     key = _fixture_key()
     if key not in _CACHE:
-        payload = json.loads(_read_fixture(key))
+        try:
+            payload = json.loads(_read_fixture(key))
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise TableIntegrityError(f"the fixture file is not JSON: {exc}") from None
         if not isinstance(payload, dict) or not isinstance(payload.get("families"), list):
             raise TableIntegrityError("the fixture file has no 'families' list")
         families: dict[str, TiltingFamily] = {}
         for pos, record in enumerate(payload["families"], 1):
-            where = f"family {record.get('id', f'#{pos}')}"  # by 1-based position without an id
+            where = f"family {record.get('id', f'#{pos}') if type(record) is dict else f'#{pos}'}"
             fam = _parse_family(record, where)
             if fam.id in families:
                 raise TableIntegrityError(f"{where}: an earlier record has the same id")
@@ -313,10 +322,9 @@ def lookup_tilting_pe3(lam: Weight, p: Optional[Parabolic] = None) -> FormalChar
     """
     if len(lam) != 3:
         raise ValueError(f"table lookup requires rank 3, got {len(lam)}")
-    if not _EXACT.issuperset(map(type, lam)):  # a string is refused, not parsed
-        refuse_inexact(lam)
+    _ints(lam)  # a string is refused, not parsed
     lam = weight(*lam)
-    p = borel(3) if p is None else tuple(p)
+    p = borel(3) if p is None else p
     require_p_dominant(lam, p)
     if is_p_weakly_typical(lam, p):
         return _weakly_typical_tilting(lam, p)  # guarded just above

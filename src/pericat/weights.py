@@ -3,13 +3,13 @@ r"""Weight-space data for the periplectic Lie superalgebra pe(n).
 Weights live in the dual Cartan h* with orthonormal-ish basis e_1, ..., e_n
 (<e_i, e_j> = delta_ij) and are stored as tuples of exact coordinates: an
 integral coordinate is a Python int, any other one a reduced Fraction with
-denominator > 1.  `exact` normalises a coordinate once, where it enters the
-program (weight, parse_weight, shift); an int equals and hashes like the
-equal Fraction, so either form works as a key, but only the normalised one
-keeps the integer fast path.  All indices in code are 0-based; a weight
-(a, b, c) stands for a*e_1 + b*e_2 + c*e_3.  Throughout the package weights
-are rho-shifted: the label lam refers to the module of highest weight
-lam - rho, with rho = (n-1, ..., 1, 0).
+denominator > 1, and a weight is a tuple: `_ints` checks each weight the
+engine is given.  `exact` normalises a coordinate once, where it enters
+the program (weight, parse_weight, shift); an int equals and hashes like
+the equal Fraction, so either form works as a key, but only the normalised
+one keeps the integer fast path.  Indices are 0-based; (a, b, c) stands for
+a*e_1 + b*e_2 + c*e_3.  Weights are rho-shifted: the label lam refers to
+the module of highest weight lam - rho, with rho = (n-1, ..., 1, 0).
 
 Even roots are the gl(n) roots e_i - e_j; odd roots are -e_i - e_j (i < j)
 and e_i + e_j (i <= j).  A root is stored as its index pair (i, j), where
@@ -60,28 +60,30 @@ def exact(c) -> Coord:
     return q.numerator if q.denominator == 1 else q
 
 
-def refuse_inexact(*weights) -> None:
-    """Raise TypeError naming the first coordinate that is not an int or
-    Fraction; a bool is neither.  Callers run this only once their type
-    scan has failed, so exact input pays nothing for the search."""
-    for c in (c for lam in weights for c in lam):
+def _ints(lam: Weight) -> bool:
+    """Whether the weight lam holds ints alone: the one check of a weight
+    the engine is given.  TypeError names a lam that is not a tuple, or its
+    first coordinate that is not an int or Fraction; a bool is neither."""
+    if not isinstance(lam, tuple):
+        raise TypeError(f"weight {lam!r} is a {type(lam).__name__}, not a tuple")
+    if _INT.issuperset(map(type, lam)):
+        return True
+    for c in lam:
         if type(c) is bool or not isinstance(c, (int, Fraction)):
             raise TypeError(f"weight coordinate {c!r} is not exact; build it with weight()")
+    return False
 
 
 def scale(weights: Sequence[Weight]) -> tuple[int, Sequence[tuple[int, ...]]]:
     """(d, the weights times d as int tuples), d the least common
     denominator of their coordinates; weights of ints alone are returned as
-    they are, with d = 1.  A float or bool raises refuse_inexact's error.
+    they are, with d = 1.  `_ints` checks every weight, past a Fraction too.
 
     >>> scale([(1, Fraction(1, 2)), (Fraction(-2, 3), 0)])
     (6, [(6, 3), (-4, 0)])
     """
-    kinds = set(map(type, chain.from_iterable(weights)))
-    if kinds <= _INT:
+    if all([_ints(lam) for lam in weights]):
         return 1, weights
-    if not kinds <= _EXACT:
-        refuse_inexact(*weights)
     d = lcm(*{c.denominator for c in chain.from_iterable(weights)})
     return d, [tuple([c.numerator * (d // c.denominator) for c in lam]) for lam in weights]
 
@@ -124,8 +126,7 @@ def shift(lam: Weight, k) -> Weight:
     """lam + k*omega_n, omega_n = e_1 + ... + e_n (tensor by the k-th power
     of the determinant)."""
     k = exact(k)
-    if not _EXACT.issuperset(map(type, lam)):  # True + k would pass as an int
-        refuse_inexact(lam)
+    _ints(lam)  # True + k would pass as an int
     return tuple(exact(c + k) for c in lam)
 
 
@@ -192,15 +193,12 @@ def is_dominant(lam: Weight) -> bool:
 def is_p_dominant(lam: Weight, p: Parabolic) -> bool:
     """lam lies in Sigma_p^+: <lam, alpha> in Z_{>0} for alpha in Phi^+(l).
 
-    These are the weights indexing parabolic Vermas/costandards in O^p.
-    The test runs on lam scaled to ints (see `scale`), so a coordinate that
-    is not an int or Fraction raises TypeError naming it at every p, and so
-    does a lam or p that is not a tuple.
+    These are the weights indexing parabolic Vermas/costandards in O^p.  `scale`
+    checks lam at every p, and TypeError names a p that is not a tuple.
     """
-    for name, arg in (("weight", lam), ("parabolic", p)):
-        if not isinstance(arg, tuple):
-            raise TypeError(f"{name} {arg!r} is a {type(arg).__name__}, not a tuple")
     d, (x,) = scale([lam])
+    if not isinstance(p, tuple):
+        raise TypeError(f"parabolic {p!r} is a {type(p).__name__}, not a tuple")
     return _falls(x, _levi_pairs(p, len(lam)), d)
 
 
@@ -226,7 +224,9 @@ def is_p_weakly_typical(lam: Weight, p: Parabolic) -> bool:
     with i < j.
     """
     d, (x,) = scale([lam])
-    return all(x[i] - x[j] != t * d for i, j, t in _weak_typicality_pairs(tuple(p), len(x)))
+    if not isinstance(p, tuple):
+        raise TypeError(f"parabolic {p!r} is a {type(p).__name__}, not a tuple")
+    return all(x[i] - x[j] != t * d for i, j, t in _weak_typicality_pairs(p, len(x)))
 
 
 def degree(lam: Weight) -> Coord:
@@ -239,14 +239,12 @@ def integrality_classes(lam: Weight) -> list:
     """The positions of lam grouped by integrality class, in first-occurrence
     order, as ((r, d), positions): every coordinate there has denominator d
     and fractional part r/d.  Two coordinates differ by an integer exactly
-    when they share the key, which is built from ints alone.  A float or
-    bool raises refuse_inexact's error.
+    when they share the key, which is built from ints alone; `_ints` checks lam.
 
     >>> integrality_classes(weight("1/2", 0, "3/2", 1))
     [((1, 2), [0, 2]), ((0, 1), [1, 3])]
     """
-    if not _EXACT.issuperset(map(type, lam)):
-        refuse_inexact(lam)
+    _ints(lam)
     classes: dict = {}
     for i, c in enumerate(lam):
         d = c.denominator

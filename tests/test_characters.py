@@ -528,10 +528,16 @@ _KERNELS = [
 
 @pytest.mark.parametrize("convert, kind", _KERNELS)
 @pytest.mark.parametrize("p", [B2, (2,)])
-def test_kernel_refuses_float_coordinates(convert, kind, p):
-    chi = FormalChar({(symbol(kind, p), (1.5, 0)): 1})
+@pytest.mark.parametrize(
+    "weights", [[(1.5, 0)], [(Fraction(1, 2), 0), (1.5, 0)]], ids=["float", "float-after-fraction"]
+)
+def test_kernel_refuses_float_coordinates(convert, kind, p, weights):
+    # every weight is checked, also one past a weight that holds a Fraction
+    chi = FormalChar({(symbol(kind, p), lam): 1 for lam in weights})
     with pytest.raises(TypeError, match="weight coordinate 1.5 is not exact"):
         convert(chi)
+    with pytest.raises(TypeError, match="weight coordinate 1.5 is not exact"):
+        scale(weights)
 
 
 @pytest.mark.parametrize("convert, kind", _KERNELS)

@@ -155,6 +155,7 @@ def test_verify_pe3_reports_flag_bound_red(capsys):
         ("pe3", "0", "error: param_bound must be at least 4 to cover every pattern"),
         ("thmD", "0", "error: param_bound must be at least 4 to cover every pattern"),
         ("props", "-1", "error: bound must be non-negative"),
+        ("pe3", "100000000000000000000", "error: --bound must be at most 256"),
     ],
 )
 def test_verify_bound_is_never_replaced(capsys, suite, bound, message):
@@ -205,6 +206,16 @@ def _malformed(doc, case):
         rows["5.4"]["terms"][1][1] = "x"
     elif case == "repeated-id":
         rows["5.7"]["id"] = "5.4"
+    elif case == "record-not-an-object":
+        doc["families"] = [1]
+    elif case == "hw-a-number":
+        rows["5.4"]["hw"] = 5
+    elif case == "min-a-string":
+        rows["5.1"]["params"]["b"]["min"] = "3"
+    elif case == "parabolic-a-number":
+        rows["5.4"]["parabolic"] = 3
+    elif case == "params-a-list":
+        rows["5.1"]["params"] = ["b"]
     return doc
 
 
@@ -216,6 +227,12 @@ _MALFORMED = [
     ("param-without-kind", "family 5.1: no 'kind' field"),
     ("coefficient-not-an-integer", "family 5.4: a term is not a [pattern, integer coefficient] pair"),
     ("repeated-id", "family 5.4: an earlier record has the same id"),
+    ("record-not-an-object", "family #1: no 'id' field"),
+    ("hw-a-number", "family 5.4: 'hw' is not a str"),
+    ("min-a-string", "family 5.1: b.min is not an integer or null"),
+    ("parabolic-a-number", "family 5.4: 'parabolic' is not a list"),
+    ("params-a-list", "family 5.1: 'params' is not a dict"),
+    ("not-json", "the fixture file is not JSON: Expecting value: line 1 column 1 (char 0)"),
 ]
 
 
@@ -228,7 +245,7 @@ def test_error_malformed_fixture_record(capsys, tmp_path, monkeypatch, argv, cas
     # names the row, by its id or else its 1-based position
     doc = json.loads(tables._read_fixture("<packaged>"))
     path = tmp_path / f"families-{case}.json"
-    path.write_text(json.dumps(_malformed(doc, case)))
+    path.write_text("not JSON" if case == "not-json" else json.dumps(_malformed(doc, case)))
     monkeypatch.setenv("PERICAT_FIXTURES", str(path))
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (1, "")

@@ -23,18 +23,15 @@ from pericat.glmult import (
     verma_simple_mult,
 )
 from pericat.linkage import _walk, strong_down_set, strongly_linked
-from pericat.weights import _EXACT, _INT, refuse_inexact, require_p_dominant
+from pericat.weights import _ints, require_p_dominant
 
 
 def ref_ranks(lam, mu):
     """`linkage._ranks` with no memo: both weights ranked on every call."""
-    kinds = {*map(type, lam), *map(type, mu)}
-    ints = kinds <= _INT
+    ints = _ints(lam) & _ints(mu)  # both checked, lam first
     if ints:
         lam_q, mu_q = lam, mu
     else:
-        if not kinds <= _EXACT:
-            refuse_inexact(lam, mu)
         lam_q = [c.as_integer_ratio() for c in lam]
         mu_q = lam_q if mu is lam else [c.as_integer_ratio() for c in mu]
     if mu_q is not lam_q and sorted(lam_q) != sorted(mu_q):
@@ -224,9 +221,8 @@ def test_held_row_is_the_last_tuple_ranked():
     lam = (2, 0, Fraction(1, 2))
     assert linkage._ranks(lam, (0, 2, Fraction(1, 2))) is not None
     assert linkage._held[0] is lam
-    # a list, and weights that are refused, are never held
-    linkage._ranks([2, 0, 1], (0, 1, 2))
-    for refused in ((1.5, 0, 1), (True, 0, 1)):
+    # a list, and weights that are refused, raise and are never held
+    for refused in ([2, 0, 1], (1.5, 0, 1), (True, 0, 1)):
         with pytest.raises(TypeError):
             linkage._ranks(refused, (0, 1, 2))
     assert linkage._held[0] is lam

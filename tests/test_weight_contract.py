@@ -5,14 +5,19 @@ Every public function of the engine modules whose first parameter is a
 or Fraction: a float, a bool or a string, numeric or not, gives TypeError
 or ValueError naming that coordinate, at the Borel (no Levi pair reads it)
 and at p = (2, 1) (the Levi pair (0, 1) reads it), and never an answer or
-an AttributeError.
+an AttributeError.  A weight is a tuple: the list of GOOD's coordinates
+gives TypeError naming that list, at both parabolics.
 """
 
+import enum
 import importlib
 import inspect
 import re
 
 import pytest
+
+from pericat.glmult import verma_simple_mult
+from pericat.linkage import strongly_linked
 
 MODULES = ("weights", "linkage", "glmult", "tilting", "characters", "pe3.tables")
 
@@ -55,7 +60,12 @@ def _cases():
         for p in PARABOLICS if takes_p else (None,):
             for at in (0, 1):  # both coordinates of the Levi pair (0, 1)
                 for c in BAD:
-                    yield pytest.param(f, params, p, at, c, id=f"{label}-{p}-{at}-{c!r}")
+                    lam = list(GOOD)
+                    lam[at] = c
+                    named = rf"(coordinate|Fraction:) {re.escape(repr(c))}"
+                    yield pytest.param(f, params, p, tuple(lam), named, id=f"{label}-{p}-{at}-{c!r}")
+            named = rf"weight {re.escape(repr(list(GOOD)))} is a list, not a tuple"
+            yield pytest.param(f, params, p, list(GOOD), named, id=f"{label}-{p}-list")
 
 
 def test_coverage():
@@ -65,11 +75,9 @@ def test_coverage():
     assert len(FUNCTIONS) - len(EXEMPT) >= 20
 
 
-@pytest.mark.parametrize("f, params, p, at, c", list(_cases()))
-def test_inexact_coordinate_is_refused(f, params, p, at, c):
-    lam = list(GOOD)
-    lam[at] = c
-    args = [tuple(lam)]
+@pytest.mark.parametrize("f, params, p, lam, named", list(_cases()))
+def test_inexact_coordinate_is_refused(f, params, p, lam, named):
+    args = [lam]
     for q in params[1:]:
         if q.name == "p":
             args.append(p)
@@ -77,6 +85,13 @@ def test_inexact_coordinate_is_refused(f, params, p, at, c):
             args.append(EXTRA[q.name])
         else:
             assert q.default is not inspect.Parameter.empty, q.name
-    named = rf"(coordinate|Fraction:) {re.escape(repr(c))}"
     with pytest.raises((TypeError, ValueError), match=named):
         f(*args)
+
+
+def test_int_subclass_coordinate_answers_as_its_int():
+    # the check refuses by isinstance, as the engine always has: an IntEnum
+    # coordinate is an int, so it answers as that int does
+    one = enum.IntEnum("One", {"ONE": 1}).ONE
+    assert strongly_linked((one, 0, 2), (one, 2, 0)) is strongly_linked((1, 0, 2), (1, 2, 0)) is True
+    assert verma_simple_mult((3, 2, one, 0), (0, 2, one, 3)) == verma_simple_mult((3, 2, 1, 0), (0, 2, 1, 3))

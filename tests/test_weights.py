@@ -19,8 +19,10 @@ from conftest import (
     normalised,
     partial_weight,
 )
+from pericat.characters import delta, nabla
 from pericat.glmult import parabolic_verma_simple_mult
 from pericat.linkage import _lowered, thm34_nabla_edge
+from pericat.pe3.tables import lookup_tilting_pe3
 from pericat.tilting import weakly_typical_tilting
 from pericat.weights import (
     borel,
@@ -113,11 +115,15 @@ def test_dominance():
             (thm34_nabla_edge, ((2, 0, 1), 1, [1, 1, 1])),
             (parabolic_verma_simple_mult, ((1, 0, 2), (1, 0, 2), [1, 1, 1])),
             (is_p_dominant, ((2, 0, 1), [1, 1, 1])),
+            (is_p_weakly_typical, ((2, 0, 1), [1, 1, 1])),
+            (delta, ((2, 0, 1), [1, 1, 1])),
+            (nabla, ((2, 0, 1), [1, 1, 1])),
+            (lookup_tilting_pe3, ((2, 0, 1), [1, 1, 1])),
         )
     ],
 )
 def test_list_parabolic_is_a_typed_error(entry, args):
-    # is_p_dominant refuses a weight or parabolic that is not a tuple, naming it
+    # a parabolic that is not a tuple is refused by name, never converted
     with pytest.raises(TypeError, match=r"parabolic \[1, 1, 1\] is a list, not a tuple"):
         entry(*args)
 
