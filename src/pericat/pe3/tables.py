@@ -190,8 +190,9 @@ def _field(record, name: str, kind: type, where: str, default=None):
 
 def _parse_family(record, where: str) -> TiltingFamily:
     """One fixture record as a row, its fields read by `_field`.  An unknown
-    parameter kind, a bound that is not an integer or null, or a term that is
-    not a [pattern, integer coefficient] pair raises TableIntegrityError too."""
+    parameter kind, a bound that is not an integer or null, a term that is
+    not a [pattern, integer coefficient] pair, or a parabolic part that is
+    not a positive integer raises TableIntegrityError too."""
     fam_id = _field(record, "id", str, where)
     params: dict[str, ParamSpec] = {}
     for name, spec in _field(record, "params", dict, where, {}).items():
@@ -205,11 +206,14 @@ def _parse_family(record, where: str) -> TiltingFamily:
     hw = _compile_pattern(_field(record, "hw", str, where), params)
     pairs = _field(record, "terms", list, where)
     try:
-        terms = tuple((_compile_pattern(pattern, params), int(coeff)) for pattern, coeff in pairs)
-    except (AttributeError, TypeError, ValueError):  # a term's unpacking, split or int()
-        raise TableIntegrityError(
-            f"{where}: a term is not a [pattern, integer coefficient] pair") from None
+        terms = tuple((_compile_pattern(pattern, params), coeff) for pattern, coeff in pairs)
+    except (AttributeError, TypeError, ValueError):  # a term's unpacking or split
+        terms = None
+    if terms is None or any(type(coeff) is not int for _, coeff in terms):  # a bool is not
+        raise TableIntegrityError(f"{where}: a term is not a [pattern, integer coefficient] pair")
     parabolic = tuple(_field(record, "parabolic", list, where))
+    if any(type(part) is not int or part < 1 for part in parabolic):
+        raise TableIntegrityError(f"{where}: 'parabolic' is not a list of positive integers")
     return TiltingFamily(fam_id, parabolic, tuple(params.items()), hw, terms)
 
 

@@ -43,7 +43,6 @@ from ..weights import (
     negate,
     shift,
 )
-from ..weyl import all_perms, apply_perm
 from .tables import (
     NONINT_SAMPLES,
     NoTableEntry,
@@ -96,9 +95,8 @@ def _statement_failures(lam: Weight, chi: FormalChar) -> Iterator[tuple[int, str
         base = _lowered(lam, i, j)
         if coeff(base) <= 0:
             yield 2, f"lambda={format_weight(lam)} mu={format_weight(base)}"
-        for w in all_perms(3):
-            nu = apply_perm(w, base)
-            if strongly_linked(nu, base) and coeff(nu) <= 0:
+        for nu in strong_down_set(base):
+            if coeff(nu) <= 0:
                 yield 3, f"lambda={format_weight(lam)} mu={format_weight(nu)}"
 
     # Simple-root pairings (alpha_1, alpha_2).

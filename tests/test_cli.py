@@ -86,24 +86,42 @@ def test_theta_doubles_fixture(capsys, tmp_path):
     ]
 
 
-def test_char_round_trip(capsys, tmp_path):
-    doc = {
-        "basis": "nabla",
-        "parabolic": [1, 1],
-        "terms": [{"weight": ["0", "1"], "coeff": 2}],
-    }
+@pytest.mark.parametrize(
+    "source, delta_terms",
+    [
+        (None, 4),  # 2^n expansion at n=2
+        (("tilting", "--weight", "1,-2,0", "--parabolic", "2,1"), 14),
+        (("tilting", "--weight", "1/2,-1/2,0"), 16),
+    ],
+    ids=["nabla-file", "parabolic", "half-integral"],
+)
+def test_char_round_trip(capsys, tmp_path, source, delta_terms):
+    # a Nabla(p) file reads back as itself, and Nabla(p) -> Delta(p) ->
+    # Nabla(p) prints the file byte for byte
+    if source is None:
+        doc = {
+            "basis": "nabla",
+            "parabolic": [1, 1],
+            "terms": [{"weight": ["0", "1"], "coeff": 2}],
+        }
+        text = json.dumps(doc) + "\n"
+    else:
+        _, text, _ = run_cli(capsys, *source, "--format", "json")
     src = tmp_path / "char.json"
-    src.write_text(json.dumps(doc))
+    src.write_text(text)
     code, out, _ = run_cli(capsys, "char", "--char", str(src), "--format", "json")
-    assert code == 0
-    assert json.loads(out) == doc
+    assert (code, out) == (0, text)
     code, out, _ = run_cli(
         capsys, "char", "--char", str(src), "--to", "delta", "--format", "json"
     )
     assert code == 0
     converted = json.loads(out)
     assert converted["basis"] == "delta"
-    assert len(converted["terms"]) == 4  # 2^n expansion at n=2
+    assert len(converted["terms"]) == delta_terms
+    dlt = tmp_path / "delta.json"
+    dlt.write_text(out)
+    code, out, _ = run_cli(capsys, "char", "--char", str(dlt), "--to", "nabla", "--format", "json")
+    assert (code, out) == (0, text)
 
 
 def test_kl_and_mult(capsys):
@@ -204,6 +222,12 @@ def _malformed(doc, case):
         del rows["5.1"]["params"]["b"]["kind"]
     elif case == "coefficient-not-an-integer":
         rows["5.4"]["terms"][1][1] = "x"
+    elif case == "coefficient-a-float":  # int() read this, and the next two, as 1
+        rows["5.4"]["terms"][1][1] = 1.5
+    elif case == "coefficient-a-bool":
+        rows["5.4"]["terms"][1][1] = True
+    elif case == "coefficient-a-string":
+        rows["5.4"]["terms"][1][1] = "1"
     elif case == "repeated-id":
         rows["5.7"]["id"] = "5.4"
     elif case == "record-not-an-object":
@@ -214,6 +238,10 @@ def _malformed(doc, case):
         rows["5.1"]["params"]["b"]["min"] = "3"
     elif case == "parabolic-a-number":
         rows["5.4"]["parabolic"] = 3
+    elif case == "parabolic-part-a-string":
+        rows["5.4"]["parabolic"] = ["a", 1, 1]
+    elif case == "parabolic-parts-bools":  # never read as the Borel
+        rows["5.4"]["parabolic"] = [True, True, True]
     elif case == "params-a-list":
         rows["5.1"]["params"] = ["b"]
     return doc
@@ -226,11 +254,16 @@ _MALFORMED = [
     ("term-without-coefficient", "family 5.4: a term is not a [pattern, integer coefficient] pair"),
     ("param-without-kind", "family 5.1: no 'kind' field"),
     ("coefficient-not-an-integer", "family 5.4: a term is not a [pattern, integer coefficient] pair"),
+    ("coefficient-a-float", "family 5.4: a term is not a [pattern, integer coefficient] pair"),
+    ("coefficient-a-bool", "family 5.4: a term is not a [pattern, integer coefficient] pair"),
+    ("coefficient-a-string", "family 5.4: a term is not a [pattern, integer coefficient] pair"),
     ("repeated-id", "family 5.4: an earlier record has the same id"),
     ("record-not-an-object", "family #1: no 'id' field"),
     ("hw-a-number", "family 5.4: 'hw' is not a str"),
     ("min-a-string", "family 5.1: b.min is not an integer or null"),
     ("parabolic-a-number", "family 5.4: 'parabolic' is not a list"),
+    ("parabolic-part-a-string", "family 5.4: 'parabolic' is not a list of positive integers"),
+    ("parabolic-parts-bools", "family 5.4: 'parabolic' is not a list of positive integers"),
     ("params-a-list", "family 5.1: 'params' is not a dict"),
     ("not-json", "the fixture file is not JSON: Expecting value: line 1 column 1 (char 0)"),
 ]
@@ -437,11 +470,12 @@ def test_merge_negative_values():
 
 
 def _fresh_python(script: str) -> list[str]:
-    """Run ``script`` in a new interpreter that imports this pericat; its
-    stdout lines."""
+    """Run ``script`` in a new interpreter that imports this pericat, with
+    asserts stripped when they are stripped here; its stdout lines."""
     env = dict(os.environ, PYTHONPATH=str(Path(pericat.__file__).resolve().parents[1]))
+    optimize = ["-O"] * sys.flags.optimize
     proc = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, *optimize, "-c", script], env=env, capture_output=True, text=True, timeout=60
     )
     assert proc.stderr == ""
     return proc.stdout.splitlines()

@@ -257,6 +257,19 @@ def test_verify_theorem_d():
         verify_theorem_D(param_bound=3)
 
 
+@pytest.mark.parametrize("mu", [(-1, 0, 2), (-1, 2, 0), (0, -1, 2)])
+def test_theorem_d_statement_3_names_each_missing_mu(mu):
+    # lambda = (2,0,1) has lambda_2 - lambda_3 = -1; every mu strongly linked
+    # to its lowered weight (2,-1,0) must be a term of T_lambda
+    lam = W(2, 0, 1)
+    chi = lookup_tilting_pe3(lam)
+    assert list(verify._statement_failures(lam, chi)) == []
+    gone = chi - chi.coeff(NABLA, mu, B3) * nabla(W(*mu))
+    assert list(verify._statement_failures(lam, gone)) == [
+        (3, f"lambda=2,0,1 mu={format_weight(mu)}")
+    ]
+
+
 def test_pe2_property_check():
     rep = pe2_property_check(bound=2)
     assert rep.ok

@@ -218,6 +218,9 @@ def test_list_row_is_guarded_on_every_call():
 
 
 def test_held_row_is_the_last_tuple_ranked():
+    # two rows interleaved: each answers with its own ranks
+    a, b, mu = (3, 2, 1, 0), (0, 1, 2, 3), (0, 2, 1, 3)
+    assert [verma_simple_mult(a, mu), verma_simple_mult(b, mu), verma_simple_mult(a, mu)] == [2, 0, 2]
     lam = (2, 0, Fraction(1, 2))
     assert linkage._ranks(lam, (0, 2, Fraction(1, 2))) is not None
     assert linkage._held[0] is lam

@@ -345,6 +345,7 @@ def test_no_write_reaches_a_character(name, make, key):
         del chi.terms[key]
     fresh = FormalChar(chi.terms.copy())
     assert chi.terms[key] and 0 not in chi.terms.values()
+    assert make() == fresh  # the next one made, the next lookup among them, is unharmed
     assert [answer for answer, read in _ANSWERS.items() if read(chi) != read(fresh)] == []
 
 
@@ -359,6 +360,10 @@ def test_characters_pickle_and_copy(name, make, key):
 
 def test_results_round_trip_through_json():
     chi = lookup_tilting_pe3(W("1/2", "3/2", "5/2"))
+    back = lambda: delta_sum_to_nabla_sum(nabla_sum_to_delta_sum(chi))
+    for read in (lambda c: c, hash, char_to_json):  # the first read of a fresh result
+        assert read(back()) == read(chi)
+    assert theta_char(Fraction(1, 2), char_from_json(char_to_json(chi))) == theta_char(Fraction(1, 2), chi)
     for result in (nabla_sum_to_delta_sum(chi), theta_char(Fraction(1, 2), chi)):
         doc = char_to_json(result)
         assert char_from_json(doc) == result
