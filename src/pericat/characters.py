@@ -105,6 +105,8 @@ def symbol(kind: str, parabolic: Optional[Parabolic]) -> BasisSymbol:
         raise ValueError(f"basis kind {kind!r} needs a parabolic")
     if not isinstance(parabolic, tuple):
         raise TypeError(f"parabolic {parabolic!r} is a {type(parabolic).__name__}, not a tuple")
+    if any(type(part) is not int for part in parabolic):  # a bool or float part is refused too
+        raise TypeError(f"parabolic {parabolic!r} has a part that is not an int")
     return BasisSymbol(kind, parabolic)
 
 

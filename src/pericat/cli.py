@@ -78,23 +78,17 @@ def _parse_composition(text: str) -> tuple[int, ...]:
     return parts
 
 
-def _label_to_json(label) -> list[dict]:
-    return [
-        {"key": str(key), "size": size, "odd": odd}
-        for (key, size, odd) in label
+def _label(label) -> tuple[list[dict], str]:
+    doc = [{"key": str(key), "size": size, "odd": odd} for (key, size, odd) in label]
+    return doc, ", ".join("(key={key}, size={size}, odd={odd})".format(**d) for d in doc)
+
+
+def _char(chi: FormalChar, empty_basis: str = NABLA) -> tuple[dict, str]:
+    lines = [
+        f"{'' if coeff == 1 else f'{coeff} * '}{sym.kind}[{format_weight(lam)}]"
+        for (sym, lam), coeff in sorted(chi.terms.items(), key=lambda kv: kv[0][1])
     ]
-
-
-def _print_char(chi: FormalChar, fmt: str, empty_basis: str = NABLA) -> None:
-    if fmt == "json":
-        print(json.dumps(char_to_json(chi, empty_basis=empty_basis)))
-        return
-    if chi.is_zero():
-        print("0")
-        return
-    for (sym, lam), coeff in sorted(chi.terms.items(), key=lambda kv: kv[0][1]):
-        prefix = "" if coeff == 1 else f"{coeff} * "
-        print(f"{prefix}{sym.kind}[{format_weight(lam)}]")
+    return char_to_json(chi, empty_basis=empty_basis), "\n".join(lines) or "0"
 
 
 def _load_char(path: str) -> FormalChar:
@@ -102,71 +96,55 @@ def _load_char(path: str) -> FormalChar:
         return char_from_json(json.load(fh))
 
 
-def _cmd_block(args, fmt: str) -> int:
+def _cmd_block(args):
     lam = parse_weight(args.weight)
-    label = block_label(lam)
+    label, bits = _label(block_label(lam))
     canonical = format_weight(canonical_representative(lam))
-    if fmt == "json":
-        print(
-            json.dumps(
-                {
-                    "weight": args.weight,
-                    "label": _label_to_json(label),
-                    "canonical": canonical,
-                }
-            )
-        )
-    else:
-        bits = ", ".join(f"(key={k}, size={s}, odd={o})" for (k, s, o) in label)
-        print(f"{bits}; canonical {canonical}")
-    return 0
+    doc = {"weight": args.weight, "label": label, "canonical": canonical}
+    return doc, f"{bits}; canonical {canonical}"
 
 
-def _cmd_blocks(args, fmt: str) -> int:
+def _cmd_blocks(args):
     comp = _parse_composition(args.composition)
     count = block_count(comp)
-    if fmt == "json":
+    doc = {"composition": list(comp), "count": count}
+    if args.format == "json":  # the labels grow as prod(k + 1): text prints the count alone
         # one class per part, keyed by its own fractional offset; a class of
-        # size k has 0..k coordinates at odd offset, independently
+        # size k has 0..k coordinates at odd offset, independently, and a
+        # label takes one entry of each class
         keys = [0] + [Fraction(1, k + 2) for k in range(len(comp) - 1)]
-        classes = [[(key, size, odd) for odd in range(size + 1)] for key, size in zip(keys, comp)]
-        labels = [_label_to_json(lab) for lab in product(*classes)]
-        print(json.dumps({"composition": list(comp), "count": count, "labels": labels}))
-    else:
-        print(count)
-    return 0
+        classes = [
+            _label([(key, size, odd) for odd in range(size + 1)])[0]
+            for key, size in zip(keys, comp)
+        ]
+        doc["labels"] = [list(lab) for lab in product(*classes)]
+    return doc, str(count)
 
 
-def _cmd_char(args, fmt: str) -> int:
+def _cmd_char(args):
     chi = _load_char(args.char)
     if args.to == "delta":
         chi = nabla_sum_to_delta_sum(chi)
     elif args.to == "nabla":
         chi = delta_sum_to_nabla_sum(chi)
-    _print_char(chi, fmt, DELTA if args.to == "delta" else NABLA)
-    return 0
+    return _char(chi, DELTA if args.to == "delta" else NABLA)
 
 
-def _cmd_tilting(args, fmt: str) -> int:
+def _cmd_tilting(args):
     lam = parse_weight(args.weight)
     p = _parse_composition(args.parabolic) if args.parabolic else borel(len(lam))
     if sum(p) != len(lam):
         raise ValueError(f"parabolic {p} does not match weight length {len(lam)}")
     if len(lam) == 3:
-        chi = lookup_tilting_pe3(lam, p)
-    else:
-        chi = weakly_typical_tilting(lam, p)
-    _print_char(chi, fmt)
-    return 0
+        return _char(lookup_tilting_pe3(lam, p))
+    return _char(weakly_typical_tilting(lam, p))
 
 
-def _cmd_theta(args, fmt: str) -> int:
-    chi = theta_char(exact(args.a), _load_char(args.char))
-    _print_char(chi, fmt)
-    return 0
+def _cmd_theta(args):
+    return _char(theta_char(exact(args.a), _load_char(args.char)))
 
 
-def _cmd_kl(args, fmt: str) -> int:
+def _cmd_kl(args):
     x = parse_perm(args.x)
     w = parse_perm(args.w)
     if args.n is not None and (len(x) != args.n or len(w) != args.n):
@@ -174,14 +152,10 @@ def _cmd_kl(args, fmt: str) -> int:
     if len(x) != len(w):
         raise ValueError("permutations must have equal length")
     poly = kl_polynomial(x, w)
-    if fmt == "json":
-        print(json.dumps({"coeffs": list(poly)}))
-    else:
-        print(format_poly(poly))
-    return 0
+    return {"coeffs": list(poly)}, format_poly(poly)
 
 
-def _cmd_mult(args, fmt: str) -> int:
+def _cmd_mult(args):
     verma = parse_weight(args.verma)
     simple = parse_weight(args.simple)
     if len(verma) != len(simple):
@@ -191,11 +165,7 @@ def _cmd_mult(args, fmt: str) -> int:
         value = parabolic_verma_simple_mult(verma, simple, p)
     else:
         value = verma_simple_mult(verma, simple)
-    if fmt == "json":
-        print(json.dumps({"mult": value}))
-    else:
-        print(value)
-    return 0
+    return {"mult": value}, str(value)
 
 
 def _report_rows(suite: str, bound: Optional[int]):
@@ -217,34 +187,20 @@ def _report_rows(suite: str, bound: Optional[int]):
     return [(r.name, r.ok, f"checked={r.checked}", r.failures) for r in reports]
 
 
-def _cmd_verify(args, fmt: str) -> int:
+def _cmd_verify(args):
     rows = _report_rows(args.suite, args.bound)
     all_ok = all(ok for (_, ok, _, _) in rows)
-    if fmt == "json":
-        print(
-            json.dumps(
-                {
-                    "suite": args.suite,
-                    "ok": all_ok,
-                    "results": [
-                        {
-                            "name": name,
-                            "ok": ok,
-                            "detail": detail,
-                            "failures": list(failures),
-                        }
-                        for (name, ok, detail, failures) in rows
-                    ],
-                }
-            )
-        )
-    else:
-        for name, ok, detail, failures in rows:
-            print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
-            for f in failures:
-                print(f"    {f}")
-        print(f"{'all checks passed' if all_ok else 'SOME CHECKS FAILED'}")
-    return 0 if all_ok else 1
+    results = [
+        {"name": name, "ok": ok, "detail": detail, "failures": list(failures)}
+        for (name, ok, detail, failures) in rows
+    ]
+    lines = []
+    for name, ok, detail, failures in rows:
+        lines.append(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
+        lines.extend(f"    {f}" for f in failures)
+    lines.append("all checks passed" if all_ok else "SOME CHECKS FAILED")
+    doc = {"suite": args.suite, "ok": all_ok, "results": results}
+    return doc, "\n".join(lines), 0 if all_ok else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -338,7 +294,9 @@ _DISPATCH = {
 }
 
 
-_VALUE_FLAGS = {"--weight", "--verma", "--simple", "--a", "--x", "--w"}
+_VALUE_FLAGS = {
+    "--weight", "--verma", "--simple", "--a", "--x", "--w", "--parabolic", "--composition"
+}
 _NEGATIVE_VALUE = re.compile(r"^-\d[\d,/\- ]*$")
 
 
@@ -367,13 +325,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = _merge_negative_values(list(sys.argv[1:] if argv is None else argv))
     args = parser.parse_args(argv)  # exits with code 2 on parse errors
     try:
-        return _DISPATCH[args.command](args, args.format)
+        # each handler returns its JSON document and its text; verify adds its exit code
+        doc, text, *code = _DISPATCH[args.command](args)
+        print(json.dumps(doc) if args.format == "json" else text)
+        return code[0] if code else 0
     except (
         NotWeaklyTypical, NoTableEntry, TableIntegrityError, NonTerminating,
         SimpleBasis, MixedBasis,
     ) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-    except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
     return 1
 

@@ -1,6 +1,7 @@
 """Formal character algebra, basis conversions, and translation rules."""
 
 import functools
+import re
 from fractions import Fraction
 
 import pytest
@@ -545,6 +546,22 @@ def test_kernel_refuses_bool_coordinates(convert, kind):
     chi = FormalChar({(symbol(kind, (2,)), (True, 0)): 1})
     with pytest.raises(TypeError, match="weight coordinate True is not exact"):
         convert(chi)
+
+
+@pytest.mark.parametrize("parabolic", [(1.0, 2.0), (True, 2)], ids=["float", "bool"])
+def test_float_or_bool_parabolic_part_is_a_typed_error(parabolic):
+    # (1.0, 2.0) and (True, 2) equal (1, 2) as cache keys: after a call
+    # with (1, 2), a weights memo would serve them its entry
+    assert not nabla_sum_to_delta_sum(nabla((2, 1, 0), (1, 2))).is_zero()
+    builds = [
+        delta,
+        nabla,
+        functools.partial(FormalChar.single, NABLA),
+        lambda lam, p: nabla_sum_to_delta_sum(nabla(lam, p)),
+    ]
+    for build in builds:
+        with pytest.raises(TypeError, match=re.escape(f"parabolic {parabolic!r} has a part")):
+            build((2, 1, 0), parabolic)
 
 
 def test_raw_fraction_blocks_do_not_reach_normalised_results():

@@ -10,6 +10,7 @@ import pytest
 
 import pericat
 from conftest import corrupt_row, without_row
+from pericat import cli
 from pericat.cli import _merge_negative_values, main
 from pericat.pe3 import tables
 
@@ -32,6 +33,18 @@ def test_blocks_json(capsys):
     doc = json.loads(out)
     assert doc["count"] == 4
     assert len(doc["labels"]) == 4
+
+
+def test_blocks_text_builds_no_labels(capsys, monkeypatch):
+    """The label list grows as the product of (part + 1): text mode prints
+    the count alone and never builds it."""
+
+    def refuse(label):
+        raise RuntimeError("text mode built a block label")
+
+    monkeypatch.setattr(cli, "_label", refuse)
+    code, out, err = run_cli(capsys, "blocks", "--composition", ",".join(["1"] * 60))
+    assert (code, out, err) == (0, f"{2 ** 60}\n", "")
 
 
 def test_block_label_json(capsys):
@@ -464,6 +477,11 @@ def test_merge_negative_values():
         "--char",
         "f.json",
     ]
+    assert _merge_negative_values(["blocks", "--composition", "-1,2"]) == [
+        "blocks",
+        "--composition=-1,2",
+    ]
+    assert _merge_negative_values(["mult", "--parabolic", "-1,4"]) == ["mult", "--parabolic=-1,4"]
     # Flags with non-negative values and other arguments pass through.
     argv = ["tilting", "--weight", "0,1,2", "--format", "json"]
     assert _merge_negative_values(argv) == argv
