@@ -1,10 +1,9 @@
-r"""Formal characters: finite integer combinations of flagged basis symbols.
+r"""Formal characters: finite integer combinations of the flags of one basis.
 
-A FormalChar is a finite map (symbol, weight) -> nonzero integer, where the
-symbol names one of the two flag families of O^p: the parabolic standard
-characters Delta(p) and costandard characters Nabla(p).  Characters are never
-expanded into weight spaces; all identities are manipulated at the flag
-level.
+A FormalChar is a finite sum of the flags of one basis, kind(p): the
+parabolic standard characters Delta(p) or the costandard characters
+Nabla(p).  Characters are never expanded into weight spaces; all
+identities are manipulated at the flag level.
 
 Conversions work in Delta(p) coordinates, which are the p-dominant
 coefficients of the Borel expansion (w.lam is not p-dominant for w != 1 in W_p):
@@ -20,20 +19,20 @@ coefficients of the Borel expansion (w.lam is not p-dominant for w != 1 in W_p):
   * the translation-functor rule theta_char
   * shift_by_omega, the twist by a power of the determinant.
 
-The conversions and theta keep their rows on scaled ints: weights times the
-least common denominator d of a character's coordinates (and theta's a), so
-kappa steps by 2d and theta by d; an integral character has d = 1.  delta
-and nabla refuse a coordinate that is not an int or Fraction.  Each
-operation certifies its input once: one basis, exact coordinates, and every
-term in Sigma_p^+, tested on those ints by `is_p_dominant`'s own test
-`_falls` with the Levi pairs of p read once (the Borel has none, so a term's
-length is its whole check there); `require_p_dominant` runs, on the term
-unscaled, only to raise its error.  Each character keeps its certified form
-with its scaled weights, so theta called one a at a time on the same
-character certifies it once.  The conversions and theta return their
-answer in that form, its scaled rows, which are in Sigma_p^+ by
-construction: the next operation reads them as they are, and the (symbol,
-weight) terms are built from them only when they are first read.
+A character is stored once, as its kind, its parabolic p, a scale d and
+its rows: each weight times d, an int tuple, mapped to its nonzero
+coefficient.  The constructor is the one place a character is built from
+weights: it checks the kind, p's parts and each weight's coordinates
+(ints and Fractions only), scales the weights by their least common
+denominator d, and checks once that each lies in Sigma_p^+, on those ints
+by `is_p_dominant`'s own test `_falls` (the Borel has no Levi pairs, so a
+weight's length is its whole check there); `require_p_dominant` runs, on
+the weight unscaled, only to raise its error.  Every operation reads the
+rows and returns rows, which lie in Sigma_p^+ by construction: kappa steps
+by 2d, theta by d (d is made finer by a's denominator, if need be) and the
+omega-shift by k*d, and no Fraction is hashed or added.  An integral
+character has d = 1.  `terms`, the (basis, weight) -> coefficient view, is
+built from the rows each time it is read.
 
 >>> from .weights import weight, borel
 >>> theta_char(-1, nabla(weight(-1, 1, 1), borel(3))) == (
@@ -59,12 +58,10 @@ from .weights import (
     _ints,
     _levi_pairs,
     borel,
-    degree,
     exact,
     format_weight,
     require_p_dominant,
     scale,
-    shift,
     unscale,
 )
 from .weyl import apply_perm, length, levi_weyl_group
@@ -89,129 +86,150 @@ class NonTerminating(Exception):
     def __init__(self, remainder: "FormalChar"):
         self.remainder = remainder
         super().__init__(
-            f"no finite costandard sum exists; {len(remainder.terms)} terms remain"
+            f"no finite costandard sum exists; {len(remainder.rows)} terms remain"
         )
 
 
 class BasisSymbol(NamedTuple):
+    """The basis half of a key of `FormalChar.terms`."""
+
     kind: str
     parabolic: Parabolic
 
 
-def symbol(kind: str, parabolic: Optional[Parabolic]) -> BasisSymbol:
-    if kind not in (DELTA, NABLA):
-        raise ValueError(f"unknown basis kind {kind!r}")
-    if parabolic is None:
-        raise ValueError(f"basis kind {kind!r} needs a parabolic")
-    if not isinstance(parabolic, tuple):
-        raise TypeError(f"parabolic {parabolic!r} is a {type(parabolic).__name__}, not a tuple")
-    if any(type(part) is not int for part in parabolic):  # a bool or float part is refused too
-        raise TypeError(f"parabolic {parabolic!r} has a part that is not an int")
-    return BasisSymbol(kind, parabolic)
-
-
 class FormalChar:
-    """A finite integer combination of flags, and a value: `terms` is a
-    read-only mapping over a dict of the character's own, so a write raises
-    TypeError, and no coefficient is 0.  The first operation on a character
-    stores its certified form in `_form` (see `_certified`).  A conversion
-    or theta returns a character holding only that form (see `_result`);
-    its terms are built from the form's rows on the first read, and later
-    reads are plain slot reads."""
+    """A finite integer combination of the flags of one basis, and a value:
+    `rows` maps each weight, scaled by d, to its nonzero coefficient, and
+    is never written once the character is built.  The zero character has
+    no basis: its kind and parabolic are None."""
 
-    __slots__ = ("terms", "_form")
+    __slots__ = ("kind", "parabolic", "d", "rows")
 
-    def __init__(self, terms: Optional[Mapping] = None):
-        # both copies reuse the stored key hashes; dict() of a view would not
-        own = terms.copy() if type(terms) is MappingProxyType else dict(terms or {})
-        for key in [key for key, c in own.items() if c == 0]:
-            del own[key]
-        self.terms: Mapping[tuple[BasisSymbol, Weight], int] = MappingProxyType(own)
-        self._form = None
+    def __init__(
+        self,
+        kind: Optional[str] = None,
+        parabolic: Optional[Parabolic] = None,
+        terms: Optional[Mapping[Weight, int]] = None,
+    ):
+        """The character sum of c * kind(parabolic)_lam over terms {lam: c}:
+        ValueError names an unknown kind or a weight outside Sigma_p^+, and
+        TypeError a parabolic that is not a tuple of ints or a coordinate
+        that is not an int or Fraction."""
+        self.kind = self.parabolic = None
+        self.d, self.rows = 1, {}
+        if kind is None and not terms:
+            return
+        if kind not in (DELTA, NABLA):
+            raise ValueError(f"unknown basis kind {kind!r}")
+        if parabolic is None:
+            raise ValueError(f"basis kind {kind!r} needs a parabolic")
+        if not isinstance(parabolic, tuple):
+            raise TypeError(f"parabolic {parabolic!r} is a {type(parabolic).__name__}, not a tuple")
+        if any(type(part) is not int for part in parabolic):  # a bool or float part is refused too
+            raise TypeError(f"parabolic {parabolic!r} has a part that is not an int")
+        terms = {lam: c for lam, c in (terms or {}).items() if c}
+        if not terms:
+            return
+        d, xs = scale(list(terms))
+        _guard(xs, parabolic, d)
+        self.kind, self.parabolic, self.d, self.rows = kind, parabolic, d, dict(zip(xs, terms.values()))
 
-    def __getattr__(self, name):
-        # reached only for an unset slot: the terms of an operation's result,
-        # built in the order of its rows
-        if name != "terms":
-            raise AttributeError(name)
-        sym, d, rows = self._form
-        self.terms = terms = MappingProxyType({(sym, lam): c for lam, c in unscale(rows, d)})
-        return terms
+    def _at(self, d: int) -> dict:
+        """The rows scaled by d, a multiple of self.d."""
+        m = d // self.d
+        return self.rows if m == 1 else {tuple([v * m for v in x]): c for x, c in self.rows.items()}
 
-    def __reduce__(self):
-        # a read-only view does not pickle: copy and pickle rebuild from its dict
-        return FormalChar, (self.terms.copy(),)
+    def items(self) -> Iterable[tuple[Weight, int]]:
+        """The (weight, coefficient) pairs, in the order of the rows."""
+        return unscale(self.rows, self.d)
 
-    @classmethod
-    def single(cls, kind: str, lam: Weight, parabolic: Parabolic, coeff: int = 1) -> "FormalChar":
-        _ints(lam)
-        return cls({(symbol(kind, parabolic), lam): coeff})
+    @property
+    def terms(self) -> Mapping[tuple[BasisSymbol, Weight], int]:
+        """A read-only mapping (BasisSymbol(kind, parabolic), weight) ->
+        coefficient, built from the rows on each read."""
+        sym = BasisSymbol(self.kind, self.parabolic)
+        return MappingProxyType({(sym, lam): c for lam, c in self.items()})
 
     def coeff(self, kind: str, lam: Weight, parabolic: Optional[Parabolic] = None) -> int:
-        return self.terms.get((symbol(kind, parabolic or borel(len(lam))), tuple(lam)), 0)
+        if (kind, parabolic or borel(len(lam))) != (self.kind, self.parabolic):
+            return 0
+        return self.rows.get(tuple([c * self.d for c in lam]), 0)  # a Fraction off Z is no key
 
     def is_zero(self) -> bool:
-        return self._form is None and not self.terms  # a certified form is nonzero
+        return not self.rows
 
     def support(self) -> set[Weight]:
-        return {lam for (_, lam) in self.terms}
-
-    def symbols(self) -> set[BasisSymbol]:
-        return set(map(operator.itemgetter(0), self.terms))
-
-    def sole_basis(self) -> BasisSymbol:
-        syms = self.symbols()
-        if len(syms) != 1:
-            raise MixedBasis(f"expected one basis, found {sorted(s.kind for s in syms)}")
-        return next(iter(syms))
+        return {lam for lam, _ in self.items()}
 
     def __add__(self, other: "FormalChar") -> "FormalChar":
-        out = self.terms.copy()
-        for key, c in other.terms.items():
-            out[key] = out.get(key, 0) + c
-        return FormalChar(out)
+        return char_sum((self, other))
 
     def __sub__(self, other: "FormalChar") -> "FormalChar":
         return self + (-1) * other
 
     def __rmul__(self, k: int) -> "FormalChar":
-        return FormalChar({key: k * c for key, c in self.terms.items()})
+        return _char(self.kind, self.parabolic, self.d, {x: k * c for x, c in self.rows.items()})
 
     def __neg__(self) -> "FormalChar":
         return (-1) * self
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, FormalChar) and self.terms == other.terms
+        if not isinstance(other, FormalChar) or len(self.rows) != len(other.rows):
+            return False
+        d = lcm(self.d, other.d)  # equal characters may hold different scales
+        return (self.kind, self.parabolic) == (other.kind, other.parabolic) and self._at(d) == other._at(d)
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return hash((self.kind, self.parabolic, frozenset(self.items())))
 
     def __repr__(self) -> str:
-        if not self.terms:
+        if not self.rows:
             return "FormalChar(0)"
         bits = []
-        for (sym, lam), c in sorted(
-            self.terms.items(), key=lambda kv: (kv[0][0], kv[0][1])
-        ):
+        for lam, c in unscale(dict(sorted(self.rows.items())), self.d):  # scaling keeps the order
             coeff = "" if c == 1 else f"{c}*"
-            bits.append(f"{coeff}{sym.kind}[{format_weight(lam)}]")
+            bits.append(f"{coeff}{self.kind}[{format_weight(lam)}]")
         return "FormalChar(" + " + ".join(bits) + ")"
 
 
+def _char(kind: str, p: Parabolic, d: int, rows: dict) -> FormalChar:
+    """An operation's answer, rows mapping each of its weights, scaled by
+    d, to its coefficient: rows in Sigma_p^+, held as they are once their
+    zero coefficients are dropped."""
+    if 0 in rows.values():
+        rows = {x: c for x, c in rows.items() if c}
+    if not rows:
+        return FormalChar()
+    chi = FormalChar.__new__(FormalChar)
+    chi.kind, chi.parabolic, chi.d, chi.rows = kind, p, d, rows
+    return chi
+
+
 def delta(lam: Weight, p: Optional[Parabolic] = None) -> FormalChar:
-    return FormalChar.single(DELTA, lam, p or borel(len(lam)))
+    _ints(lam)  # a list weight is named, not hashed
+    return FormalChar(DELTA, p or borel(len(lam)), {lam: 1})
 
 
 def nabla(lam: Weight, p: Optional[Parabolic] = None) -> FormalChar:
-    return FormalChar.single(NABLA, lam, p or borel(len(lam)))
+    _ints(lam)
+    return FormalChar(NABLA, p or borel(len(lam)), {lam: 1})
 
 
 def char_sum(chars: Iterable[FormalChar]) -> FormalChar:
+    """The sum of characters of one basis, held at the lcm of their scales;
+    MixedBasis names two bases."""
+    chars = [chi for chi in chars if chi.rows]
+    if not chars:
+        return FormalChar()
+    kind, p = chars[0].kind, chars[0].parabolic
+    d = lcm(*(chi.d for chi in chars))
     out: dict = {}
     for chi in chars:
-        for key, c in chi.terms.items():
-            out[key] = out.get(key, 0) + c
-    return FormalChar(out)
+        if (chi.kind, chi.parabolic) != (kind, p):
+            raise MixedBasis(f"expected one basis, found {kind}{p} and {chi.kind}{chi.parabolic}")
+        for x, c in chi._at(d).items():
+            out[x] = out.get(x, 0) + c
+    return _char(kind, p, d, out)
 
 
 # --- expansions ---------------------------------------------------------------
@@ -221,10 +239,9 @@ def _borel(p: Parabolic, d: int, rows: dict) -> FormalChar:
     """Delta(p) rows (degree -> weight scaled by d -> coefficient) in
     Delta(borel); the Levi orbits of distinct weights in Sigma_p^+ are
     disjoint and repeat no weight, so no two terms meet."""
-    b = symbol(DELTA, borel(sum(p)))
-    return FormalChar({
-        (b, apply_perm(w, lam)): -c if lw % 2 else c
-        for row in rows.values() for lam, c in unscale(row, d) for w, lw in levi_weyl_group(p)
+    return _char(DELTA, borel(sum(p)), d, {
+        apply_perm(w, x): -c if lw % 2 else c
+        for row in rows.values() for x, c in row.items() for w, lw in levi_weyl_group(p)
     })
 
 
@@ -284,45 +301,16 @@ def _guard(xs: list, p: Parabolic, d: int) -> None:
             require_p_dominant(tuple(Fraction(c, d) for c in x), p)
 
 
-def _certified(chi: FormalChar, kind: Optional[str] = None) -> tuple:
-    """(sym, d, (x, coeff) per term) for the nonzero chi: its one basis
-    (which must be of the kind given, if any), a common denominator d of its
-    coordinates and its weights x scaled by d, in Sigma_p^+.  The form
-    (sym, d, {x: coeff}) is stored on chi, as `_result` stores an
-    operation's answer, and reused by every later operation."""
-    sym = chi._form[0] if chi._form else chi.sole_basis()
-    if kind is not None and sym.kind != kind:
-        raise SimpleBasis(f"expected a {kind.title()}-basis character, got {sym.kind!r}")
-    if chi._form is None:
-        d, xs = scale([lam for _, lam in chi.terms])
-        _guard(xs, sym.parabolic, d)  # the leaders derived from each x are in Sigma_p^+
-        chi._form = (sym, d, dict(zip(xs, chi.terms.values())))
-    _, d, rows = chi._form
-    return sym, d, rows.items()
-
-
-def _result(sym: BasisSymbol, d: int, rows: dict) -> FormalChar:
-    """An operation's answer, rows mapping each of its weights, scaled by
-    d, to its coefficient: held as its certified form, with no terms until
-    they are read (see FormalChar.__getattr__)."""
-    if 0 in rows.values():
-        rows = {x: c for x, c in rows.items() if c}
-    if not rows:
-        return FormalChar()
-    chi = FormalChar.__new__(FormalChar)
-    chi._form = (sym, d, rows)
-    return chi
-
-
-def _delta_rows(chi: FormalChar, kind: Optional[str] = None) -> tuple:
-    """(p, d, the Delta(p) form of chi scaled by d, by degree), chi in the
-    kind(p) basis if a kind is given; a row emptied by cancellation stays as
-    an empty dict."""
-    sym, d, pairs = _certified(chi, kind)
-    p = sym.parabolic
+def _delta_rows(chi: FormalChar, kind: str) -> tuple:
+    """(p, d, the Delta(p) form of the nonzero chi scaled by d, by degree),
+    chi in the kind(p) basis; a row emptied by cancellation stays as an
+    empty dict."""
+    if chi.kind != kind:
+        raise SimpleBasis(f"expected a {kind.title()}-basis character, got {chi.kind!r}")
+    p, d = chi.parabolic, chi.d
     rows: dict[int, dict[tuple, int]] = {}
-    for x, c in pairs:
-        if sym.kind == DELTA:  # the keys of chi are distinct, and so are the x
+    for x, c in chi.rows.items():
+        if kind == DELTA:  # the rows of chi are distinct
             rows.setdefault(sum(x), {})[x] = c
         else:
             _subtract_leader(rows, x, p, d, sum(x), -c)
@@ -354,7 +342,7 @@ def delta_sum_to_nabla_sum(chi: FormalChar) -> FormalChar:
             collected[x] = c
             _subtract_leader(remaining, x, p, d, top, c)
         del remaining[top]
-    return _result(symbol(NABLA, p), d, collected)
+    return _char(NABLA, p, d, collected)
 
 
 def nabla_sum_to_delta_sum(chi: FormalChar) -> FormalChar:
@@ -363,7 +351,7 @@ def nabla_sum_to_delta_sum(chi: FormalChar) -> FormalChar:
     if chi.is_zero():
         return FormalChar()
     p, d, rows = _delta_rows(chi, NABLA)
-    return _result(symbol(DELTA, p), d, {x: c for row in rows.values() for x, c in row.items()})
+    return _char(DELTA, p, d, {x: c for row in rows.values() for x, c in row.items()})
 
 
 # --- translation functors -----------------------------------------------------
@@ -378,23 +366,20 @@ def theta_char(a, chi: FormalChar) -> FormalChar:
 
 
 def _theta_images(alphabet, chi: FormalChar) -> list[FormalChar]:
-    """[theta_char(a, chi) for a in alphabet], with chi certified once."""
+    """[theta_char(a, chi) for a in alphabet], in one pass over chi's rows."""
     if chi.is_zero():
         return [FormalChar() for _ in alphabet]
     alphabet = tuple(map(exact, alphabet))
-    sym, d, pairs = _certified(chi)
-    p = sym.parabolic
-    m = lcm(d, *(a.denominator for a in alphabet)) // d
-    if m > 1:  # an a of a finer denominator: scale chi by it too
-        d, pairs = d * m, [(tuple([v * m for v in x]), c) for x, c in pairs]
+    kind, p = chi.kind, chi.parabolic
+    d = lcm(chi.d, *(a.denominator for a in alphabet))  # an a of a finer denominator scales chi too
     alphabet = [a.numerator * (d // a.denominator) for a in alphabet]
     outs, moves = [], {}  # moves: coordinate -> (image, step) for each image it moves in
     for a in alphabet:
         outs.append(out := {})
         moves.setdefault(a, []).append((out, d))
-        moves.setdefault(a if sym.kind == DELTA else a + 2 * d, []).append((out, -d))
+        moves.setdefault(a if kind == DELTA else a + 2 * d, []).append((out, -d))
     edges = {0, *itertools.accumulate(p)}  # where the Levi blocks start and end
-    for x, c in pairs:
+    for x, c in chi._at(d).items():
         for i, v in enumerate(x):
             for out, s in moves.get(v, ()):
                 # the moved weight stays in Sigma_p^+ unless the move closes
@@ -403,15 +388,19 @@ def _theta_images(alphabet, chi: FormalChar) -> list[FormalChar]:
                 if k in edges or x[k - 1] - x[k] != d:
                     mu = x[:i] + (v + s,) + x[i + 1 :]
                     out[mu] = out.get(mu, 0) + c
-    return [_result(sym, d, out) for out in outs]
+    return [_char(kind, p, d, out) for out in outs]
 
 
 def shift_by_omega(chi: FormalChar, k) -> FormalChar:
     """Tensor by the one-dimensional character of weight k*omega_n; chi itself
-    at k = 0.  A float or bool k raises TypeError, a zero one too."""
-    if not exact(k):
+    at k = 0.  A float or bool k raises TypeError, a zero one too.  Each
+    scaled coordinate moves by k*d, d made finer by k's denominator if need be."""
+    k = exact(k)
+    if not k or chi.is_zero():
         return chi
-    return FormalChar({(sym, shift(lam, k)): c for (sym, lam), c in chi.terms.items()})
+    d = lcm(chi.d, k.denominator)
+    s = k.numerator * (d // k.denominator)
+    return _char(chi.kind, chi.parabolic, d, {tuple([v + s for v in x]): c for x, c in chi._at(d).items()})
 
 
 # --- serialization ------------------------------------------------------------
@@ -421,13 +410,10 @@ def char_to_json(chi: FormalChar, empty_basis: str = DELTA) -> dict:
     """Serialize a single-basis character; weights as exact strings."""
     if chi.is_zero():
         return {"basis": empty_basis, "terms": []}
-    sym = chi.sole_basis()
-    doc: dict = {"basis": sym.kind, "parabolic": list(sym.parabolic)}
+    rows = dict(sorted(chi.rows.items(), key=lambda kv: (-sum(kv[0]), kv[0])))  # by degree, then weight
+    doc: dict = {"basis": chi.kind, "parabolic": list(chi.parabolic)}
     doc["terms"] = [
-        {"weight": [str(c) for c in lam], "coeff": coeff}
-        for (_, lam), coeff in sorted(
-            chi.terms.items(), key=lambda kv: (-degree(kv[0][1]), kv[0][1])
-        )
+        {"weight": [str(c) for c in lam], "coeff": coeff} for lam, coeff in unscale(rows, chi.d)
     ]
     return doc
 
@@ -452,8 +438,9 @@ def char_from_json(doc) -> FormalChar:
         raise ValueError("terms must be a list of objects")
     if not terms:
         return FormalChar()
-    sym = symbol(kind, parabolic)
-    n = sum(sym.parabolic)
+    if parabolic is None:
+        raise ValueError(f"basis kind {kind!r} needs a parabolic")
+    n = sum(parabolic)
     out: dict = {}
     for k, term in enumerate(terms):
         for field in ("coeff", "weight"):
@@ -472,9 +459,8 @@ def char_from_json(doc) -> FormalChar:
             raise ValueError(f"term {k}: empty weight")
         if len(lam) != n:
             raise ValueError(f"term {k}: weight has {len(lam)} entries, expected {n}")
-        key = (sym, lam)
-        out[key] = out.get(key, 0) + coeff
-    return FormalChar(out)
+        out[lam] = out.get(lam, 0) + coeff
+    return FormalChar(kind, parabolic, out)
 
 
 if __name__ == "__main__":

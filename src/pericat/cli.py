@@ -85,8 +85,8 @@ def _label(label) -> tuple[list[dict], str]:
 
 def _char(chi: FormalChar, empty_basis: str = NABLA) -> tuple[dict, str]:
     lines = [
-        f"{'' if coeff == 1 else f'{coeff} * '}{sym.kind}[{format_weight(lam)}]"
-        for (sym, lam), coeff in sorted(chi.terms.items(), key=lambda kv: kv[0][1])
+        f"{'' if coeff == 1 else f'{coeff} * '}{chi.kind}[{format_weight(lam)}]"
+        for lam, coeff in sorted(chi.items())  # the weights are distinct
     ]
     return char_to_json(chi, empty_basis=empty_basis), "\n".join(lines) or "0"
 

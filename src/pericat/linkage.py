@@ -7,9 +7,12 @@ strictly lowering.  The down- and up-set walks run on rank tuples: a step
 swaps two coordinates of one integrality class, so the ranking of the start
 weight serves every weight reached, and each is mapped back once at the end.
 
-Blocks of the full category O are described by one record per integrality
-class of coordinates: the class key (fractional part), its size, and how
-many of its coordinates sit at odd offset.
+A block label is one record per integrality class of coordinates: the
+class key (fractional part), its size, and how many of its coordinates sit
+at odd offset.  It does not describe the blocks of the full category O: it
+ignores which positions each class holds, so weights in different cosets
+of Z^n can share it (block_label((0, 1/2, 0)) == block_label((0, 0, 1/2)),
+though no block holds both).
 
 The predicates thm34_*/cor36_edge/thmA_* certify nonzero simple
 multiplicities in (parabolic) Verma modules; their coordinate indices q, i

@@ -105,7 +105,7 @@ class _Recorder:
             step,
             ok,
             f"T_{format_weight(lam)} from the weakly-typical engine "
-            f"({len(expected.terms)} term(s))",
+            f"({len(expected.rows)} term(s))",
         )
         return expected
 
@@ -114,7 +114,7 @@ class _Recorder:
         self.check(
             step,
             got == expected,
-            f"theta_{a} image matches the stated {len(expected.terms)}-term character",
+            f"theta_{a} image matches the stated {len(expected.rows)}-term character",
         )
         return expected
 

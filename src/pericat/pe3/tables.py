@@ -27,7 +27,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Mapping, NamedTuple, Optional, Union
 
-from ..characters import NABLA, FormalChar, shift_by_omega, symbol
+from ..characters import NABLA, FormalChar, shift_by_omega
 from ..linkage import block_label
 from ..tilting import _weakly_typical_tilting
 from ..weights import (
@@ -135,19 +135,18 @@ class TiltingFamily(NamedTuple):
     def instantiate(self, values: Optional[Mapping[str, Numeric]] = None) -> FormalChar:
         resolved = self._resolve(values)
         hw = self._substitute(self.hw, resolved)
-        sym = symbol(NABLA, self.parabolic)
         terms: dict = {}
         for pattern, coeff in self.terms:
-            key = (sym, self._substitute(pattern, resolved))
-            terms[key] = terms.get(key, 0) + coeff
-        chi = FormalChar(terms)
-        if chi.terms.get((sym, hw), 0) != 1:
+            mu = self._substitute(pattern, resolved)
+            terms[mu] = terms.get(mu, 0) + coeff
+        terms = {mu: c for mu, c in terms.items() if c}  # a zero sum is no term of the character
+        if terms.get(hw, 0) != 1:
             raise TableIntegrityError(
                 f"family {self.id}: highest weight {format_weight(hw)} must appear "
                 "with coefficient 1"
             )
         hw_block = sorted(block_label(hw))
-        for (_, mu), coeff in chi.terms.items():
+        for mu, coeff in terms.items():
             if coeff != 1:
                 raise TableIntegrityError(
                     f"family {self.id}: coefficient {coeff} at {format_weight(mu)}; "
@@ -163,7 +162,7 @@ class TiltingFamily(NamedTuple):
                     f"family {self.id}: term {format_weight(mu)} lies outside "
                     f"Sigma_p^+ for p={self.parabolic}"
                 )
-        return chi
+        return FormalChar(NABLA, self.parabolic, terms)
 
 
 def _compile_pattern(text: str, names: Mapping[str, ParamSpec]) -> tuple[Token, ...]:
@@ -233,7 +232,7 @@ class _Fixture(NamedTuple):
     def instance(self, fam: TiltingFamily, params: dict[str, Coord]) -> FormalChar:
         """fam.instantiate(params) for a row of this file, kept once it has
         validated: a failing instance is never kept, so it raises on every
-        call.  Callers share the kept character: its `terms` is read-only."""
+        call.  Callers share the kept character, a value."""
         key = (fam.id, *params.items())
         chi = self.kept.get(key)
         if chi is None:

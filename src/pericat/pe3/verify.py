@@ -29,7 +29,6 @@ from ..characters import (
     _theta_images,
     nabla_sum_to_delta_sum,
     shift_by_omega,
-    symbol,
 )
 from ..linkage import _lowered, strong_down_set, strongly_linked
 from ..tilting import weakly_typical_tilting
@@ -37,11 +36,11 @@ from ..weights import (
     Coord,
     Weight,
     borel,
-    degree,
     format_weight,
     is_p_weakly_typical,
     negate,
     shift,
+    unscale,
 )
 from .tables import (
     NONINT_SAMPLES,
@@ -179,57 +178,63 @@ def pe2_property_check(bound: int = 3) -> CheckReport:
     return CheckReport("rank2-linkage-bound", not failures, checked, tuple(failures))
 
 
-def _head(terms: dict, degrees: dict) -> Weight:
-    """The first top-degree weight mu in support-set order with no other top
-    nu such that -nu is strongly linked to -mu; the last top needs no test
-    once the others are out.  Each top is negated once, so a candidate -mu
-    stays one object and `strongly_linked` ranks it once."""
-    top = max(degrees[mu] for _, mu in terms)
-    tops = [mu for mu in {mu for _, mu in terms} if degrees[mu] == top]
+def _head(tops: list) -> int:
+    """The position of the first of tops, the top-degree weights in row
+    order, with no other top nu such that -nu is strongly linked to -mu; the
+    last top needs no test once the others are out.  Each top is negated
+    once, so a candidate -mu stays one object and `strongly_linked` ranks it
+    once."""
     negs = [negate(mu) for mu in tops]
     return next(
-        (mu for mu, lam in zip(tops[:-1], negs)
+        (i for i, lam in enumerate(negs[:-1])
          if not any(nu is not lam and strongly_linked(nu, lam) for nu in negs)),
-        tops[-1],
+        len(tops) - 1,
     )
 
 
 def decompose_into_tiltings(chi: FormalChar, p, memo: dict) -> dict[Weight, int]:
     """Write a dual-Verma-basis character as a non-negative integer
     combination of tilting characters, greedily from the top: each step
-    subtracts c * T_head (see :func:`_head`) in place from one terms dict.
+    subtracts c * T_head (see :func:`_head`) in place from one copy of the
+    rows of chi, T_head's rows rescaled to chi's scale d; only the
+    top-degree candidates of a step are unscaled.
 
-    Raises ValueError if a step meets a non-positive head or leaves a
-    negative coefficient (read on the touched keys, and once on the input);
-    propagates NoTableEntry when a head falls outside the stored patterns.
-    A tilting character has positive coefficients and 1 at its head, so a
-    step that leaves no negative coefficient removes the head and adds no
-    weight: the loop ends within |supp chi| steps.  ``memo`` maps (weight,
-    parabolic) to the tilting characters already found, so a caller that
-    decomposes many images can share them; a new head is looked up once per
-    class mod omega (see :func:`_class_tilting`), and a class with no
-    tilting character is stored as None."""
+    Raises ValueError if chi is not in the Nabla(p) basis, if a step meets
+    a non-positive head or leaves a negative coefficient (read on the
+    touched rows, and once on the input); propagates NoTableEntry when a
+    head falls outside the stored patterns.  A tilting character has
+    positive coefficients and 1 at its head, so a step that leaves no
+    negative coefficient removes the head and adds no weight: the loop ends
+    within |supp chi| steps.  ``memo`` maps (weight, parabolic) to the
+    tilting characters already found, so a caller that decomposes many
+    images can share them; a new head is looked up once per class mod omega
+    (see :func:`_class_tilting`), and a class with no tilting character is
+    stored as None."""
     p = tuple(p)
-    sym = symbol(NABLA, p)
-    remainder = chi.terms.copy()
-    degrees = {mu: degree(mu) for _, mu in remainder}  # no step adds a key and survives
+    if not chi.is_zero() and (chi.kind, chi.parabolic) != (NABLA, p):
+        raise ValueError(f"expected a nabla{p} character, got {chi.kind}{chi.parabolic}")
+    d, remainder = chi.d, dict(chi.rows)
     negative = any(c < 0 for c in remainder.values())
     parts: dict[Weight, int] = {}
     while remainder:
-        head = _head(remainder, degrees)
-        c = remainder.get((sym, head), 0)
+        top = max(map(sum, remainder))
+        tops = [x for x in remainder if sum(x) == top]
+        weights = [mu for mu, _ in unscale(dict.fromkeys(tops), d)]
+        i = _head(weights)
+        head, x = weights[i], tops[i]
+        c = remainder[x]
         if c <= 0:
             raise ValueError(f"head {format_weight(head)} has non-positive coefficient {c}")
         tilting = memo.get((head, p))
         if tilting is None:
             tilting = memo[head, p] = _class_tilting(head, p, memo)
-        for key, t in tilting.terms.items():
-            v = remainder.get(key, 0) - c * t
+        for y, t in tilting._at(d).items():  # T_head's weights share the head's denominators
+            v = remainder.get(y, 0) - c * t
             if v:
-                remainder[key] = v
+                remainder[y] = v
                 negative = negative or v < 0
             else:
-                del remainder[key]
+                del remainder[y]
         if negative:
             raise ValueError(f"subtracting {c} x T_{format_weight(head)} went negative")
         parts[head] = parts.get(head, 0) + c
@@ -256,7 +261,7 @@ def _class_tilting(head: Weight, p: tuple, memo: dict) -> FormalChar:
 
 
 def _closure_alphabet(chi: FormalChar) -> list[Coord]:
-    coords = {c for _, mu in chi.terms for c in mu}
+    coords = {c for mu in chi.support() for c in mu}
     return sorted(coords | {c - 2 for c in coords})
 
 
@@ -318,7 +323,7 @@ def _flag_report(rows: list) -> CheckReport:
             failures.append(f"{_tag(fam, params)}: instantiate: {chi}")
             continue
         dmults = nabla_sum_to_delta_sum(chi)
-        bad = sorted((mu, c) for (_, mu), c in dmults.terms.items() if c not in (0, 1))
+        bad = sorted((mu, c) for mu, c in dmults.items() if c not in (0, 1))
         for mu, c in bad[:2]:
             hw = fam.highest_weight(params)
             failures.append(

@@ -17,9 +17,10 @@ True
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Optional
 
-from .characters import NABLA, FormalChar, symbol
+from .characters import NABLA, FormalChar, _char
 from .glmult import _class_blocks, _levi_sum
 from .linkage import _ranks, _walk
 from .weights import (
@@ -33,6 +34,7 @@ from .weights import (
     is_p_weakly_typical,
     negate,
     require_p_dominant,
+    scale,
 )
 from .weyl import InvariantViolation, apply_perm, parabolic_longest
 
@@ -63,7 +65,7 @@ def weakly_typical_tilting(lam: Weight, p: Optional[Parabolic] = None) -> Formal
     The support is mu = -w_0^p(nu) over the p-dominant nu of the strong
     up-set of eta = -w_0^p(lam).  eta is ranked once; the walk, the
     p-dominance test and each multiplicity then run on rank tuples, and
-    each kept nu is mapped back to a weight once."""
+    each kept nu is mapped back once, to a row of the answer."""
     p = p or borel(len(lam))
     require_p_dominant(lam, p)
     if not is_p_weakly_typical(lam, p):
@@ -82,21 +84,22 @@ def _weakly_typical_tilting(lam: Weight, p: Parabolic) -> FormalChar:  # lam gua
     # every nu: nu is p-dominant when its ranks fall along each Levi pair,
     # and then so is -w_0^p(nu)
     levi = _levi_pairs(p, len(lam))
-    neg = {k: -c for k, c in zip(r, eta)}  # rank -> -(its coordinate)
-    sym = symbol(NABLA, p)
-    terms = {}  # -w_0^p is a bijection, so each mu arrives once
+    # every mu has lam's integrality classes, so the rows take lam's scale d
+    d, (y,) = scale([lam])
+    neg = {k: y[i] for k, i in zip(r, back)}  # rank -> -(its coordinate of eta), scaled
+    rows = {}  # -w_0^p is a bijection, so each mu arrives once
     for x in _walk(r, keys, -1):
         if _falls(x, levi):
             c = _levi_sum(x, r, dense, blocks, p)
             if c < 0:
-                nu = [-neg[k] for k in x]
+                nu = [Fraction(-neg[k], d) for k in x]
                 raise InvariantViolation(
                     f"[M^p_{format_weight(nu)} : L_{format_weight(eta)}] = {c} < 0 for p={p}"
                 )
             if c:
-                terms[(sym, tuple([neg[x[k]] for k in back]))] = c
-    chi = FormalChar(terms)
-    if terms.get((sym, lam)) != 1:
+                rows[tuple([neg[x[k]] for k in back])] = c
+    chi = _char(NABLA, p, d, rows)  # in Sigma_p^+: each nu's ranks fall
+    if rows.get(y) != 1:
         raise InvariantViolation(
             f"T^p_{format_weight(lam)} (p={p}) has coefficient "
             f"{chi.coeff(NABLA, lam, p)} at its highest weight: {chi!r}"

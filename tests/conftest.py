@@ -9,7 +9,7 @@ import pytest
 from hypothesis import strategies as st
 
 import reference
-from pericat.characters import FormalChar, char_sum, delta, nabla, nabla_sum_to_delta_sum, symbol
+from pericat.characters import FormalChar, char_sum, delta, nabla, nabla_sum_to_delta_sum
 from pericat.linkage import block_label
 from pericat.pe3 import tables
 from pericat.tilting import weakly_typical_tilting
@@ -100,9 +100,16 @@ def tilting_delta_mults_wt(lam, p=None) -> FormalChar:
 
 
 def formal(chi: dict) -> FormalChar:
-    """A reference character, {(kind, p, weight): coeff}, as a FormalChar."""
-    syms = {basis: symbol(*basis) for basis in {key[:2] for key in chi}}
-    return FormalChar({(syms[kind, p], lam): c for (kind, p, lam), c in chi.items()})
+    """A reference character of one basis, {(kind, p, weight): coeff}, as a FormalChar."""
+    bases: dict = {}
+    for (kind, p, lam), c in chi.items():
+        bases.setdefault((kind, p), {})[lam] = c
+    return char_sum(FormalChar(kind, p, terms) for (kind, p), terms in bases.items())
+
+
+def fresh(chi: FormalChar) -> FormalChar:
+    """The character chi built anew from its weights."""
+    return FormalChar(chi.kind, chi.parabolic, dict(chi.items()))
 
 
 # Roots as dense vectors, for the tests that check the index-pair form

@@ -457,8 +457,8 @@ def lookup(lam, p=None) -> dict:
 
 
 def _head(chi: dict) -> tuple:
-    """The first top-degree mu in support-set order with no other top nu, -nu up-arrow -mu."""
-    support = {mu for _, _, mu in chi}
+    """The first top-degree mu in the order of chi with no other top nu, -nu up-arrow -mu."""
+    support = [mu for _, _, mu in chi]
     top = max(map(sum, support))
     tops = [mu for mu in support if sum(mu) == top]
     return next(

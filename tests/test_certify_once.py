@@ -1,6 +1,6 @@
 """Certification runs once per object it certifies, and no answer changes.
 
-The character operations guard their input once per call, the pe(3) table
+A character is guarded once, where it is built from weights, the pe(3) table
 lookup serves validated instances kept per fixture file, and `verify pe3`'s
 decompositions look a head up once per class mod omega.  These tests compare
 each against the reference, which re-certifies on every call: its table
@@ -13,9 +13,11 @@ from fractions import Fraction
 import pytest
 
 import reference
-from conftest import B3, W, corrupt_row, sweep_items, without_row
+from conftest import B3, W, corrupt_row, fresh, sweep_items, without_row
 from pericat import glmult
 from pericat.characters import (
+    DELTA,
+    NABLA,
     FormalChar,
     delta,
     delta_sum_to_nabla_sum,
@@ -48,23 +50,29 @@ def _outcome(call, *args):
 
 def _verify_heads(bound):
     """Every (head, parabolic) that verify_tables(bound) peels or looks up."""
-    heads = set()
-    head, lookup = verify._head, verify.lookup_tilting_pe3
+    heads, peeling = set(), []
+    head, lookup, decompose = verify._head, verify.lookup_tilting_pe3, verify.decompose_into_tiltings
 
-    def record_head(terms, degrees):
-        mu = head(terms, degrees)
-        heads.add((mu, next(iter(terms))[0].parabolic))
-        return mu
+    def record_decompose(chi, p, memo):
+        peeling[:] = [tuple(p)]
+        return decompose(chi, p, memo)
+
+    def record_head(tops):
+        i = head(tops)
+        heads.add((tops[i], peeling[0]))
+        return i
 
     def record_lookup(lam, p=None):
         heads.add((lam, p))
         return lookup(lam, p)
 
-    verify._head, verify.lookup_tilting_pe3 = record_head, record_lookup
+    saved = head, lookup, decompose
+    verify._head, verify.lookup_tilting_pe3, verify.decompose_into_tiltings = (
+        record_head, record_lookup, record_decompose)
     try:
         verify_tables(bound)
     finally:
-        verify._head, verify.lookup_tilting_pe3 = head, lookup
+        verify._head, verify.lookup_tilting_pe3, verify.decompose_into_tiltings = saved
     return sorted(heads, key=repr)
 
 
@@ -305,7 +313,7 @@ def test_lookup_reads_an_integral_fraction_as_its_int():
 
 def test_lookups_share_a_read_only_character():
     """A lookup at shift 0 returns the kept instance: a write into it raises,
-    and its certified form stays across lookups."""
+    and its rows stay across lookups."""
     first = lookup_tilting_pe3(W(0, 1, -1))
     key = next(iter(first.terms))
     with pytest.raises(TypeError):
@@ -315,26 +323,26 @@ def test_lookups_share_a_read_only_character():
     assert len(lookup_tilting_pe3(W(0, 1, -1)).terms) == 6
     assert lookup_tilting_pe3(W(0, 1, -1)) is first
     nabla_sum_to_delta_sum(first)
-    assert lookup_tilting_pe3(W(0, 1, -1))._form is first._form is not None
+    assert lookup_tilting_pe3(W(0, 1, -1)).rows is first.rows
 
 
-# --- the character guard, once per operation -----------------------------------
+# --- the character guard, once where a character is built ------------------------
 
-_OPERATIONS = [
-    ("nabla_sum_to_delta_sum", nabla, nabla_sum_to_delta_sum),
-    ("delta_sum_to_nabla_sum", delta, delta_sum_to_nabla_sum),
-    ("theta_char", nabla, lambda chi: theta_char(1, chi)),
-    ("theta_char_on_delta", delta, lambda chi: theta_char(1, chi)),
+_BUILDS = [
+    ("nabla_sum", lambda rows, p: _char_sum(nabla, rows, p)),
+    ("delta_sum", lambda rows, p: _char_sum(delta, rows, p)),
+    ("nabla", lambda rows, p: FormalChar(NABLA, p, {W(*row): 1 for row in rows})),
+    ("delta", lambda rows, p: FormalChar(DELTA, p, {W(*row): 1 for row in rows})),
 ]
 
 
-def _ref_guard(chi):
-    """The per-term guard: the first term of chi outside Sigma_p^+ raises."""
-    for _, p, lam in reference.terms(chi):
-        reference.require_p_dominant(lam, p)
+def _ref_guard(rows, p):
+    """The per-term guard: the first of the rows outside Sigma_p^+ raises."""
+    for row in rows:
+        reference.require_p_dominant(W(*row), p)
 
 
-def _char(make, rows, p):
+def _char_sum(make, rows, p):
     out = FormalChar()
     for row in rows:
         out = out + make(W(*row), p)
@@ -350,16 +358,15 @@ _OUTSIDE = [
 ]
 
 
-@pytest.mark.parametrize("name,make,op", _OPERATIONS, ids=[o[0] for o in _OPERATIONS])
+@pytest.mark.parametrize("name,build", _BUILDS, ids=[b[0] for b in _BUILDS])
 @pytest.mark.parametrize("rows,p,message", _OUTSIDE)
-def test_operations_refuse_a_term_outside_sigma(name, make, op, rows, p, message):
-    chi = _char(make, rows, p)
+def test_construction_refuses_a_term_outside_sigma(name, build, rows, p, message):
     with pytest.raises(ValueError) as ref:
-        _ref_guard(chi)
+        _ref_guard(rows, p)
     assert str(ref.value) == message
     for _ in range(2):
         with pytest.raises(ValueError) as exc:
-            op(chi)
+            build(rows, p)
         assert str(exc.value) == message
 
 
@@ -372,15 +379,14 @@ _WRONG_LENGTH = [
 ]
 
 
-@pytest.mark.parametrize("name,make,op", _OPERATIONS, ids=[o[0] for o in _OPERATIONS])
+@pytest.mark.parametrize("name,build", _BUILDS, ids=[b[0] for b in _BUILDS])
 @pytest.mark.parametrize("rows,p", _WRONG_LENGTH)
-def test_operations_refuse_a_term_of_the_wrong_length(name, make, op, rows, p):
-    chi = _char(make, rows, p)
+def test_construction_refuses_a_term_of_the_wrong_length(name, build, rows, p):
     with pytest.raises(ValueError) as ref:
-        _ref_guard(chi)
+        _ref_guard(rows, p)
     assert "does not sum to n=" in str(ref.value)
     with pytest.raises(ValueError) as exc:
-        op(chi)
+        build(rows, p)
     assert str(exc.value) == str(ref.value)
 
 
@@ -415,22 +421,22 @@ def test_multi_class_rows_skip_the_parabolic_guard(monkeypatch):
 
 
 def test_held_character_form_refuses_changes_in_place():
-    """A character's stored certified form is kept for good: its terms
-    refuse every write, so it answers as a fresh copy does."""
+    """A character's rows are kept for good: its terms refuse every write,
+    so it answers as a fresh copy does."""
     chi = lookup_tilting_pe3(W(1, 0, 3), P21)
     (sym, lam), _ = next(iter(chi.terms.items()))
 
     def same_as_fresh_copy():
         for op in (nabla_sum_to_delta_sum, lambda c: theta_char(3, c)):
-            want = _outcome(op, FormalChar(chi.terms.copy()))
+            want = _outcome(op, fresh(chi))
             assert _outcome(op, chi) == _outcome(op, chi) == want
 
     same_as_fresh_copy()
-    form, before = chi._form, chi.terms.copy()
+    rows, before = chi.rows, chi.terms.copy()
     for key, c in (((sym, lam), 5), ((sym, tuple(Fraction(v) for v in lam)), 1), ((sym, W(0, 1, 2)), 1)):
         with pytest.raises(TypeError):
             chi.terms[key] = c
     with pytest.raises(TypeError):
         del chi.terms[sym, lam]
-    assert chi.terms == before and chi._form is form
+    assert chi.terms == before and chi.rows is rows
     same_as_fresh_copy()

@@ -14,6 +14,7 @@ from pericat import characters
 from pericat.characters import (
     DELTA,
     NABLA,
+    BasisSymbol,
     FormalChar,
     MixedBasis,
     NonTerminating,
@@ -25,7 +26,6 @@ from pericat.characters import (
     nabla,
     nabla_sum_to_delta_sum,
     shift_by_omega,
-    symbol,
     theta_char,
 )
 from pericat.linkage import block_label
@@ -50,26 +50,28 @@ def tensor_natural_delta(lam, p=None):
     Delta_{lam + e_i} + Delta_{lam - e_i}, keeping weights in Sigma_p^+."""
     p = p or borel(len(lam))
     require_p_dominant(lam, p)
-    sym = symbol(DELTA, p)
     out = {}
     for i in range(len(lam)):
         for sign in (1, -1):
             mu = tuple(x + sign if j == i else x for j, x in enumerate(lam))
             if is_p_dominant(mu, p):
-                out[(sym, mu)] = 1
-    return FormalChar(out)
+                out[mu] = 1
+    return FormalChar(DELTA, p, out)
 
 
 def test_linear_algebra_basics():
     chi = delta(W(0, 1)) + delta(W(0, 1)) - 2 * delta(W(0, 1))
     assert chi.is_zero()
     assert delta(W(1, 2)).coeff(DELTA, W(1, 2)) == 1
-    mixed = 3 * delta(W(1, 2)) + nabla(W(1, 2))
-    assert mixed.coeff(DELTA, W(1, 2)) == 3
-    assert mixed.coeff(NABLA, W(1, 2)) == 1
-    assert (mixed - mixed).is_zero()
+    chi = 3 * delta(W(1, 2))
+    assert chi.coeff(DELTA, W(1, 2)) == 3
+    assert chi.coeff(NABLA, W(1, 2)) == 0
+    assert (chi - chi).is_zero()
+    # a sum holds one basis: Delta and Nabla, or two parabolics, do not add
     with pytest.raises(MixedBasis):
-        mixed.sole_basis()
+        chi + nabla(W(1, 2))
+    with pytest.raises(MixedBasis):
+        delta(W(2, 1, 0), (2, 1)) - delta(W(2, 1, 0))
 
 
 def test_nabla_to_delta():
@@ -166,7 +168,7 @@ def test_theta_char_rejects_bad_bases():
     # a character in any other basis cannot be built
     for kind in ("simple", "kac", "even_verma", "even_simple", "levi_simple"):
         with pytest.raises(ValueError, match=f"unknown basis kind '{kind}'"):
-            FormalChar.single(kind, W(0, 1), B2)
+            FormalChar(kind, B2, {W(0, 1): 1})
 
 
 def test_shift_by_omega():
@@ -270,7 +272,7 @@ def test_json_round_trip():
     assert doc["basis"] == "nabla"
     assert char_from_json(doc) == chi
     # Parabolic payloads round trip too.
-    chi_p = FormalChar.single(DELTA, W(1, 0, 5), (2, 1), 3)
+    chi_p = 3 * delta(W(1, 0, 5), (2, 1))
     assert char_from_json(char_to_json(chi_p)) == chi_p
     empty = char_to_json(FormalChar(), empty_basis=NABLA)
     assert empty["terms"] == []
@@ -381,21 +383,16 @@ def test_raw_fraction_input_matches_normalised(data):
     terms = data.draw(
         st.lists(st.tuples(_raw_weight(p), st.integers(1, 2)), min_size=1, max_size=3)
     )
-    sym = symbol(NABLA, p)
-    raw = FormalChar({(sym, lam): c for lam, c in terms})
-    norm = FormalChar({(sym, weight(*lam)): c for lam, c in terms})
-    assert all(type(c) is Fraction for lam in raw.support() for c in lam)
-    assert char_to_json(raw) == char_to_json(norm)
+    raw = FormalChar(NABLA, p, {lam: c for lam, c in terms})
+    norm = FormalChar(NABLA, p, {weight(*lam): c for lam, c in terms})
+    # the character normalises the raw coordinates where it is built
+    assert all(normalised(mu) for mu in raw.support())
+    assert raw == norm and char_to_json(raw) == char_to_json(norm)
 
     d_norm = _outcome(nabla_sum_to_delta_sum, norm)
     _same_result(_outcome(nabla_sum_to_delta_sum, raw), d_norm)
     if isinstance(d_norm, FormalChar):
-        d_raw = FormalChar(
-            {
-                (s, tuple(Fraction(c) for c in lam)): k
-                for (s, lam), k in d_norm.terms.items()
-            }
-        )
+        d_raw = FormalChar(DELTA, p, {tuple(Fraction(c) for c in lam): k for lam, k in d_norm.items()})
         _same_result(
             _outcome(delta_sum_to_nabla_sum, d_raw),
             _outcome(delta_sum_to_nabla_sum, d_norm),
@@ -439,7 +436,7 @@ def _signed_char(draw, kind, p):
     )
     chi = FormalChar()
     for lam, c in terms:
-        chi = chi + c * FormalChar.single(kind, lam, p)
+        chi = chi + FormalChar(kind, p, {lam: c})
     return chi
 
 
@@ -511,7 +508,7 @@ def _result_char(outcome):
 )
 def test_theta_with_a_denominator_of_its_own(a, rows, p):
     for kind in (DELTA, NABLA):
-        chi = char_sum(FormalChar.single(kind, weight(*row), p) for row in rows)
+        chi = FormalChar(kind, p, {weight(*row): 1 for row in rows})
         image = theta_char(a, chi)
         assert reference.terms(image) == reference.theta([a], reference.terms(chi))[0]
         assert all(normalised(mu) for mu in image.support())
@@ -533,19 +530,18 @@ _KERNELS = [
     "weights", [[(1.5, 0)], [(Fraction(1, 2), 0), (1.5, 0)]], ids=["float", "float-after-fraction"]
 )
 def test_kernel_refuses_float_coordinates(convert, kind, p, weights):
-    # every weight is checked, also one past a weight that holds a Fraction
-    chi = FormalChar({(symbol(kind, p), lam): 1 for lam in weights})
+    # every weight is checked, also one past a weight that holds a Fraction,
+    # where the character is built: no kernel sees it
     with pytest.raises(TypeError, match="weight coordinate 1.5 is not exact"):
-        convert(chi)
+        convert(FormalChar(kind, p, dict.fromkeys(weights, 1)))
     with pytest.raises(TypeError, match="weight coordinate 1.5 is not exact"):
         scale(weights)
 
 
 @pytest.mark.parametrize("convert, kind", _KERNELS)
 def test_kernel_refuses_bool_coordinates(convert, kind):
-    chi = FormalChar({(symbol(kind, (2,)), (True, 0)): 1})
     with pytest.raises(TypeError, match="weight coordinate True is not exact"):
-        convert(chi)
+        convert(FormalChar(kind, (2,), {(True, 0): 1}))
 
 
 @pytest.mark.parametrize("parabolic", [(1.0, 2.0), (True, 2)], ids=["float", "bool"])
@@ -556,19 +552,23 @@ def test_float_or_bool_parabolic_part_is_a_typed_error(parabolic):
     builds = [
         delta,
         nabla,
-        functools.partial(FormalChar.single, NABLA),
+        lambda lam, p: FormalChar(NABLA, p, {lam: 1, shift(lam, 1): 2}),
         lambda lam, p: nabla_sum_to_delta_sum(nabla(lam, p)),
     ]
     for build in builds:
         with pytest.raises(TypeError, match=re.escape(f"parabolic {parabolic!r} has a part")):
             build((2, 1, 0), parabolic)
+    # a character is built from its kind, parabolic and weights only: a
+    # (BasisSymbol, weight) key is no way past the check
+    with pytest.raises(ValueError, match="unknown basis kind"):
+        FormalChar({(BasisSymbol(NABLA, parabolic), (2, 1, 0)): 1})
 
 
 def test_raw_fraction_blocks_do_not_reach_normalised_results():
     # the kappa-rule memoises per Levi block; a block first met with raw
     # integral Fractions must not hand them to a later call with ints
     p = (2, 1)
-    raw = FormalChar({(symbol(NABLA, p), (Fraction(41), Fraction(40), Fraction(43))): 1})
+    raw = FormalChar(NABLA, p, {(Fraction(41), Fraction(40), Fraction(43)): 1})
     norm = nabla(W(41, 40, 43), p)
     assert nabla_sum_to_delta_sum(raw) == nabla_sum_to_delta_sum(norm)
     assert all(normalised(mu) for mu in nabla_sum_to_delta_sum(norm).support())
@@ -632,7 +632,7 @@ def test_delta_form_ends_2n_below_the_lowest_nabla(data):
 
 
 def test_no_zero_coefficient_is_stored():
-    assert FormalChar({(symbol(NABLA, B3), W(0, 1, 2)): 0}).terms == {}
+    assert FormalChar(NABLA, B3, {W(0, 1, 2): 0}).terms == {}
     chi = nab_sum((0, 1, -1), (-1, 0, 1))
     assert (chi - chi).terms == {}
     assert (0 * chi).terms == {}
@@ -678,7 +678,7 @@ def _refuse_writes(chi, junk):
 def test_results_refuse_writes():
     chi = nab_sum((0, 1, -1), (0, -1, 1), (-1, 1, 0), (-1, 0, 1), (-1, 0, -1), (-1, -1, 0))
     before = chi.terms.copy()
-    junk = (symbol(DELTA, B3), W(9, 9, 9))
+    junk = (BasisSymbol(DELTA, B3), W(9, 9, 9))
     for name, make in _fresh_results(chi):
         first = make()
         snapshot = first.terms.copy()

@@ -1,11 +1,12 @@
 """The conversions and theta return their answer as scaled-int rows.
 
-A result holds its certified form (symbol, d, rows) and builds its
-(symbol, weight) terms only when they are first read; the next operation
-reads the rows as they are.  On the heads of perfbench's tilting-sweep and
-on every theta image that `verify_tables(12)` decomposes, these tests compare
-the results' values, and their first repr, hash and JSON reads, with the
-reference's characters; `_rows_from_view` checks the order of their terms.
+A character holds its kind, parabolic, scale d and rows, and builds its
+(basis, weight) terms from the rows each time they are read; the next
+operation reads the rows as they are.  On the heads of perfbench's
+tilting-sweep and on every theta image that `verify_tables(12)` decomposes,
+these tests compare the results' values, and their repr, hash and JSON
+reads, with the reference's characters; `_rows_from_view` checks the order
+of their terms.
 """
 
 import copy
@@ -15,10 +16,11 @@ from fractions import Fraction
 import pytest
 
 import reference
-from conftest import W, formal, sweep_items
+from conftest import W, formal, fresh, sweep_items
 from pericat import characters
 from pericat.characters import (
     NABLA,
+    BasisSymbol,
     FormalChar,
     SimpleBasis,
     _guard,
@@ -28,7 +30,6 @@ from pericat.characters import (
     delta_sum_to_nabla_sum,
     nabla,
     nabla_sum_to_delta_sum,
-    symbol,
     theta_char,
 )
 from pericat.pe3 import verify
@@ -87,7 +88,7 @@ def verify_images():
     images = verify._theta_images
 
     def record(alphabet, chi):
-        calls.append((list(alphabet), FormalChar(dict(chi.terms))))
+        calls.append((list(alphabet), fresh(chi)))
         return images(alphabet, chi)
 
     verify._theta_images = record
@@ -104,7 +105,7 @@ def verify_images():
 
 def _results(chi, alphabet):
     """The new route's results: the Delta form, its Nabla form, and theta of
-    chi and of the Delta form at every a of the alphabet, each still unread."""
+    chi and of the Delta form at every a of the alphabet."""
     delta_form = nabla_sum_to_delta_sum(chi)
     new = [delta_form, delta_sum_to_nabla_sum(delta_form)]
     return new + _theta_images(alphabet, chi) + _theta_images(alphabet, delta_form)
@@ -120,7 +121,7 @@ _READS = {
 
 @pytest.mark.parametrize("read", list(_READS), ids=list(_READS))
 def test_sweep_results_read_as_the_reference(sweep_cases, read):
-    """Each read is the first one of a fresh result."""
+    """Each read is of a fresh result."""
     for chi, alphabet, _, want in sweep_cases:
         got = [_READS[read](r) for r in _results(chi, alphabet)]
         assert got == [_READS[read](w) for w in want], chi
@@ -144,31 +145,21 @@ def test_verify_theta_images_read_as_the_reference(verify_images, read):
 # --- the rows a result holds --------------------------------------------------------
 
 
-def _unread(result):
-    """A result holds only its form (sym, d, rows) until its terms are read."""
-    try:
-        object.__getattribute__(result, "terms")  # no __getattr__ build
-    except AttributeError:
-        return len(result._form) == 3
-    return False
-
-
 def _rows_from_view(result):
-    """(d, e) for an unread result held at d whose terms, once read, have
-    least common denominator e: its rows must be what scale and _guard
-    give from its terms, scaled by d/e."""
-    assert _unread(result)
-    sym, d, rows = result._form
+    """(d, e) for a result held at d whose terms have least common
+    denominator e: its rows must be what scale and _guard give from its
+    terms, scaled by d/e."""
+    d, rows = result.d, result.rows
     assert all(rows.values())
     view = result.terms
     e, xs = scale([lam for _, lam in view])
-    _guard(xs, sym.parabolic, e)
+    _guard(xs, result.parabolic, e)
     assert d % e == 0
     m = d // e
     assert list(rows.items()) == [
         (tuple(v * m for v in x), c) for x, c in zip(xs, view.values())
     ]
-    assert {s for s, _ in view} == {sym}
+    assert {s for s, _ in view} == {BasisSymbol(result.kind, result.parabolic)}
     return d, e
 
 
@@ -187,6 +178,7 @@ def test_results_may_hold_a_finer_denominator():
     image = theta_char(Fraction(1, 2), mixed)
     assert _rows_from_view(image) == (6, 2)
     assert image == theta_char(Fraction(1, 2), nabla(W("1/2", -1, 1)))
+    assert image == fresh(image) and hash(image) == hash(fresh(image))  # fresh holds d = 2
     half = lookup_tilting_pe3(W("1/2", "3/2", "5/2"))
     coarse, finer = _theta_images([Fraction(1, 2), Fraction(1, 3)], half)
     assert finer.is_zero()  # no coordinate of a half-integral weight is a third
@@ -194,51 +186,54 @@ def test_results_may_hold_a_finer_denominator():
     assert [reference.terms(coarse)] == reference.theta([Fraction(1, 2)], reference.terms(half))
     # a result of d = 6 converts as its terms do
     for result in (image, coarse):
-        fresh = FormalChar(result.terms.copy())
+        built = fresh(result)
         for op in (nabla_sum_to_delta_sum, lambda c: theta_char(Fraction(3, 2), c)):
-            assert list(op(result).terms.items()) == list(op(fresh).terms.items())
+            assert list(op(result).terms.items()) == list(op(built).terms.items())
 
 
-# --- no view until it is read -------------------------------------------------------
+# --- no view unless it is read ------------------------------------------------------
 
 
 def test_operations_on_results_unscale_nothing(monkeypatch):
     """nabla -> delta -> nabla -> theta reads each result's rows: no scale,
-    no guard and no unscale until a result's terms are read."""
+    no guard, and no unscale unless a result's terms are read."""
     calls = []
     for name in ("unscale", "scale", "_guard"):
         real = getattr(characters, name)
         monkeypatch.setattr(
             characters, name, lambda *args, _real=real, _name=name: (calls.append(_name), _real(*args))[1]
         )
-    chi = lookup_tilting_pe3(W("1/2", "3/2", "5/2"))
-    delta_form = nabla_sum_to_delta_sum(chi)
-    assert calls == ["scale", "_guard"]  # chi, built from terms, is certified once
+    half = lookup_tilting_pe3(W("1/2", "3/2", "5/2"))
     calls.clear()
+    chi = FormalChar(NABLA, half.parabolic, dict(half.items()))
+    assert calls == ["unscale", "scale", "_guard"]  # read, then built and certified once
+    calls.clear()
+    delta_form = nabla_sum_to_delta_sum(chi)
     back = delta_sum_to_nabla_sum(delta_form)
     images = [theta_char(a, back) for a in (Fraction(1, 2), Fraction(-1, 2), Fraction(5, 2))]
     images += _theta_images([Fraction(1, 2), Fraction(3, 2)], delta_form)
     assert not delta_form.is_zero() and not back.is_zero()
     assert sum(not r.is_zero() for r in images) >= 2
     assert calls == []
-    assert back == chi
-    assert calls == ["unscale"]
-    assert repr(back) == repr(chi) and calls == ["unscale"]  # the view is kept
+    assert back == chi and hash(back) == hash(chi)
+    assert calls == ["unscale", "unscale"]  # equality reads rows; each hash reads a view
+    calls.clear()
+    assert repr(back) == repr(chi) and calls == ["unscale", "unscale"]
 
 
-def test_is_zero_reads_no_view():
+def test_is_zero_reads_no_view(monkeypatch):
     chi = lookup_tilting_pe3(W("1/2", "3/2", "5/2"))
     result = nabla_sum_to_delta_sum(chi)
+    monkeypatch.setattr(characters, "unscale", None)  # a view would call it
     assert not result.is_zero()
-    assert _unread(result)
     assert theta_char(7, chi).is_zero() and theta_char(7, chi) == FormalChar()
 
 
-def test_results_refuse_the_wrong_basis_without_a_view():
+def test_results_refuse_the_wrong_basis_without_a_view(monkeypatch):
     result = nabla_sum_to_delta_sum(lookup_tilting_pe3(W(0, 1, 2)))
+    monkeypatch.setattr(characters, "unscale", None)  # a view would call it
     with pytest.raises(SimpleBasis, match="expected a Nabla-basis character, got 'delta'"):
         nabla_sum_to_delta_sum(result)
-    assert _unread(result)
 
 
 def _outcome(op, chi):
@@ -257,17 +252,17 @@ def test_read_results_refuse_changes_in_place():
 
     def same_as_fresh_copy():
         for op in (delta_sum_to_nabla_sum, lambda c: theta_char(Fraction(3, 2), c)):
-            want = _outcome(op, FormalChar(result.terms.copy()))
+            want = _outcome(op, fresh(result))
             assert _outcome(op, result) == _outcome(op, result) == want
 
     same_as_fresh_copy()
-    form, before = result._form, result.terms.copy()
+    rows, before = result.rows, result.terms.copy()
     for key, v in (((sym, lam), c + 1), ((sym, tuple(Fraction(x) for x in lam)), 1), ((sym, (True, 0, 5)), 1)):
         with pytest.raises(TypeError):
             result.terms[key] = v
     with pytest.raises(TypeError):
         del result.terms[sym, lam]
-    assert result.terms == before and result._form is form
+    assert result.terms == before and result.rows is rows
     same_as_fresh_copy()
 
 
@@ -279,26 +274,24 @@ def test_operations_never_see_a_zero_coefficient():
     dlt = nabla_sum_to_delta_sum(nab)
     for chi, convert in ((nab, nabla_sum_to_delta_sum), (dlt, delta_sum_to_nabla_sum)):
         ops = [convert] + [
-            lambda c, a=a: theta_char(a, c) for a in sorted({v for _, lam in chi.terms for v in lam})
+            lambda c, a=a: theta_char(a, c) for a in sorted({v for lam in chi.support() for v in lam})
         ]
-        keys = list(chi.terms)
-        for k in range(len(keys) + 1):
-            zeros = dict.fromkeys(keys[:k], 0)
-            with_zeros = FormalChar({**chi.terms, **zeros})
-            fresh = FormalChar({key: c for key, c in chi.terms.items() if key not in zeros})
-            assert 0 not in with_zeros.terms.values() and with_zeros == fresh
+        terms = dict(chi.items())
+        for k in range(len(terms) + 1):
+            zeros = dict.fromkeys(list(terms)[:k], 0)
+            with_zeros = FormalChar(chi.kind, chi.parabolic, {**terms, **zeros})
+            without = FormalChar(chi.kind, chi.parabolic, {lam: c for lam, c in terms.items() if lam not in zeros})
+            assert 0 not in with_zeros.terms.values() and with_zeros == without
             for op in ops:
-                assert _outcome(op, with_zeros) == _outcome(op, fresh)
+                assert _outcome(op, with_zeros) == _outcome(op, without)
         assert with_zeros.is_zero() and all(op(with_zeros) == FormalChar() for op in ops)
 
 
 def _four_kinds():
-    """(name, make, a key of its terms) for a character built from terms, a
-    conversion result before and after its first read, and a lookup's
+    """(name, make, a key of its terms) for a character built from weights, a
+    conversion result before and after a read of its terms, and a lookup's
     answer; make builds a fresh one, and the key is read off another."""
-    built = lambda: FormalChar(
-        {(symbol(NABLA, (1, 1, 1)), W(0, 1, -1)): 2, (symbol(NABLA, (1, 1, 1)), W("1/2", 1, -1)): -1}
-    )
+    built = lambda: FormalChar(NABLA, (1, 1, 1), {W(0, 1, -1): 2, W("1/2", 1, -1): -1})
     half = lookup_tilting_pe3(W("1/2", "3/2", "5/2"))
     unread = lambda: nabla_sum_to_delta_sum(half)
 
@@ -337,16 +330,15 @@ def test_no_write_reaches_a_character(name, make, key):
     TypeError on every kind of character, which then answers every read
     and operation as its fresh copy does."""
     chi = make()
-    assert _unread(chi) == (name == "unread")
     for c in (0, 5):
         with pytest.raises(TypeError):
             chi.terms[key] = c
     with pytest.raises(TypeError):
         del chi.terms[key]
-    fresh = FormalChar(chi.terms.copy())
+    built = fresh(chi)
     assert chi.terms[key] and 0 not in chi.terms.values()
-    assert make() == fresh  # the next one made, the next lookup among them, is unharmed
-    assert [answer for answer, read in _ANSWERS.items() if read(chi) != read(fresh)] == []
+    assert make() == built  # the next one made, the next lookup among them, is unharmed
+    assert [answer for answer, read in _ANSWERS.items() if read(chi) != read(built)] == []
 
 
 @pytest.mark.parametrize("name,make,key", _KINDS, ids=[kind[0] for kind in _KINDS])
