@@ -57,6 +57,7 @@ from .weights import (
     _falls,
     _ints,
     _levi_pairs,
+    _parts,
     borel,
     exact,
     format_weight,
@@ -123,10 +124,7 @@ class FormalChar:
             raise ValueError(f"unknown basis kind {kind!r}")
         if parabolic is None:
             raise ValueError(f"basis kind {kind!r} needs a parabolic")
-        if not isinstance(parabolic, tuple):
-            raise TypeError(f"parabolic {parabolic!r} is a {type(parabolic).__name__}, not a tuple")
-        if any(type(part) is not int for part in parabolic):  # a bool or float part is refused too
-            raise TypeError(f"parabolic {parabolic!r} has a part that is not an int")
+        _parts(parabolic)
         terms = {lam: c for lam, c in (terms or {}).items() if c}
         if not terms:
             return

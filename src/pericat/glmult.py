@@ -11,14 +11,13 @@ carrying the nondecreasing (antidominant) orbit base to lam and mu.
 One ranking pass serves a whole multiplicity: `linkage._ranks` ranks the
 shared multiset (ints on their values, other weights on exact (numerator,
 denominator) pairs), and every integrality class, and in [M^p_mu : L_lam]
-every Levi element, reads its rank pattern off those ranks.  The row
-weight's half of the ranking (its sort, rank map and classes) is held for
-the last tuple ranked as row, matched by identity, so a sweep of one row
-against many columns ranks the row once.  A pair of one class is a single
-KL value, with no split into classes.  A pattern's coset representative
-w0 x is one sort of its positions.  The row's own ranks and classes show
-whether mu lies in Sigma_p^+, whether or not the pair ranks; the guard
-`require_p_dominant` runs only when they cannot.
+every Levi element, reads its rank pattern off those ranks.  A sweep goes
+row by row, so the last row's half is held, matched by identity: its ranks
+in `linkage._row`, its positions and pattern per class in `_held` and, for
+the last p asked, its p-dominance verdict and Levi images.  A call does the
+column's half: its ranks, its pattern per class and the `_integral_mult`
+lookups, whose misses read the KL rank index directly.  The tilting engine
+fixes the column and walks rows, through `_class_blocks` and `_levi_sum`.
 
 >>> from .weights import weight
 >>> verma_simple_mult(weight(2, 1, 0), weight(0, 1, 2))
@@ -32,12 +31,13 @@ from __future__ import annotations
 from functools import lru_cache
 
 from . import linkage
-from .weights import Parabolic, Weight, _falls, _levi_pairs, format_weight, require_p_dominant
-from .weyl import InvariantViolation, apply_perm, kl_eval_one, levi_weyl_group
+from .weights import Parabolic, Weight, _falls, _levi_pairs, _parts, format_weight, require_p_dominant
+from .weyl import InvariantViolation, _rank_index, apply_perm, levi_weyl_group
 
 __all__ = ["verma_simple_mult", "parabolic_verma_simple_mult"]
 
 
+@lru_cache(maxsize=None)
 def _w0_rep(x: tuple) -> tuple:
     """w0 x' for x' the longest permutation carrying sorted(x) to x under
     the place action: the stable sort of the positions of reversed x."""
@@ -46,9 +46,10 @@ def _w0_rep(x: tuple) -> tuple:
 
 @lru_cache(maxsize=None)
 def _integral_mult(x: tuple, y: tuple) -> int:
-    """[M_lam : L_mu] = P_{w0 x', w0 y'}(1) inside one integrality class,
-    from the dense rank patterns x of lam and y of mu; the cache stays small."""
-    return kl_eval_one(_w0_rep(x), _w0_rep(y))
+    """[M_lam : L_mu] = P_{w0 x', w0 y'}(1) inside one integrality class, from the dense
+    rank patterns x of lam and y of mu, read unchecked; the cache stays small."""
+    index = _rank_index(len(x))
+    return sum(index.poly(index.position[_w0_rep(x)], index.position[_w0_rep(y)]))
 
 
 def _class_blocks(y: tuple, keys) -> tuple:
@@ -77,14 +78,37 @@ def _term(x: tuple, y: tuple, dense: list, blocks) -> int:
     return total
 
 
-def _in_sigma(row: tuple, levi) -> bool:
-    """Whether the weight of a held row (x, keys, key_x, ...) of
-    `linkage._row` lies in Sigma_p^+: along every Levi pair its ranks fall
-    and, for several classes, its two positions share a class.  Inside one
-    class the ranks follow value order, so these say the coordinates
-    differ by a positive integer."""
+_NO_P = object()  # the p of a held row that no parabolic has asked for yet
+_held: tuple = (None, None, None, None, _NO_P, None)  # (linkage._row, dense, classes, patterns, p, images)
+
+
+def _columns(dense, classes, y: tuple):
+    """The dense pattern of the ranks y per class (classes None: one class)."""
+    return (y,) if classes is None else [tuple([dense[y[i]] for i in idx]) for idx in classes]
+
+
+def _hold(row: tuple, mu: Weight = None, p: Parabolic = _NO_P) -> tuple:
+    """`_held` for the `linkage._row` row of mu.  A new row brings its ranks x's
+    `_class_blocks`: the positions and x's pattern per class.  A new p, checked by
+    `_parts`, brings ((-1)^l(w), the patterns of w(x)) per Levi element w, once mu lies in
+    Sigma_p^+: x falls along each Levi pair, whose positions share a class, or the guard
+    passes.  Each Levi block then lies in one class, so every w(x) has x's classes."""
+    global _held
     x, keys, key_x = row[:3]
-    return _falls(x, levi) and (keys is None or all(key_x[i] == key_x[j] for i, j in levi))
+    if _held[0] is not row:
+        dense, blocks = _class_blocks(x, keys)
+        classes = blocks and [idx for idx, _ in blocks]
+        _held = (row, dense, classes, _columns(dense, classes, x), _NO_P, None)
+    if p is not _NO_P and p is not _held[4]:
+        _parts(p)
+        levi = _levi_pairs(p, len(mu))
+        if not (_falls(x, levi) and (keys is None or all(key_x[i] == key_x[j] for i, j in levi))):
+            require_p_dominant(mu, p)
+        dense, classes = _held[1:3]
+        images = [(-1 if lw % 2 else 1, _columns(dense, classes, apply_perm(w, x)))
+                  for w, lw in levi_weyl_group(p)]
+        _held = (*_held[:4], p, images)
+    return _held
 
 
 def verma_simple_mult(lam: Weight, mu: Weight) -> int:
@@ -100,7 +124,13 @@ def verma_simple_mult(lam: Weight, mu: Weight) -> int:
     x, y, keys = ranked
     if keys is None:  # one class: one Kazhdan-Lusztig value
         return _integral_mult(x, y)
-    return _term(x, y, *_class_blocks(y, keys))
+    _, dense, classes, patterns, _, _ = _hold(linkage._held[1])
+    total = 1
+    for pattern, column in zip(patterns, _columns(dense, classes, y)):
+        total *= _integral_mult(pattern, column)
+        if not total:
+            return 0
+    return total
 
 
 def parabolic_verma_simple_mult(mu: Weight, lam: Weight, p: Parabolic) -> int:
@@ -113,17 +143,20 @@ def parabolic_verma_simple_mult(mu: Weight, lam: Weight, p: Parabolic) -> int:
     except (TypeError, ValueError):  # an error of the guard's comes first
         require_p_dominant(mu, p)
         raise
-    # mu's ranks, held since it was ranked, show whether mu lies in Sigma_p^+,
-    # also when the pair does not rank; the guard takes every other case
-    row = linkage._held[1]
-    if not (type(p) is tuple and _in_sigma(row, _levi_pairs(p, len(mu)))):
-        require_p_dominant(mu, p)
+    # mu's row decides whether mu lies in Sigma_p^+, also if the pair does not rank
+    row, held = linkage._held[1], _held
+    if held[0] is not row or held[4] is not p:
+        held = _hold(row, mu, p)
     if ranked is None:
         return 0
-    # each Levi block of a p-dominant mu lies in one integrality class, so
-    # every w(mu) has mu's classes by position: one ranking serves all terms
-    x, y, keys = ranked
-    total = _levi_sum(x, y, *_class_blocks(y, keys), p)
+    columns = _columns(held[1], held[2], ranked[1])
+    total = 0
+    for m, patterns in held[5]:
+        for pattern, column in zip(patterns, columns):
+            m *= _integral_mult(pattern, column)
+            if not m:
+                break
+        total += m
     if total < 0:
         raise InvariantViolation(
             f"[M^p_{format_weight(mu)} : L_{format_weight(lam)}] = {total} < 0 for p={p}"

@@ -74,6 +74,16 @@ def _ints(lam: Weight) -> bool:
     return False
 
 
+def _parts(p: Parabolic) -> None:
+    """The one check of a parabolic: TypeError names a p that is not a
+    tuple, or has a part that is not an int; a bool or float part is
+    refused, since (2.0, 1) and (True, 2) equal int compositions as keys."""
+    if not isinstance(p, tuple):
+        raise TypeError(f"parabolic {p!r} is a {type(p).__name__}, not a tuple")
+    if not _INT.issuperset(map(type, p)):
+        raise TypeError(f"parabolic {p!r} has a part that is not an int")
+
+
 def scale(weights: Sequence[Weight]) -> tuple[int, Sequence[tuple[int, ...]]]:
     """(d, the weights times d as int tuples), d the least common
     denominator of their coordinates; weights of ints alone are returned as
@@ -194,11 +204,10 @@ def is_p_dominant(lam: Weight, p: Parabolic) -> bool:
     """lam lies in Sigma_p^+: <lam, alpha> in Z_{>0} for alpha in Phi^+(l).
 
     These are the weights indexing parabolic Vermas/costandards in O^p.  `scale`
-    checks lam at every p, and TypeError names a p that is not a tuple.
+    checks lam at every p, then `_parts` checks p.
     """
     d, (x,) = scale([lam])
-    if not isinstance(p, tuple):
-        raise TypeError(f"parabolic {p!r} is a {type(p).__name__}, not a tuple")
+    _parts(p)
     return _falls(x, _levi_pairs(p, len(lam)), d)
 
 
@@ -224,8 +233,7 @@ def is_p_weakly_typical(lam: Weight, p: Parabolic) -> bool:
     with i < j.
     """
     d, (x,) = scale([lam])
-    if not isinstance(p, tuple):
-        raise TypeError(f"parabolic {p!r} is a {type(p).__name__}, not a tuple")
+    _parts(p)
     return all(x[i] - x[j] != t * d for i, j, t in _weak_typicality_pairs(p, len(x)))
 
 

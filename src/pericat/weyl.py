@@ -175,10 +175,6 @@ def poly_mul(a: Poly, b: Poly) -> Poly:
     return poly_trim(out)
 
 
-def poly_eval(a: Poly, x) -> int:
-    return sum(c * x**i for i, c in enumerate(a))
-
-
 def format_poly(a: Poly) -> str:
     """Human form: () -> "0", (1,) -> "1", (1, 1) -> "1+q^1", (0, 2) -> "2q^1"."""
     if not a:
@@ -388,10 +384,6 @@ def kl_polynomial(x: Perm, w: Perm) -> Poly:
     """
     index, px, pw = _positions(x, w)
     return index.poly(px, pw)
-
-
-def kl_eval_one(x: Perm, w: Perm) -> int:
-    return poly_eval(kl_polynomial(x, w), 1)
 
 
 # --- R-polynomials (independent check of the KL recursion) -------------------

@@ -65,7 +65,7 @@ from pericat.weights import (
     is_dominant,
     is_p_dominant,
 )
-from pericat.weyl import all_perms, kl_eval_one
+from pericat.weyl import all_perms, kl_polynomial
 
 
 def _report(num: int, ok: bool, detail: str) -> None:
@@ -358,7 +358,7 @@ def test_criterion_06_multiplicity_oracle():
     for n in (2, 3):
         perms = all_perms(n)
         assert all(
-            kl_eval_one(x, w) in (0, 1) for x in perms for w in perms
+            sum(kl_polynomial(x, w)) in (0, 1) for x in perms for w in perms
         ), f"nontrivial KL value in S_{n}"
 
     pair_total = 0

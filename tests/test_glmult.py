@@ -226,8 +226,11 @@ def test_parabolic_negative_total_is_typed(monkeypatch):
     assert parabolic_verma_simple_mult(mu, mu, (2, 1)) == 1
     # keep only the odd Levi element: the alternating sum turns negative
     monkeypatch.setattr(glmult, "levi_weyl_group", lambda p: (((0, 1, 2), 1),))
+    # an equal but distinct row: mu's Levi images are held since its call
+    again = W(1, 0, 5)
+    assert again == mu and again is not mu
     with pytest.raises(InvariantViolation, match="< 0"):
-        parabolic_verma_simple_mult(mu, mu, (2, 1))
+        parabolic_verma_simple_mult(again, again, (2, 1))
 
 
 # --- the kernel against the reference ------------------------------------------

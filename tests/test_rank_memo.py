@@ -1,10 +1,12 @@
-"""The row memo of `linkage._ranks` changes no answer.
+"""The row memos of `linkage._ranks` and `glmult` change no answer.
 
 `linkage._row` keeps the ranking of the last tuple ranked as lam, matched by
-identity.  These tests run call sequences that reuse, interleave, copy and
-mutate row objects through the four entry points built on `_ranks`, and
-compare every value and every exception with a copy of the ranking that
-keeps nothing between calls.
+identity, and `glmult._held` the rest of that row's half of a multiplicity:
+its class split and, for the last parabolic asked, matched by identity too,
+its p-dominance verdict and Levi images.  These tests run call sequences
+that reuse, interleave, copy and mutate row objects and parabolics through
+the four entry points built on `_ranks`, and compare every value and every
+exception with a copy of the ranking that keeps nothing between calls.
 """
 
 from fractions import Fraction
@@ -186,6 +188,40 @@ def test_multi_class_rows_match_reference(row, inside, outside):
                 for name, engine, ref in _ENTRIES:
                     want = _outcome(ref, row, col, p)
                     assert _outcome(engine, row, col, p) == want, (name, row, col, p)
+
+
+_HALF = (Fraction(5, 2), Fraction(1, 2), 2, 0)  # two classes, in Sigma_p^+ at (2, 2) and (2, 1, 1)
+_INTS = (3, 1, 2, 0)  # one class, in Sigma_p^+ at both
+_P, _Q = (2, 2), (2, 1, 1)
+# a float or bool part, a list, a row outside Sigma_p^+, a wrong sum, None
+_REFUSED = [(2.0, 2), (True, 1, 2), [2, 2], (1, 3), (3, 3), None]
+
+
+@pytest.mark.parametrize(
+    "steps",
+    [
+        pytest.param([(_HALF, _P), (_HALF, _Q), (_HALF, _P), (_HALF, _Q)], id="two-parabolics"),
+        pytest.param([(_HALF, _P), (_HALF, tuple(list(_P))), (_HALF, _P)], id="equal-p"),
+        *[
+            pytest.param([(_HALF, _P), (_HALF, bad), (_HALF, _P)], id=f"refused-{bad!r}")
+            for bad in _REFUSED
+        ],
+        pytest.param(
+            [(_HALF, _P), (_INTS, _P), (_HALF, _P), (_INTS, _Q), (_HALF, _Q)], id="row-comes-back"
+        ),
+    ],
+)
+def test_held_row_and_parabolic_change_no_answer(steps):
+    # every step asks its row, one object throughout, against every column:
+    # the orbit, a column that does not rank and one of another length
+    from itertools import permutations
+
+    for row, p in steps:
+        columns = sorted(set(permutations(row)), key=repr) + [(9, 9, 9, 9), row[:3]]
+        for col in columns:
+            for name, engine, ref in _ENTRIES[:2]:
+                want = _outcome(ref, row, col, p)
+                assert _outcome(engine, row, col, p) == want, (name, row, col, p)
 
 
 @pytest.mark.parametrize("row", [(1.5, 0, 3), (True, 0, 2)], ids=["float", "bool"])

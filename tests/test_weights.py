@@ -1,6 +1,7 @@
 """Root data, weight arithmetic, dominance, and typicality predicates."""
 
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -24,6 +25,7 @@ from pericat.glmult import parabolic_verma_simple_mult
 from pericat.linkage import _lowered, thm34_nabla_edge
 from pericat.pe3.tables import lookup_tilting_pe3
 from pericat.tilting import weakly_typical_tilting
+from pericat import weights
 from pericat.weights import (
     borel,
     degree,
@@ -40,7 +42,7 @@ from pericat.weights import (
     shift,
     weight,
 )
-from pericat.weyl import all_perms, apply_perm
+from pericat.weyl import all_perms, apply_perm, levi_weyl_group
 
 POSITIVE_ROOTS_3 = [even_root(i, j, 3) for i, j in itertools.combinations(range(3), 2)]
 
@@ -126,6 +128,29 @@ def test_list_parabolic_is_a_typed_error(entry, args):
     # a parabolic that is not a tuple is refused by name, never converted
     with pytest.raises(TypeError, match=r"parabolic \[1, 1, 1\] is a list, not a tuple"):
         entry(*args)
+
+
+@pytest.mark.parametrize("p", [(2.0, 1), (True, 2)], ids=["float", "bool"])
+def test_float_or_bool_parabolic_part_is_refused_cold_and_warm(p):
+    # (2.0, 1) and (True, 2) equal int compositions as cache keys: cold they
+    # failed inside a cache's build with an untyped error, and after a call
+    # at the equal int composition they were answered from its entry
+    row = tuple([2, 1, 0])  # a new object: no multiplicity holds its row
+    calls = (
+        (parabolic_verma_simple_mult, (row, (1, 2, 0))),
+        (is_p_dominant, (row,)),
+        (is_p_weakly_typical, ((5, 1, 0),)),
+    )
+    named = re.escape(f"parabolic {p!r} has a part that is not an int")
+    for cache in (weights._levi_pairs, weights._weak_typicality_pairs, levi_weyl_group):
+        cache.cache_clear()
+    for warm in (False, True):
+        if warm:
+            for f, args in calls:
+                f(*args, tuple(map(int, p)))
+        for f, args in calls:
+            with pytest.raises(TypeError, match=named):
+                f(*args, p)
 
 
 def test_dominant_and_antidominant_iff_no_integer_pairing():
